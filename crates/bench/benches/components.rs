@@ -247,32 +247,15 @@ fn simd_kernels(c: &mut Criterion) {
 
     // Each kernel is measured on both its runtime-selected (AVX2 where
     // available) and forced-scalar twin, at the operand shapes the replay
-    // hot loop actually feeds it: store-buffer-sized bool slabs for the
-    // mask/scan family, a stream-table-sized u64 haystack for the finders,
-    // and a 16-way tag row for the residency probe.
+    // hot loop actually feeds it: a store-buffer-sized u64 haystack for
+    // the finder and a 16-way NRU reference mask for the victim draw.
     for forced in [false, true] {
         simd::set_force_scalar(forced);
         let label = if forced { "scalar" } else { simd::active_kernels() };
 
-        let flags: Vec<bool> = (0..56).map(|i| i % 3 == 0).collect();
-        g.bench_function(BenchmarkId::new("mask_true_32", label), |b| {
-            b.iter(|| simd::mask_true(&flags[..32]));
-        });
-        let other: Vec<bool> = (0..56).map(|i| i % 2 == 0).collect();
-        g.bench_function(BenchmarkId::new("for_each_both_true_56", label), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                simd::for_each_both_true(&flags, &other, |i| acc += i);
-                acc
-            });
-        });
-
         let hay: Vec<u64> = (0..48u64).map(|i| i * 0x9E37).collect();
         g.bench_function(BenchmarkId::new("find_u64_48_miss", label), |b| {
             b.iter(|| simd::find_u64(&hay, u64::MAX));
-        });
-        g.bench_function(BenchmarkId::new("eq_mask_u64_16way", label), |b| {
-            b.iter(|| simd::eq_mask_u64(&hay[..16], hay[11]));
         });
 
         g.bench_function(BenchmarkId::new("kth_set_bit", label), |b| {

@@ -1,76 +1,8 @@
 //! Set-associative, write-back, write-allocate cache model.
 
-use crate::replacement::{ReplacementKind, SetPolicy};
+use crate::replacement::ReplacementKind;
 use simcore::rng::SimRng;
 use simcore::{align_down, Addr, LineId};
-
-/// O(1) reverse index from dense [`LineId`]s to cache slots.
-///
-/// When a trace's lines have been interned (`simcore::intern`), the engine
-/// installs one of these per cache via [`Cache::set_id_index`]; lookups
-/// then go straight from a line's id to its slot instead of scanning the
-/// set's ways and comparing tags.
-///
-/// Entries are epoch-stamped: `reset` bumps the epoch, instantly
-/// invalidating every stale mapping without touching the (potentially
-/// multi-megabyte) slot array, so the index can be recycled across runs.
-#[derive(Debug, Clone, Default)]
-pub struct IdIndex {
-    epoch: u32,
-    /// Per line id: `(epoch << 32) | (slot + 1)`.
-    slots: Vec<u64>,
-}
-
-impl IdIndex {
-    /// An empty index (use [`IdIndex::reset`] to size it).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Prepare the index for a run over `lines` interned lines: all
-    /// previous mappings become invalid in O(1) via an epoch bump.
-    pub fn reset(&mut self, lines: usize) {
-        if self.slots.len() < lines {
-            self.slots.resize(lines, 0);
-        }
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap (one bump per replay — takes ~4 billion runs):
-                // pay the O(lines) re-zero once and restart the clock.
-                self.slots.iter_mut().for_each(|s| *s = 0);
-                1
-            }
-        };
-    }
-
-    /// Extend the index to cover `lines` ids *within the current epoch*
-    /// (no bump: existing mappings stay valid). Streaming replays intern
-    /// lines chunk-by-chunk mid-run, so the id space grows while cached
-    /// lines keep their slots; fresh entries are zero, which no epoch
-    /// (always ≥ 1 after a [`IdIndex::reset`]) ever matches.
-    pub fn grow(&mut self, lines: usize) {
-        if self.slots.len() < lines {
-            self.slots.resize(lines, 0);
-        }
-    }
-
-    #[inline]
-    fn get(&self, id: LineId) -> Option<usize> {
-        let e = self.slots[id.index()];
-        ((e >> 32) as u32 == self.epoch).then(|| (e & 0xFFFF_FFFF) as usize - 1)
-    }
-
-    #[inline]
-    fn set(&mut self, id: LineId, slot: usize) {
-        self.slots[id.index()] = ((self.epoch as u64) << 32) | (slot as u64 + 1);
-    }
-
-    #[inline]
-    fn clear(&mut self, id: LineId) {
-        self.slots[id.index()] = 0;
-    }
-}
 
 /// Static geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,8 +51,9 @@ pub struct Victim {
     pub line: Addr,
     /// Whether the line was dirty (must be written back).
     pub dirty: bool,
-    /// The line's dense id, when the cache has an [`IdIndex`] installed
-    /// ([`LineId::INVALID`] otherwise).
+    /// The dense id the line was filled with ([`Cache::access_id`] /
+    /// [`Cache::insert_id`]; [`LineId::INVALID`] for the address-only
+    /// operations).
     pub id: LineId,
 }
 
@@ -160,6 +93,20 @@ impl CacheStats {
     }
 }
 
+/// One set's state, packed into a single record: which ways hold a line,
+/// which of those are dirty, and the set's replacement word (see
+/// [`ReplacementKind::touch`]). 24 bytes, so a probe touches one record
+/// plus the set's tag block.
+#[derive(Debug, Clone, Copy, Default)]
+struct SetState {
+    /// Bit `w`: way `w` holds a line.
+    valid: u64,
+    /// Bit `w`: way `w` holds a dirty line (a subset of `valid`).
+    dirty: u64,
+    /// Packed replacement state.
+    repl: u64,
+}
+
 /// A set-associative, write-back, write-allocate cache.
 ///
 /// Addresses are tracked at line granularity only; the cache stores no
@@ -183,25 +130,23 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    // Indexed by set * ways + way.
+    /// Per slot (`set * ways + way`): the resident line's address with bit
+    /// 0 set, or 0 for an empty way. Line addresses are aligned to at
+    /// least 2 bytes, so a probe key `line | 1` never matches an empty way
+    /// and residency is one scan over the set's contiguous tags.
     tags: Vec<Addr>,
-    valid: Vec<bool>,
-    dirty: Vec<bool>,
-    // Per-slot dense line id, meaningful only while `index` is installed.
+    /// Per slot: the dense id the resident line was filled with, reported
+    /// back on its eviction. Meaningful only while the way is valid.
     ids: Vec<u32>,
-    index: Option<IdIndex>,
-    /// One occupancy bit per way of each set (bit `w` of entry `set`
-    /// mirrors `valid[set * ways + w]`), maintained only for geometries of
-    /// at most 64 ways: the fill path finds the first free way with one
-    /// mask op instead of scanning the set.
-    valid_ways: Vec<u64>,
+    /// Per set: valid and dirty masks plus replacement state.
+    sets: Vec<SetState>,
+    /// Per slot LRU stamps (true-LRU caches only; empty otherwise).
+    stamps: Vec<u32>,
     /// `log2(line_size)`, precomputed so the set-index path shifts instead
     /// of dividing.
     line_shift: u32,
-    /// `log2(ways)` when the associativity is a power of two (the common
-    /// case); `None` keeps the div/mod slot arithmetic for odd geometries.
-    ways_shift: Option<u32>,
-    policies: Vec<SetPolicy>,
+    /// Mask of the `ways` low bits: the ways a set can fill.
+    all_ways: u64,
     rng: SimRng,
     stats: CacheStats,
 }
@@ -209,48 +154,32 @@ pub struct Cache {
 impl Cache {
     /// Create an empty cache with the given geometry and RNG seed (the seed
     /// drives random replacement decisions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line size is not a power of two of at least 2 bytes,
+    /// the set count is not a power of two, the associativity is not in
+    /// `1..=64`, or the replacement policy rejects it (tree-PLRU needs a
+    /// power of two).
     pub fn new(cfg: CacheConfig, seed: u64) -> Self {
-        assert!(cfg.line_size.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            cfg.line_size.is_power_of_two() && cfg.line_size >= 2,
+            "line size must be a power of two of at least 2 bytes"
+        );
+        assert!(cfg.sets.is_power_of_two(), "set count must be a power of two");
+        assert!((1..=64).contains(&cfg.ways), "associativity must be 1..=64 ways");
+        cfg.replacement.check_ways(cfg.ways);
         let n = cfg.sets * cfg.ways;
         Self {
             line_shift: cfg.line_size.trailing_zeros(),
-            ways_shift: cfg.ways.is_power_of_two().then(|| cfg.ways.trailing_zeros()),
-            cfg,
+            all_ways: u64::MAX >> (64 - cfg.ways),
             tags: vec![0; n],
-            valid: vec![false; n],
-            dirty: vec![false; n],
-            ids: vec![LineId::INVALID.0; n],
-            index: None,
-            valid_ways: vec![0; if cfg.ways <= 64 { cfg.sets } else { 0 }],
-            policies: (0..cfg.sets).map(|_| SetPolicy::new(cfg.replacement, cfg.ways)).collect(),
+            ids: vec![0; n],
+            sets: vec![SetState::default(); cfg.sets],
+            stamps: if cfg.replacement == ReplacementKind::Lru { vec![0; n] } else { Vec::new() },
+            cfg,
             rng: SimRng::new(seed),
             stats: CacheStats::default(),
-        }
-    }
-
-    /// Install a [`LineId`] reverse index (already [`IdIndex::reset`] for
-    /// the trace's line count). From here on, the `*_id` operations resolve
-    /// residency in O(1) instead of scanning the set's ways.
-    ///
-    /// The cache must be empty (ids of already-resident lines are unknown),
-    /// and once installed, *only* the `*_id` operations may mutate contents
-    /// — the plain address-keyed ops would silently desynchronise the index.
-    pub fn install_id_index(&mut self, index: IdIndex) {
-        debug_assert_eq!(self.resident(), 0, "id index requires an empty cache");
-        self.index = Some(index);
-    }
-
-    /// Remove and return the installed [`IdIndex`] so a caller can recycle
-    /// its allocation for the next run.
-    pub fn take_id_index(&mut self) -> Option<IdIndex> {
-        self.index.take()
-    }
-
-    /// Grow the installed [`IdIndex`] (if any) to cover `lines` ids
-    /// without invalidating existing mappings; see [`IdIndex::grow`].
-    pub fn grow_id_index(&mut self, lines: usize) {
-        if let Some(ix) = self.index.as_mut() {
-            ix.grow(lines);
         }
     }
 
@@ -260,6 +189,7 @@ impl Cache {
     }
 
     /// Event counters so far.
+    #[inline]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
@@ -280,120 +210,76 @@ impl Cache {
         ((line >> self.line_shift) as usize) & (self.cfg.sets - 1)
     }
 
+    /// The `(set, way)` holding the line-aligned `line`, if resident: an
+    /// inlined scan of the set's tags against the keyed probe `line | 1`
+    /// (8 or 16 compares on every shipped geometry).
     #[inline]
-    fn slot(&self, set: usize, way: usize) -> usize {
-        match self.ways_shift {
-            Some(sh) => (set << sh) | way,
-            None => set * self.cfg.ways + way,
-        }
-    }
-
-    /// Inverse of [`Cache::slot`]: split a flat slot back into `(set, way)`.
-    #[inline]
-    fn unslot(&self, slot: usize) -> (usize, usize) {
-        match self.ways_shift {
-            Some(sh) => (slot >> sh, slot & ((1 << sh) - 1)),
-            None => (slot / self.cfg.ways, slot % self.cfg.ways),
-        }
-    }
-
     fn find(&self, line: Addr) -> Option<(usize, usize)> {
-        let set = self.set_of(line);
-        if self.cfg.ways <= 64 {
-            // A resident line occupies exactly one way, so a vectorized
-            // tag compare over the set's contiguous tag block, masked by
-            // its occupancy bits, resolves residency in one pass — the
-            // same associative probe the hardware performs.
-            let base = self.slot(set, 0);
-            let m = simcore::simd::eq_mask_u64(&self.tags[base..base + self.cfg.ways], line)
-                & self.valid_ways[set];
-            return (m != 0).then(|| (set, m.trailing_zeros() as usize));
-        }
-        (0..self.cfg.ways).find_map(|way| {
-            let s = self.slot(set, way);
-            (self.valid[s] && self.tags[s] == line).then_some((set, way))
-        })
-    }
-
-    /// Resolve residency through the id index when installed, falling back
-    /// to the tag scan otherwise. `line` must already be line-aligned.
-    ///
-    /// (Routing small caches through the vectorized way probe instead of
-    /// the index was tried and loses both ways: the index answers the
-    /// common *miss* with one load, and the probe's AVX2 twin cannot be
-    /// inlined across the `target_feature` boundary.)
-    #[inline]
-    fn find_by(&self, line: Addr, id: LineId) -> Option<(usize, usize)> {
         debug_assert_eq!(line, self.line_of(line));
-        match &self.index {
-            Some(ix) => {
-                let slot = ix.get(id)?;
-                debug_assert_eq!(self.tags[slot], line);
-                debug_assert!(self.valid[slot]);
-                Some(self.unslot(slot))
-            }
-            None => self.find(line),
-        }
+        let set = self.set_of(line);
+        let ways = self.cfg.ways;
+        let key = line | 1;
+        self.tags[set * ways..(set + 1) * ways]
+            .iter()
+            .position(|&t| t == key)
+            .map(|way| (set, way))
     }
 
-    /// The dense id to report for the line in `slot` (INVALID when no index
-    /// is installed).
+    /// Record a hit or fill of `way` with the replacement policy.
     #[inline]
-    fn id_in(&self, slot: usize) -> LineId {
-        if self.index.is_some() {
-            LineId(self.ids[slot])
-        } else {
-            LineId::INVALID
-        }
+    fn touch(&mut self, set: usize, way: usize) {
+        let ways = self.cfg.ways;
+        let repl = &mut self.sets[set].repl;
+        self.cfg.replacement.touch(repl, &mut self.stamps, set * ways, way, ways);
     }
 
     /// Whether `line` (line-aligned) is resident.
+    #[inline]
     pub fn probe(&self, line: Addr) -> bool {
         self.find(self.line_of(line)).is_some()
     }
 
     /// Whether `line` is resident and dirty.
     pub fn is_dirty(&self, line: Addr) -> bool {
-        self.find(self.line_of(line))
-            .is_some_and(|(set, way)| self.dirty[self.slot(set, way)])
+        self.find(self.line_of(line)).is_some_and(|(set, way)| self.sets[set].dirty >> way & 1 != 0)
     }
 
     /// Access the line containing `addr`, allocating on miss.
     ///
     /// `write` marks the line dirty. Returns whether it hit and any victim
     /// evicted to make room.
+    #[inline]
     pub fn access(&mut self, addr: Addr, write: bool) -> AccessOutcome {
         let line = self.line_of(addr);
         self.access_id(line, LineId::INVALID, write)
     }
 
-    /// [`Cache::access`] with a pre-aligned line and its dense id (pass
-    /// [`LineId::INVALID`] when no index is installed).
+    /// [`Cache::access`] with a pre-aligned line and the dense id to record
+    /// for it (reported back in its [`Victim`]).
+    #[inline]
     pub fn access_id(&mut self, line: Addr, id: LineId, write: bool) -> AccessOutcome {
-        if let Some((set, way)) = self.find_by(line, id) {
+        if let Some((set, way)) = self.find(line) {
             self.stats.hits += 1;
-            let s = self.slot(set, way);
-            if write {
-                self.dirty[s] = true;
-            }
-            self.policies[set].on_access(way, self.cfg.ways);
+            self.sets[set].dirty |= u64::from(write) << way;
+            self.touch(set, way);
             return AccessOutcome { hit: true, victim: None };
         }
         self.stats.misses += 1;
-        let victim = self.insert_internal(line, id, write);
+        let victim = self.fill(line, id, write);
         AccessOutcome { hit: false, victim }
     }
 
-    /// Fused probe-then-read: on a hit, count it and touch the replacement
-    /// state, exactly like `probe(line)` followed by `access(line, false)`;
-    /// on a miss, mutate *nothing* (no miss is counted, no fill happens) and
-    /// return `false` so the caller can take its miss path.
+    /// Fused probe-then-read of the pre-aligned `line`: on a hit, count it
+    /// and touch the replacement state, exactly like `probe(line)` followed
+    /// by `access(line, false)`; on a miss, mutate *nothing* (no miss is
+    /// counted, no fill happens) and return `false` so the caller can take
+    /// its miss path.
     #[inline]
-    pub fn hit_read(&mut self, line: Addr, id: LineId) -> bool {
-        match self.find_by(line, id) {
+    pub fn hit_read(&mut self, line: Addr) -> bool {
+        match self.find(line) {
             Some((set, way)) => {
                 self.stats.hits += 1;
-                self.policies[set].on_access(way, self.cfg.ways);
+                self.touch(set, way);
                 true
             }
             None => false,
@@ -403,13 +289,12 @@ impl Cache {
     /// Fused probe-then-write: like [`Cache::hit_read`] but also sets the
     /// dirty bit on a hit.
     #[inline]
-    pub fn hit_write(&mut self, line: Addr, id: LineId) -> bool {
-        match self.find_by(line, id) {
+    pub fn hit_write(&mut self, line: Addr) -> bool {
+        match self.find(line) {
             Some((set, way)) => {
                 self.stats.hits += 1;
-                let s = self.slot(set, way);
-                self.dirty[s] = true;
-                self.policies[set].on_access(way, self.cfg.ways);
+                self.sets[set].dirty |= 1 << way;
+                self.touch(set, way);
                 true
             }
             None => false,
@@ -427,58 +312,50 @@ impl Cache {
         self.insert_id(line, LineId::INVALID, dirty)
     }
 
-    /// [`Cache::insert`] with a pre-aligned line and its dense id.
+    /// [`Cache::insert`] with a pre-aligned line and the dense id to record
+    /// for it.
+    #[inline]
     pub fn insert_id(&mut self, line: Addr, id: LineId, dirty: bool) -> Option<Victim> {
-        if let Some((set, way)) = self.find_by(line, id) {
-            let s = self.slot(set, way);
-            self.dirty[s] |= dirty;
-            self.policies[set].on_access(way, self.cfg.ways);
+        if let Some((set, way)) = self.find(line) {
+            self.sets[set].dirty |= u64::from(dirty) << way;
+            self.touch(set, way);
             return None;
         }
-        self.insert_internal(line, id, dirty)
+        self.fill(line, id, dirty)
     }
 
-    fn insert_internal(&mut self, line: Addr, id: LineId, dirty: bool) -> Option<Victim> {
+    /// Allocate the absent `line` into its set — the lowest free way, else
+    /// the replacement policy's victim — and return the victim, if any.
+    fn fill(&mut self, line: Addr, id: LineId, dirty: bool) -> Option<Victim> {
         let set = self.set_of(line);
-        // Prefer an invalid way — the lowest-numbered one, matching the
-        // historical ascending scan. On a warm cache the set is full, so
-        // the occupancy mask answers in one op where the scan walked every
-        // way before failing.
-        let way = if self.cfg.ways <= 64 {
-            let free = !self.valid_ways[set] & (u64::MAX >> (64 - self.cfg.ways));
-            (free != 0).then(|| free.trailing_zeros() as usize)
+        let ways = self.cfg.ways;
+        let free = !self.sets[set].valid & self.all_ways;
+        let (way, victim) = if free != 0 {
+            (free.trailing_zeros() as usize, None)
         } else {
-            (0..self.cfg.ways).find(|&w| !self.valid[self.slot(set, w)])
-        };
-        let (way, victim) = match way {
-            Some(w) => (w, None),
-            None => {
-                let w = self.policies[set].victim(self.cfg.ways, &mut self.rng);
-                let s = self.slot(set, w);
-                let v = Victim { line: self.tags[s], dirty: self.dirty[s], id: self.id_in(s) };
-                self.stats.evictions += 1;
-                if v.dirty {
-                    self.stats.dirty_evictions += 1;
-                }
-                if let Some(ix) = &mut self.index {
-                    ix.clear(LineId(self.ids[s]));
-                }
-                (w, Some(v))
+            let repl = &mut self.sets[set].repl;
+            let w =
+                self.cfg.replacement.victim(repl, &self.stamps, set * ways, ways, &mut self.rng);
+            let s = set * ways + w;
+            let v = Victim {
+                line: self.tags[s] & !1,
+                dirty: self.sets[set].dirty >> w & 1 != 0,
+                id: LineId(self.ids[s]),
+            };
+            self.stats.evictions += 1;
+            if v.dirty {
+                self.stats.dirty_evictions += 1;
             }
+            (w, Some(v))
         };
-        let s = self.slot(set, way);
-        self.tags[s] = line;
-        self.valid[s] = true;
-        if self.cfg.ways <= 64 {
-            self.valid_ways[set] |= 1 << way;
-        }
-        self.dirty[s] = dirty;
-        if let Some(ix) = &mut self.index {
-            debug_assert_ne!(id, LineId::INVALID, "id index installed but id-less op used");
-            ix.set(id, s);
-            self.ids[s] = id.0;
-        }
-        self.policies[set].on_access(way, self.cfg.ways);
+        let s = set * ways + way;
+        self.tags[s] = line | 1;
+        self.ids[s] = id.0;
+        let bit = 1u64 << way;
+        let st = &mut self.sets[set];
+        st.valid |= bit;
+        st.dirty = (st.dirty & !bit) | (u64::from(dirty) << way);
+        self.touch(set, way);
         victim
     }
 
@@ -487,52 +364,40 @@ impl Cache {
     ///
     /// Returns `true` when the line was resident and dirty (i.e. a
     /// writeback is actually produced).
+    #[inline]
     pub fn clean_line(&mut self, addr: Addr) -> bool {
         let line = self.line_of(addr);
-        self.clean_line_id(line, LineId::INVALID)
-    }
-
-    /// [`Cache::clean_line`] with a pre-aligned line and its dense id.
-    pub fn clean_line_id(&mut self, line: Addr, id: LineId) -> bool {
-        if let Some((set, way)) = self.find_by(line, id) {
-            let s = self.slot(set, way);
-            if self.dirty[s] {
-                self.dirty[s] = false;
-                self.stats.cleans += 1;
-                return true;
-            }
+        // A set without dirty ways cannot produce a writeback: answer from
+        // its record without loading the tags (the common case for an LLC
+        // whose dirty data leaves through L1 evictions and cleans).
+        if self.sets[self.set_of(line)].dirty == 0 {
+            return false;
         }
-        false
+        let Some((set, way)) = self.find(line) else {
+            return false;
+        };
+        let bit = 1u64 << way;
+        let st = &mut self.sets[set];
+        if st.dirty & bit == 0 {
+            return false;
+        }
+        st.dirty &= !bit;
+        self.stats.cleans += 1;
+        true
     }
 
     /// Remove the line containing `addr`, returning its dirty state if it
     /// was resident.
-    pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
-        let line = self.line_of(addr);
-        self.invalidate_id(line, LineId::INVALID)
-    }
-
-    /// [`Cache::invalidate`] with a pre-aligned line and its dense id.
-    pub fn invalidate_id(&mut self, line: Addr, id: LineId) -> Option<bool> {
-        self.find_by(line, id).map(|(set, way)| {
-            let s = self.slot(set, way);
-            self.valid[s] = false;
-            if self.cfg.ways <= 64 {
-                self.valid_ways[set] &= !(1 << way);
-            }
-            let was_dirty = self.dirty[s];
-            self.dirty[s] = false;
-            if let Some(ix) = &mut self.index {
-                ix.clear(LineId(self.ids[s]));
-            }
-            was_dirty
-        })
-    }
-
-    /// Whether the pre-aligned `line` with dense id `id` is resident.
     #[inline]
-    pub fn probe_id(&self, line: Addr, id: LineId) -> bool {
-        self.find_by(line, id).is_some()
+    pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
+        let (set, way) = self.find(self.line_of(addr))?;
+        let bit = 1u64 << way;
+        let st = &mut self.sets[set];
+        let was_dirty = st.dirty & bit != 0;
+        st.valid &= !bit;
+        st.dirty &= !bit;
+        self.tags[set * self.cfg.ways + way] = 0;
+        Some(was_dirty)
     }
 
     /// Evict everything, returning all resident lines in set order.
@@ -550,53 +415,51 @@ impl Cache {
     /// flushes deterministic and their downstream device writes
     /// byte-reproducible across runs.
     pub fn flush_all_into(&mut self, out: &mut Vec<Victim>) {
-        // Vectorized valid-slot sweep: each 32-slot chunk's occupancy mask
-        // is computed up front, then its set bits are drained in ascending
-        // order while the slots are cleared (the mask is a snapshot, so
-        // clearing does not disturb the scan).
-        let n = self.tags.len();
-        let mut base = 0;
-        while base < n {
-            let end = (base + 32).min(n);
-            let mut m = simcore::simd::mask_true(&self.valid[base..end]);
+        let ways = self.cfg.ways;
+        for (set, st) in self.sets.iter_mut().enumerate() {
+            let mut m = st.valid;
             while m != 0 {
-                let s = base + m.trailing_zeros() as usize;
+                let way = m.trailing_zeros() as usize;
                 m &= m - 1;
-                out.push(Victim { line: self.tags[s], dirty: self.dirty[s], id: self.id_in(s) });
-                self.valid[s] = false;
-                self.dirty[s] = false;
-                if let Some(ix) = &mut self.index {
-                    ix.clear(LineId(self.ids[s]));
-                }
+                let s = set * ways + way;
+                out.push(Victim {
+                    line: self.tags[s] & !1,
+                    dirty: st.dirty >> way & 1 != 0,
+                    id: LineId(self.ids[s]),
+                });
+                self.tags[s] = 0;
             }
-            base = end;
+            st.valid = 0;
+            st.dirty = 0;
         }
-        // Everything is invalid now; the occupancy masks follow wholesale.
-        self.valid_ways.fill(0);
     }
 
-    /// Iterate over resident dirty lines (diagnostics / end-of-run flush
-    /// accounting).
+    /// Iterate over resident dirty lines in ascending slot order
+    /// (diagnostics / end-of-run flush accounting).
     pub fn dirty_lines(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.tags
-            .iter()
-            .zip(self.valid.iter())
-            .zip(self.dirty.iter())
-            .filter(|((_, &v), &d)| v && d)
-            .map(|((&t, _), _)| t)
+        let ways = self.cfg.ways;
+        self.sets.iter().enumerate().flat_map(move |(set, st)| {
+            let mut m = st.valid & st.dirty;
+            std::iter::from_fn(move || {
+                (m != 0).then(|| {
+                    let way = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    self.tags[set * ways + way] & !1
+                })
+            })
+        })
     }
 
     /// Append all resident dirty lines to `out` in ascending slot order
     /// (set-major), the same deterministic order as
-    /// [`Cache::flush_all_into`]. This is the vectorized dirty-line sweep:
-    /// valid and dirty flags are masked 32 slots at a time.
+    /// [`Cache::flush_all_into`].
     pub fn dirty_lines_into(&self, out: &mut Vec<Addr>) {
-        simcore::simd::for_each_both_true(&self.valid, &self.dirty, |s| out.push(self.tags[s]));
+        out.extend(self.dirty_lines());
     }
 
-    /// Number of resident lines (vectorized valid-flag count).
+    /// Number of resident lines.
     pub fn resident(&self) -> usize {
-        simcore::simd::count_true(&self.valid)
+        self.sets.iter().map(|s| s.valid.count_ones() as usize).sum()
     }
 }
 
@@ -772,81 +635,65 @@ mod tests {
     fn fused_hit_ops_match_probe_then_access() {
         let mut c = small(ReplacementKind::Lru);
         // A fused miss mutates nothing — no miss counted, no fill.
-        assert!(!c.hit_read(0, LineId::INVALID));
-        assert!(!c.hit_write(0, LineId::INVALID));
+        assert!(!c.hit_read(0));
+        assert!(!c.hit_write(0));
         assert_eq!(c.stats().misses, 0);
         assert!(!c.probe(0));
         c.access(0, false);
-        assert!(c.hit_read(0, LineId::INVALID));
+        assert!(c.hit_read(0));
         assert!(!c.is_dirty(0));
-        assert!(c.hit_write(0, LineId::INVALID));
+        assert!(c.hit_write(0));
         assert!(c.is_dirty(0));
         assert_eq!(c.stats().hits, 2);
         assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
-    fn id_index_path_matches_plain_path() {
-        use simcore::LineInterner;
-        // Same access sequence through a plain cache and an id-indexed one
-        // (same seed): outcomes, stats, and flush order must be identical.
+    fn victims_carry_their_fill_ids() {
+        // Same access sequence with and without ids (same seed): outcomes,
+        // stats and flush order are identical, and every victim reports
+        // the id its line was filled with.
         let cfg = CacheConfig::from_capacity(1024, 2, 64, ReplacementKind::NruRandom);
         let mut plain = Cache::new(cfg, 9);
-        let mut indexed = Cache::new(cfg, 9);
-        let seq: Vec<(Addr, bool)> =
-            (0..500u64).map(|i| ((i.wrapping_mul(7) % 64) * 64, i % 3 == 0)).collect();
-        let mut interner = LineInterner::new(64);
-        for &(l, _) in &seq {
-            interner.intern(l);
-        }
-        let mut ix = IdIndex::new();
-        ix.reset(interner.len());
-        indexed.install_id_index(ix);
-        for &(line, write) in &seq {
-            let id = interner.id_of(line).expect("every test line was interned above");
+        let mut with_ids = Cache::new(cfg, 9);
+        let id_of = |line: Addr| LineId((line / 64) as u32 * 3 + 1);
+        for i in 0..500u64 {
+            let (line, write) = ((i.wrapping_mul(7) % 64) * 64, i % 3 == 0);
             let a = plain.access(line, write);
-            let b = indexed.access_id(line, id, write);
+            let b = with_ids.access_id(line, id_of(line), write);
             assert_eq!(a.hit, b.hit);
             assert_eq!(
                 a.victim.map(|v| (v.line, v.dirty)),
                 b.victim.map(|v| (v.line, v.dirty))
             );
+            if let Some(v) = a.victim {
+                assert_eq!(v.id, LineId::INVALID, "address-only fills carry no id");
+            }
             if let Some(v) = b.victim {
-                assert_eq!(interner.id_of(v.line), Some(v.id), "victim carries its id");
+                assert_eq!(v.id, id_of(v.line), "victim carries its fill id");
             }
         }
-        assert_eq!(plain.stats(), indexed.stats());
+        assert_eq!(plain.stats(), with_ids.stats());
         let pf: Vec<_> = plain.flush_all().iter().map(|v| (v.line, v.dirty)).collect();
         let mut buf = Vec::new();
-        indexed.flush_all_into(&mut buf);
+        with_ids.flush_all_into(&mut buf);
+        assert!(buf.iter().all(|v| v.id == id_of(v.line)));
         let inf: Vec<_> = buf.iter().map(|v| (v.line, v.dirty)).collect();
         assert_eq!(pf, inf, "flush order is slot order on both paths");
+        assert_eq!(with_ids.resident(), 0);
     }
 
     #[test]
-    fn id_index_epoch_reset_recycles() {
-        let cfg = CacheConfig::from_capacity(512, 2, 64, ReplacementKind::Lru);
-        let mut c = Cache::new(cfg, 1);
-        let mut ix = IdIndex::new();
-        ix.reset(4);
-        c.install_id_index(ix);
-        c.access_id(0, LineId(0), true);
-        assert!(c.probe_id(0, LineId(0)));
-        assert!(c.clean_line_id(0, LineId(0)));
-        assert_eq!(c.invalidate_id(0, LineId(0)), Some(false));
-        assert_eq!(c.invalidate_id(0, LineId(0)), None);
-        c.access_id(64, LineId(1), true);
-        // End of run: flush, recycle the index for a "new trace" where the
-        // same ids mean different lines.
-        let mut buf = Vec::new();
-        c.flush_all_into(&mut buf);
-        assert_eq!(buf.len(), 1);
-        let mut ix = c.take_id_index().expect("an index was installed above");
-        ix.reset(4);
-        c.install_id_index(ix);
-        assert!(!c.probe_id(64, LineId(1)), "epoch bump invalidates stale mappings");
-        c.access_id(128, LineId(1), false);
-        assert!(c.probe_id(128, LineId(1)));
+    fn empty_ways_never_match_line_zero() {
+        // A fresh cache's tags are all zero; line 0 must still miss, and
+        // an invalidated way must not keep answering for its old line.
+        let mut c = small(ReplacementKind::TreePlru);
+        assert!(!c.probe(0));
+        assert!(!c.access(0, true).hit);
+        assert_eq!(c.invalidate(0), Some(true));
+        assert!(!c.probe(0));
+        assert!(!c.hit_read(0));
+        assert_eq!(c.resident(), 0);
     }
 
     #[test]

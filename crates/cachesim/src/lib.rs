@@ -22,7 +22,7 @@ pub mod replacement;
 pub mod storebuf;
 pub mod wcbuf;
 
-pub use cache::{AccessOutcome, Cache, CacheConfig, CacheStats, IdIndex, Victim};
+pub use cache::{AccessOutcome, Cache, CacheConfig, CacheStats, Victim};
 pub use replacement::ReplacementKind;
 pub use storebuf::{SbEntry, StoreBuffer, StoreBufferOverflow};
 pub use wcbuf::WriteCombiningBuffer;

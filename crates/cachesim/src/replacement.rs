@@ -29,51 +29,37 @@ pub enum ReplacementKind {
     NruRandom,
 }
 
-/// Per-set replacement state.
-///
-/// A cache holds one `SetPolicy` per set; all methods take the number of
-/// ways so the state representation can stay compact.
-#[derive(Debug, Clone)]
-pub enum SetPolicy {
-    /// Timestamp-based true LRU.
-    Lru { stamps: Vec<u32>, clock: u32 },
-    /// Bit-tree pseudo-LRU (ways must be a power of two).
-    TreePlru { bits: u64 },
-    /// FIFO: next victim pointer, advanced on fill.
-    Fifo { next: u32 },
-    /// Random victim.
-    Random,
-    /// One reference bit per way; victims drawn randomly among clear bits.
-    NruRandom { refbits: u64 },
-}
-
-impl SetPolicy {
-    /// Create per-set state for `kind` with `ways` ways.
-    pub fn new(kind: ReplacementKind, ways: usize) -> Self {
-        match kind {
-            ReplacementKind::Lru => SetPolicy::Lru { stamps: vec![0; ways], clock: 0 },
-            ReplacementKind::TreePlru => {
-                assert!(ways.is_power_of_two(), "tree-PLRU requires power-of-two ways");
-                assert!(ways <= 64, "tree-PLRU supports at most 64 ways");
-                SetPolicy::TreePlru { bits: 0 }
-            }
-            ReplacementKind::Fifo => SetPolicy::Fifo { next: 0 },
-            ReplacementKind::Random => SetPolicy::Random,
-            ReplacementKind::NruRandom => {
-                assert!(ways <= 64, "NRU supports at most 64 ways");
-                SetPolicy::NruRandom { refbits: 0 }
-            }
+impl ReplacementKind {
+    /// Panic unless a set of `ways` ways can use this policy.
+    pub(crate) fn check_ways(self, ways: usize) {
+        if self == ReplacementKind::TreePlru {
+            assert!(ways.is_power_of_two(), "tree-PLRU requires power-of-two ways");
         }
     }
 
-    /// Record a hit (or a fill) on `way`.
-    pub fn on_access(&mut self, way: usize, ways: usize) {
+    /// Record a hit (or a fill) on `way` of a set of `ways` ways.
+    ///
+    /// `repl` is the set's packed replacement word: the LRU clock, the
+    /// tree-PLRU node bits, the FIFO next-victim pointer, or the NRU
+    /// reference bits (unused by random replacement). True LRU also keeps
+    /// one stamp per way: the set's stamps are `stamps[base..base + ways]`
+    /// (every other policy passes an empty slice and never indexes it).
+    #[inline]
+    pub(crate) fn touch(
+        self,
+        repl: &mut u64,
+        stamps: &mut [u32],
+        base: usize,
+        way: usize,
+        ways: usize,
+    ) {
         match self {
-            SetPolicy::Lru { stamps, clock } => {
-                *clock = clock.wrapping_add(1);
-                stamps[way] = *clock;
+            ReplacementKind::Lru => {
+                let clock = (*repl as u32).wrapping_add(1);
+                *repl = u64::from(clock);
+                stamps[base + way] = clock;
             }
-            SetPolicy::TreePlru { bits } => {
+            ReplacementKind::TreePlru => {
                 // Walk from the root, flipping each node to point away
                 // from the accessed way. Branch-free: with the asserted
                 // power-of-two geometry, each level's direction is simply
@@ -87,58 +73,66 @@ impl SetPolicy {
                     let bit = 1u64 << node;
                     // Went left: point the node right (set). Went right:
                     // point it left (clear).
-                    *bits = (*bits | (bit * (1 - right as u64))) & !(bit * right as u64);
+                    *repl = (*repl | (bit * (1 - right as u64))) & !(bit * right as u64);
                     node = 2 * node + 1 + right;
                 }
             }
-            SetPolicy::Fifo { .. } | SetPolicy::Random => {}
-            SetPolicy::NruRandom { refbits } => {
-                *refbits |= 1 << way;
+            ReplacementKind::Fifo | ReplacementKind::Random => {}
+            ReplacementKind::NruRandom => {
+                *repl |= 1 << way;
                 // All ways referenced: age everyone except the newcomer.
-                if *refbits == (1u64 << ways) - 1 {
-                    *refbits = 1 << way;
+                if *repl == u64::MAX >> (64 - ways) {
+                    *repl = 1 << way;
                 }
             }
         }
     }
 
-    /// Choose a victim way among `ways` (all assumed valid).
-    pub fn victim(&mut self, ways: usize, rng: &mut SimRng) -> usize {
+    /// Choose a victim way among `ways` (all assumed valid), with the same
+    /// `repl` / `stamps` / `base` state as [`ReplacementKind::touch`].
+    #[inline]
+    pub(crate) fn victim(
+        self,
+        repl: &mut u64,
+        stamps: &[u32],
+        base: usize,
+        ways: usize,
+        rng: &mut SimRng,
+    ) -> usize {
         match self {
-            SetPolicy::Lru { stamps, .. } => stamps
+            ReplacementKind::Lru => stamps[base..base + ways]
                 .iter()
-                .take(ways)
                 .enumerate()
                 .min_by_key(|(_, &s)| s)
                 .map(|(i, _)| i)
                 .unwrap_or(0),
-            SetPolicy::TreePlru { bits } => {
+            ReplacementKind::TreePlru => {
                 // Follow the PLRU bits: 1 means "go right", 0 "go left".
-                // Branch-free twin of the `on_access` walk: accumulate
-                // the direction bits straight into the way number.
+                // Branch-free twin of the `touch` walk: accumulate the
+                // direction bits straight into the way number.
                 let levels = ways.trailing_zeros();
                 let mut node = 0usize;
                 let mut way = 0usize;
                 for _ in 0..levels {
-                    let right = ((*bits >> node) & 1) as usize;
+                    let right = ((*repl >> node) & 1) as usize;
                     way = 2 * way + right;
                     node = 2 * node + 1 + right;
                 }
                 way
             }
-            SetPolicy::Fifo { next } => {
-                let v = *next as usize % ways;
-                *next = (*next + 1) % ways as u32;
-                v
+            ReplacementKind::Fifo => {
+                let next = *repl as usize;
+                *repl = ((next + 1) % ways) as u64;
+                next % ways
             }
-            SetPolicy::Random => rng.gen_range(ways as u64) as usize,
-            SetPolicy::NruRandom { refbits } => {
-                // The clear bits of `refbits` below `ways` are the
+            ReplacementKind::Random => rng.gen_range(ways as u64) as usize,
+            ReplacementKind::NruRandom => {
+                // The clear bits of `repl` below `ways` are the
                 // candidates; draw the k-th one straight from the mask —
                 // same selection (ascending bit order) and same single RNG
                 // draw as materializing the candidate list, without the
                 // per-eviction allocation.
-                let mask = !*refbits & (u64::MAX >> (64 - ways));
+                let mask = !*repl & (u64::MAX >> (64 - ways));
                 if mask == 0 {
                     rng.gen_range(ways as u64) as usize
                 } else {
@@ -158,9 +152,32 @@ mod tests {
         SimRng::new(0xDEAD_BEEF)
     }
 
+    /// One set's replacement state, as a cache keeps it.
+    struct TestSet {
+        kind: ReplacementKind,
+        repl: u64,
+        stamps: Vec<u32>,
+    }
+
+    impl TestSet {
+        fn new(kind: ReplacementKind, ways: usize) -> Self {
+            kind.check_ways(ways);
+            let stamps = if kind == ReplacementKind::Lru { vec![0; ways] } else { Vec::new() };
+            Self { kind, repl: 0, stamps }
+        }
+
+        fn on_access(&mut self, way: usize, ways: usize) {
+            self.kind.touch(&mut self.repl, &mut self.stamps, 0, way, ways);
+        }
+
+        fn victim(&mut self, ways: usize, rng: &mut SimRng) -> usize {
+            self.kind.victim(&mut self.repl, &self.stamps, 0, ways, rng)
+        }
+    }
+
     #[test]
     fn lru_evicts_least_recent() {
-        let mut p = SetPolicy::new(ReplacementKind::Lru, 4);
+        let mut p = TestSet::new(ReplacementKind::Lru, 4);
         for w in 0..4 {
             p.on_access(w, 4);
         }
@@ -170,7 +187,7 @@ mod tests {
 
     #[test]
     fn tree_plru_never_evicts_most_recent() {
-        let mut p = SetPolicy::new(ReplacementKind::TreePlru, 8);
+        let mut p = TestSet::new(ReplacementKind::TreePlru, 8);
         let mut r = rng();
         for round in 0..100u64 {
             let way = (round % 8) as usize;
@@ -184,7 +201,7 @@ mod tests {
     fn tree_plru_differs_from_lru_order() {
         // Touch ways 0..8 in order; true LRU would evict 0, tree-PLRU may
         // not — this "imperfection" is the §4.1 behaviour we rely on.
-        let mut plru = SetPolicy::new(ReplacementKind::TreePlru, 8);
+        let mut plru = TestSet::new(ReplacementKind::TreePlru, 8);
         for w in 0..8 {
             plru.on_access(w, 8);
         }
@@ -195,7 +212,7 @@ mod tests {
 
     #[test]
     fn fifo_cycles_through_ways() {
-        let mut p = SetPolicy::new(ReplacementKind::Fifo, 4);
+        let mut p = TestSet::new(ReplacementKind::Fifo, 4);
         let mut r = rng();
         let seq: Vec<usize> = (0..8).map(|_| p.victim(4, &mut r)).collect();
         assert_eq!(seq, vec![0, 1, 2, 3, 0, 1, 2, 3]);
@@ -203,7 +220,7 @@ mod tests {
 
     #[test]
     fn random_covers_all_ways() {
-        let mut p = SetPolicy::new(ReplacementKind::Random, 4);
+        let mut p = TestSet::new(ReplacementKind::Random, 4);
         let mut r = rng();
         let mut seen = [false; 4];
         for _ in 0..200 {
@@ -214,7 +231,7 @@ mod tests {
 
     #[test]
     fn nru_prefers_unreferenced() {
-        let mut p = SetPolicy::new(ReplacementKind::NruRandom, 4);
+        let mut p = TestSet::new(ReplacementKind::NruRandom, 4);
         let mut r = rng();
         p.on_access(0, 4);
         p.on_access(1, 4);
@@ -226,7 +243,7 @@ mod tests {
 
     #[test]
     fn nru_reset_when_saturated() {
-        let mut p = SetPolicy::new(ReplacementKind::NruRandom, 2);
+        let mut p = TestSet::new(ReplacementKind::NruRandom, 2);
         p.on_access(0, 2);
         p.on_access(1, 2); // saturates, resets to only way 1 referenced
         let mut r = rng();
@@ -236,7 +253,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn plru_rejects_non_power_of_two() {
-        let _ = SetPolicy::new(ReplacementKind::TreePlru, 6);
+        let _ = TestSet::new(ReplacementKind::TreePlru, 6);
     }
 
     #[test]
@@ -249,7 +266,7 @@ mod tests {
             ReplacementKind::Random,
             ReplacementKind::NruRandom,
         ] {
-            let mut p = SetPolicy::new(kind, 8);
+            let mut p = TestSet::new(kind, 8);
             for i in 0..100u64 {
                 p.on_access((i % 8) as usize, 8);
                 let v = p.victim(8, &mut r);

@@ -32,9 +32,9 @@ pub struct SbEntry {
     /// Line-aligned address.
     pub line: Addr,
     /// Dense id of the line, when the pusher runs with interned traces
-    /// ([`LineId::INVALID`] otherwise). Carried so that drain cost
-    /// callbacks receive the id alongside the address and never need to
-    /// re-resolve it.
+    /// ([`LineId::INVALID`] otherwise). Carried so that the drain loop
+    /// gets the id back from [`StoreBuffer::next_unstarted`] alongside the
+    /// address and never needs to re-resolve it.
     pub id: LineId,
     /// Cycle at which the store issued.
     pub issue: Cycles,
@@ -67,10 +67,32 @@ impl std::fmt::Display for StoreBufferOverflow {
 
 impl std::error::Error for StoreBufferOverflow {}
 
+/// Buckets of the store buffer's counting membership filter.
+const FILTER_BUCKETS: usize = 64;
+
+/// Filter bucket of a line address (Fibonacci hashing: the top bits of
+/// the product mix every address bit, so line-aligned addresses of any
+/// line size spread over all buckets).
+#[inline]
+fn bucket(line: Addr) -> usize {
+    (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_BUCKETS.trailing_zeros())) as usize
+}
+
+/// Default number of in-flight ownership requests (MSHR-bound).
+pub const DEFAULT_MLP: Cycles = 10;
+
 /// A FIFO store buffer with pipelined background drains.
 ///
 /// Drains always start in FIFO order, so the started entries form a prefix
 /// of the queue.
+///
+/// Drains are scheduled one entry at a time through a pull API
+/// ([`StoreBuffer::next_unstarted`] / [`StoreBuffer::schedule_next`]), so a
+/// caller whose cost computation needs `&mut` access to state that
+/// *contains* this buffer can drain it in place; the closure forms
+/// ([`StoreBuffer::start_all`], [`StoreBuffer::demote`],
+/// [`StoreBuffer::drain_all`], [`StoreBuffer::drain_head`]) are built on
+/// the same primitives.
 ///
 /// # Examples
 ///
@@ -84,9 +106,6 @@ impl std::error::Error for StoreBufferOverflow {}
 /// assert_eq!(done, 20 + 10 + 100); // second drain starts at 30
 /// assert!(sb.is_empty());
 /// ```
-/// Default number of in-flight ownership requests (MSHR-bound).
-pub const DEFAULT_MLP: Cycles = 10;
-
 #[derive(Debug, Clone)]
 pub struct StoreBuffer {
     entries: VecDeque<SbEntry>,
@@ -96,6 +115,10 @@ pub struct StoreBuffer {
     /// vectorized equality sweeps over contiguous `u64`s instead of
     /// striding through 40-byte entries.
     lines: VecDeque<Addr>,
+    /// Counting filter over `lines`: bucket [`bucket`]`(line)` counts the
+    /// entries hashing there. Most loads and demotes look up a line the
+    /// buffer does not hold; a zero bucket proves that without a scan.
+    filter: [u16; FILTER_BUCKETS],
     cap: usize,
     /// Entries `[0, started)` have a scheduled drain.
     started: usize,
@@ -126,7 +149,7 @@ impl StoreBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `cap` is zero.
+    /// Panics if `cap` is zero or exceeds `u16::MAX`.
     pub fn new(cap: usize) -> Self {
         Self::with_mlp(cap, DEFAULT_MLP)
     }
@@ -135,41 +158,22 @@ impl StoreBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `cap` or `mlp` is zero.
+    /// Panics if `cap` or `mlp` is zero, or `cap` exceeds `u16::MAX` (the
+    /// membership filter's counter width).
     pub fn with_mlp(cap: usize, mlp: Cycles) -> Self {
         assert!(cap > 0, "store buffer capacity must be positive");
+        assert!(cap <= usize::from(u16::MAX), "store buffer capacity exceeds the filter counters");
         assert!(mlp > 0, "memory-level parallelism must be positive");
         Self {
             entries: VecDeque::with_capacity(cap),
             lines: VecDeque::with_capacity(cap),
+            filter: [0; FILTER_BUCKETS],
             cap,
             started: 0,
             head_done: Cycles::MAX,
             next_earliest: 0,
             last_done: 0,
             mlp,
-            retired: Vec::new(),
-            track_retired: true,
-        }
-    }
-
-    /// An empty, allocation-free stand-in buffer.
-    ///
-    /// Useful as the temporary value of a `mem::replace` dance when a
-    /// caller needs to move a real buffer out of a struct field: unlike
-    /// [`StoreBuffer::new`], this performs no heap allocation, so it is
-    /// free to construct on a per-event hot path. Pushing into it overflows
-    /// immediately (capacity 1, no backing storage is reserved).
-    pub fn placeholder() -> Self {
-        Self {
-            entries: VecDeque::new(),
-            lines: VecDeque::new(),
-            cap: 1,
-            started: 0,
-            head_done: Cycles::MAX,
-            next_earliest: 0,
-            last_done: 0,
-            mlp: DEFAULT_MLP,
             retired: Vec::new(),
             track_retired: true,
         }
@@ -188,30 +192,37 @@ impl StoreBuffer {
     }
 
     /// Number of pending entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the buffer has no pending entries.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Whether the buffer is at capacity.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.cap
     }
 
     /// Whether any pending entry covers `line` (store-to-load forwarding).
-    /// A vectorized equality scan over the contiguous line mirror.
+    #[inline]
     pub fn contains(&self, line: Addr) -> bool {
-        let (a, b) = self.lines.as_slices();
-        simcore::simd::contains_u64(a, line) || simcore::simd::contains_u64(b, line)
+        self.position_of(line).is_some()
     }
 
-    /// Position of the entry covering `line`, if any (entry order).
+    /// Position of the first entry covering `line`, if any (entry order):
+    /// the filter rules most lines out, a vectorized equality scan over the
+    /// contiguous line mirror finds the rest.
     #[inline]
     fn position_of(&self, line: Addr) -> Option<usize> {
+        if self.filter[bucket(line)] == 0 {
+            return None;
+        }
         let (a, b) = self.lines.as_slices();
         simcore::simd::find_u64(a, line)
             .or_else(|| simcore::simd::find_u64(b, line).map(|p| p + a.len()))
@@ -220,6 +231,9 @@ impl StoreBuffer {
     /// Whether any entry at or past index `from` covers `line`.
     #[inline]
     fn contains_from(&self, from: usize, line: Addr) -> bool {
+        if self.filter[bucket(line)] == 0 {
+            return false;
+        }
         let (a, b) = self.lines.as_slices();
         if from < a.len() {
             simcore::simd::contains_u64(&a[from..], line) || simcore::simd::contains_u64(b, line)
@@ -254,7 +268,9 @@ impl StoreBuffer {
     }
 
     /// [`StoreBuffer::try_push`] with the line's dense id attached to the
-    /// entry, so drain cost callbacks get it back without re-resolving.
+    /// entry, so [`StoreBuffer::next_unstarted`] hands it back without
+    /// re-resolving.
+    #[inline]
     pub fn try_push_id(
         &mut self,
         line: Addr,
@@ -269,24 +285,21 @@ impl StoreBuffer {
         }
         self.entries.push_back(SbEntry { line, id, issue: now, drain_done: None });
         self.lines.push_back(line);
+        self.filter[bucket(line)] += 1;
         Ok(false)
     }
 
-    /// Schedule the drain of entry `idx` (which must be the first
-    /// unscheduled one).
-    fn schedule(&mut self, idx: usize, now: Cycles, cost: Cycles) -> Cycles {
-        debug_assert_eq!(idx, self.started);
-        let e = self.entries[idx];
-        let start = now.max(e.issue).max(self.next_earliest);
-        let done = start + cost;
-        self.entries[idx].drain_done = Some(done);
-        if idx == 0 {
-            self.head_done = done;
+    /// Remove the head entry (its drain must be scheduled).
+    #[inline]
+    fn pop_head(&mut self) -> SbEntry {
+        let head = self.entries.pop_front().expect("pop from an empty store buffer");
+        self.lines.pop_front();
+        self.filter[bucket(head.line)] -= 1;
+        self.started -= 1;
+        if self.track_retired {
+            self.retired.push(head.line);
         }
-        self.next_earliest = start + (cost / self.mlp).max(1);
-        self.last_done = self.last_done.max(done);
-        self.started += 1;
-        done
+        head
     }
 
     /// Re-derive `head_done` from the current front entry (after a pop).
@@ -298,11 +311,9 @@ impl StoreBuffer {
 
     /// The first entry whose drain has not been scheduled yet, if any.
     ///
-    /// Pull-style counterpart of [`StoreBuffer::start_all_id`]: a caller
-    /// whose cost computation needs `&mut` access to state that *contains*
-    /// this buffer can alternate `next_unstarted` / [`StoreBuffer::
-    /// schedule_next`] instead of passing a closure (which would force the
-    /// buffer to be moved out and back around every call).
+    /// Pull-style drain API: alternate `next_unstarted` /
+    /// [`StoreBuffer::schedule_next`] to start drains one entry at a time,
+    /// computing each cost with whatever state the caller needs.
     #[inline]
     pub fn next_unstarted(&self) -> Option<(Addr, LineId)> {
         self.entries.get(self.started).map(|e| (e.line, e.id))
@@ -315,9 +326,29 @@ impl StoreBuffer {
     /// # Panics
     ///
     /// Panics if every entry is already scheduled.
+    #[inline]
     pub fn schedule_next(&mut self, now: Cycles, cost: Cycles) -> Cycles {
-        assert!(self.started < self.entries.len(), "no unscheduled entry");
-        self.schedule(self.started, now, cost)
+        let idx = self.started;
+        let e = &mut self.entries[idx];
+        let start = now.max(e.issue).max(self.next_earliest);
+        let done = start + cost;
+        e.drain_done = Some(done);
+        if idx == 0 {
+            self.head_done = done;
+        }
+        self.next_earliest = start + (cost / self.mlp).max(1);
+        self.last_done = self.last_done.max(done);
+        self.started += 1;
+        done
+    }
+
+    /// How many unscheduled entries must start for the entry covering
+    /// `line` to be draining — FIFO visibility order means a *demote* of
+    /// `line` starts every earlier entry too — or `None` when no entry
+    /// covers `line`. `Some(0)`: its drain already started.
+    #[inline]
+    pub fn unstarted_through(&self, line: Addr) -> Option<usize> {
+        self.position_of(line).map(|pos| (pos + 1).saturating_sub(self.started))
     }
 
     /// Start the drain of every entry that has not started yet. `cost` maps
@@ -325,20 +356,9 @@ impl StoreBuffer {
     ///
     /// Returns the completion time of the latest drain (at least `now`).
     pub fn start_all(&mut self, now: Cycles, mut cost: impl FnMut(Addr) -> Cycles) -> Cycles {
-        self.start_all_id(now, |line, _| cost(line))
-    }
-
-    /// [`StoreBuffer::start_all`] with the cost callback receiving each
-    /// entry's dense line id alongside its address.
-    pub fn start_all_id(
-        &mut self,
-        now: Cycles,
-        mut cost: impl FnMut(Addr, LineId) -> Cycles,
-    ) -> Cycles {
-        while self.started < self.entries.len() {
-            let e = self.entries[self.started];
-            let c = cost(e.line, e.id);
-            self.schedule(self.started, now, c);
+        while let Some((line, _)) = self.next_unstarted() {
+            let c = cost(line);
+            self.schedule_next(now, c);
         }
         self.last_done.max(now)
     }
@@ -355,81 +375,60 @@ impl StoreBuffer {
         now: Cycles,
         mut cost: impl FnMut(Addr) -> Cycles,
     ) -> Cycles {
-        self.demote_id(line, now, |l, _| cost(l))
-    }
-
-    /// [`StoreBuffer::demote`] with an id-aware cost callback.
-    pub fn demote_id(
-        &mut self,
-        line: Addr,
-        now: Cycles,
-        mut cost: impl FnMut(Addr, LineId) -> Cycles,
-    ) -> Cycles {
         let Some(pos) = self.position_of(line) else {
             return now;
         };
-        while self.started <= pos {
-            let e = self.entries[self.started];
-            let c = cost(e.line, e.id);
-            self.schedule(self.started, now, c);
+        for _ in 0..(pos + 1).saturating_sub(self.started) {
+            let (l, _) = self.next_unstarted().expect("entries up to `pos` exist");
+            let c = cost(l);
+            self.schedule_next(now, c);
         }
         self.entries[pos].drain_done.unwrap_or(now)
     }
 
-    /// Drain everything and empty the buffer (a fence). Returns the cycle
-    /// at which the last drain completes — the fence cannot retire earlier.
-    pub fn drain_all(&mut self, now: Cycles, mut cost: impl FnMut(Addr) -> Cycles) -> Cycles {
-        self.drain_all_id(now, |l, _| cost(l))
-    }
-
-    /// [`StoreBuffer::drain_all`] with an id-aware cost callback.
-    pub fn drain_all_id(
-        &mut self,
-        now: Cycles,
-        cost: impl FnMut(Addr, LineId) -> Cycles,
-    ) -> Cycles {
-        let done = self.start_all_id(now, cost);
+    /// Empty the buffer once every entry's drain has been scheduled — the
+    /// tail of a fence, after [`StoreBuffer::start_all`] or the pull loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if an entry is still unscheduled.
+    pub fn retire_all(&mut self) {
+        debug_assert_eq!(self.started, self.entries.len(), "retire_all with unscheduled drains");
         if self.track_retired {
-            self.retired.extend(self.entries.iter().map(|e| e.line));
+            self.retired.extend(self.lines.iter());
         }
         self.entries.clear();
         self.lines.clear();
+        self.filter = [0; FILTER_BUCKETS];
         self.started = 0;
         self.head_done = Cycles::MAX;
+    }
+
+    /// Drain everything and empty the buffer (a fence). Returns the cycle
+    /// at which the last drain completes — the fence cannot retire earlier.
+    pub fn drain_all(&mut self, now: Cycles, cost: impl FnMut(Addr) -> Cycles) -> Cycles {
+        let done = self.start_all(now, cost);
+        self.retire_all();
         done
     }
 
     /// Force the head entry out (capacity pressure). Returns the cycle at
     /// which the head's drain completes; the caller stalls until then.
+    /// `cost` is only consulted when the head's drain has not started yet.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is empty.
     pub fn drain_head(&mut self, now: Cycles, mut cost: impl FnMut(Addr) -> Cycles) -> Cycles {
-        self.drain_head_id(now, |l, _| cost(l))
-    }
-
-    /// [`StoreBuffer::drain_head`] with an id-aware cost callback.
-    pub fn drain_head_id(
-        &mut self,
-        now: Cycles,
-        mut cost: impl FnMut(Addr, LineId) -> Cycles,
-    ) -> Cycles {
         assert!(!self.entries.is_empty(), "drain_head on empty buffer");
         let done = if self.started == 0 {
-            let e = self.entries[0];
-            let c = cost(e.line, e.id);
-            self.schedule(0, now, c)
+            let c = cost(self.entries[0].line);
+            self.schedule_next(now, c)
         } else {
             self.entries[0].drain_done.expect("started entries are scheduled")
         };
-        let head = self.entries.pop_front().expect("not empty");
-        self.lines.pop_front();
-        self.started -= 1;
+        self.pop_head();
         self.refresh_head_done();
-        if self.track_retired {
-            self.retired.push(head.line);
-        }
         done
     }
 
@@ -444,18 +443,8 @@ impl StoreBuffer {
         if now < self.head_done {
             return;
         }
-        while let Some(e) = self.entries.front() {
-            match e.drain_done {
-                Some(d) if d <= now => {
-                    if self.track_retired {
-                        self.retired.push(e.line);
-                    }
-                    self.entries.pop_front();
-                    self.lines.pop_front();
-                    self.started -= 1;
-                }
-                _ => break,
-            }
+        while self.entries.front().and_then(|e| e.drain_done).is_some_and(|d| d <= now) {
+            self.pop_head();
         }
         self.refresh_head_done();
     }
@@ -473,6 +462,7 @@ impl StoreBuffer {
     }
 
     /// Completion time of the latest scheduled drain.
+    #[inline]
     pub fn last_drain_done(&self) -> Cycles {
         self.last_done
     }
@@ -648,12 +638,18 @@ mod tests {
     #[test]
     fn line_mirror_stays_in_lockstep_with_entries() {
         // Exercise every mutation path and check the vectorized-scan
-        // mirror against the entry deque after each one.
+        // mirror and the membership filter against the entry deque after
+        // each one.
         let mut sb = StoreBuffer::with_mlp(4, 10);
         let check = |sb: &StoreBuffer| {
             let want: Vec<Addr> = sb.entries.iter().map(|e| e.line).collect();
             let got: Vec<Addr> = sb.lines.iter().copied().collect();
             assert_eq!(got, want);
+            let mut filter = [0u16; FILTER_BUCKETS];
+            for &l in &want {
+                filter[bucket(l)] += 1;
+            }
+            assert_eq!(sb.filter, filter, "membership filter counts the pending lines");
         };
         sb.push(0, 0);
         sb.push(64, 1);
@@ -674,6 +670,47 @@ mod tests {
         check(&sb);
         assert!(sb.is_empty());
         assert!(!sb.contains(0));
+    }
+
+    #[test]
+    fn pull_api_drains_in_place_like_the_closure_forms() {
+        // The in-place pull loop a caller runs for a demote must schedule
+        // exactly what `demote` schedules, in the same order and at the
+        // same times.
+        let fill = |sb: &mut StoreBuffer| {
+            for (i, line) in [0u64, 64, 128, 64, 192].into_iter().enumerate() {
+                sb.push(line, i as Cycles);
+            }
+        };
+        let mut closure = StoreBuffer::with_mlp(8, 4);
+        fill(&mut closure);
+        let mut pulled = closure.clone();
+        assert_eq!(pulled.unstarted_through(128), Some(3));
+        assert_eq!(pulled.unstarted_through(4096), None, "absent line");
+        let mut costs = Vec::new();
+        let done = closure.demote(128, 5, |l| {
+            costs.push(l);
+            100 + l
+        });
+        for _ in 0..pulled.unstarted_through(128).expect("buffered") {
+            let (line, id) = pulled.next_unstarted().expect("counted");
+            assert_eq!(id, LineId::INVALID);
+            pulled.schedule_next(5, 100 + line);
+        }
+        assert_eq!(costs, vec![0, 64, 128]);
+        assert_eq!(pulled.entries, closure.entries);
+        assert_eq!(done, pulled.entries[2].drain_done.expect("scheduled"));
+        assert_eq!(pulled.unstarted_through(128), Some(0), "already draining");
+        // A fence: pull the rest, then retire everything.
+        let fence = closure.drain_all(50, |_| 10);
+        while pulled.next_unstarted().is_some() {
+            pulled.schedule_next(50, 10);
+        }
+        let pulled_fence = pulled.last_drain_done().max(50);
+        pulled.retire_all();
+        assert_eq!(fence, pulled_fence);
+        assert!(pulled.is_empty() && !pulled.contains(64));
+        assert_eq!(pulled.take_retired(), closure.take_retired());
     }
 
     #[test]

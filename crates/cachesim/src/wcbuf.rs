@@ -87,6 +87,7 @@ impl WriteCombiningBuffer {
     /// [`WriteCombiningBuffer::nt_write`] into a caller-provided buffer
     /// (appended, not cleared), so a hot loop issuing millions of NT stores
     /// reuses one allocation instead of building a `Vec` per store.
+    #[inline]
     pub fn nt_write_into(&mut self, addr: Addr, len: u64, flushes: &mut Vec<WcFlush>) {
         let mut cur = addr;
         let end = addr + len;
@@ -137,6 +138,7 @@ impl WriteCombiningBuffer {
 
     /// [`WriteCombiningBuffer::flush_all`] into a caller-provided buffer
     /// (appended, not cleared). Buffers flush oldest-first.
+    #[inline]
     pub fn flush_all_into(&mut self, out: &mut Vec<WcFlush>) {
         out.extend(self.open.drain(..).map(|(l, filled)| {
             if filled >= self.line_size {

@@ -292,8 +292,8 @@ pub fn simulate_single(cfg: &MachineConfig, trace: &ThreadTrace) -> RunStats {
 }
 
 /// Replay `traces` through the hashed *reference* engine — the exact
-/// pre-interning data paths ([`HashTables`], no [`IdIndex`] on the
-/// caches). Bit-identical to [`simulate`] by construction; kept callable
+/// pre-interning data paths ([`HashTables`], address-keyed line state).
+/// Bit-identical to [`simulate`] by construction; kept callable
 /// so the equivalence suite and the `intern_vs_hash` microbenchmark can
 /// always compare the two.
 ///
@@ -674,23 +674,13 @@ impl Machine {
 
 impl<'a> Engine<'a, FlatTables> {
     /// Build the production engine: flat tables recycled from this
-    /// thread's scratch set, an [`IdIndex`] installed on every cache.
+    /// thread's scratch set.
     fn new_flat(cfg: &'a MachineConfig, interned: &'a InternedTraces, cores: usize) -> Self {
         debug_assert_eq!(interned.interner().line_size(), cfg.line_size);
-        let lines = interned.interner().len();
         let mut scratch = take_scratch();
         let mut flat = std::mem::take(&mut scratch.flat);
-        flat.reset(lines);
+        flat.reset(interned.interner().len());
         let mut engine = Self::with_tables(cfg, interned, cores, flat);
-        let mut install = |cache: &mut Cache| {
-            let mut ix = scratch.indices.pop().unwrap_or_default();
-            ix.reset(lines);
-            cache.install_id_index(ix);
-        };
-        install(&mut engine.llc);
-        for c in &mut engine.cores {
-            install(&mut c.l1);
-        }
         engine.wc_buf = std::mem::take(&mut scratch.wc_buf);
         engine.residual = std::mem::take(&mut scratch.residual);
         engine.sites = std::mem::take(&mut scratch.sites);
@@ -972,16 +962,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
         }
         // Hand the reusable allocations back for the next run on this
         // thread (flat tables only; the reference tables drop them).
-        let mut indices = Vec::new();
-        if T::USE_IDS {
-            indices.extend(self.llc.take_id_index());
-            for c in &mut self.cores {
-                indices.extend(c.l1.take_id_index());
-            }
-        }
         self.residual.clear();
         self.wc_buf.clear();
-        self.tables.recycle(indices, self.wc_buf, self.residual, self.sites);
+        self.tables.recycle(self.wc_buf, self.residual, self.sites);
         crate::probes::flush_run(&stats, &self.acts, steps);
         // Crash-armed runs that completed: the device flush above closed
         // every buffered block, so the whole received set is durable.
@@ -1143,21 +1126,6 @@ impl<'a, T: LineTables> Engine<'a, T> {
         Ok(())
     }
 
-    /// Extend every id-indexed structure (flat tables, per-cache
-    /// [`cachesim::IdIndex`]es) to cover `lines` interned ids. Streaming
-    /// replays intern new lines chunk-by-chunk mid-run, so the id space
-    /// grows while existing entries keep their state — growth never bumps
-    /// an epoch (see [`FlatTables::grow`] for why that is sound).
-    fn grow_line_space(&mut self, lines: usize) {
-        self.tables.grow(lines);
-        if T::USE_IDS {
-            self.llc.grow_id_index(lines);
-            for c in &mut self.cores {
-                c.l1.grow_id_index(lines);
-            }
-        }
-    }
-
     /// The streaming replay scheduler: identical scan, wakeup, deadlock
     /// and budget semantics to [`Engine::replay_generic`], but events and
     /// interned-id runs come from `feed`'s bounded chunk windows instead
@@ -1202,7 +1170,11 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 }
             }
             if grew {
-                self.grow_line_space(feed.interner().len());
+                // Streaming replays intern new lines chunk-by-chunk, so
+                // the id-indexed tables grow while existing entries keep
+                // their state — growth never bumps an epoch (see
+                // [`FlatTables::grow`] for why that is sound).
+                self.tables.grow(feed.interner().len());
                 budget = self.cfg.effective_step_budget(feed.fetched() as usize);
             }
             let mut best: Option<(CoreId, Cycles)> = None;
@@ -1681,7 +1653,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         // Fused probe-and-touch: on a miss nothing is mutated, so the
         // fall-through paths below behave exactly like the historical
         // probe-then-access pair.
-        if self.cores[cid].l1.hit_read(line, id) {
+        if self.cores[cid].l1.hit_read(line) {
             self.cores[cid].now += costs.l1_hit;
             return;
         }
@@ -1712,7 +1684,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 // disagree. Treat the line as clean (the safe accounting:
                 // no spurious writeback) but flag the inconsistency in
                 // debug builds instead of silently defaulting.
-                let dirty = self.cores[o].l1.invalidate_id(line, id).unwrap_or_else(|| {
+                let dirty = self.cores[o].l1.invalidate(line).unwrap_or_else(|| {
                     debug_assert!(
                         false,
                         "owner map names core {o} for line {line:#x} but its L1 has no copy"
@@ -1726,7 +1698,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 return;
             }
         }
-        if self.llc.hit_read(line, id) {
+        if self.llc.hit_read(line) {
             let cost = if streamed { (costs.llc_hit / 4).max(costs.l1_hit) } else { costs.llc_hit };
             self.cores[cid].now += cost;
             self.l1_fill(cid, line, id, false);
@@ -1757,7 +1729,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         } else {
             0
         };
-        if self.cores[cid].l1.hit_write(line, id) {
+        if self.cores[cid].l1.hit_write(line) {
             let already_owner = self.tables.owner_get(id, line) == Some(cid);
             self.tables.owner_set(id, line, cid);
             return if already_owner {
@@ -1772,7 +1744,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 // Same invariant as in `read_line`: an entry in the owner
                 // map implies a resident L1 copy on that core. Default to
                 // clean on disagreement, loudly in debug builds.
-                let dirty = self.cores[o].l1.invalidate_id(line, id).unwrap_or_else(|| {
+                let dirty = self.cores[o].l1.invalidate(line).unwrap_or_else(|| {
                     debug_assert!(
                         false,
                         "owner map names core {o} for line {line:#x} but its L1 has no copy"
@@ -1785,7 +1757,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 return self.device.directory_latency() + costs.remote_transfer;
             }
         }
-        if self.llc.hit_read(line, id) {
+        if self.llc.hit_read(line) {
             self.l1_fill(cid, line, id, true);
             return costs.llc_hit + self.device.directory_latency();
         }
@@ -1798,19 +1770,31 @@ impl<'a, T: LineTables> Engine<'a, T> {
         self.device.read_latency() + self.device.directory_latency() + stall
     }
 
+    /// Schedule the drains of (at most) the first `n` unstarted entries of
+    /// `cid`'s store buffer, no earlier than `now`, and return the
+    /// completion time of the latest scheduled drain (at least `now`).
+    ///
+    /// Pull-style, in place: each entry's acquire cost needs `&mut self`,
+    /// so the buffer hands entries out one at a time instead of taking a
+    /// closure — the closure form would force the whole buffer to be
+    /// moved out of the core and back around every fence, clean and
+    /// demote.
+    fn schedule_drains(&mut self, cid: CoreId, now: Cycles, n: usize) -> Cycles {
+        for _ in 0..n {
+            let Some((line, id)) = self.cores[cid].sb.next_unstarted() else {
+                break;
+            };
+            let c = self.acquire_for_write(cid, line, id);
+            self.cores[cid].sb.schedule_next(now, c);
+        }
+        self.cores[cid].sb.last_drain_done().max(now)
+    }
+
     /// Start the drains of all pending store-buffer entries of `cid`.
     fn start_drains(&mut self, cid: CoreId) -> Cycles {
         self.acts.sb_drains += 1;
         let now = self.cores[cid].now;
-        // Pull-style drain loop: each entry's acquire cost needs `&mut
-        // self`, so the buffer hands entries out one at a time instead of
-        // taking a closure — the closure form would force the whole buffer
-        // to be moved out and back (two struct memcpys) on every TSO store.
-        while let Some((line, id)) = self.cores[cid].sb.next_unstarted() {
-            let c = self.acquire_for_write(cid, line, id);
-            self.cores[cid].sb.schedule_next(now, c);
-        }
-        let done = self.cores[cid].sb.last_drain_done().max(now);
+        let done = self.schedule_drains(cid, now, usize::MAX);
         self.cores[cid].sb.collect_completed(now);
         done
     }
@@ -1850,7 +1834,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 // drain is already costed and the callback cannot fire.
                 let done = self.cores[cid]
                     .sb
-                    .drain_head_id(now, |_, _| unreachable!("head scheduled by start_drains"));
+                    .drain_head(now, |_| unreachable!("head scheduled by start_drains"));
                 if done > self.cores[cid].now {
                     let stall = done - self.cores[cid].now;
                     self.cores[cid].stats.sb_pressure_stall_cycles += stall;
@@ -1891,10 +1875,10 @@ impl<'a, T: LineTables> Engine<'a, T> {
         for (i, line) in blocks_touched(addr, size, line_size).enumerate() {
             let id = Self::pick(ids, i);
             // NT stores invalidate any cached copy.
-            if let Some(true) = self.cores[cid].l1.invalidate_id(line, id) {
+            if let Some(true) = self.cores[cid].l1.invalidate(line) {
                 self.tables.owner_clear(id, line);
             }
-            self.llc.invalidate_id(line, id);
+            self.llc.invalidate(line);
             // The invalidated copy's dirty data is superseded, never
             // written back: its first-dirty tag dies with it.
             self.tables.dirt_take(id, line);
@@ -1939,15 +1923,13 @@ impl<'a, T: LineTables> Engine<'a, T> {
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Order with respect to a pending private store: force its drain
         // (asynchronously) first, like a demote.
-        let in_sb = self.cores[cid].sb.contains(line);
-        if in_sb {
-            let mut sb = std::mem::replace(&mut self.cores[cid].sb, StoreBuffer::placeholder());
-            let now = self.cores[cid].now;
-            sb.demote_id(line, now, |l, i| self.acquire_for_write(cid, l, i));
-            self.cores[cid].sb = sb;
+        let pending = self.cores[cid].sb.unstarted_through(line);
+        if let Some(n) = pending {
+            self.schedule_drains(cid, self.cores[cid].now, n);
         }
-        let dirty_l1 = self.cores[cid].l1.clean_line_id(line, id);
-        let dirty_llc = self.llc.clean_line_id(line, id);
+        let in_sb = pending.is_some();
+        let dirty_l1 = self.cores[cid].l1.clean_line(line);
+        let dirty_llc = self.llc.clean_line(line);
         if dirty_l1 || dirty_llc || in_sb {
             if dirty_l1 {
                 self.tables.owner_clear(id, line);
@@ -1973,18 +1955,15 @@ impl<'a, T: LineTables> Engine<'a, T> {
         self.site_add(site, site_col::DEMOTES, 1);
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Start the background drain of the private store, if any.
-        {
-            let mut sb = std::mem::replace(&mut self.cores[cid].sb, StoreBuffer::placeholder());
-            let now = self.cores[cid].now;
-            sb.demote_id(line, now, |l, i| self.acquire_for_write(cid, l, i));
-            self.cores[cid].sb = sb;
+        if let Some(n) = self.cores[cid].sb.unstarted_through(line) {
+            self.schedule_drains(cid, self.cores[cid].now, n);
         }
         // Push the data down to the shared level so other cores can hit
         // it there. ARM's `dc cvau` *cleans* to the point of unification:
         // the L1 keeps a (now clean) copy, so the producer's next write to
         // the same line still hits locally.
-        let was_dirty = self.cores[cid].l1.clean_line_id(line, id);
-        if was_dirty || self.cores[cid].l1.probe_id(line, id) {
+        let was_dirty = self.cores[cid].l1.clean_line(line);
+        if was_dirty || self.cores[cid].l1.probe(line) {
             self.tables.owner_clear(id, line);
             self.llc_insert(line, id, was_dirty);
         }
@@ -1994,10 +1973,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// the WC buffers (their device traffic is attributed to `site`).
     /// Returns the stall in cycles.
     fn fence(&mut self, cid: CoreId, site: FuncId) -> Cycles {
-        let mut sb = std::mem::replace(&mut self.cores[cid].sb, StoreBuffer::placeholder());
         let now = self.cores[cid].now;
-        let done = sb.drain_all_id(now, |l, i| self.acquire_for_write(cid, l, i));
-        self.cores[cid].sb = sb;
+        let done = self.schedule_drains(cid, now, usize::MAX);
+        self.cores[cid].sb.retire_all();
         let stall = done.saturating_sub(now);
         self.cores[cid].now = now.max(done);
         let mut buf = std::mem::take(&mut self.wc_buf);

@@ -52,7 +52,7 @@ pub fn summarize(stats: &RunStats, cfg: &MachineConfig) -> String {
         stats.l1.hit_rate() * 100.0,
         stats.l1.evictions,
         stats.l1.dirty_evictions,
-        stats.llc.hit_rate() * 100.0,
+        llc_hit_rate(stats) * 100.0,
         stats.llc.dirty_evictions,
     );
     let d = &stats.device;
@@ -70,6 +70,21 @@ pub fn summarize(stats: &RunStats, cfg: &MachineConfig) -> String {
         );
     }
     out
+}
+
+/// LLC hit rate in `[0, 1]` (1.0 when nothing reached the LLC).
+///
+/// The engine probes the LLC with a fused hit check that counts no
+/// misses, so `stats.llc.misses` stays 0 on every replay. Every LLC miss
+/// is served by the device instead, so the device's read requests are the
+/// miss count.
+fn llc_hit_rate(stats: &RunStats) -> f64 {
+    let total = stats.llc.hits + stats.device.reads_received;
+    if total == 0 {
+        1.0
+    } else {
+        stats.llc.hits as f64 / total as f64
+    }
 }
 
 /// Render the per-site write-amplification and stall attribution table —
@@ -251,6 +266,23 @@ mod tests {
             "{table}"
         );
         assert!(!table.contains("NaN"), "{table}");
+    }
+
+    #[test]
+    fn cold_reads_report_llc_misses() {
+        // 8 MiB of reads touched once: every line misses the whole
+        // hierarchy and is read from the device, so the LLC hit rate is 0,
+        // not the 100% a miss-free `llc` counter would suggest.
+        let cfg = MachineConfig::machine_a();
+        let mut t = Tracer::new();
+        for i in 0..(8u64 << 20) / 64 {
+            t.read(i * 64, 64);
+        }
+        let stats = simulate_single(&cfg, &t.finish());
+        assert_eq!(stats.llc.hits, 0);
+        assert_eq!(stats.device.reads_received, 131_072);
+        let text = summarize(&stats, &cfg);
+        assert!(text.contains("LLC hit rate 0.0%"), "{text}");
     }
 
     /// A read-only trace exercises the zero-denominator footer end to end:

@@ -24,12 +24,10 @@
 //!
 //! The engine is generic over `T: LineTables` and compiles to two
 //! monomorphised replay loops; `T::USE_IDS` selects at compile time
-//! whether caches get an [`IdIndex`] installed and ids are resolved at
-//! all.
+//! whether ids are resolved at all.
 
 use crate::stats::SITE_COLS;
 use cachesim::wcbuf::WcFlush;
-use cachesim::IdIndex;
 use simcore::telemetry::SiteTable;
 use simcore::{Addr, CoreId, Cycles, FuncId, FxHashMap, LineId};
 use std::cell::RefCell;
@@ -41,8 +39,7 @@ use std::cell::RefCell;
 /// by address and ignores the id.
 pub trait LineTables {
     /// Whether ids are meaningful: the engine reads real [`LineId`]s from
-    /// the trace's pre-resolved id streams and installs an [`IdIndex`] on
-    /// each cache only when this is true.
+    /// the trace's pre-resolved id streams only when this is true.
     const USE_IDS: bool;
 
     /// Which core's L1 holds `line` dirty, if any.
@@ -100,13 +97,7 @@ pub trait LineTables {
 
     /// Hand reusable allocations back for the next run on this thread
     /// (no-op for the reference tables).
-    fn recycle(
-        self,
-        indices: Vec<IdIndex>,
-        wc_buf: Vec<WcFlush>,
-        residual: Vec<Addr>,
-        sites: SiteTable<SITE_COLS>,
-    );
+    fn recycle(self, wc_buf: Vec<WcFlush>, residual: Vec<Addr>, sites: SiteTable<SITE_COLS>);
 }
 
 /// The always-touched half of a line's state: an epoch stamp plus a packed
@@ -436,14 +427,8 @@ impl LineTables for FlatTables {
         out
     }
 
-    fn recycle(
-        self,
-        indices: Vec<IdIndex>,
-        wc_buf: Vec<WcFlush>,
-        residual: Vec<Addr>,
-        sites: SiteTable<SITE_COLS>,
-    ) {
-        put_scratch(EngineScratch { flat: self, indices, wc_buf, residual, sites });
+    fn recycle(self, wc_buf: Vec<WcFlush>, residual: Vec<Addr>, sites: SiteTable<SITE_COLS>) {
+        put_scratch(EngineScratch { flat: self, wc_buf, residual, sites });
     }
 }
 
@@ -543,22 +528,14 @@ impl LineTables for HashTables {
         self.func_cycles.drain().collect()
     }
 
-    fn recycle(
-        self,
-        _indices: Vec<IdIndex>,
-        _wc_buf: Vec<WcFlush>,
-        _residual: Vec<Addr>,
-        _sites: SiteTable<SITE_COLS>,
-    ) {
-    }
+    fn recycle(self, _wc_buf: Vec<WcFlush>, _residual: Vec<Addr>, _sites: SiteTable<SITE_COLS>) {}
 }
 
-/// Reusable per-thread replay allocations: the flat tables, one
-/// [`IdIndex`] per cache, and the engine's flush/residual buffers.
+/// Reusable per-thread replay allocations: the flat tables and the
+/// engine's flush/residual buffers.
 #[derive(Debug, Default)]
 pub(crate) struct EngineScratch {
     pub(crate) flat: FlatTables,
-    pub(crate) indices: Vec<IdIndex>,
     pub(crate) wc_buf: Vec<WcFlush>,
     pub(crate) residual: Vec<Addr>,
     /// Per-site attribution rows, epoch-reset like the flat tables.
@@ -742,7 +719,7 @@ mod tests {
         s.wc_buf.reserve(123);
         let cap = s.wc_buf.capacity();
         s.flat.reset(8);
-        s.flat.recycle(s.indices, s.wc_buf, s.residual, s.sites);
+        s.flat.recycle(s.wc_buf, s.residual, s.sites);
         let s2 = take_scratch();
         assert!(s2.wc_buf.capacity() >= cap, "allocation survives the round trip");
         // Leave TLS clean for other tests on this thread.

@@ -46,18 +46,22 @@ impl MemDevice for CxlSsd {
         "CXL SSD"
     }
 
+    #[inline]
     fn read_latency(&self) -> Cycles {
         self.inner.read_latency()
     }
 
+    #[inline]
     fn write_accept_latency(&self) -> Cycles {
         self.inner.write_accept_latency()
     }
 
+    #[inline]
     fn write_latency(&self) -> Cycles {
         800
     }
 
+    #[inline]
     fn directory_latency(&self) -> Cycles {
         self.inner.directory_latency()
     }
@@ -70,10 +74,12 @@ impl MemDevice for CxlSsd {
         self.inner.media_write_bandwidth()
     }
 
+    #[inline]
     fn receive_write(&mut self, addr: Addr, bytes: u64) {
         self.inner.receive_write(addr, bytes);
     }
 
+    #[inline]
     fn receive_read(&mut self, addr: Addr, bytes: u64) {
         self.inner.receive_read(addr, bytes);
     }
@@ -82,6 +88,7 @@ impl MemDevice for CxlSsd {
         self.inner.flush();
     }
 
+    #[inline]
     fn stats(&self) -> &DeviceStats {
         self.inner.stats()
     }

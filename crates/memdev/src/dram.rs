@@ -42,18 +42,22 @@ impl MemDevice for Dram {
         "DRAM"
     }
 
+    #[inline]
     fn read_latency(&self) -> Cycles {
         self.read_latency
     }
 
+    #[inline]
     fn write_accept_latency(&self) -> Cycles {
         1
     }
 
+    #[inline]
     fn write_latency(&self) -> Cycles {
         100
     }
 
+    #[inline]
     fn directory_latency(&self) -> Cycles {
         self.directory_latency
     }
@@ -66,6 +70,7 @@ impl MemDevice for Dram {
         self.bandwidth
     }
 
+    #[inline]
     fn receive_write(&mut self, _addr: Addr, bytes: u64) {
         self.stats.writes_received += 1;
         self.stats.bytes_received += bytes;
@@ -73,6 +78,7 @@ impl MemDevice for Dram {
         self.stats.media_bytes_written += bytes;
     }
 
+    #[inline]
     fn receive_read(&mut self, _addr: Addr, bytes: u64) {
         self.stats.reads_received += 1;
         self.stats.bytes_read += bytes;
@@ -80,6 +86,7 @@ impl MemDevice for Dram {
 
     fn flush(&mut self) {}
 
+    #[inline]
     fn stats(&self) -> &DeviceStats {
         &self.stats
     }

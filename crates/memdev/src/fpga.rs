@@ -65,20 +65,24 @@ impl MemDevice for FpgaMem {
         "FPGA memory"
     }
 
+    #[inline]
     fn read_latency(&self) -> Cycles {
         self.latency
     }
 
+    #[inline]
     fn write_accept_latency(&self) -> Cycles {
         2
     }
 
+    #[inline]
     fn write_latency(&self) -> Cycles {
         // A posted write completes after one device round trip plus a
         // small controller overhead.
         self.latency + 20
     }
 
+    #[inline]
     fn directory_latency(&self) -> Cycles {
         // The directory lives on the FPGA: updating a line's status costs
         // a full device round trip.
@@ -98,12 +102,14 @@ impl MemDevice for FpgaMem {
         true
     }
 
+    #[inline]
     fn receive_write(&mut self, _addr: Addr, bytes: u64) {
         self.stats.writes_received += 1;
         self.stats.bytes_received += bytes;
         self.stats.media_bytes_written += bytes;
     }
 
+    #[inline]
     fn receive_read(&mut self, _addr: Addr, bytes: u64) {
         self.stats.reads_received += 1;
         self.stats.bytes_read += bytes;
@@ -111,6 +117,7 @@ impl MemDevice for FpgaMem {
 
     fn flush(&mut self) {}
 
+    #[inline]
     fn stats(&self) -> &DeviceStats {
         &self.stats
     }
@@ -127,6 +134,7 @@ impl MemDevice for FpgaMem {
         Ok(())
     }
 
+    #[inline]
     fn fault_stall(&self) -> Cycles {
         self.faults.map_or(0, |f| f.stall_for(&self.stats))
     }

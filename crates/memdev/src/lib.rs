@@ -280,18 +280,22 @@ impl MemDevice for Device {
         dispatch!(self, d => d.name())
     }
 
+    #[inline]
     fn read_latency(&self) -> Cycles {
         dispatch!(self, d => d.read_latency())
     }
 
+    #[inline]
     fn write_accept_latency(&self) -> Cycles {
         dispatch!(self, d => d.write_accept_latency())
     }
 
+    #[inline]
     fn write_latency(&self) -> Cycles {
         dispatch!(self, d => d.write_latency())
     }
 
+    #[inline]
     fn directory_latency(&self) -> Cycles {
         dispatch!(self, d => d.directory_latency())
     }
@@ -308,11 +312,13 @@ impl MemDevice for Device {
         dispatch!(self, d => d.duplex())
     }
 
+    #[inline]
     fn receive_write(&mut self, addr: Addr, bytes: u64) {
         probes::WRITE_BYTES.add(bytes);
         dispatch!(self, d => d.receive_write(addr, bytes))
     }
 
+    #[inline]
     fn receive_read(&mut self, addr: Addr, bytes: u64) {
         probes::READ_BYTES.add(bytes);
         dispatch!(self, d => d.receive_read(addr, bytes))
@@ -323,6 +329,7 @@ impl MemDevice for Device {
         dispatch!(self, d => d.flush())
     }
 
+    #[inline]
     fn stats(&self) -> &DeviceStats {
         dispatch!(self, d => d.stats())
     }
@@ -338,6 +345,7 @@ impl MemDevice for Device {
         dispatch!(self, d => d.inject_faults(faults))
     }
 
+    #[inline]
     fn fault_stall(&self) -> Cycles {
         dispatch!(self, d => d.fault_stall())
     }

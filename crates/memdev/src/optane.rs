@@ -16,7 +16,6 @@
 use crate::{DeviceStats, FaultInjectionUnsupported, MemDevice, TransientFaults};
 use simcore::telemetry::Histogram;
 use simcore::{align_down, Addr, Cycles};
-use std::collections::VecDeque;
 
 /// Distribution of bytes covered in each internal block when it closes —
 /// mass at the block size means writebacks arrived sequentially enough to
@@ -24,6 +23,21 @@ use std::collections::VecDeque;
 /// writeback paid a full block write plus a read-modify-write fill.
 /// No-op unless simcore's `telemetry` feature is on.
 static BLOCK_COVERED: Histogram = Histogram::new("device.block_covered_bytes");
+
+/// End-of-list marker of the XPBuffer's intrusive LRU links.
+const NIL: u32 = u32::MAX;
+
+/// LRU links and fill level of one open XPBuffer block; entry `i` pairs
+/// with `OptanePmem::open_blocks[i]`.
+#[derive(Debug, Clone, Copy)]
+struct OpenBlock {
+    /// Bytes of the block covered so far.
+    covered: u64,
+    /// Next-older open block ([`NIL`] at the oldest).
+    older: u32,
+    /// Next-newer open block ([`NIL`] at the newest).
+    newer: u32,
+}
 
 /// An Optane persistent-memory module set.
 #[derive(Debug, Clone)]
@@ -34,13 +48,21 @@ pub struct OptanePmem {
     bandwidth: f64,
     block: u64,
     buffer_blocks: usize,
-    /// Addresses of open blocks, oldest first. Kept as a parallel deque to
-    /// `open_covered` so the per-writeback membership scan runs over a
-    /// plain `&[u64]` with the vectorized [`simcore::simd`] kernels.
-    open_blocks: VecDeque<Addr>,
-    /// Bytes covered in each open block; entry `i` pairs with
-    /// `open_blocks[i]`.
-    open_covered: VecDeque<u64>,
+    /// Addresses of the open blocks, one per occupied XPBuffer slot. Slots
+    /// are only freed all at once (flush), and an eviction hands its slot
+    /// straight to the incoming block, so the occupied slots are always
+    /// this whole vector — a dense key array the membership scan walks
+    /// with [`simcore::simd::find_u64`].
+    open_blocks: Vec<Addr>,
+    /// LRU links and fill level per slot (parallel to `open_blocks`): an
+    /// intrusive doubly-linked list from `oldest` to `newest`, so moving a
+    /// re-touched block to the newest end and evicting the oldest are both
+    /// O(1).
+    open_meta: Vec<OpenBlock>,
+    /// Slot of the least recently written open block ([`NIL`] if none).
+    oldest: u32,
+    /// Slot of the most recently written open block ([`NIL`] if none).
+    newest: u32,
     /// Counting occupancy filter over the open blocks: bucket
     /// `(block_number) & 255` counts the open blocks hashing there. Most
     /// writebacks target a block that is *not* open, and a zero bucket
@@ -73,7 +95,8 @@ impl OptanePmem {
     ///
     /// # Panics
     ///
-    /// Panics if `block` is not a power of two or `buffer_blocks` is zero.
+    /// Panics if `block` is not a power of two, or `buffer_blocks` is zero
+    /// or does not fit the buffer's 32-bit slot links.
     pub fn new(
         read_latency: Cycles,
         directory_latency: Cycles,
@@ -83,14 +106,17 @@ impl OptanePmem {
     ) -> Self {
         assert!(block.is_power_of_two(), "internal granularity must be a power of two");
         assert!(buffer_blocks > 0, "need at least one internal buffer block");
+        assert!(buffer_blocks < NIL as usize, "internal buffer too large");
         Self {
             read_latency,
             directory_latency,
             bandwidth,
             block,
             buffer_blocks,
-            open_blocks: VecDeque::new(),
-            open_covered: VecDeque::new(),
+            open_blocks: Vec::new(),
+            open_meta: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             filter: [0; 256],
             stats: DeviceStats::default(),
             faults: None,
@@ -102,8 +128,10 @@ impl OptanePmem {
     /// from, without cloning accumulated run state.
     pub fn fresh(&self) -> Self {
         Self {
-            open_blocks: VecDeque::new(),
-            open_covered: VecDeque::new(),
+            open_blocks: Vec::new(),
+            open_meta: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
             filter: [0; 256],
             stats: DeviceStats::default(),
             ..*self
@@ -116,23 +144,72 @@ impl OptanePmem {
         ((blk >> self.block.trailing_zeros()) as usize) & 0xFF
     }
 
-    /// Index of `blk` among the open blocks, if it is open.
+    /// Slot of `blk` among the open blocks, if it is open.
     #[inline]
-    fn open_position(&self, blk: Addr) -> Option<usize> {
+    fn open_slot(&self, blk: Addr) -> Option<usize> {
         if self.filter[self.bucket(blk)] == 0 {
             return None;
         }
-        let (a, b) = self.open_blocks.as_slices();
-        simcore::simd::find_u64(a, blk)
-            .or_else(|| simcore::simd::find_u64(b, blk).map(|i| i + a.len()))
+        simcore::simd::find_u64(&self.open_blocks, blk)
     }
 
-    /// Close and pop the oldest open block, returning its covered bytes.
-    fn pop_oldest(&mut self) -> Option<u64> {
-        let blk = self.open_blocks.pop_front()?;
+    /// Unlink `slot` from the LRU list.
+    #[inline]
+    fn unlink(&mut self, slot: usize) {
+        let OpenBlock { older, newer, .. } = self.open_meta[slot];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.open_meta[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.open_meta[n as usize].older = older,
+        }
+    }
+
+    /// Link `slot` in as the most recently written block.
+    #[inline]
+    fn push_newest(&mut self, slot: usize) {
+        let m = &mut self.open_meta[slot];
+        m.older = self.newest;
+        m.newer = NIL;
+        match self.newest {
+            NIL => self.oldest = slot as u32,
+            n => self.open_meta[n as usize].newer = slot as u32,
+        }
+        self.newest = slot as u32;
+    }
+
+    /// Open `blk` with `covered` bytes as the newest block, evicting (and
+    /// closing) the oldest block when the buffer is full; the evicted
+    /// block's slot is reused in place.
+    fn open(&mut self, blk: Addr, covered: u64) {
+        let slot = if self.open_blocks.len() < self.buffer_blocks {
+            self.open_blocks.push(blk);
+            self.open_meta.push(OpenBlock { covered, older: NIL, newer: NIL });
+            self.open_blocks.len() - 1
+        } else {
+            let slot = self.oldest as usize;
+            self.unlink(slot);
+            let b = self.bucket(self.open_blocks[slot]);
+            self.filter[b] -= 1;
+            self.close_block(self.open_meta[slot].covered);
+            self.open_blocks[slot] = blk;
+            self.open_meta[slot].covered = covered;
+            slot
+        };
         let b = self.bucket(blk);
-        self.filter[b] -= 1;
-        self.open_covered.pop_front()
+        self.filter[b] += 1;
+        self.push_newest(slot);
+    }
+
+    /// Forget every open block without closing it.
+    fn clear_open(&mut self) {
+        self.open_blocks.clear();
+        self.open_meta.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
+        self.filter = [0; 256];
     }
 
     fn close_block(&mut self, covered: u64) {
@@ -150,19 +227,23 @@ impl MemDevice for OptanePmem {
         "Optane PMEM"
     }
 
+    #[inline]
     fn read_latency(&self) -> Cycles {
         self.read_latency
     }
 
+    #[inline]
     fn write_accept_latency(&self) -> Cycles {
         2
     }
 
+    #[inline]
     fn write_latency(&self) -> Cycles {
         // ~150 ns media write at 2.1 GHz.
         300
     }
 
+    #[inline]
     fn directory_latency(&self) -> Cycles {
         self.directory_latency
     }
@@ -175,6 +256,7 @@ impl MemDevice for OptanePmem {
         self.bandwidth
     }
 
+    #[inline]
     fn receive_write(&mut self, addr: Addr, bytes: u64) {
         self.stats.writes_received += 1;
         self.stats.bytes_received += bytes;
@@ -184,52 +266,49 @@ impl MemDevice for OptanePmem {
         while cur < end {
             let blk = align_down(cur, self.block);
             let chunk = (blk + self.block - cur).min(end - cur);
-            if self.open_blocks.back() == Some(&blk) {
+            let newest = self.newest as usize;
+            if self.newest != NIL && self.open_blocks[newest] == blk {
                 // Sequential writebacks land in the block opened last:
-                // merge in place — it is already in the LRU position the
-                // remove-and-push below would give it.
-                let covered = self.open_covered.back_mut().expect("deques in lockstep");
+                // merge in place — it already is the newest.
+                let covered = &mut self.open_meta[newest].covered;
                 *covered = (*covered + chunk).min(self.block);
-            } else if let Some(pos) = self.open_position(blk) {
-                // Merge into the open block and refresh its position (LRU).
-                let b = self.open_blocks.remove(pos).expect("pos is valid");
-                let covered = self.open_covered.remove(pos).expect("pos is valid");
-                self.open_blocks.push_back(b);
-                self.open_covered.push_back((covered + chunk).min(self.block));
+            } else if let Some(slot) = self.open_slot(blk) {
+                // Merge into the open block and make it the newest (LRU).
+                let covered = &mut self.open_meta[slot].covered;
+                *covered = (*covered + chunk).min(self.block);
+                self.unlink(slot);
+                self.push_newest(slot);
             } else {
-                if self.open_blocks.len() >= self.buffer_blocks {
-                    let covered = self.pop_oldest().expect("buffer not empty");
-                    self.close_block(covered);
-                }
-                let b = self.bucket(blk);
-                self.filter[b] += 1;
-                self.open_blocks.push_back(blk);
-                self.open_covered.push_back(chunk.min(self.block));
+                self.open(blk, chunk.min(self.block));
             }
             cur += chunk;
         }
     }
 
+    #[inline]
     fn receive_read(&mut self, _addr: Addr, bytes: u64) {
         self.stats.reads_received += 1;
         self.stats.bytes_read += bytes;
     }
 
     fn flush(&mut self) {
-        while let Some(covered) = self.pop_oldest() {
-            self.close_block(covered);
+        let mut slot = self.oldest;
+        while slot != NIL {
+            let m = self.open_meta[slot as usize];
+            self.close_block(m.covered);
+            slot = m.newer;
         }
+        self.clear_open();
     }
 
+    #[inline]
     fn stats(&self) -> &DeviceStats {
         &self.stats
     }
 
     fn reset_stats(&mut self) {
         self.stats = DeviceStats::default();
-        self.open_blocks.clear();
-        self.open_covered.clear();
-        self.filter = [0; 256];
+        self.clear_open();
     }
 
     fn inject_faults(
@@ -240,6 +319,7 @@ impl MemDevice for OptanePmem {
         Ok(())
     }
 
+    #[inline]
     fn fault_stall(&self) -> Cycles {
         self.faults.map_or(0, |f| f.stall_for(&self.stats))
     }
@@ -252,7 +332,12 @@ impl MemDevice for OptanePmem {
     fn buffered_blocks_into(&self, out: &mut Vec<(Addr, u64)>) {
         // Open XPBuffer blocks have not reached the media yet; a power
         // failure loses them even though the media itself is persistent.
-        out.extend(self.open_blocks.iter().copied().zip(self.open_covered.iter().copied()));
+        let mut slot = self.oldest;
+        while slot != NIL {
+            let m = self.open_meta[slot as usize];
+            out.push((self.open_blocks[slot as usize], m.covered));
+            slot = m.newer;
+        }
     }
 }
 

@@ -40,12 +40,22 @@ impl LineId {
     }
 }
 
+/// Lines per page of the interner's page table (one id block).
+const PAGE_LINES: usize = 64;
+
 /// Interns line-aligned addresses to dense [`LineId`]s.
 ///
 /// Built once per (trace set, line size) pair — either as a by-product of
 /// validation ([`crate::trace::validate_and_intern`]) or directly via
 /// [`LineInterner::from_threads`] — and then shared read-only by every
 /// replay of that trace.
+///
+/// The map is a two-level page table: a hashed page directory keyed by
+/// the line number's high bits leads to a block of 64 ids, one per line of
+/// that page. Traces touch lines in runs and hot clusters, so the
+/// directory holds a few hundred to a few thousand pages where a line-keyed
+/// map would hold one entry per line, and stays resident in the host's
+/// cache; consecutive lookups of one page skip the directory altogether.
 ///
 /// # Examples
 ///
@@ -63,7 +73,18 @@ impl LineId {
 #[derive(Debug, Clone)]
 pub struct LineInterner {
     line_size: u64,
-    map: FxHashMap<Addr, LineId>,
+    /// `log2(line_size)`.
+    line_shift: u32,
+    /// Page directory: page number (line number / [`PAGE_LINES`]) → index
+    /// of the page's block in `blocks`.
+    pages: FxHashMap<u64, u32>,
+    /// Per page: the id of each of its lines, [`LineId::INVALID`] where
+    /// the line was never interned.
+    blocks: Vec<[LineId; PAGE_LINES]>,
+    /// The page of the latest [`LineInterner::try_intern`] and its block
+    /// (`u64::MAX` before the first), so runs of lines within one page
+    /// skip the directory.
+    last_page: (u64, u32),
     lines: Vec<Addr>,
     /// Refuse to intern more than this many distinct lines. The default,
     /// [`LineInterner::DEFAULT_MAX_LINES`], is the full dense-id space;
@@ -75,7 +96,10 @@ impl Default for LineInterner {
     fn default() -> Self {
         Self {
             line_size: 0,
-            map: FxHashMap::default(),
+            line_shift: 0,
+            pages: FxHashMap::default(),
+            blocks: Vec::new(),
+            last_page: (u64::MAX, 0),
             lines: Vec::new(),
             max_lines: Self::DEFAULT_MAX_LINES,
         }
@@ -97,7 +121,15 @@ impl LineInterner {
     /// reach the [`ValidateError::TooManyLines`] path cheaply.
     pub fn with_max_lines(line_size: u64, max_lines: u32) -> Self {
         debug_assert!(line_size.is_power_of_two());
-        Self { line_size, map: FxHashMap::default(), lines: Vec::new(), max_lines }
+        Self {
+            line_size,
+            line_shift: line_size.trailing_zeros(),
+            pages: FxHashMap::default(),
+            blocks: Vec::new(),
+            last_page: (u64::MAX, 0),
+            lines: Vec::new(),
+            max_lines,
+        }
     }
 
     /// The line size this interner splits on.
@@ -117,6 +149,14 @@ impl LineInterner {
         self.lines.is_empty()
     }
 
+    /// Split a line-aligned address into its page number and the line's
+    /// slot within the page's block.
+    #[inline]
+    fn page_slot(&self, line: Addr) -> (u64, usize) {
+        let n = line >> self.line_shift;
+        (n / PAGE_LINES as u64, (n % PAGE_LINES as u64) as usize)
+    }
+
     /// Intern a line-aligned address, assigning the next dense id on first
     /// sight. Errors with [`ValidateError::TooManyLines`] once the id
     /// space (`max_lines`) is exhausted — the map and id assignment are
@@ -124,17 +164,55 @@ impl LineInterner {
     #[inline]
     pub fn try_intern(&mut self, line: Addr) -> Result<LineId, ValidateError> {
         debug_assert_eq!(line, align_down(line, self.line_size));
-        if let Some(&id) = self.map.get(&line) {
-            return Ok(id);
+        let (page, slot) = self.page_slot(line);
+        let block = if self.last_page.0 == page {
+            Some(self.last_page.1)
+        } else {
+            let b = self.pages.get(&page).copied();
+            if let Some(b) = b {
+                self.last_page = (page, b);
+            }
+            b
+        };
+        if let Some(b) = block {
+            let id = self.blocks[b as usize][slot];
+            if id != LineId::INVALID {
+                return Ok(id);
+            }
         }
+        self.intern_new(line, page, slot, block)
+    }
+
+    /// First sight of `line` (slot `slot` of page `page`, whose block is
+    /// `block` if the page is mapped): assign the next id, mapping the
+    /// page first if needed. Kept out of line so the hit path above stays
+    /// small enough to inline into the per-event interning loops.
+    #[inline(never)]
+    fn intern_new(
+        &mut self,
+        line: Addr,
+        page: u64,
+        slot: usize,
+        block: Option<u32>,
+    ) -> Result<LineId, ValidateError> {
         if self.lines.len() >= self.max_lines as usize {
             return Err(ValidateError::TooManyLines {
                 needed: self.lines.len() as u64 + 1,
                 limit: self.max_lines as u64,
             });
         }
+        let b = match block {
+            Some(b) => b,
+            None => {
+                let b = self.blocks.len() as u32;
+                self.blocks.push([LineId::INVALID; PAGE_LINES]);
+                self.pages.insert(page, b);
+                self.last_page = (page, b);
+                b
+            }
+        };
         let id = LineId(self.lines.len() as u32);
-        self.map.insert(line, id);
+        self.blocks[b as usize][slot] = id;
         self.lines.push(line);
         Ok(id)
     }
@@ -171,10 +249,17 @@ impl LineInterner {
         self.intern(align_down(addr, self.line_size))
     }
 
-    /// The id of a line-aligned address, if it was interned.
+    /// The id of a line-aligned address, if it was interned (`None` for
+    /// an address that is not line-aligned).
     #[inline]
     pub fn id_of(&self, line: Addr) -> Option<LineId> {
-        self.map.get(&line).copied()
+        if line & self.line_size.wrapping_sub(1) != 0 {
+            return None;
+        }
+        let (page, slot) = self.page_slot(line);
+        let b = *self.pages.get(&page)?;
+        let id = self.blocks[b as usize][slot];
+        (id != LineId::INVALID).then_some(id)
     }
 
     /// The line address behind an id (panics on a foreign id).

@@ -1,14 +1,13 @@
 //! Runtime-selected vectorized scan kernels for the replay hot loops.
 //!
 //! The replay engine's inner loops spend much of their time in a handful
-//! of dense scans: "which slots of this cache are valid (and dirty)?",
-//! "does this store buffer hold line X?", "how many table entries are
-//! live this epoch?". Each kernel here exists in two semantically
-//! identical implementations:
+//! of dense scans: "does this store buffer hold line X?", "which ways are
+//! NRU victim candidates?", "how many table entries are live this
+//! epoch?". Each kernel here exists in two semantically identical
+//! implementations:
 //!
-//! * a **scalar** twin written so LLVM can autovectorize it (chunked,
-//!   branch-free mask computation), which is also the portable fallback
-//!   on non-x86 targets, and
+//! * a **scalar** twin (a plain loop), which is also the portable
+//!   fallback on non-x86 targets, and
 //! * an **AVX2** twin (`std::arch`, x86_64 only) selected at runtime via
 //!   `is_x86_feature_detected!`.
 //!
@@ -96,120 +95,9 @@ pub fn active_kernels() -> &'static str {
     }
 }
 
-/// View a `bool` slice as bytes (sound: `bool` is 1 byte, always 0 or 1).
-#[inline]
-fn bools_as_bytes(b: &[bool]) -> &[u8] {
-    // SAFETY: bool has size 1, align 1, and only the bit patterns 0 and 1.
-    unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<u8>(), b.len()) }
-}
-
-/// Width of one mask chunk: 32 lanes = one AVX2 register of bytes.
-const CHUNK: usize = 32;
-
-/// Bitmask of the nonzero bytes in a chunk of up to 32 (bit i set iff
-/// `chunk[i] != 0`; bits past `chunk.len()` are 0). Scalar twin — written
-/// as a reduction LLVM vectorizes on full chunks.
-#[inline]
-fn mask_nonzero_scalar(chunk: &[u8]) -> u32 {
-    let mut m = 0u32;
-    for (i, &b) in chunk.iter().enumerate() {
-        m |= u32::from(b != 0) << i;
-    }
-    m
-}
-
-/// AVX2 twin of [`mask_nonzero_scalar`] for a full 32-byte chunk.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mask_nonzero_avx2(chunk: &[u8; CHUNK]) -> u32 {
-    use std::arch::x86_64::*;
-    let v = _mm256_loadu_si256(chunk.as_ptr().cast());
-    let zero = _mm256_setzero_si256();
-    let eq0 = _mm256_cmpeq_epi8(v, zero);
-    !(_mm256_movemask_epi8(eq0) as u32)
-}
-
-/// Bitmask of the nonzero bytes in `chunk` (≤ 32 bytes), on the active
-/// kernel set.
-#[inline]
-fn mask_nonzero(chunk: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if chunk.len() == CHUNK && simd_active() {
-        let full: &[u8; CHUNK] = chunk.try_into().expect("length checked");
-        // SAFETY: `simd_active()` implies the AVX2 probe succeeded.
-        return unsafe { mask_nonzero_avx2(full) };
-    }
-    mask_nonzero_scalar(chunk)
-}
-
-/// Bitmask of the `true` entries in a chunk of at most 32 flags (bit `i`
-/// set iff `flags[i]`). Building block for sweeps that must mutate the
-/// flags while draining the mask (the mask is a snapshot).
-///
-/// # Panics
-///
-/// Panics if `flags` is longer than 32 entries.
-#[inline]
-pub fn mask_true(flags: &[bool]) -> u32 {
-    assert!(flags.len() <= CHUNK, "mask_true chunk too long: {}", flags.len());
-    mask_nonzero(bools_as_bytes(flags))
-}
-
-/// Invoke `f(i)` for every `i` with `flags[i]` true, in ascending order.
-///
-/// The deterministic ascending order is load-bearing: cache flush and
-/// residual sweeps feed device writes whose byte-reproducibility the
-/// golden-digest suite pins.
-#[inline]
-pub fn for_each_true(flags: &[bool], mut f: impl FnMut(usize)) {
-    let bytes = bools_as_bytes(flags);
-    let mut base = 0;
-    for chunk in bytes.chunks(CHUNK) {
-        let mut m = mask_nonzero(chunk);
-        while m != 0 {
-            let bit = m.trailing_zeros() as usize;
-            f(base + bit);
-            m &= m - 1;
-        }
-        base += CHUNK;
-    }
-}
-
-/// Invoke `f(i)` for every `i` with both `a[i]` and `b[i]` true, in
-/// ascending order. The slices must be the same length.
-#[inline]
-pub fn for_each_both_true(a: &[bool], b: &[bool], mut f: impl FnMut(usize)) {
-    assert_eq!(a.len(), b.len(), "flag slices must be the same length");
-    let (ab, bb) = (bools_as_bytes(a), bools_as_bytes(b));
-    let mut base = 0;
-    for (ca, cb) in ab.chunks(CHUNK).zip(bb.chunks(CHUNK)) {
-        let mut m = mask_nonzero(ca) & mask_nonzero(cb);
-        while m != 0 {
-            let bit = m.trailing_zeros() as usize;
-            f(base + bit);
-            m &= m - 1;
-        }
-        base += CHUNK;
-    }
-}
-
-/// Number of `true` entries in `flags`.
-#[inline]
-pub fn count_true(flags: &[bool]) -> usize {
-    let bytes = bools_as_bytes(flags);
-    let mut n = 0usize;
-    for chunk in bytes.chunks(CHUNK) {
-        n += mask_nonzero(chunk).count_ones() as usize;
-    }
-    n
-}
-
 /// Index of the first occurrence of `needle` in `hay` (an equality scan
-/// over `u64` keys — store-buffer line lookups, way-tag probes).
+/// over `u64` keys — store-buffer line lookups, the Optane XPBuffer's
+/// open-block search, the stream prefetcher's tracker table).
 #[inline]
 pub fn find_u64(hay: &[u64], needle: u64) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
@@ -224,20 +112,6 @@ pub fn find_u64(hay: &[u64], needle: u64) -> Option<usize> {
 #[inline]
 pub fn contains_u64(hay: &[u64], needle: u64) -> bool {
     find_u64(hay, needle).is_some()
-}
-
-/// Bitmask of positions in `hay` equal to `needle` (bit `i` set when
-/// `hay[i] == needle`). `hay` must hold at most 64 entries — sized for
-/// way-tag probes over one cache set.
-#[inline]
-pub fn eq_mask_u64(hay: &[u64], needle: u64) -> u64 {
-    debug_assert!(hay.len() <= 64, "eq_mask_u64 masks at most 64 entries");
-    #[cfg(target_arch = "x86_64")]
-    if hay.len() >= 4 && simd_active() {
-        // SAFETY: `simd_active()` implies the AVX2 probe succeeded.
-        return unsafe { eq_mask_u64_avx2(hay, needle) };
-    }
-    eq_mask_u64_scalar(hay, needle)
 }
 
 /// Position of the `k`-th set bit of `mask`, counting from bit 0 upward
@@ -273,40 +147,6 @@ fn kth_set_bit_scalar(mask: u64, k: u32) -> u32 {
 #[target_feature(enable = "bmi2")]
 unsafe fn kth_set_bit_bmi2(mask: u64, k: u32) -> u32 {
     std::arch::x86_64::_pdep_u64(1u64 << k, mask).trailing_zeros()
-}
-
-#[inline]
-fn eq_mask_u64_scalar(hay: &[u64], needle: u64) -> u64 {
-    let mut m = 0u64;
-    for (i, &v) in hay.iter().enumerate() {
-        m |= u64::from(v == needle) << i;
-    }
-    m
-}
-
-/// AVX2 twin of [`eq_mask_u64_scalar`]: 4 lanes per compare.
-///
-/// # Safety
-///
-/// Caller must ensure AVX2 is available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn eq_mask_u64_avx2(hay: &[u64], needle: u64) -> u64 {
-    use std::arch::x86_64::*;
-    let n = _mm256_set1_epi64x(needle as i64);
-    let mut m = 0u64;
-    let mut i = 0;
-    while i + 4 <= hay.len() {
-        let v = _mm256_loadu_si256(hay.as_ptr().add(i).cast());
-        let eq = _mm256_cmpeq_epi64(v, n);
-        m |= u64::from(_mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32 & 0xF) << i;
-        i += 4;
-    }
-    while i < hay.len() {
-        m |= u64::from(*hay.get_unchecked(i) == needle) << i;
-        i += 1;
-    }
-    m
 }
 
 #[inline]
@@ -387,51 +227,8 @@ unsafe fn count_live_pairs_avx2(pairs: &[[u32; 2]], key: u32) -> usize {
 mod tests {
     use super::*;
 
-    /// Deterministic pseudo-random byte pattern (no external RNG).
-    fn pattern(len: usize, seed: u64) -> Vec<bool> {
-        let mut x = seed | 1;
-        (0..len)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (x >> 61) & 1 == 1
-            })
-            .collect()
-    }
-
-    /// Boundary-heavy lengths: empty, sub-chunk, exact chunks, ragged.
+    /// Boundary-heavy lengths: empty, sub-vector, exact vectors, ragged.
     const LENS: [usize; 8] = [0, 1, 7, 31, 32, 33, 64, 257];
-
-    #[test]
-    fn for_each_true_matches_filter() {
-        for len in LENS {
-            let flags = pattern(len, len as u64 + 3);
-            let mut got = Vec::new();
-            for_each_true(&flags, |i| got.push(i));
-            let want: Vec<usize> =
-                (0..len).filter(|&i| flags[i]).collect();
-            assert_eq!(got, want, "len {len}");
-        }
-    }
-
-    #[test]
-    fn for_each_both_true_matches_zip_filter() {
-        for len in LENS {
-            let a = pattern(len, 11);
-            let b = pattern(len, 17);
-            let mut got = Vec::new();
-            for_each_both_true(&a, &b, |i| got.push(i));
-            let want: Vec<usize> = (0..len).filter(|&i| a[i] && b[i]).collect();
-            assert_eq!(got, want, "len {len}");
-        }
-    }
-
-    #[test]
-    fn count_true_matches_filter_count() {
-        for len in LENS {
-            let flags = pattern(len, 29);
-            assert_eq!(count_true(&flags), flags.iter().filter(|&&v| v).count(), "len {len}");
-        }
-    }
 
     #[test]
     fn find_u64_matches_position() {
@@ -461,21 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn eq_mask_u64_matches_positions() {
-        for len in [0usize, 1, 3, 4, 5, 8, 15, 16, 17, 32, 64] {
-            let hay: Vec<u64> = (0..len as u64).map(|i| (i % 6).wrapping_mul(0x40)).collect();
-            for needle in [0u64, 0x40, 0x140, 7, u64::MAX] {
-                let mut want = 0u64;
-                for (i, &v) in hay.iter().enumerate() {
-                    want |= u64::from(v == needle) << i;
-                }
-                assert_eq!(eq_mask_u64(&hay, needle), want, "len {len} needle {needle:#x}");
-                assert_eq!(eq_mask_u64_scalar(&hay, needle), want);
-            }
-        }
-    }
-
-    #[test]
     fn count_live_pairs_matches_filter() {
         for len in LENS {
             let pairs: Vec<[u32; 2]> = (0..len as u32)
@@ -496,11 +278,6 @@ mod tests {
         // Directly pit the scalar twins against whatever `simd_active()`
         // picked (on AVX2 hardware this is a real cross-implementation
         // check; elsewhere it is a self-check).
-        let flags = pattern(517, 41);
-        let bytes = bools_as_bytes(&flags);
-        for chunk in bytes.chunks(CHUNK) {
-            assert_eq!(mask_nonzero(chunk), mask_nonzero_scalar(chunk));
-        }
         let hay: Vec<u64> = (0..201u64).map(|i| i * 64).collect();
         for needle in [0, 64, 200 * 64, 13, u64::MAX] {
             assert_eq!(find_u64(&hay, needle), find_u64_scalar(&hay, needle));
@@ -517,12 +294,10 @@ mod tests {
         set_force_scalar(true);
         assert!(!simd_active());
         assert_eq!(active_kernels(), "scalar");
-        let flags = pattern(64, 5);
-        let mut forced = Vec::new();
-        for_each_true(&flags, |i| forced.push(i));
+        let hay: Vec<u64> = (0..64u64).map(|i| i * 64).collect();
+        let forced: Vec<_> = [0, 64 * 40, 7].map(|n| find_u64(&hay, n)).into();
         set_force_scalar(false);
-        let mut auto = Vec::new();
-        for_each_true(&flags, |i| auto.push(i));
-        assert_eq!(forced, auto, "both kernel sets walk the same indices");
+        let auto: Vec<_> = [0, 64 * 40, 7].map(|n| find_u64(&hay, n)).into();
+        assert_eq!(forced, auto, "both kernel sets find the same positions");
     }
 }
