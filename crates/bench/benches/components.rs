@@ -171,15 +171,16 @@ fn engine_replay(c: &mut Criterion) {
 }
 
 fn intern_vs_hash(c: &mut Criterion) {
-    use machine::{simulate, simulate_reference, MachineConfig};
+    use machine::{try_simulate, try_simulate_threads_reference, MachineConfig};
 
     let mut g = c.benchmark_group("intern_vs_hash");
     g.sample_size(10).measurement_time(Duration::from_secs(6));
 
     // Identical map-lookup-heavy workload to `engine_replay/scattered`,
     // replayed through both engine monomorphisations: the flat id-indexed
-    // tables versus the hashed reference. The gap between the two rows is
-    // exactly what interning buys.
+    // tables versus the hashed reference. Both rows validate and intern
+    // first, so the gap between them is exactly what the ids buy at
+    // replay time.
     let traces = {
         let mut t = Tracer::with_capacity(1 << 20);
         let mut rng = SimRng::new(17);
@@ -193,10 +194,12 @@ fn intern_vs_hash(c: &mut Criterion) {
     };
     let cfg = MachineConfig::machine_a();
     g.bench_function(BenchmarkId::new("scattered_1m_events", "flat"), |b| {
-        b.iter(|| simulate(&cfg, &traces).cycles);
+        b.iter(|| try_simulate(&cfg, &traces).expect("valid trace").cycles);
     });
     g.bench_function(BenchmarkId::new("scattered_1m_events", "hashed"), |b| {
-        b.iter(|| simulate_reference(&cfg, &traces).cycles);
+        b.iter(|| {
+            try_simulate_threads_reference(&cfg, &traces.threads).expect("valid trace").cycles
+        });
     });
     g.finish();
 }

@@ -3,7 +3,7 @@
 //! golden `RunStats` captured on the pre-interning binary, across every
 //! workload family that `tests/figure_shapes.rs` exercises.
 
-use machine::{simulate, simulate_reference, MachineConfig, RunStats};
+use machine::{simulate, try_simulate_threads_reference, MachineConfig, RunStats};
 use prestore::PrestoreMode;
 use simcore::TraceSet;
 use workloads::kv::ycsb::{run_clht, run_masstree, YcsbParams};
@@ -98,7 +98,8 @@ fn interned_replay_matches_hashed_goldens() {
 fn flat_and_reference_engines_agree_exactly() {
     for (name, cfg, traces) in cases() {
         let flat = simulate(&cfg, &traces);
-        let reference = simulate_reference(&cfg, &traces);
+        let reference = try_simulate_threads_reference(&cfg, &traces.threads)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(flat, reference, "{name}: flat and reference RunStats diverged");
     }
 }

@@ -55,8 +55,8 @@ pub enum CrashOutcome {
         /// dwarf `Crashed`).
         stats: Box<RunStats>,
         /// [`durable_digest`] of the final durable line set, or `None` if
-        /// the run was not crash-armed (plain [`crate::Machine::try_run`]
-        /// does not track received lines).
+        /// the run was not crash-armed (the replays behind
+        /// [`crate::try_simulate`] do not track received lines).
         durable_digest: Option<u64>,
     },
     /// The plan fired: the machine froze at the crash point.

@@ -25,6 +25,13 @@
 //! ownership latency to complete. Under [`MemModel::Tso`] drains start at
 //! issue; under [`MemModel::Weak`] they start at the first fence, atomic,
 //! capacity stall — or *demote* pre-store.
+//!
+//! # One replay loop
+//!
+//! Every entry point — materialized or streamed, plain, classified or
+//! crash-armed — steps events through the same scheduler loop, fed by one
+//! of two private event feeds (whole traces, or an [`EventSource`] pulled
+//! through bounded chunk windows).
 
 use crate::config::{MachineConfig, MemModel};
 use crate::crash::{CrashImage, CrashOutcome, CrashReport, LostSite, CRASH_COLS};
@@ -40,8 +47,8 @@ use simcore::telemetry::timeseries::TimeSeries;
 use simcore::telemetry::{HistogramSample, SiteTable};
 use simcore::stream::{EventSource, StreamFeed};
 use simcore::{
-    align_down, blocks_touched, Addr, CoreId, Cycles, EventKind, FuncId, FxHashMap, FxHashSet,
-    InternedTraces, LineId, RequestClasses, ThreadTrace, TraceSet,
+    align_down, blocks_touched, Addr, CoreId, Cycles, Event, EventKind, FuncId, FxHashMap,
+    FxHashSet, InternedTraces, LineId, LineInterner, RequestClasses, ThreadTrace, TraceSet,
 };
 
 /// Floor added to the derived step budget so tiny traces with legitimate
@@ -55,72 +62,121 @@ const STREAM_TRACKERS: usize = 16;
 /// keeps this many line fills in flight on a detected stream).
 const STREAM_MLP: Cycles = 16;
 
-/// Batch-decode width of the single-core replay fast path: events are
-/// transposed from the trace's array-of-structs layout into one
-/// [`EventChunk`] of structure-of-arrays columns at a time.
-const DECODE_CHUNK: usize = 64;
-
-/// A fixed-size SoA view of one run of a thread's events: kinds, addresses,
-/// sizes and attribution functions live in separate dense arrays so the
-/// replay loop streams each column linearly instead of striding through
-/// wider [`simcore::Event`] records. Refilled in place; covers events
-/// `base..base + len`.
-struct EventChunk {
-    base: usize,
-    len: usize,
-    kinds: [EventKind; DECODE_CHUNK],
-    addrs: [Addr; DECODE_CHUNK],
-    sizes: [u32; DECODE_CHUNK],
-    funcs: [FuncId; DECODE_CHUNK],
-    callers: [FuncId; DECODE_CHUNK],
+/// Where the replay loop's events come from: a window of events per core,
+/// each event with its pre-resolved line-id run, and the interner that
+/// resolved them.
+///
+/// The two feeds differ in one error rule. [`Materialized`] input is
+/// validated whole before replay, so an acquire that the trace set's
+/// releases can never satisfy is rejected up front as
+/// [`EngineError::AcquireUnsatisfiable`]. A [`Streamed`] source's future
+/// releases are unknowable, so the same input replays until every
+/// unfinished core is blocked and fails as [`EngineError::ReplayDeadlock`]
+/// (a blocked core cannot fetch past its acquire, so a release in its own
+/// unfetched chunks could never help).
+trait Feed {
+    /// Whether `cid` has nothing left to fetch beyond its current window.
+    fn exhausted(&self, cid: CoreId) -> bool;
+    /// Replace `cid`'s spent window with its next chunk.
+    fn refill(&mut self, cid: CoreId) -> Result<(), EngineError>;
+    /// One past the last event index of `cid` fetched so far.
+    fn end(&self, cid: CoreId) -> usize;
+    /// Event `idx` of `cid` (in the current window).
+    fn event(&self, cid: CoreId, idx: usize) -> Event;
+    /// The pre-resolved id run of event `idx` of `cid`, in splitting order.
+    fn ids(&self, cid: CoreId, idx: usize) -> &[LineId];
+    /// The interner behind the ids (resolves residual and lost lines back
+    /// to ids at the end of a replay).
+    fn interner(&self) -> &LineInterner;
+    /// Events fetched so far across all cores: the step budget's base.
+    fn fetched(&self) -> usize;
 }
 
-impl EventChunk {
-    fn new() -> Self {
-        Self {
-            base: 0,
-            len: 0,
-            kinds: [EventKind::Compute; DECODE_CHUNK],
-            addrs: [0; DECODE_CHUNK],
-            sizes: [0; DECODE_CHUNK],
-            funcs: [FuncId::UNKNOWN; DECODE_CHUNK],
-            callers: [FuncId::UNKNOWN; DECODE_CHUNK],
-        }
-    }
+/// Whole traces plus the interned view built from them (by
+/// [`simcore::trace::validate_and_intern`] or [`TraceSet::interned_for`]).
+/// Every window is a whole trace, so it never refills.
+struct Materialized<'t> {
+    threads: &'t [ThreadTrace],
+    interned: &'t InternedTraces,
+}
 
-    /// Whether event index `idx` is decoded in the current window.
+impl Feed for Materialized<'_> {
     #[inline]
-    fn covers(&self, idx: usize) -> bool {
-        idx.wrapping_sub(self.base) < self.len
+    fn exhausted(&self, _cid: CoreId) -> bool {
+        true
     }
 
-    /// Transpose the window starting at `base` (blocked-acquire retries
-    /// rewind `pc` within the current window, never before it, so refills
-    /// only ever move forward).
-    fn refill(&mut self, events: &[simcore::Event], base: usize) {
-        let len = DECODE_CHUNK.min(events.len() - base);
-        for (i, ev) in events[base..base + len].iter().enumerate() {
-            self.kinds[i] = ev.kind;
-            self.addrs[i] = ev.addr;
-            self.sizes[i] = ev.size;
-            self.funcs[i] = ev.func;
-            self.callers[i] = ev.caller;
-        }
-        self.base = base;
-        self.len = len;
+    fn refill(&mut self, _cid: CoreId) -> Result<(), EngineError> {
+        Ok(())
     }
 
-    /// Reassemble the event at index `idx` (must be covered).
     #[inline]
-    fn get(&self, idx: usize) -> simcore::Event {
-        let i = idx - self.base;
-        simcore::Event {
-            addr: self.addrs[i],
-            size: self.sizes[i],
-            kind: self.kinds[i],
-            func: self.funcs[i],
-            caller: self.callers[i],
-        }
+    fn end(&self, cid: CoreId) -> usize {
+        self.threads[cid].events.len()
+    }
+
+    #[inline]
+    fn event(&self, cid: CoreId, idx: usize) -> Event {
+        self.threads[cid].events[idx]
+    }
+
+    #[inline]
+    fn ids(&self, cid: CoreId, idx: usize) -> &[LineId] {
+        self.interned.ids_for(cid, idx)
+    }
+
+    fn interner(&self) -> &LineInterner {
+        self.interned.interner()
+    }
+
+    fn fetched(&self) -> usize {
+        self.threads.iter().map(|t| t.events.len()).sum()
+    }
+}
+
+/// An [`EventSource`] pulled through a [`StreamFeed`]'s bounded per-thread
+/// windows: each refill validates, digests and interns one chunk.
+struct Streamed<'s, S> {
+    feed: StreamFeed,
+    source: &'s mut S,
+}
+
+impl<S: EventSource> Feed for Streamed<'_, S> {
+    #[inline]
+    fn exhausted(&self, cid: CoreId) -> bool {
+        self.feed.exhausted(cid)
+    }
+
+    fn refill(&mut self, cid: CoreId) -> Result<(), EngineError> {
+        self.feed.refill(self.source, cid)?;
+        // Coarse marker in the process-global flight ring (chunk-granular,
+        // so the lock is off the step path); dumped only when a supervised
+        // job fails.
+        simcore::telemetry::flight::note(FlightKind::Refill, cid as u64, self.feed.fetched());
+        Ok(())
+    }
+
+    #[inline]
+    fn end(&self, cid: CoreId) -> usize {
+        self.feed.end(cid)
+    }
+
+    #[inline]
+    fn event(&self, cid: CoreId, idx: usize) -> Event {
+        self.feed.event(cid, idx)
+    }
+
+    #[inline]
+    fn ids(&self, cid: CoreId, idx: usize) -> &[LineId] {
+        self.feed.ids(cid, idx)
+    }
+
+    fn interner(&self) -> &LineInterner {
+        self.feed.interner()
+    }
+
+    fn fetched(&self) -> usize {
+        self.feed.fetched() as usize
     }
 }
 
@@ -196,19 +252,15 @@ fn flight_kind(kind: EventKind) -> Option<FlightKind> {
     }
 }
 
-/// The replay engine. Create one per run via [`simulate`].
+/// The replay engine, built fresh by every entry point.
 ///
 /// Generic over its per-line state representation: [`FlatTables`] (dense
-/// [`LineId`]-indexed vectors fed by the trace's [`LineInterner`] — the
-/// default and production path) or [`HashTables`] (the pre-interning
-/// per-line hash maps, kept as the reference twin for equivalence tests
-/// and benchmarks). Both monomorphisations replay bit-identically.
-pub struct Engine<'a, T: LineTables = FlatTables> {
+/// [`LineId`]-indexed vectors fed by the feed's [`LineInterner`] — the
+/// production path) or [`HashTables`] (the pre-interning per-line hash
+/// maps, kept as the reference twin for equivalence tests and
+/// benchmarks). Both monomorphisations replay bit-identically.
+struct Engine<'a, T: LineTables = FlatTables> {
     cfg: &'a MachineConfig,
-    /// The traces' interned view: per-event streams of pre-resolved line
-    /// ids, read in lockstep with event splitting (never consulted on the
-    /// reference path).
-    interned: &'a InternedTraces,
     llc: Cache,
     device: Device,
     /// Per-line bookkeeping: dirty-line ownership, in-flight writebacks
@@ -224,7 +276,7 @@ pub struct Engine<'a, T: LineTables = FlatTables> {
     /// Reused buffer for end-of-run residual dirty lines.
     residual: Vec<Addr>,
     /// Per-replay action counts, flushed into the telemetry registry at
-    /// the end of [`Engine::try_run`] (plain `u64`s: the step loop pays no
+    /// the end of [`Engine::replay`] (plain `u64`s: the step loop pays no
     /// atomics, and with telemetry compiled out the flush is a no-op).
     acts: crate::probes::ActionCounts,
     /// Per-trace-site attribution rows (device traffic, pre-store actions,
@@ -277,7 +329,7 @@ pub struct Engine<'a, T: LineTables = FlatTables> {
 /// statically first.
 pub fn simulate(cfg: &MachineConfig, traces: &TraceSet) -> RunStats {
     let interned = traces.interned_for(cfg.line_size);
-    Engine::new_flat(cfg, &interned, traces.threads.len()).run(&traces.threads)
+    replay_unchecked(cfg, &traces.threads, &interned)
 }
 
 /// Replay a single-threaded trace.
@@ -285,30 +337,17 @@ pub fn simulate(cfg: &MachineConfig, traces: &TraceSet) -> RunStats {
 /// # Panics
 ///
 /// Panics with a formatted [`EngineError`] on replay failure; see
-/// [`try_simulate_single`] for the fallible form.
+/// [`try_simulate_threads`] for the fallible form.
 pub fn simulate_single(cfg: &MachineConfig, trace: &ThreadTrace) -> RunStats {
-    let interned = InternedTraces::from_threads(std::slice::from_ref(trace), cfg.line_size);
-    Engine::new_flat(cfg, &interned, 1).run(std::slice::from_ref(trace))
+    let threads = std::slice::from_ref(trace);
+    replay_unchecked(cfg, threads, &InternedTraces::from_threads(threads, cfg.line_size))
 }
 
-/// Replay `traces` through the hashed *reference* engine — the exact
-/// pre-interning data paths ([`HashTables`], address-keyed line state).
-/// Bit-identical to [`simulate`] by construction; kept callable
-/// so the equivalence suite and the `intern_vs_hash` microbenchmark can
-/// always compare the two.
-///
-/// # Panics
-///
-/// Panics with a formatted [`EngineError`] on replay failure, like
-/// [`simulate`].
-pub fn simulate_reference(cfg: &MachineConfig, traces: &TraceSet) -> RunStats {
-    // The interned view is never consulted on the reference path.
-    let interned = InternedTraces::empty(cfg.line_size);
-    Engine::<HashTables>::new_reference(cfg, &interned, traces.threads.len())
-        .run(&traces.threads)
-}
-
-/// Fallible form of [`simulate_reference`] over borrowed threads.
+/// Validate and replay `threads` through the hashed *reference* engine —
+/// the exact pre-interning data paths ([`HashTables`], address-keyed line
+/// state). Bit-identical to [`try_simulate_threads`] by construction; kept
+/// callable so the equivalence suite and the `intern_vs_hash`
+/// microbenchmark can always compare the two.
 pub fn try_simulate_threads_reference(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
@@ -316,13 +355,27 @@ pub fn try_simulate_threads_reference(
     if threads.is_empty() {
         return Err(EngineError::EmptyTraceSet);
     }
-    simcore::trace::validate_threads(threads, cfg.line_size)?;
-    let interned = InternedTraces::empty(cfg.line_size);
-    Engine::<HashTables>::new_reference(cfg, &interned, threads.len()).try_run(threads)
+    // The reference tables key by address and ignore the interned ids.
+    let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
+    let engine = Engine::with_tables(cfg, threads.len(), HashTables::default());
+    completed(engine.replay(&mut Materialized { threads, interned: &interned }))
 }
 
 /// Validate and replay `traces`, returning a typed error instead of
 /// panicking on malformed input, deadlock or watchdog expiry.
+///
+/// Every failure is a typed [`EngineError`]:
+///
+/// * [`EngineError::EmptyTraceSet`] — no threads to replay.
+/// * [`EngineError::MalformedTrace`] — static validation rejected an
+///   event (zero-size/oversize access, acquire of release #0).
+/// * [`EngineError::AcquireUnsatisfiable`] — an acquire waits for more
+///   releases than the trace set performs (static deadlock).
+/// * [`EngineError::ReplayDeadlock`] — a circular wait surfaced at
+///   replay time; the report names each blocked core, line and awaited
+///   sequence number.
+/// * [`EngineError::StepBudgetExceeded`] — the watchdog fired (see
+///   [`MachineConfig::step_budget`]).
 ///
 /// # Examples
 ///
@@ -339,28 +392,13 @@ pub fn try_simulate(cfg: &MachineConfig, traces: &TraceSet) -> Result<RunStats, 
     try_simulate_threads(cfg, &traces.threads)
 }
 
-/// Validate and replay a single-threaded trace; fallible form of
-/// [`simulate_single`]. Replays from the borrowed trace — nothing is
-/// cloned.
-pub fn try_simulate_single(
-    cfg: &MachineConfig,
-    trace: &ThreadTrace,
-) -> Result<RunStats, EngineError> {
-    try_simulate_threads(cfg, std::slice::from_ref(trace))
-}
-
 /// Validate and replay a borrowed slice of per-thread traces (the
-/// zero-copy core of [`try_simulate`] / [`try_simulate_single`]).
+/// zero-copy core of [`try_simulate`]; nothing is cloned).
 pub fn try_simulate_threads(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
 ) -> Result<RunStats, EngineError> {
-    if threads.is_empty() {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    // Validation already walks every event; interning rides along for free.
-    let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
-    Engine::new_flat(cfg, &interned, threads.len()).try_run(threads)
+    completed(replay_checked(cfg, threads, |_, _| {}))
 }
 
 /// [`try_simulate_threads`] with a request-boundary classifier: each
@@ -375,13 +413,7 @@ pub fn try_simulate_threads_classified(
     threads: &[ThreadTrace],
     classifier: Box<dyn RequestClasses>,
 ) -> Result<RunStats, EngineError> {
-    if threads.is_empty() {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
-    let mut engine = Engine::new_flat(cfg, &interned, threads.len());
-    engine.set_classifier(classifier);
-    engine.try_run(threads)
+    completed(replay_checked(cfg, threads, |engine, _| engine.set_classifier(classifier)))
 }
 
 /// Tuning knobs for the streaming replay pipeline.
@@ -428,13 +460,12 @@ pub struct StreamReport {
 /// [`StreamOptions`]: record → validate → intern → replay proceed one
 /// bounded window at a time, so the full trace is never materialized.
 ///
-/// Semantics match [`try_simulate`] exactly — same scheduler, same step
-/// budget, same statistics — with two documented exceptions: crash plans
-/// are not supported (use the materialized path), and statically
-/// unsatisfiable acquires surface as [`EngineError::ReplayDeadlock`] at
-/// the point of the stall rather than [`EngineError::AcquireUnsatisfiable`]
-/// up front (a stream's future releases are unknowable; the runtime
-/// deadlock detector covers the same inputs).
+/// Semantics match [`try_simulate`] exactly — same scheduler loop, same
+/// step budget, same statistics — except that a statically unsatisfiable
+/// acquire surfaces as [`EngineError::ReplayDeadlock`] at the point of the
+/// stall rather than [`EngineError::AcquireUnsatisfiable`] up front (a
+/// stream's future releases are unknowable; the runtime deadlock detector
+/// covers the same inputs).
 pub fn try_simulate_stream<S: EventSource>(
     cfg: &MachineConfig,
     source: &mut S,
@@ -448,7 +479,7 @@ pub fn try_simulate_stream_opts<S: EventSource>(
     source: &mut S,
     opts: StreamOptions,
 ) -> Result<StreamReport, EngineError> {
-    stream_impl(cfg, source, opts, None)
+    replay_source(cfg, source, opts, |_| {})
 }
 
 /// [`try_simulate_stream_opts`] with a request-boundary classifier (the
@@ -462,36 +493,58 @@ pub fn try_simulate_stream_classified<S: EventSource>(
     opts: StreamOptions,
     classifier: Box<dyn RequestClasses>,
 ) -> Result<StreamReport, EngineError> {
-    stream_impl(cfg, source, opts, Some(classifier))
+    replay_source(cfg, source, opts, |engine| engine.set_classifier(classifier))
 }
 
-fn stream_impl<S: EventSource>(
+/// Replay `threads` through an interned view built without validation,
+/// panicking with the formatted [`EngineError`] on failure.
+fn replay_unchecked(
+    cfg: &MachineConfig,
+    threads: &[ThreadTrace],
+    interned: &InternedTraces,
+) -> RunStats {
+    let engine = Engine::new_flat(cfg, interned.interner().len(), threads.len());
+    completed(engine.replay(&mut Materialized { threads, interned }))
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Validate `threads`, build a flat engine for them, let `setup` arm it
+/// (classifier, crash plan, recovery image; it gets the trace's interner)
+/// and replay: the core of every fallible materialized entry point.
+fn replay_checked(
+    cfg: &MachineConfig,
+    threads: &[ThreadTrace],
+    setup: impl FnOnce(&mut Engine<'_>, &LineInterner),
+) -> Result<CrashOutcome, EngineError> {
+    if threads.is_empty() {
+        return Err(EngineError::EmptyTraceSet);
+    }
+    // Validation already walks every event; interning rides along for free.
+    let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
+    let mut engine = Engine::new_flat(cfg, interned.interner().len(), threads.len());
+    setup(&mut engine, interned.interner());
+    engine.replay(&mut Materialized { threads, interned: &interned })
+}
+
+/// Replay `source` through a fresh [`StreamFeed`] on a flat engine armed
+/// by `setup`: the core of every streaming entry point.
+fn replay_source<S: EventSource>(
     cfg: &MachineConfig,
     source: &mut S,
     opts: StreamOptions,
-    classifier: Option<Box<dyn RequestClasses>>,
+    setup: impl FnOnce(&mut Engine<'_>),
 ) -> Result<StreamReport, EngineError> {
     let threads = source.threads();
     if threads == 0 {
         return Err(EngineError::EmptyTraceSet);
     }
-    let _replay_span = simcore::telemetry::span(&crate::probes::REPLAY);
-    let mut feed = StreamFeed::new(cfg.line_size, threads, opts.chunk_events.max(1));
-    // The engine's materialized view is an empty stand-in: the streaming
-    // scheduler resolves events and id runs through the feed, and
-    // `finalize` resolves residual lines through the feed's interner.
-    let empty = InternedTraces::empty(cfg.line_size);
-    let mut engine = Engine::new_flat(cfg, &empty, threads);
-    if let Some(classifier) = classifier {
-        engine.set_classifier(classifier);
-    }
-    let mut steps: u64 = 0;
-    engine.replay_stream(source, &mut feed, &mut steps)?;
-    let stats = match engine.finalize(feed.interner(), steps)? {
-        CrashOutcome::Completed { stats, .. } => *stats,
-        // `crash` is never armed on the streaming path.
-        CrashOutcome::Crashed(_) => unreachable!("crash fired without an armed plan"),
-    };
+    let feed = StreamFeed::new(cfg.line_size, threads, opts.chunk_events);
+    let mut streamed = Streamed { feed, source };
+    // The tables start empty and grow with the feed's interner.
+    let mut engine = Engine::new_flat(cfg, 0, threads);
+    setup(&mut engine);
+    let stats = completed(engine.replay(&mut streamed))?;
+    let feed = streamed.feed;
     Ok(StreamReport {
         stats,
         events: feed.fetched(),
@@ -501,13 +554,17 @@ fn stream_impl<S: EventSource>(
     })
 }
 
-/// A configured machine: the owned-config entry point to replay.
-///
-/// [`Machine::try_run`] is the panic-free pipeline: it statically
-/// validates the trace set (rejecting malformed events and statically
-/// unsatisfiable acquires), then replays under the deadlock detector and
-/// the step-budget watchdog. [`Machine::run`] keeps the legacy panicking
-/// contract for callers that treat replay failure as a bug.
+/// The statistics of a replay with no crash plan armed.
+fn completed(outcome: Result<CrashOutcome, EngineError>) -> Result<RunStats, EngineError> {
+    match outcome? {
+        CrashOutcome::Completed { stats, .. } => Ok(*stats),
+        // The crash check in the replay loop is gated on an armed plan.
+        CrashOutcome::Crashed(_) => unreachable!("crash fired without an armed plan"),
+    }
+}
+
+/// A configured machine: the owned-config entry point to crash-armed
+/// replay and recovery.
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
@@ -524,51 +581,7 @@ impl Machine {
         &self.cfg
     }
 
-    /// Replay `traces`, panicking with a formatted [`EngineError`] on
-    /// failure (thin wrapper over [`Machine::try_run`]).
-    pub fn run(&self, traces: &TraceSet) -> RunStats {
-        self.try_run(traces).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Validate and replay `traces`.
-    ///
-    /// Returns every failure as a typed [`EngineError`]:
-    ///
-    /// * [`EngineError::EmptyTraceSet`] — no threads to replay.
-    /// * [`EngineError::MalformedTrace`] — static validation rejected an
-    ///   event (zero-size/oversize access, acquire of release #0).
-    /// * [`EngineError::AcquireUnsatisfiable`] — an acquire waits for more
-    ///   releases than the trace set performs (static deadlock).
-    /// * [`EngineError::ReplayDeadlock`] — a circular wait surfaced at
-    ///   replay time; the report names each blocked core, line and awaited
-    ///   sequence number.
-    /// * [`EngineError::StepBudgetExceeded`] — the watchdog fired (see
-    ///   [`MachineConfig::step_budget`]).
-    pub fn try_run(&self, traces: &TraceSet) -> Result<RunStats, EngineError> {
-        try_simulate_threads(&self.cfg, &traces.threads)
-    }
-
-    /// Replay an [`EventSource`] chunk-by-chunk without materializing the
-    /// trace; see [`try_simulate_stream`] for semantics and caveats.
-    pub fn try_run_stream<S: EventSource>(
-        &self,
-        source: &mut S,
-        opts: StreamOptions,
-    ) -> Result<StreamReport, EngineError> {
-        try_simulate_stream_opts(&self.cfg, source, opts)
-    }
-
-    /// [`Machine::try_run`] with a request-boundary classifier; see
-    /// [`try_simulate_threads_classified`].
-    pub fn try_run_classified(
-        &self,
-        traces: &TraceSet,
-        classifier: Box<dyn RequestClasses>,
-    ) -> Result<RunStats, EngineError> {
-        try_simulate_threads_classified(&self.cfg, &traces.threads, classifier)
-    }
-
-    /// Replay `traces` under a simulated power-failure plan.
+    /// Validate and replay `traces` under a simulated power-failure plan.
     ///
     /// The crash fires immediately *after* the triggering step retires; the
     /// machine then freezes and its state is partitioned into durable and
@@ -576,7 +589,7 @@ impl Machine {
     /// [`CrashOutcome::Crashed`]. A plan that never fires completes
     /// normally as [`CrashOutcome::Completed`], whose digest covers the
     /// final durable line set — the golden value a crash-plus-recovery run
-    /// must reproduce.
+    /// must reproduce. Errors are those of [`try_simulate`].
     ///
     /// # Examples
     ///
@@ -604,19 +617,14 @@ impl Machine {
         traces: &TraceSet,
         plan: CrashPlan,
     ) -> Result<CrashOutcome, EngineError> {
-        let threads = &traces.threads;
-        if threads.is_empty() {
-            return Err(EngineError::EmptyTraceSet);
-        }
-        let interned = simcore::trace::validate_and_intern(threads, self.cfg.line_size)?;
-        let mut engine = Engine::new_flat(&self.cfg, &interned, threads.len());
-        engine.crash = Some(CrashCtx::new(plan));
-        engine.flight = Some(FlightRing::new(FLIGHT_CAPACITY));
-        engine.run_to_outcome(threads)
+        replay_checked(&self.cfg, &traces.threads, |engine, _| {
+            engine.arm_crash(CrashCtx::new(plan))
+        })
     }
 
     /// Rebuild a crashed machine from `image` and replay the rest of
-    /// `traces` (which must be the same trace set the crash interrupted).
+    /// `traces` (which must be the same trace set the crash interrupted,
+    /// on a machine with the crashed one's line size).
     ///
     /// Recovery is a redo log: the durable lines seed the device image,
     /// every volatile-lost line is rewritten to the device before replay
@@ -644,43 +652,47 @@ impl Machine {
                 trace_threads: threads.len(),
             });
         }
-        let interned = simcore::trace::validate_and_intern(threads, self.cfg.line_size)?;
-        let mut engine = Engine::new_flat(&self.cfg, &interned, threads.len());
-        // A plan that can never fire keeps received-line tracking (and the
-        // completion digest) active on plain resumes.
-        let mut ctx = CrashCtx::new(plan.unwrap_or(CrashPlan::AtStep(u64::MAX)));
-        ctx.received.extend(image.durable.iter().copied());
-        for &(line, count) in &image.releases {
-            ctx.releases.insert(line, count);
+        // The image's lines are the crashed machine's: at another line
+        // size the redo writes would land misaligned and the release
+        // counts would not resolve to this machine's lines.
+        if image.line_size != self.cfg.line_size {
+            return Err(EngineError::CrashImageLineSize {
+                image_line_size: image.line_size,
+                machine_line_size: self.cfg.line_size,
+            });
         }
-        engine.crash = Some(ctx);
-        engine.flight = Some(FlightRing::new(FLIGHT_CAPACITY));
-        for &(line, count) in &image.releases {
-            if let Some(id) = interned.interner().id_of(line) {
-                engine.tables.release_restore(id, line, count);
+        replay_checked(&self.cfg, threads, |engine, interner| {
+            // A plan that can never fire keeps received-line tracking (and
+            // the completion digest) active on plain resumes.
+            let mut ctx = CrashCtx::new(plan.unwrap_or(CrashPlan::AtStep(u64::MAX)));
+            ctx.received.extend(image.durable.iter().copied());
+            ctx.releases.extend(image.releases.iter().copied());
+            engine.arm_crash(ctx);
+            for &(line, count) in &image.releases {
+                if let Some(id) = interner.id_of(line) {
+                    engine.tables.release_restore(id, line, count);
+                }
             }
-        }
-        // Redo the lost writes: rewrite every volatile-lost line so the
-        // device image converges with an uninterrupted run's.
-        for &line in &image.lost {
-            engine.device_write_attributed(line, image.line_size, FuncId::UNKNOWN);
-        }
-        for (cid, &pc) in image.pcs.iter().enumerate() {
-            engine.cores[cid].pc = pc;
-        }
-        engine.run_to_outcome(threads)
+            // Redo the lost writes: rewrite every volatile-lost line so the
+            // device image converges with an uninterrupted run's.
+            for &line in &image.lost {
+                engine.device_write_attributed(line, image.line_size, FuncId::UNKNOWN);
+            }
+            for (core, &pc) in engine.cores.iter_mut().zip(&image.pcs) {
+                core.pc = pc;
+            }
+        })
     }
 }
 
 impl<'a> Engine<'a, FlatTables> {
-    /// Build the production engine: flat tables recycled from this
-    /// thread's scratch set.
-    fn new_flat(cfg: &'a MachineConfig, interned: &'a InternedTraces, cores: usize) -> Self {
-        debug_assert_eq!(interned.interner().line_size(), cfg.line_size);
+    /// Build the production engine for `lines` interned lines: flat tables
+    /// recycled from this thread's scratch set.
+    fn new_flat(cfg: &'a MachineConfig, lines: usize, cores: usize) -> Self {
         let mut scratch = take_scratch();
         let mut flat = std::mem::take(&mut scratch.flat);
-        flat.reset(interned.interner().len());
-        let mut engine = Self::with_tables(cfg, interned, cores, flat);
+        flat.reset(lines);
+        let mut engine = Self::with_tables(cfg, cores, flat);
         engine.wc_buf = std::mem::take(&mut scratch.wc_buf);
         engine.residual = std::mem::take(&mut scratch.residual);
         engine.sites = std::mem::take(&mut scratch.sites);
@@ -691,21 +703,8 @@ impl<'a> Engine<'a, FlatTables> {
     }
 }
 
-impl<'a> Engine<'a, HashTables> {
-    /// Build the hashed reference engine (the pre-interning data paths).
-    /// The interned view is carried but never consulted.
-    fn new_reference(cfg: &'a MachineConfig, interned: &'a InternedTraces, cores: usize) -> Self {
-        Self::with_tables(cfg, interned, cores, HashTables::default())
-    }
-}
-
 impl<'a, T: LineTables> Engine<'a, T> {
-    fn with_tables(
-        cfg: &'a MachineConfig,
-        interned: &'a InternedTraces,
-        cores: usize,
-        tables: T,
-    ) -> Self {
+    fn with_tables(cfg: &'a MachineConfig, cores: usize, tables: T) -> Self {
         assert!(cores > 0, "need at least one core");
         let cores = (0..cores)
             .map(|i| {
@@ -727,7 +726,6 @@ impl<'a, T: LineTables> Engine<'a, T> {
             .collect();
         let mut engine = Self {
             cfg,
-            interned,
             llc: Cache::new(cfg.llc, cfg.seed ^ 0x5A5A),
             device: cfg.device.fresh(),
             tables,
@@ -768,10 +766,11 @@ impl<'a, T: LineTables> Engine<'a, T> {
         });
     }
 
-    /// Replay, panicking with a formatted [`EngineError`] on failure (thin
-    /// wrapper preserving the legacy contract of [`simulate`]).
-    fn run(self, traces: &[ThreadTrace]) -> RunStats {
-        self.try_run(traces).unwrap_or_else(|e| panic!("{e}"))
+    /// Arm a crash plan, with the flight recorder that dumps the steps
+    /// leading up to the crash.
+    fn arm_crash(&mut self, ctx: CrashCtx) {
+        self.crash = Some(ctx);
+        self.flight = Some(FlightRing::new(FLIGHT_CAPACITY));
     }
 
     /// The cores currently blocked on acquires: `(core, line, seq)`.
@@ -783,55 +782,125 @@ impl<'a, T: LineTables> Engine<'a, T> {
             .collect()
     }
 
-    fn try_run(self, traces: &[ThreadTrace]) -> Result<RunStats, EngineError> {
-        match self.run_to_outcome(traces)? {
-            CrashOutcome::Completed { stats, .. } => Ok(*stats),
-            // `crash` is `None` on every path reaching here, and the plan
-            // check is gated on it.
-            CrashOutcome::Crashed(_) => unreachable!("crash fired without an armed plan"),
-        }
-    }
-
-    fn run_to_outcome(mut self, traces: &[ThreadTrace]) -> Result<CrashOutcome, EngineError> {
-        assert_eq!(traces.len(), self.cores.len());
+    /// The replay loop, for every feed. Each iteration refills spent
+    /// windows, steps the runnable core with the smallest clock (blocked
+    /// cores wake up when their awaited release lands), and then checks an
+    /// armed crash plan. Returns [`CrashOutcome::Crashed`] when the plan
+    /// fires, else the completed run.
+    fn replay<F: Feed>(mut self, feed: &mut F) -> Result<CrashOutcome, EngineError> {
+        debug_assert_eq!(feed.interner().line_size(), self.cfg.line_size);
         let _replay_span = simcore::telemetry::span(&crate::probes::REPLAY);
         // Progress watchdog: a valid replay executes at most ~2 steps per
         // event (each step either consumes an event or re-runs an acquire
         // exactly once after its wakeup), so the derived budget only fires
-        // on genuinely stuck or adversarial schedules.
-        let total_events: usize = traces.iter().map(|t| t.events.len()).sum();
-        let budget = self.cfg.effective_step_budget(total_events);
+        // on genuinely stuck or adversarial schedules. A streamed replay
+        // re-derives it from the events fetched so far after every refill;
+        // it only grows, so intermediate budgets never fire on a schedule
+        // the materialized replay accepts.
+        let mut budget = self.cfg.effective_step_budget(feed.fetched());
         let mut steps: u64 = 0;
-        // Single-core traces (every figure-suite microbenchmark and the
-        // bulk of recorded workloads) have no scheduling decision to make,
-        // so crash-free replays take a fast path that batch-decodes events
-        // into fixed-size SoA chunks and skips the per-step core scan.
-        // Multi-core and crash-armed replays run the generic scheduler —
-        // stepping the runnable core with the smallest clock *is* the
-        // semantics there, so nothing is batched across those decisions.
-        // Both paths execute the same events in the same order under the
-        // same budget and blocked-acquire rules: RunStats are
-        // byte-identical by construction (pinned by the equivalence suite).
-        if self.cores.len() == 1 && self.crash.is_none() {
-            self.replay_single_core(traces, budget, &mut steps)?;
-        } else if self.replay_generic(traces, budget, &mut steps)? {
-            return Ok(CrashOutcome::Crashed(Box::new(self.freeze_crash(steps))));
+        loop {
+            // Refill before the scan so every runnable core is visible to
+            // this scheduling decision. Blocked-acquire retries rewind
+            // `pc` within the current window, never before it, so a core
+            // with `pc >= end` has truly consumed its window. A
+            // materialized feed is always exhausted, so this pass folds
+            // away.
+            let mut grew = false;
+            for cid in 0..self.cores.len() {
+                if !feed.exhausted(cid) && self.cores[cid].pc >= feed.end(cid) {
+                    feed.refill(cid)?;
+                    grew = true;
+                }
+            }
+            if grew {
+                // The feed interned new lines: the id-indexed tables grow
+                // while existing entries keep their state — growth never
+                // bumps an epoch (see [`FlatTables::grow`] for why that is
+                // sound).
+                self.tables.grow(feed.interner().len());
+                budget = self.cfg.effective_step_budget(feed.fetched());
+            }
+            let mut best: Option<(CoreId, Cycles)> = None;
+            let mut any_left = false;
+            for (cid, core) in self.cores.iter_mut().enumerate() {
+                if core.pc >= feed.end(cid) {
+                    continue;
+                }
+                any_left = true;
+                if let Some((line, id, seq)) = core.blocked {
+                    match self.tables.release_get(id, line) {
+                        Some((count, when)) if count >= seq => {
+                            // The release happened: wake up at its time.
+                            core.now = core.now.max(when);
+                            core.blocked = None;
+                        }
+                        _ => continue,
+                    }
+                }
+                if best.is_none_or(|(_, t)| core.now < t) {
+                    best = Some((cid, core.now));
+                }
+            }
+            let Some((cid, _)) = best else {
+                if any_left {
+                    // All remaining cores wait on acquires whose releases
+                    // can no longer happen: report the circular wait.
+                    return Err(EngineError::ReplayDeadlock { blocked: self.blocked_report() });
+                }
+                break;
+            };
+            steps += 1;
+            self.cur_step = steps;
+            if steps > budget {
+                return Err(EngineError::StepBudgetExceeded {
+                    steps,
+                    budget,
+                    blocked: self.blocked_report(),
+                    progress: self
+                        .cores
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| (i, c.pc, feed.end(i)))
+                        .collect(),
+                });
+            }
+            let idx = self.cores[cid].pc;
+            let ev = feed.event(cid, idx);
+            self.cores[cid].pc += 1;
+            let before = self.cores[cid].now;
+            self.step(cid, ev, feed.ids(cid, idx))?;
+            let spent = self.cores[cid].now - before;
+            if spent > 0 {
+                self.tables.func_add(ev.func, spent);
+            }
+            self.after_step(cid, &ev);
+            // Power-failure injection: the triggering step has retired (pc
+            // already advanced), so every crash-recovery segment consumes
+            // at least one event and iterated crash-recovery terminates.
+            if let Some(ctx) = self.crash.as_mut() {
+                if ev.kind == EventKind::Fence {
+                    ctx.fences_seen += 1;
+                }
+                let fire = match ctx.plan {
+                    CrashPlan::AtStep(n) => steps >= n.max(1),
+                    CrashPlan::AtCycle(c) => self.cores[cid].now >= c,
+                    CrashPlan::EveryKFences(k) => ctx.fences_seen >= u64::from(k.max(1)),
+                };
+                if fire {
+                    let report = self.freeze_crash(steps, feed.interner());
+                    return Ok(CrashOutcome::Crashed(Box::new(report)));
+                }
+            }
         }
-        let interned: &'a InternedTraces = self.interned;
-        self.finalize(interned.interner(), steps)
+        Ok(self.finalize(feed.interner(), steps))
     }
 
     /// Close out a completed replay: final drains, residual dirty-line
     /// accounting, device flush, stats assembly and scratch recycling.
-    /// `interner` resolves residual line addresses back to ids — the
-    /// trace's interned view on the materialized path, the feed's growing
-    /// interner on the streaming path (the engine's own `interned` field
-    /// is an empty stand-in there).
-    fn finalize(
-        mut self,
-        interner: &simcore::LineInterner,
-        steps: u64,
-    ) -> Result<CrashOutcome, EngineError> {
+    /// `interner` (the feed's) resolves residual line addresses back to
+    /// ids.
+    fn finalize(mut self, interner: &LineInterner, steps: u64) -> CrashOutcome {
         // Programs complete when their stores are globally visible. These
         // final drains happen after the last trace event, so their traffic
         // is attributed through the lines' first-dirty tags (the stall
@@ -857,11 +926,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             // Resolve the interned id so the flat tables can look up the
             // line's first-dirty tag (end-of-run frequency: one hash probe
             // per residual line, never on the step path).
-            let id = if T::USE_IDS {
-                interner.id_of(line).unwrap_or(LineId::INVALID)
-            } else {
-                LineId::INVALID
-            };
+            let id = interner.id_of(line).unwrap_or(LineId::INVALID);
             let (site, step) =
                 self.tables.dirt_take(id, line).unwrap_or((FuncId::UNKNOWN, self.cur_step));
             self.site_add(site, site_col::RESIDUAL_LINES, 1);
@@ -973,269 +1038,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             lines.sort_unstable();
             crate::crash::durable_digest(&lines)
         });
-        Ok(CrashOutcome::Completed { stats: Box::new(stats), durable_digest })
-    }
-
-    /// The generic replay scheduler: step the runnable core with the
-    /// smallest clock that still has events; blocked cores wake up when
-    /// their awaited release lands. Returns `Ok(true)` when an armed crash
-    /// plan fired (the caller freezes the machine at `steps`).
-    fn replay_generic(
-        &mut self,
-        traces: &[ThreadTrace],
-        budget: u64,
-        steps: &mut u64,
-    ) -> Result<bool, EngineError> {
-        loop {
-            let mut best: Option<(CoreId, Cycles)> = None;
-            let mut any_left = false;
-            for (cid, core) in self.cores.iter_mut().enumerate() {
-                if core.pc >= traces[cid].events.len() {
-                    continue;
-                }
-                any_left = true;
-                if let Some((line, id, seq)) = core.blocked {
-                    match self.tables.release_get(id, line) {
-                        Some((count, when)) if count >= seq => {
-                            // The release happened: wake up at its time.
-                            core.now = core.now.max(when);
-                            core.blocked = None;
-                        }
-                        _ => continue,
-                    }
-                }
-                if best.is_none_or(|(_, t)| core.now < t) {
-                    best = Some((cid, core.now));
-                }
-            }
-            let Some((cid, _)) = best else {
-                if any_left {
-                    // All remaining cores wait on acquires whose releases
-                    // can no longer happen: report the circular wait.
-                    return Err(EngineError::ReplayDeadlock { blocked: self.blocked_report() });
-                }
-                return Ok(false);
-            };
-            *steps += 1;
-            self.cur_step = *steps;
-            if *steps > budget {
-                return Err(EngineError::StepBudgetExceeded {
-                    steps: *steps,
-                    budget,
-                    blocked: self.blocked_report(),
-                    progress: self
-                        .cores
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| (i, c.pc, traces[i].events.len()))
-                        .collect(),
-                });
-            }
-            let idx = self.cores[cid].pc;
-            let ev = traces[cid].events[idx];
-            self.cores[cid].pc += 1;
-            let before = self.cores[cid].now;
-            // The id run borrows from the trace's interned view (`'a`),
-            // not `self`, so it stays usable across the `&mut self` call.
-            let interned: &'a InternedTraces = self.interned;
-            let ids: &[LineId] = if T::USE_IDS { interned.ids_for(cid, idx) } else { &[] };
-            self.step(cid, ev, ids)?;
-            let spent = self.cores[cid].now - before;
-            if spent > 0 {
-                self.tables.func_add(ev.func, spent);
-            }
-            self.after_step(cid, &ev);
-            // Power-failure injection: the triggering step has retired (pc
-            // already advanced), so every crash-recovery segment consumes
-            // at least one event and iterated crash-recovery terminates.
-            if let Some(ctx) = self.crash.as_mut() {
-                if ev.kind == EventKind::Fence {
-                    ctx.fences_seen += 1;
-                }
-                let fire = match ctx.plan {
-                    CrashPlan::AtStep(n) => *steps >= n.max(1),
-                    CrashPlan::AtCycle(c) => self.cores[cid].now >= c,
-                    CrashPlan::EveryKFences(k) => ctx.fences_seen >= u64::from(k.max(1)),
-                };
-                if fire {
-                    return Ok(true);
-                }
-            }
-        }
-    }
-
-    /// The single-core fast path: no scheduler scan, events batch-decoded
-    /// into SoA chunks. The step count, budget check, per-function cycle
-    /// attribution and blocked-acquire retry all follow the generic
-    /// scheduler's order exactly, so a single-core replay produces
-    /// byte-identical [`RunStats`] on either path.
-    fn replay_single_core(
-        &mut self,
-        traces: &[ThreadTrace],
-        budget: u64,
-        steps: &mut u64,
-    ) -> Result<(), EngineError> {
-        let events = &traces[0].events;
-        let mut chunk = EventChunk::new();
-        while self.cores[0].pc < events.len() {
-            let idx = self.cores[0].pc;
-            if !chunk.covers(idx) {
-                chunk.refill(events, idx);
-            }
-            *steps += 1;
-            self.cur_step = *steps;
-            if *steps > budget {
-                return Err(EngineError::StepBudgetExceeded {
-                    steps: *steps,
-                    budget,
-                    blocked: self.blocked_report(),
-                    progress: vec![(0, self.cores[0].pc, events.len())],
-                });
-            }
-            let ev = chunk.get(idx);
-            self.cores[0].pc += 1;
-            let before = self.cores[0].now;
-            let interned: &'a InternedTraces = self.interned;
-            let ids: &[LineId] = if T::USE_IDS { interned.ids_for(0, idx) } else { &[] };
-            self.step(0, ev, ids)?;
-            let spent = self.cores[0].now - before;
-            if spent > 0 {
-                self.tables.func_add(ev.func, spent);
-            }
-            self.after_step(0, &ev);
-            if let Some((line, id, seq)) = self.cores[0].blocked {
-                // An acquire blocked (pc rewound to retry it). With one
-                // core the only releases that can satisfy it are ones this
-                // core already performed, so re-check once: either wake up
-                // — the next loop iteration re-runs the acquire as its own
-                // step, exactly like the generic scheduler — or report the
-                // deadlock the scheduler would report on its next pass.
-                match self.tables.release_get(id, line) {
-                    Some((count, when)) if count >= seq => {
-                        self.cores[0].now = self.cores[0].now.max(when);
-                        self.cores[0].blocked = None;
-                    }
-                    _ => {
-                        return Err(EngineError::ReplayDeadlock {
-                            blocked: self.blocked_report(),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The streaming replay scheduler: identical scan, wakeup, deadlock
-    /// and budget semantics to [`Engine::replay_generic`], but events and
-    /// interned-id runs come from `feed`'s bounded chunk windows instead
-    /// of materialized traces. A core whose window is spent refills it
-    /// from `source` (validate + digest + intern ride along per event);
-    /// after any refill the engine's id-indexed tables grow to cover the
-    /// newly interned lines and the step budget is re-derived from the
-    /// events fetched so far — the budget only grows, and a valid replay
-    /// executes at most ~2 steps per fetched event, so intermediate
-    /// budgets never fire on schedules the materialized path accepts.
-    ///
-    /// Crash plans are not supported here (freezing a machine needs the
-    /// full durable-set bookkeeping of the materialized path).
-    fn replay_stream<S: EventSource>(
-        &mut self,
-        source: &mut S,
-        feed: &mut StreamFeed,
-        steps: &mut u64,
-    ) -> Result<(), EngineError> {
-        debug_assert!(self.crash.is_none(), "crash plans require the materialized path");
-        let n = self.cores.len();
-        debug_assert_eq!(n, feed.threads());
-        let mut budget = self.cfg.effective_step_budget(0);
-        loop {
-            // Refill before the scan so every runnable core is visible to
-            // this scheduling decision. Blocked-acquire retries rewind
-            // `pc` within the current window, never before it, so a core
-            // with `pc >= end` has truly consumed its window.
-            let mut grew = false;
-            for cid in 0..n {
-                if !feed.exhausted(cid) && self.cores[cid].pc >= feed.end(cid) {
-                    feed.refill(source, cid)?;
-                    grew = true;
-                    // Coarse marker in the process-global flight ring
-                    // (chunk-granular, so the lock is off the step path);
-                    // dumped only when a supervised job fails.
-                    simcore::telemetry::flight::note(
-                        FlightKind::Refill,
-                        cid as u64,
-                        feed.fetched(),
-                    );
-                }
-            }
-            if grew {
-                // Streaming replays intern new lines chunk-by-chunk, so
-                // the id-indexed tables grow while existing entries keep
-                // their state — growth never bumps an epoch (see
-                // [`FlatTables::grow`] for why that is sound).
-                self.tables.grow(feed.interner().len());
-                budget = self.cfg.effective_step_budget(feed.fetched() as usize);
-            }
-            let mut best: Option<(CoreId, Cycles)> = None;
-            let mut any_left = false;
-            for (cid, core) in self.cores.iter_mut().enumerate() {
-                if core.pc >= feed.end(cid) {
-                    // Window consumed and (per the refill above) the
-                    // source is exhausted: this core is done.
-                    continue;
-                }
-                any_left = true;
-                if let Some((line, id, seq)) = core.blocked {
-                    match self.tables.release_get(id, line) {
-                        Some((count, when)) if count >= seq => {
-                            core.now = core.now.max(when);
-                            core.blocked = None;
-                        }
-                        _ => continue,
-                    }
-                }
-                if best.is_none_or(|(_, t)| core.now < t) {
-                    best = Some((cid, core.now));
-                }
-            }
-            let Some((cid, _)) = best else {
-                if any_left {
-                    // Releases that could satisfy the blocked acquires may
-                    // still lurk in unfetched chunks of the *blocked*
-                    // threads themselves — but a blocked core cannot fetch
-                    // past its acquire, so the wait is circular either way.
-                    return Err(EngineError::ReplayDeadlock { blocked: self.blocked_report() });
-                }
-                return Ok(());
-            };
-            *steps += 1;
-            self.cur_step = *steps;
-            if *steps > budget {
-                return Err(EngineError::StepBudgetExceeded {
-                    steps: *steps,
-                    budget,
-                    blocked: self.blocked_report(),
-                    progress: self
-                        .cores
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| (i, c.pc, feed.end(i)))
-                        .collect(),
-                });
-            }
-            let idx = self.cores[cid].pc;
-            let ev = feed.event(cid, idx);
-            self.cores[cid].pc += 1;
-            let before = self.cores[cid].now;
-            let ids: &[LineId] = if T::USE_IDS { feed.ids(cid, idx) } else { &[] };
-            self.step(cid, ev, ids)?;
-            let spent = self.cores[cid].now - before;
-            if spent > 0 {
-                self.tables.func_add(ev.func, spent);
-            }
-            self.after_step(cid, &ev);
-        }
+        CrashOutcome::Completed { stats: Box::new(stats), durable_digest }
     }
 
     /// Freeze the machine at a simulated power failure and partition its
@@ -1243,7 +1046,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// partition rules). Consumes the engine: a crashed machine does not
     /// resume — [`Machine::recover_and_resume`] builds a fresh one from
     /// the returned image.
-    fn freeze_crash(mut self, at_step: u64) -> CrashReport {
+    fn freeze_crash(mut self, at_step: u64, interner: &LineInterner) -> CrashReport {
         let ctx = self.crash.take().expect("freeze_crash requires an armed crash context");
         let line_size = self.cfg.line_size;
         // Volatile-lost state, gathered level by level. Duplicates are fine
@@ -1290,11 +1093,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         let mut sites: SiteTable<CRASH_COLS> = SiteTable::new();
         let mut unknown = [0u64; CRASH_COLS];
         for &line in &lost {
-            let id = if T::USE_IDS {
-                self.interned.interner().id_of(line).unwrap_or(LineId::INVALID)
-            } else {
-                LineId::INVALID
-            };
+            let id = interner.id_of(line).unwrap_or(LineId::INVALID);
             let site =
                 self.tables.dirt_take(id, line).map_or(FuncId::UNKNOWN, |(site, _)| site);
             if site == FuncId::UNKNOWN {
@@ -1360,20 +1159,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
         }
     }
 
-    /// The id at position `i` of an event's pre-resolved id run
-    /// ([`LineId::INVALID`] on the reference path, which never indexes the
-    /// empty stream).
-    #[inline]
-    fn pick(ids: &[LineId], i: usize) -> LineId {
-        if T::USE_IDS { ids[i] } else { LineId::INVALID }
-    }
-
     /// Execute one event. `ids` is the event's pre-resolved id run in
-    /// splitting order (empty on the reference path): the caller fetches
-    /// it — from the trace's interned view on the materialized path, from
-    /// the chunk feed's window on the streaming path — so the step logic
-    /// itself is source-agnostic.
-    fn step(&mut self, cid: CoreId, ev: simcore::Event, ids: &[LineId]) -> Result<(), EngineError> {
+    /// splitting order, fetched by the replay loop from its feed.
+    fn step(&mut self, cid: CoreId, ev: Event, ids: &[LineId]) -> Result<(), EngineError> {
         let line_size = self.cfg.line_size;
         match ev.kind {
             EventKind::Compute => {
@@ -1382,7 +1170,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             EventKind::Read => {
                 let mut lines = 0u64;
                 for (i, line) in blocks_touched(ev.addr, ev.size as u64, line_size).enumerate() {
-                    self.read_line(cid, line, Self::pick(ids, i), ev.func);
+                    self.read_line(cid, line, ids[i], ev.func);
                     lines += 1;
                 }
                 self.cores[cid].stats.read_lines += lines;
@@ -1390,7 +1178,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             EventKind::Write => {
                 let mut lines = 0u64;
                 for (i, line) in blocks_touched(ev.addr, ev.size as u64, line_size).enumerate() {
-                    self.write_line(cid, line, Self::pick(ids, i), ev.func)?;
+                    self.write_line(cid, line, ids[i], ev.func)?;
                     lines += 1;
                 }
                 self.cores[cid].stats.write_lines += lines;
@@ -1400,13 +1188,13 @@ impl<'a, T: LineTables> Engine<'a, T> {
             }
             EventKind::PrestoreClean => {
                 for (i, line) in blocks_touched(ev.addr, ev.size as u64, line_size).enumerate() {
-                    self.prestore_clean(cid, line, Self::pick(ids, i), ev.func);
+                    self.prestore_clean(cid, line, ids[i], ev.func);
                 }
                 self.cores[cid].stats.prestores += 1;
             }
             EventKind::PrestoreDemote => {
                 for (i, line) in blocks_touched(ev.addr, ev.size as u64, line_size).enumerate() {
-                    self.prestore_demote(cid, line, Self::pick(ids, i), ev.func);
+                    self.prestore_demote(cid, line, ids[i], ev.func);
                 }
                 self.cores[cid].stats.prestores += 1;
             }
@@ -1421,7 +1209,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             }
             EventKind::Atomic => {
                 let line = simcore::align_down(ev.addr, line_size);
-                let id = Self::pick(ids, 0);
+                let id = ids[0];
                 self.atomic(cid, line, id, ev.func);
                 // An atomic releases its line for acquire/release replay
                 // synchronization.
@@ -1436,7 +1224,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             }
             EventKind::Acquire => {
                 let line = simcore::align_down(ev.addr, line_size);
-                let id = Self::pick(ids, 0);
+                let id = ids[0];
                 let seq = ev.size;
                 match self.tables.release_get(id, line) {
                     Some((count, when)) if count >= seq => {
@@ -1453,16 +1241,16 @@ impl<'a, T: LineTables> Engine<'a, T> {
         Ok(())
     }
 
-    /// Post-step observation hooks, shared by all three replay paths and
-    /// called once per scheduler step, after the event executed and its
-    /// cycles were attributed. With every feature off this is one integer
-    /// compare and two `Option` checks. The classifier and the flight
-    /// recorder observe *retired* events only: an acquire that blocked
-    /// (`pc` rewound for retry) is skipped here and observed when it
-    /// re-runs and succeeds, so each trace event is seen exactly once, in
-    /// per-thread program order — identical across replay paths.
+    /// Post-step observation hooks, called once per scheduler step after
+    /// the event executed and its cycles were attributed. With every
+    /// feature off this is one integer compare and two `Option` checks.
+    /// The classifier and the flight recorder observe *retired* events
+    /// only: an acquire that blocked (`pc` rewound for retry) is skipped
+    /// here and observed when it re-runs and succeeds, so each trace event
+    /// is seen exactly once, in per-thread program order — identical for
+    /// every feed.
     #[inline]
-    fn after_step(&mut self, cid: CoreId, ev: &simcore::Event) {
+    fn after_step(&mut self, cid: CoreId, ev: &Event) {
         let now = self.cores[cid].now;
         if now >= self.ts_next_boundary {
             self.ts_tick(now);
@@ -1873,7 +1661,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         let line_size = self.cfg.line_size;
         let mut lines = 0u64;
         for (i, line) in blocks_touched(addr, size, line_size).enumerate() {
-            let id = Self::pick(ids, i);
+            let id = ids[i];
             // NT stores invalidate any cached copy.
             if let Some(true) = self.cores[cid].l1.invalidate(line) {
                 self.tables.owner_clear(id, line);
@@ -2030,6 +1818,11 @@ mod tests {
         t.finish()
     }
 
+    /// Validate and replay one thread.
+    fn try_single(cfg: &MachineConfig, trace: &ThreadTrace) -> Result<RunStats, EngineError> {
+        try_simulate_threads(cfg, std::slice::from_ref(trace))
+    }
+
     #[test]
     fn empty_trace_runs() {
         let cfg = MachineConfig::machine_a();
@@ -2080,7 +1873,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_replay_single_thread_matches_fast_path() {
+    fn stream_replay_single_thread_matches_materialized() {
         let trace = trace_of(|t| {
             for i in 0..500u64 {
                 t.write(i * 64, 64);
@@ -2089,7 +1882,7 @@ mod tests {
             t.fence();
         });
         let cfg = MachineConfig::machine_a();
-        let golden = try_simulate_single(&cfg, &trace).unwrap();
+        let golden = try_single(&cfg, &trace).unwrap();
         let threads = [trace];
         let mut src = simcore::SliceSource::new(&threads);
         let report =
@@ -2368,23 +2161,23 @@ mod tests {
     }
 
     #[test]
-    fn try_run_rejects_empty_trace_set() {
-        let m = Machine::new(MachineConfig::machine_a());
-        assert_eq!(m.try_run(&TraceSet::default()), Err(EngineError::EmptyTraceSet));
+    fn try_simulate_rejects_empty_trace_set() {
+        let cfg = MachineConfig::machine_a();
+        assert_eq!(try_simulate(&cfg, &TraceSet::default()), Err(EngineError::EmptyTraceSet));
     }
 
     #[test]
-    fn try_run_rejects_malformed_trace() {
-        let m = Machine::new(MachineConfig::machine_a());
+    fn try_simulate_rejects_malformed_trace() {
+        let cfg = MachineConfig::machine_a();
         let traces = TraceSet::new(vec![trace_of(|t| t.read(0, 0))]);
-        assert!(matches!(m.try_run(&traces), Err(EngineError::MalformedTrace(_))));
+        assert!(matches!(try_simulate(&cfg, &traces), Err(EngineError::MalformedTrace(_))));
     }
 
     #[test]
-    fn try_run_rejects_unsatisfiable_acquire_statically() {
-        let m = Machine::new(MachineConfig::machine_a());
+    fn try_simulate_rejects_unsatisfiable_acquire_statically() {
+        let cfg = MachineConfig::machine_a();
         let traces = TraceSet::new(vec![trace_of(|t| t.acquire(0x40, 1))]);
-        match m.try_run(&traces) {
+        match try_simulate(&cfg, &traces) {
             Err(EngineError::AcquireUnsatisfiable { core, line, seq, available, .. }) => {
                 assert_eq!((core, line, seq, available), (0, 0x40, 1, 0));
             }
@@ -2403,8 +2196,8 @@ mod tests {
         let mut b = Tracer::new();
         b.acquire(0x40, 1); // ...which waits for a's atomic.
         b.atomic(0x80, 8);
-        let m = Machine::new(MachineConfig::machine_a());
-        match m.try_run(&TraceSet::new(vec![a.finish(), b.finish()])) {
+        let cfg = MachineConfig::machine_a();
+        match try_simulate(&cfg, &TraceSet::new(vec![a.finish(), b.finish()])) {
             Err(EngineError::ReplayDeadlock { blocked }) => {
                 assert_eq!(blocked.len(), 2, "{blocked:?}");
                 assert!(blocked.contains(&(0, 0x80, 1)), "{blocked:?}");
@@ -2415,7 +2208,7 @@ mod tests {
     }
 
     #[test]
-    fn run_panics_with_deadlock_message() {
+    fn simulate_panics_with_deadlock_message() {
         let mut a = Tracer::new();
         a.acquire(0x80, 1);
         a.atomic(0x40, 8);
@@ -2423,8 +2216,8 @@ mod tests {
         b.acquire(0x40, 1);
         b.atomic(0x80, 8);
         let traces = TraceSet::new(vec![a.finish(), b.finish()]);
-        let m = Machine::new(MachineConfig::machine_a());
-        let msg = std::panic::catch_unwind(move || m.run(&traces))
+        let cfg = MachineConfig::machine_a();
+        let msg = std::panic::catch_unwind(move || simulate(&cfg, &traces))
             .expect_err("deadlocked run must panic");
         let msg = msg.downcast_ref::<String>().expect("panic payload is a String");
         assert!(msg.contains("deadlock"), "{msg}");
@@ -2440,8 +2233,7 @@ mod tests {
                 t.write(i * 64, 64);
             }
         });
-        let m = Machine::new(cfg);
-        match m.try_run(&TraceSet::new(vec![trace])) {
+        match try_simulate(&cfg, &TraceSet::new(vec![trace])) {
             Err(EngineError::StepBudgetExceeded { steps, budget, progress, .. }) => {
                 assert_eq!(budget, 10);
                 assert_eq!(steps, 11);
@@ -2462,9 +2254,8 @@ mod tests {
             p.atomic(0x40, 8);
             c.acquire(0x40, (i + 1) as u32);
         }
-        let m = Machine::new(MachineConfig::machine_a());
-        let stats = m
-            .try_run(&TraceSet::new(vec![p.finish(), c.finish()]))
+        let traces = TraceSet::new(vec![p.finish(), c.finish()]);
+        let stats = try_simulate(&MachineConfig::machine_a(), &traces)
             .expect("valid trace must replay");
         assert_eq!(stats.cores.len(), 2);
     }
@@ -2577,7 +2368,7 @@ mod tests {
         let d2 = digest_of(m.try_run_until_crash(&traces, CrashPlan::AtStep(u64::MAX)));
         assert_eq!(d1, d2, "digest is deterministic");
         // The armed-but-unfired run must not perturb the stats themselves.
-        let plain = m.try_run(&traces).expect("valid");
+        let plain = try_simulate(&cfg, &traces).expect("valid");
         match m.try_run_until_crash(&traces, CrashPlan::AtStep(u64::MAX)).expect("valid") {
             CrashOutcome::Completed { stats, .. } => assert_eq!(*stats, plain),
             CrashOutcome::Crashed(_) => panic!("plan cannot fire"),
@@ -2644,6 +2435,75 @@ mod tests {
             m.recover_and_resume(&two_threads, &report.image, None),
             Err(EngineError::CrashImageMismatch { image_cores: 1, trace_threads: 2 })
         );
+    }
+
+    #[test]
+    fn recovery_rejects_an_image_of_another_line_size() {
+        // A Machine A (64 B line) image resumed on Machine B-fast (128 B
+        // line): the redo writes would land on 64 B lines, and the
+        // released line 0x40 starts no 128 B line, so its count would be
+        // dropped silently.
+        let traces = TraceSet::new(vec![trace_of(|t| {
+            t.atomic(0x40, 8);
+            for i in 0..100u64 {
+                t.write(i * 64, 64);
+            }
+        })]);
+        let a = Machine::new(MachineConfig::machine_a());
+        let report = crash_of(a.try_run_until_crash(&traces, CrashPlan::AtStep(50)));
+        assert_eq!(report.image.releases, vec![(0x40, 1)]);
+        let b_fast = Machine::new(MachineConfig::machine_b_fast());
+        assert_eq!(
+            b_fast.recover_and_resume(&traces, &report.image, None),
+            Err(EngineError::CrashImageLineSize { image_line_size: 64, machine_line_size: 128 })
+        );
+    }
+
+    #[test]
+    fn crash_plans_fire_identically_on_streamed_and_materialized_feeds() {
+        // Two threads with a release hand-off, fences and cleans, so the
+        // plans land while a core is blocked, just woke up, or has
+        // writebacks in flight; the last plan never fires.
+        let t0 = trace_of(|t| {
+            for i in 0..120u64 {
+                t.write(i * 64, 64);
+                if i % 10 == 9 {
+                    t.fence();
+                }
+            }
+            t.atomic(1 << 30, 8);
+        });
+        let t1 = trace_of(|t| {
+            t.acquire(1 << 30, 1);
+            for i in 0..80u64 {
+                t.write((1 << 20) + i * 64, 64);
+                t.prestore((1 << 20) + i * 64, 64, PrestoreOp::Clean);
+            }
+        });
+        let threads = vec![t0, t1];
+        let traces = TraceSet::new(threads.clone());
+        let cfg = MachineConfig::machine_a();
+        let m = Machine::new(cfg.clone());
+        let plans = [
+            CrashPlan::AtStep(1),
+            CrashPlan::AtStep(200),
+            CrashPlan::EveryKFences(7),
+            CrashPlan::AtCycle(2_000),
+            CrashPlan::AtStep(u64::MAX),
+        ];
+        for plan in plans {
+            let materialized = m.try_run_until_crash(&traces, plan).unwrap();
+            let fired = matches!(materialized, CrashOutcome::Crashed(_));
+            assert_eq!(fired, plan != CrashPlan::AtStep(u64::MAX), "{plan:?}");
+            for chunk_events in [1usize, 7, 65_536] {
+                let mut source = simcore::SliceSource::new(&threads);
+                let feed = StreamFeed::new(cfg.line_size, threads.len(), chunk_events);
+                let mut engine = Engine::new_flat(&cfg, 0, threads.len());
+                engine.arm_crash(CrashCtx::new(plan));
+                let streamed = engine.replay(&mut Streamed { feed, source: &mut source }).unwrap();
+                assert_eq!(streamed, materialized, "{plan:?} at chunk_events={chunk_events}");
+            }
+        }
     }
 
     #[test]
@@ -2724,7 +2584,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_matches_run_on_valid_traces() {
+    fn try_simulate_matches_simulate_on_valid_traces() {
         let trace = trace_of(|t| {
             for i in 0..200u64 {
                 t.write(i * 64, 64);
@@ -2734,7 +2594,7 @@ mod tests {
         });
         let cfg = MachineConfig::machine_a();
         let via_run = simulate_single(&cfg, &trace);
-        let via_try = try_simulate_single(&cfg, &trace).expect("valid");
+        let via_try = try_single(&cfg, &trace).expect("valid");
         assert_eq!(via_run, via_try);
     }
 
@@ -2749,7 +2609,7 @@ mod tests {
         });
         let mut cfg = MachineConfig::machine_a();
         cfg.timeseries_window = Some(1000);
-        let sampled = try_simulate_single(&cfg, &trace).unwrap();
+        let sampled = try_single(&cfg, &trace).unwrap();
         assert!(!sampled.timeseries.is_empty());
         assert_eq!(sampled.timeseries_window_cycles, 1000);
         for pair in sampled.timeseries.windows(2) {
@@ -2767,7 +2627,7 @@ mod tests {
         );
         // Sampling must not perturb the simulation itself: everything but
         // the series matches an unsampled run byte for byte.
-        let plain = try_simulate_single(&MachineConfig::machine_a(), &trace).unwrap();
+        let plain = try_single(&MachineConfig::machine_a(), &trace).unwrap();
         assert!(plain.timeseries.is_empty());
         assert_eq!(plain.timeseries_window_cycles, 0);
         let mut stripped = sampled.clone();
@@ -2788,7 +2648,7 @@ mod tests {
         });
         let mut cfg = MachineConfig::machine_a();
         cfg.timeseries_window = Some(500);
-        let golden = try_simulate_single(&cfg, &trace).unwrap();
+        let golden = try_single(&cfg, &trace).unwrap();
         let threads = [trace];
         for chunk_events in [9usize, 65_536] {
             let mut src = simcore::SliceSource::new(&threads);
@@ -2821,7 +2681,7 @@ mod tests {
         assert!(op.p50() > 0);
         assert!(op.p999() >= op.p99() && op.p99() >= op.p50());
         // Classification must not perturb the simulation.
-        let plain = try_simulate_single(&cfg, &trace).unwrap();
+        let plain = try_single(&cfg, &trace).unwrap();
         let mut stripped = stats.clone();
         stripped.request_latency = Vec::new();
         assert_eq!(stripped, plain);

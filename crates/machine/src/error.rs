@@ -7,11 +7,11 @@
 //! reported with enough structure to name the blocked core, line and
 //! sequence number instead of a bare panic message.
 //!
-//! The panicking entry points ([`crate::simulate`], [`crate::Engine`]'s
-//! `run`) format an [`EngineError`] into their panic payload, so the
-//! legacy behaviour (and the `"deadlock"` substring tests match on) is
-//! preserved while [`crate::Machine::try_run`] and [`crate::try_simulate`]
-//! return the typed value.
+//! The panicking entry points ([`crate::simulate`],
+//! [`crate::simulate_single`]) format an [`EngineError`] into their panic
+//! payload, so the legacy behaviour (and the `"deadlock"` substring tests
+//! match on) is preserved while [`crate::try_simulate`] and the other
+//! fallible entry points return the typed value.
 
 use simcore::{Addr, CoreId, ValidateError};
 use std::fmt;
@@ -58,7 +58,10 @@ pub enum EngineError {
         budget: u64,
         /// Cores blocked on acquires at that moment.
         blocked: Vec<BlockedAcquire>,
-        /// Per-core replay progress: `(core, next event, total events)`.
+        /// Per-core replay progress: `(core, next event, events)`. The
+        /// third field is the thread's total event count on materialized
+        /// input; on a streamed replay it is the number of the thread's
+        /// events fetched so far.
         progress: Vec<(CoreId, usize, usize)>,
     },
     /// A crash image from [`crate::Machine::try_run_until_crash`] was
@@ -70,6 +73,15 @@ pub enum EngineError {
         image_cores: usize,
         /// Threads in the trace set being resumed.
         trace_threads: usize,
+    },
+    /// A crash image was handed to [`crate::Machine::recover_and_resume`]
+    /// on a machine with a different cache-line size: the image's lost,
+    /// durable and released lines are the crashed machine's lines.
+    CrashImageLineSize {
+        /// Line size recorded in the crash image, in bytes.
+        image_line_size: u64,
+        /// Line size of the machine asked to resume, in bytes.
+        machine_line_size: u64,
     },
     /// A store could not be placed because the core's store buffer was
     /// full even after a forced head drain — engine state corruption,
@@ -122,6 +134,11 @@ impl fmt::Display for EngineError {
                 f,
                 "crash image mismatch: image records {image_cores} core(s) but the trace \
                  set being resumed has {trace_threads} thread(s)"
+            ),
+            EngineError::CrashImageLineSize { image_line_size, machine_line_size } => write!(
+                f,
+                "crash image mismatch: image was recorded with {image_line_size} B lines but \
+                 the resuming machine uses {machine_line_size} B lines"
             ),
             EngineError::StoreBufferOverflow { core, line, capacity } => write!(
                 f,

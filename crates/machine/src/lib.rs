@@ -10,10 +10,14 @@
 //! * [`simulate`] — replay a [`simcore::TraceSet`] on a machine, producing
 //!   [`RunStats`]: run time in cycles, fence/atomic stall breakdowns, cache
 //!   counters and device-side write amplification.
-//! * [`try_simulate`] / [`Machine::try_run`] — the panic-free pipeline:
-//!   traces are statically validated, replay runs under a deadlock
-//!   detector and a step-budget watchdog, and every failure is a typed
-//!   [`EngineError`] instead of a panic or a hang.
+//! * [`try_simulate`] — the panic-free pipeline: traces are statically
+//!   validated, replay runs under a deadlock detector and a step-budget
+//!   watchdog, and every failure is a typed [`EngineError`] instead of a
+//!   panic or a hang. [`try_simulate_stream`] replays an
+//!   [`simcore::EventSource`] chunk by chunk without materializing it, and
+//!   [`Machine::try_run_until_crash`] / [`Machine::recover_and_resume`]
+//!   inject power failures and recover from them. All of them step events
+//!   through one scheduler loop.
 //!
 //! # Examples
 //!
@@ -41,10 +45,9 @@ pub mod tables;
 pub use config::{CostModel, MachineConfig, MemModel};
 pub use crash::{render_flight_jsonl, CrashImage, CrashOutcome, CrashReport, LostSite};
 pub use engine::{
-    simulate, simulate_reference, simulate_single, try_simulate, try_simulate_single,
-    try_simulate_stream, try_simulate_stream_classified, try_simulate_stream_opts,
-    try_simulate_threads, try_simulate_threads_classified, try_simulate_threads_reference,
-    Engine, Machine, StreamOptions, StreamReport,
+    simulate, simulate_single, try_simulate, try_simulate_stream, try_simulate_stream_classified,
+    try_simulate_stream_opts, try_simulate_threads, try_simulate_threads_classified,
+    try_simulate_threads_reference, Machine, StreamOptions, StreamReport,
 };
 pub use error::{BlockedAcquire, EngineError};
 pub use simcore::faultinject::CrashPlan;

@@ -22,9 +22,9 @@
 //!   `intern_vs_hash` microbenchmark, so the flat path is always testable
 //!   against a known-good twin.
 //!
-//! The engine is generic over `T: LineTables` and compiles to two
-//! monomorphised replay loops; `T::USE_IDS` selects at compile time
-//! whether ids are resolved at all.
+//! The engine is generic over `T: LineTables`, so its one replay loop
+//! compiles once per implementation. Both replay the same interned feed;
+//! the reference tables ignore its ids.
 
 use crate::stats::SITE_COLS;
 use cachesim::wcbuf::WcFlush;
@@ -38,10 +38,6 @@ use std::cell::RefCell;
 /// [`FlatTables`] keys by id and ignores the address, [`HashTables`] keys
 /// by address and ignores the id.
 pub trait LineTables {
-    /// Whether ids are meaningful: the engine reads real [`LineId`]s from
-    /// the trace's pre-resolved id streams only when this is true.
-    const USE_IDS: bool;
-
     /// Which core's L1 holds `line` dirty, if any.
     fn owner_get(&self, id: LineId, line: Addr) -> Option<CoreId>;
     fn owner_set(&mut self, id: LineId, line: Addr, cid: CoreId);
@@ -275,8 +271,6 @@ impl FlatTables {
 }
 
 impl LineTables for FlatTables {
-    const USE_IDS: bool = true;
-
     #[inline]
     fn owner_get(&self, id: LineId, _line: Addr) -> Option<CoreId> {
         let f = self.flags(id);
@@ -445,8 +439,6 @@ pub struct HashTables {
 }
 
 impl LineTables for HashTables {
-    const USE_IDS: bool = false;
-
     #[inline]
     fn owner_get(&self, _id: LineId, line: Addr) -> Option<CoreId> {
         self.owner.get(&line).copied()

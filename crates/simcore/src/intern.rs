@@ -385,9 +385,8 @@ impl InternedTraces {
             .expect("line-id space exhausted; use try_from_threads for typed errors")
     }
 
-    /// An interner with no threads recorded (line size still fixed).
-    /// Building block for incremental construction — and the stand-in for
-    /// engine paths that never consult ids.
+    /// An interner with no threads recorded (line size still fixed): the
+    /// building block for incremental construction.
     pub fn empty(line_size: u64) -> Self {
         Self { interner: LineInterner::new(line_size), threads: Vec::new() }
     }

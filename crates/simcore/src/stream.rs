@@ -11,9 +11,9 @@
 //! A materialized trace is just one big chunk source ([`SliceSource`]), so
 //! the two pipelines share every rule:
 //!
-//! * **Validation** applies the same per-event checks as
-//!   [`crate::trace::validate_and_intern`] (zero-size, oversize, address
-//!   overflow, zero-sequence acquires). The one *whole-trace* check —
+//! * **Validation** runs [`StreamValidator`], the per-event checks that
+//!   [`crate::trace::validate_and_intern`] runs too (zero-size, oversize,
+//!   address overflow, zero-sequence acquires). The one *whole-trace* check —
 //!   static acquire satisfiability — needs every thread's full event list
 //!   and is deliberately not replicated here: a stream's future is unknown
 //!   by construction, so an unsatisfiable acquire surfaces as the engine's
@@ -106,9 +106,10 @@ impl EventSource for SliceSource<'_> {
     }
 }
 
-/// Incremental per-event validation state: the per-event checks of
-/// [`crate::trace::validate_and_intern`], applied chunk-by-chunk with
-/// correct thread/index attribution in errors.
+/// Incremental per-event validation state: the per-event checks of trace
+/// validation, applied chunk-by-chunk with correct thread/index
+/// attribution in errors. [`crate::trace::validate_and_intern`] runs its
+/// per-event pass through this type too.
 #[derive(Debug, Clone, Default)]
 pub struct StreamValidator {
     /// Events validated so far per thread (the global index of the next
@@ -122,10 +123,11 @@ impl StreamValidator {
         Self { seen: vec![0; threads] }
     }
 
-    /// Validate the next event of `thread`. Checks are exactly the
-    /// per-event half of [`crate::trace::validate_and_intern`]; the static
+    /// Validate the next event of `thread`: the per-event half of
+    /// [`crate::trace::validate_and_intern`]. The static
     /// acquire-satisfiability check is not replicable on a stream (see the
     /// module docs) and is covered by replay-time deadlock detection.
+    #[inline]
     pub fn check(&mut self, thread: usize, ev: &Event) -> Result<(), ValidateError> {
         let index = self.seen[thread] as usize;
         self.seen[thread] += 1;
@@ -304,12 +306,6 @@ impl StreamFeed {
     #[inline]
     pub fn interner(&self) -> &LineInterner {
         &self.interner
-    }
-
-    /// The number of per-thread event streams this feed carries.
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.windows.len()
     }
 
     /// Whether `thread`'s source reported exhaustion.

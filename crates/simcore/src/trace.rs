@@ -6,8 +6,9 @@
 //! accesses explicitly, which also lets the *same* trace be replayed on
 //! different simulated machines.
 
-use crate::error::{ValidateError, MAX_ACCESS_BYTES};
+use crate::error::ValidateError;
 use crate::intern::InternedTraces;
+use crate::stream::StreamValidator;
 use crate::{Addr, Event, EventKind, FuncId, PrestoreOp};
 use std::sync::{Arc, Mutex};
 
@@ -305,7 +306,7 @@ impl Tracer {
 ///
 /// Checks:
 /// * every memory access has a non-zero size no larger than
-///   [`MAX_ACCESS_BYTES`];
+///   [`crate::error::MAX_ACCESS_BYTES`];
 /// * no access extends past the top of the 64-bit address space
 ///   (`addr + size - 1` must not overflow);
 /// * every [`EventKind::Acquire`] can be satisfied — some thread performs
@@ -361,65 +362,27 @@ pub fn validate_and_intern(
             }
         }
     }
-    // Pass 2: per-event checks. Interning happens only after the whole set
-    // validates (an oversize access must be rejected *before* its blocks
-    // are expanded, and a partially-built intern view is useless anyway).
+    // Pass 2: the per-event checks of the streaming validator, plus the
+    // one whole-trace check a stream cannot make: every acquire has enough
+    // releases. Interning happens only after the whole set validates (an
+    // oversize access must be rejected *before* its blocks are expanded,
+    // and a partially-built intern view is useless anyway).
+    let mut validator = StreamValidator::new(threads.len());
     for (tid, t) in threads.iter().enumerate() {
         for (i, ev) in t.events.iter().enumerate() {
-            match ev.kind {
-                EventKind::Read
-                | EventKind::Write
-                | EventKind::NtWrite
-                | EventKind::PrestoreClean
-                | EventKind::PrestoreDemote => {
-                    if ev.size == 0 {
-                        return Err(ValidateError::ZeroSizeAccess {
-                            thread: tid,
-                            index: i,
-                            kind: ev.kind,
-                            addr: ev.addr,
-                        });
-                    }
-                    if ev.size > MAX_ACCESS_BYTES {
-                        return Err(ValidateError::OversizeAccess {
-                            thread: tid,
-                            index: i,
-                            kind: ev.kind,
-                            addr: ev.addr,
-                            size: ev.size,
-                        });
-                    }
-                    if ev.addr.checked_add(ev.size as u64 - 1).is_none() {
-                        return Err(ValidateError::AddressOverflow {
-                            thread: tid,
-                            index: i,
-                            kind: ev.kind,
-                            addr: ev.addr,
-                            size: ev.size,
-                        });
-                    }
+            validator.check(tid, ev)?;
+            if ev.kind == EventKind::Acquire {
+                let line = crate::align_down(ev.addr, line_size);
+                let available = releases.get(&line).copied().unwrap_or(0);
+                if available < ev.size {
+                    return Err(ValidateError::AcquireUnsatisfiable {
+                        thread: tid,
+                        index: i,
+                        line,
+                        seq: ev.size,
+                        available,
+                    });
                 }
-                EventKind::Acquire => {
-                    if ev.size == 0 {
-                        return Err(ValidateError::ZeroSequenceAcquire {
-                            thread: tid,
-                            index: i,
-                            addr: ev.addr,
-                        });
-                    }
-                    let line = crate::align_down(ev.addr, line_size);
-                    let available = releases.get(&line).copied().unwrap_or(0);
-                    if available < ev.size {
-                        return Err(ValidateError::AcquireUnsatisfiable {
-                            thread: tid,
-                            index: i,
-                            line,
-                            seq: ev.size,
-                            available,
-                        });
-                    }
-                }
-                EventKind::Fence | EventKind::Atomic | EventKind::Compute => {}
             }
         }
     }
@@ -429,6 +392,7 @@ pub fn validate_and_intern(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MAX_ACCESS_BYTES;
 
     #[test]
     fn records_in_order_with_attribution() {
