@@ -69,7 +69,7 @@ fn usage() -> ! {
 
   --users N        distinct tenants (default 1000000)
   --events N       target trace events across all threads (default 2000000)
-  --threads N      serving threads (default 2)
+  --threads N      serving threads (default 2, at most {max_cores}: one core each)
   --machine M      machine model (default a)
   --mode M         pre-store mode applied to PUTs (default none)
   --mem-budget B   bound the streaming pipeline's peak bytes; the chunk
@@ -87,7 +87,8 @@ fn usage() -> ! {
                    tail-latency table, site heatmap) to F
   --verify-materialized
                    also replay the materialized trace and require equal
-                   stats + digest (refused above 8M events)"
+                   stats + digest (refused above 8M events)",
+        max_cores = machine::MAX_CORES
     );
     std::process::exit(1);
 }
@@ -230,6 +231,10 @@ fn main() {
     };
     if users == 0 || events == 0 || threads == 0 {
         eprintln!("--users, --events and --threads must be positive");
+        usage();
+    }
+    if threads > machine::MAX_CORES {
+        eprintln!("--threads {threads} exceeds the {} cores a replay can hold", machine::MAX_CORES);
         usage();
     }
 

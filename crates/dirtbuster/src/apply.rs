@@ -105,13 +105,18 @@ impl PrestorePlan {
 /// writes at all. (The search loop always re-derives from the unpatched
 /// base; this guards the public API against double application.)
 pub fn apply_plan_thread(trace: &ThreadTrace, plan: &PrestorePlan) -> ThreadTrace {
+    if plan.is_empty() {
+        return trace.clone();
+    }
     let mut events = Vec::with_capacity(trace.events.len() + trace.events.len() / 4);
     for (i, ev) in trace.events.iter().enumerate() {
-        match (ev.kind, plan.op_for(ev.func)) {
-            (EventKind::Write, Some(Recommendation::Skip)) => {
+        // Only writes are patched, so only they pay the plan lookup.
+        let op = if ev.kind == EventKind::Write { plan.op_for(ev.func) } else { None };
+        match op {
+            Some(Recommendation::Skip) => {
                 events.push(Event { kind: EventKind::NtWrite, ..*ev });
             }
-            (EventKind::Write, Some(op @ (Recommendation::Clean | Recommendation::Demote))) => {
+            Some(op @ (Recommendation::Clean | Recommendation::Demote)) => {
                 events.push(*ev);
                 let kind = if op == Recommendation::Clean {
                     EventKind::PrestoreClean

@@ -37,7 +37,7 @@ use crate::config::{MachineConfig, MemModel};
 use crate::crash::{CrashImage, CrashOutcome, CrashReport, LostSite, CRASH_COLS};
 use crate::error::{BlockedAcquire, EngineError};
 use crate::stats::{site_col, ts_channel, CoreStats, RunStats, SiteCounters, SITE_COLS, TS_CAPACITY, TS_CHANNELS};
-use crate::tables::{take_scratch, FlatTables, HashTables, LineTables};
+use crate::tables::{take_scratch, FlatTables, HashTables, LineTables, MAX_CORES};
 use cachesim::{Cache, StoreBuffer, WriteCombiningBuffer};
 use cachesim::wcbuf::WcFlush;
 use memdev::{Device, MemDevice};
@@ -355,6 +355,7 @@ pub fn try_simulate_threads_reference(
     if threads.is_empty() {
         return Err(EngineError::EmptyTraceSet);
     }
+    check_cores(threads.len())?;
     // The reference tables key by address and ignore the interned ids.
     let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
     let engine = Engine::with_tables(cfg, threads.len(), HashTables::default());
@@ -367,6 +368,7 @@ pub fn try_simulate_threads_reference(
 /// Every failure is a typed [`EngineError`]:
 ///
 /// * [`EngineError::EmptyTraceSet`] — no threads to replay.
+/// * [`EngineError::TooManyCores`] — more threads than [`MAX_CORES`].
 /// * [`EngineError::MalformedTrace`] — static validation rejected an
 ///   event (zero-size/oversize access, acquire of release #0).
 /// * [`EngineError::AcquireUnsatisfiable`] — an acquire waits for more
@@ -503,6 +505,9 @@ fn replay_unchecked(
     threads: &[ThreadTrace],
     interned: &InternedTraces,
 ) -> RunStats {
+    if let Err(e) = check_cores(threads.len()) {
+        panic!("{e}");
+    }
     let engine = Engine::new_flat(cfg, interned.interner().len(), threads.len());
     completed(engine.replay(&mut Materialized { threads, interned }))
         .unwrap_or_else(|e| panic!("{e}"))
@@ -519,6 +524,7 @@ fn replay_checked(
     if threads.is_empty() {
         return Err(EngineError::EmptyTraceSet);
     }
+    check_cores(threads.len())?;
     // Validation already walks every event; interning rides along for free.
     let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
     let mut engine = Engine::new_flat(cfg, interned.interner().len(), threads.len());
@@ -538,6 +544,7 @@ fn replay_source<S: EventSource>(
     if threads == 0 {
         return Err(EngineError::EmptyTraceSet);
     }
+    check_cores(threads)?;
     let feed = StreamFeed::new(cfg.line_size, threads, opts.chunk_events);
     let mut streamed = Streamed { feed, source };
     // The tables start empty and grow with the feed's interner.
@@ -552,6 +559,15 @@ fn replay_source<S: EventSource>(
         peak_pipeline_bytes: feed.peak_window_bytes() as u64,
         digest: feed.digest(),
     })
+}
+
+/// Refuse a replay of more threads than the flat tables' packed owner
+/// field can name as cores (see [`MAX_CORES`]).
+fn check_cores(cores: usize) -> Result<(), EngineError> {
+    if cores > MAX_CORES {
+        return Err(EngineError::TooManyCores { cores, limit: MAX_CORES });
+    }
+    Ok(())
 }
 
 /// The statistics of a replay with no crash plan armed.
@@ -817,7 +833,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 // The feed interned new lines: the id-indexed tables grow
                 // while existing entries keep their state — growth never
                 // bumps an epoch (see [`FlatTables::grow`] for why that is
-                // sound).
+                // sound). They grow by at least an eighth at a time, so a
+                // call after every refill copies each entry a bounded
+                // number of times.
                 self.tables.grow(feed.interner().len());
                 budget = self.cfg.effective_step_budget(feed.fetched());
             }
@@ -2164,6 +2182,44 @@ mod tests {
     fn try_simulate_rejects_empty_trace_set() {
         let cfg = MachineConfig::machine_a();
         assert_eq!(try_simulate(&cfg, &TraceSet::default()), Err(EngineError::EmptyTraceSet));
+    }
+
+    /// `cores` threads that pass dirty lines between high core ids: each
+    /// writes a shared line and a private one, then reads a neighbour's.
+    fn many_core_threads(cores: usize) -> Vec<ThreadTrace> {
+        (0..cores as u64)
+            .map(|c| {
+                trace_of(|t| {
+                    t.write((c % 4) * 64, 8);
+                    t.write(0x10_000 + c * 64, 8);
+                    t.read(((c + 1) % 4) * 64, 8);
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replays_at_most_max_cores_threads() {
+        let cfg = MachineConfig::machine_a();
+        // At the limit every core id fits the packed owner field: the
+        // flat tables agree with the address-keyed reference.
+        let threads = many_core_threads(MAX_CORES);
+        let flat = try_simulate_threads(&cfg, &threads).expect("MAX_CORES threads replay");
+        assert_eq!(Ok(flat), try_simulate_threads_reference(&cfg, &threads));
+
+        let threads = many_core_threads(MAX_CORES + 1);
+        let too_many = Err(EngineError::TooManyCores { cores: MAX_CORES + 1, limit: MAX_CORES });
+        assert_eq!(try_simulate_threads(&cfg, &threads), too_many);
+        assert_eq!(try_simulate_threads_reference(&cfg, &threads), too_many);
+        let mut src = simcore::SliceSource::new(&threads);
+        assert_eq!(try_simulate_stream(&cfg, &mut src).map(|r| r.stats), too_many);
+        let traces = TraceSet::new(threads);
+        let crashed = Machine::new(cfg.clone()).try_run_until_crash(&traces, CrashPlan::AtStep(1));
+        assert_eq!(crashed.map(|_| ()), too_many.map(|_: RunStats| ()));
+        let msg = std::panic::catch_unwind(move || simulate(&cfg, &traces))
+            .expect_err("the panicking entry point refuses too many threads");
+        let msg = msg.downcast_ref::<String>().expect("panic payload is a String");
+        assert!(msg.contains("too many cores"), "{msg}");
     }
 
     #[test]

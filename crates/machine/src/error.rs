@@ -24,6 +24,15 @@ pub type BlockedAcquire = (CoreId, Addr, u64);
 pub enum EngineError {
     /// The trace set has no threads; there is nothing to replay.
     EmptyTraceSet,
+    /// The trace set has more threads than the engine can name as cores:
+    /// each thread replays on its own core, and the per-line dirty-owner
+    /// field holds [`crate::MAX_CORES`] core ids.
+    TooManyCores {
+        /// Threads in the trace set (one core each).
+        cores: usize,
+        /// The most cores a replay may have.
+        limit: usize,
+    },
     /// The trace set failed static validation (zero-size or implausibly
     /// large accesses, acquires of release #0).
     MalformedTrace(ValidateError),
@@ -100,6 +109,11 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::EmptyTraceSet => write!(f, "empty trace set: nothing to replay"),
+            EngineError::TooManyCores { cores, limit } => write!(
+                f,
+                "too many cores: the trace set has {cores} threads, but a replay \
+                 holds at most {limit} cores"
+            ),
             EngineError::MalformedTrace(e) => write!(f, "malformed trace: {e}"),
             EngineError::AcquireUnsatisfiable { core, index, line, seq, available } => write!(
                 f,
@@ -200,6 +214,13 @@ mod tests {
         assert!(msg.contains("budget 1000"), "{msg}");
         assert!(msg.contains("15/20"), "{msg}");
         assert!(msg.contains("core 0"), "{msg}");
+    }
+
+    #[test]
+    fn too_many_cores_display_names_count_and_limit() {
+        let msg = EngineError::TooManyCores { cores: 300, limit: 256 }.to_string();
+        assert!(msg.contains("300 threads"), "{msg}");
+        assert!(msg.contains("at most 256 cores"), "{msg}");
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub use engine::{
 };
 pub use error::{BlockedAcquire, EngineError};
 pub use simcore::faultinject::CrashPlan;
+pub use tables::MAX_CORES;
 pub use stats::{
     ts_channel, CoreStats, RunStats, SiteCounters, SiteScore, TsWindow, TS_CAPACITY, TS_CHANNELS,
 };

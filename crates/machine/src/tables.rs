@@ -1,10 +1,11 @@
 //! Per-line engine state: flat id-indexed tables vs. the hashed reference.
 //!
-//! The replay engine keeps five pieces of per-line bookkeeping (dirty-line
+//! The replay engine keeps six pieces of per-line bookkeeping (dirty-line
 //! ownership, in-flight writebacks, in-flight non-temporal stores,
-//! release sequencing, and per-function cycle attribution). Historically
-//! each was an `FxHashMap` consulted on every replayed event — the hot
-//! loop re-hashed the same line addresses millions of times.
+//! release sequencing, first-dirty site tags, and per-function cycle
+//! attribution). Historically each was an `FxHashMap` consulted on every
+//! replayed event — the hot loop re-hashed the same line addresses
+//! millions of times.
 //!
 //! [`LineTables`] abstracts that state behind the two implementations this
 //! module provides:
@@ -96,16 +97,26 @@ pub trait LineTables {
     fn recycle(self, wc_buf: Vec<WcFlush>, residual: Vec<Addr>, sites: SiteTable<SITE_COLS>);
 }
 
-/// The always-touched half of a line's state: an epoch stamp plus a packed
-/// flags-and-owner word. 8 bytes per line, so eight lines of state share
-/// one hardware cache line — this is the table every per-line lookup hits,
+/// The always-touched part of a line's state: an epoch stamp plus a packed
+/// flags word. 8 bytes per line, so eight lines of state share one
+/// hardware cache line — this is the table every per-line lookup hits,
 /// and on footprint-sized traces its density is what decides whether the
 /// flat path beats hashing.
 ///
-/// A stale `epoch` means the whole entry (hot and cold) is logically
-/// absent. Within the current epoch, bits [`OWNER`] | [`WB`] | [`NT`] |
-/// [`REL`] of `flags` say which concerns are present; the owning core is
-/// packed into `flags >> OWNER_SHIFT`.
+/// A stale `epoch` means the whole entry (and its side-table rows) is
+/// logically absent. Within the current epoch, `flags` packs:
+///
+/// | bits  | field |
+/// |-------|-------|
+/// | 0–4   | presence: [`OWNER`], [`WB`], [`NT`], [`REL`], [`DIRT`] |
+/// | 8–15  | the owning core, valid under [`OWNER`] ([`MAX_CORES`] ids) |
+/// | 16–31 | the first-dirty [`FuncId`], valid under [`DIRT`] |
+///
+/// A field whose presence bit is clear is zero, so a line carries live
+/// state exactly when its current-epoch flags word is nonzero — except
+/// that a cleared owner keeps its core id: the epoch-validity sweep's
+/// count is a gated telemetry figure, and zeroing the id would move it.
+///
 /// `repr(C)` so the epoch-validity sweep ([`FlatTables::live_lines`]) can
 /// view the hot table as `[epoch, flags]` pairs for the vectorized scan.
 #[derive(Debug, Clone, Copy, Default)]
@@ -113,19 +124,6 @@ pub trait LineTables {
 struct HotEntry {
     epoch: u32,
     flags: u32,
-}
-
-/// The rarely-present half of a line's state: in-flight writeback and
-/// NT-store completion times and the release count/time. Only read when
-/// the matching [`HotEntry`] flag bit is set, and always fully written on
-/// set, so it needs no epoch of its own — replay paths that never clean,
-/// NT-store or release (the common case) never touch this table at all.
-#[derive(Debug, Clone, Copy, Default)]
-struct ColdEntry {
-    wb_done: Cycles,
-    nt_done: Cycles,
-    rel_when: Cycles,
-    rel_count: u32,
 }
 
 /// [`HotEntry::flags`] bit: a core owns the line dirty.
@@ -138,36 +136,59 @@ const NT: u32 = 1 << 2;
 const REL: u32 = 1 << 3;
 /// [`HotEntry::flags`] bit: the line carries a first-dirty site tag.
 const DIRT: u32 = 1 << 4;
-/// The owning core lives in `flags >> OWNER_SHIFT` (24 bits of core id).
+/// The owning core lives in `flags` bits 8–15.
 const OWNER_SHIFT: u32 = 8;
+const OWNER_BITS: u32 = 8;
+const OWNER_MASK: u32 = ((1 << OWNER_BITS) - 1) << OWNER_SHIFT;
+/// The first-dirty site lives in `flags` bits 16–31 (a whole [`FuncId`],
+/// [`FuncId::UNKNOWN`] included).
+const SITE_SHIFT: u32 = 16;
+const SITE_MASK: u32 = (u16::MAX as u32) << SITE_SHIFT;
 
-/// First-dirty attribution tag: which trace site dirtied the line and at
-/// which replay step. Lives in its own lazily-sized table (like the cold
-/// timestamps) gated by the [`DIRT`] flag, and is always fully written
-/// before the flag is set, so it needs no epoch of its own.
-#[derive(Debug, Clone, Copy)]
-struct DirtEntry {
-    site: FuncId,
-    step: u64,
+/// The most cores a replay may have: the packed owner field names core
+/// ids `0..MAX_CORES`. Every replay entry point refuses a trace set with
+/// more threads as [`crate::EngineError::TooManyCores`].
+pub const MAX_CORES: usize = 1 << OWNER_BITS;
+
+/// A line's write lifetime: the completion time of the writeback a
+/// `clean` started (valid under [`WB`]) and the replay step that first
+/// dirtied it (valid under [`DIRT`]). One 16-byte row, so a write → clean
+/// lifetime touches two per-line host lines — this one and the hot entry.
+/// Each field is fully written before its flag bit is set, so the row
+/// needs no epoch of its own; replays that never write never size it.
+#[derive(Debug, Clone, Copy, Default)]
+struct LifeEntry {
+    wb_done: Cycles,
+    dirt_step: u64,
 }
 
-impl Default for DirtEntry {
-    fn default() -> Self {
-        Self { site: FuncId::UNKNOWN, step: 0 }
-    }
+/// A line's release sequencing, valid under [`REL`]: how many releases,
+/// and when the latest happened. Only traces with atomics size this table.
+#[derive(Debug, Clone, Copy, Default)]
+struct RelEntry {
+    when: Cycles,
+    count: u32,
 }
 
 /// Dense, epoch-stamped per-line state tables (the production path).
+///
+/// The hot table covers every interned line; the side tables (`life`,
+/// `nt`, `rel`) are gated by [`HotEntry`] flag bits and sized to the hot
+/// table's length by their first setter, so a trace that never writes,
+/// NT-stores or releases never allocates the matching table. A `clean`
+/// write workload holds 8 + 16 = 24 bytes per line, a read-only one 8.
 #[derive(Debug, Default)]
 pub struct FlatTables {
     epoch: u32,
-    /// Per line id: presence flags + owner (hot: touched by every lookup).
+    /// Per line id: epoch + packed flags, owner and site (touched by
+    /// every lookup).
     hot: Vec<HotEntry>,
-    /// Per line id: timestamps gated by `hot` flags (cold: rare concerns).
-    cold: Vec<ColdEntry>,
-    /// Per line id: first-dirty site tags gated by the [`DIRT`] flag
-    /// (lazily sized like `cold`).
-    dirt: Vec<DirtEntry>,
+    /// Per line id: writeback completion and first-dirty step.
+    life: Vec<LifeEntry>,
+    /// Per line id: in-flight NT-store completion times, under [`NT`].
+    nt: Vec<Cycles>,
+    /// Per line id: release count and time.
+    rel: Vec<RelEntry>,
     /// Per function index: cycles attributed this run.
     func: Vec<Cycles>,
     /// Functions with a non-zero entry in `func` (for O(touched) drain).
@@ -177,6 +198,27 @@ pub struct FlatTables {
     unknown: Cycles,
 }
 
+/// Extend `v` to `len` default entries, allocating exactly `len`: callers
+/// choose their own slack, so `Vec`'s doubling must not add more.
+#[cold]
+fn extend_exact<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.reserve_exact(len - v.len());
+        v.resize(len, T::default());
+    }
+}
+
+/// `table[id]`, first sizing a lazily-allocated side table to `hot_len`
+/// (the hot table's length, which always covers `id`).
+#[inline]
+fn side_mut<T: Copy + Default>(table: &mut Vec<T>, hot_len: usize, id: LineId) -> &mut T {
+    let idx = id.index();
+    if idx >= table.len() {
+        extend_exact(table, hot_len);
+    }
+    &mut table[idx]
+}
+
 impl FlatTables {
     /// Prepare the tables for a run over `lines` interned lines. All
     /// per-line entries become logically absent in O(1) via an epoch bump;
@@ -184,24 +226,32 @@ impl FlatTables {
     /// [`LineTables::take_func_cycles`] at the end of each run.
     pub(crate) fn reset(&mut self, lines: usize) {
         crate::probes::TABLE_EPOCHS.inc();
-        if self.hot.len() < lines {
-            self.hot.resize(lines, HotEntry::default());
-            // `cold` is sized lazily by the first wb/nt/release setter:
-            // replays that never clean, NT-store or release (most figure
-            // workloads) skip faulting in the whole cold table.
-        }
+        self.cover(lines);
         self.epoch = match self.epoch.checked_add(1) {
             Some(e) => e,
             None => {
                 // Epoch wrap: pay one O(lines) re-zero and restart. A
                 // stale stamp could otherwise collide with the new epoch.
-                // (The cold table is flag-gated, so it needs no re-zero.)
+                // (The side tables are flag-gated, so they need no re-zero.)
                 crate::probes::TABLE_EPOCH_WRAPS.inc();
                 self.hot.iter_mut().for_each(|e| *e = HotEntry::default());
                 1
             }
         };
         debug_assert!(self.func_touched.is_empty() && self.unknown == 0, "undrained run");
+    }
+
+    /// Make the hot table cover `lines` ids. It grows geometrically by an
+    /// eighth (or straight to `lines` if that is further), never by `Vec`
+    /// doubling: a streaming replay calls this after every refill, so
+    /// exact growth would copy quadratically, and doubling would leave up
+    /// to half the table as slack. The side tables follow the hot table's
+    /// length when their setters next reach past their end.
+    fn cover(&mut self, lines: usize) {
+        let len = self.hot.len();
+        if len < lines {
+            extend_exact(&mut self.hot, lines.max(len + len / 8));
+        }
     }
 
     /// The current-epoch flags for `id` (0 = entry absent).
@@ -245,44 +295,22 @@ impl FlatTables {
         };
         simcore::simd::count_live_pairs(pairs, self.epoch)
     }
-
-    /// The cold entry for `id`, growing the table on first use. Cold state
-    /// is always fully written before its flag bit is set, so the getters
-    /// (which are flag-gated) can index unconditionally.
-    #[inline]
-    fn cold_mut(&mut self, id: LineId) -> &mut ColdEntry {
-        let idx = id.index();
-        if idx >= self.cold.len() {
-            self.cold.resize(self.hot.len().max(idx + 1), ColdEntry::default());
-        }
-        &mut self.cold[idx]
-    }
-
-    /// The dirt entry for `id`, growing the table on first use (same
-    /// full-write-before-flag discipline as [`FlatTables::cold_mut`]).
-    #[inline]
-    fn dirt_mut(&mut self, id: LineId) -> &mut DirtEntry {
-        let idx = id.index();
-        if idx >= self.dirt.len() {
-            self.dirt.resize(self.hot.len().max(idx + 1), DirtEntry::default());
-        }
-        &mut self.dirt[idx]
-    }
 }
 
 impl LineTables for FlatTables {
     #[inline]
     fn owner_get(&self, id: LineId, _line: Addr) -> Option<CoreId> {
         let f = self.flags(id);
-        (f & OWNER != 0).then_some((f >> OWNER_SHIFT) as CoreId)
+        (f & OWNER != 0).then_some(((f & OWNER_MASK) >> OWNER_SHIFT) as CoreId)
     }
 
     #[inline]
     fn owner_set(&mut self, id: LineId, _line: Addr, cid: CoreId) {
-        debug_assert!(cid < (1 << (32 - OWNER_SHIFT)), "core id overflows packed owner");
+        // The replay entry points refuse more than `MAX_CORES` threads;
+        // the mask keeps a stray id out of the neighbouring site field.
+        debug_assert!(cid < MAX_CORES, "core id overflows packed owner");
         let f = self.flags_mut(id);
-        // Replace the packed owner, keep the other presence bits.
-        *f = (*f & ((1 << OWNER_SHIFT) - 1)) | OWNER | ((cid as u32) << OWNER_SHIFT);
+        *f = (*f & !OWNER_MASK) | OWNER | (((cid as u32) << OWNER_SHIFT) & OWNER_MASK);
     }
 
     #[inline]
@@ -294,15 +322,15 @@ impl LineTables for FlatTables {
 
     #[inline]
     fn wb_get(&self, id: LineId, _line: Addr) -> Option<Cycles> {
-        // `then` (not `then_some`): the cold table is only touched when the
-        // flag says the state exists.
-        (self.flags(id) & WB != 0).then(|| self.cold[id.index()].wb_done)
+        // `then` (not `then_some`): the side table is only touched when
+        // the flag says the state exists.
+        (self.flags(id) & WB != 0).then(|| self.life[id.index()].wb_done)
     }
 
     #[inline]
     fn wb_set(&mut self, id: LineId, _line: Addr, done: Cycles) {
         *self.flags_mut(id) |= WB;
-        self.cold_mut(id).wb_done = done;
+        side_mut(&mut self.life, self.hot.len(), id).wb_done = done;
     }
 
     #[inline]
@@ -312,13 +340,13 @@ impl LineTables for FlatTables {
 
     #[inline]
     fn nt_get(&self, id: LineId, _line: Addr) -> Option<Cycles> {
-        (self.flags(id) & NT != 0).then(|| self.cold[id.index()].nt_done)
+        (self.flags(id) & NT != 0).then(|| self.nt[id.index()])
     }
 
     #[inline]
     fn nt_set(&mut self, id: LineId, _line: Addr, done: Cycles) {
         *self.flags_mut(id) |= NT;
-        self.cold_mut(id).nt_done = done;
+        *side_mut(&mut self.nt, self.hot.len(), id) = done;
     }
 
     #[inline]
@@ -329,8 +357,8 @@ impl LineTables for FlatTables {
     #[inline]
     fn release_get(&self, id: LineId, _line: Addr) -> Option<(u32, Cycles)> {
         (self.flags(id) & REL != 0).then(|| {
-            let c = &self.cold[id.index()];
-            (c.rel_count, c.rel_when)
+            let r = &self.rel[id.index()];
+            (r.count, r.when)
         })
     }
 
@@ -339,17 +367,15 @@ impl LineTables for FlatTables {
         let f = self.flags_mut(id);
         let first = *f & REL == 0;
         *f |= REL;
-        let c = self.cold_mut(id);
-        c.rel_count = if first { 1 } else { c.rel_count + 1 };
-        c.rel_when = now;
+        let r = side_mut(&mut self.rel, self.hot.len(), id);
+        r.count = if first { 1 } else { r.count + 1 };
+        r.when = now;
     }
 
     #[inline]
     fn release_restore(&mut self, id: LineId, _line: Addr, count: u32) {
         *self.flags_mut(id) |= REL;
-        let c = self.cold_mut(id);
-        c.rel_count = count;
-        c.rel_when = 0;
+        *side_mut(&mut self.rel, self.hot.len(), id) = RelEntry { when: 0, count };
     }
 
     #[inline]
@@ -358,20 +384,23 @@ impl LineTables for FlatTables {
         if *f & DIRT != 0 {
             return; // first-dirty wins
         }
-        *f |= DIRT;
-        *self.dirt_mut(id) = DirtEntry { site, step };
+        // An untagged line's site bits are zero (`dirt_take` clears them).
+        *f |= DIRT | (u32::from(site.0) << SITE_SHIFT);
+        side_mut(&mut self.life, self.hot.len(), id).dirt_step = step;
     }
 
     #[inline]
     fn dirt_take(&mut self, id: LineId, _line: Addr) -> Option<(FuncId, u64)> {
         // The branchless re-stamp folds the epoch check into a mask, so
         // the only remaining branch is on the DIRT bit itself (which gates
-        // the lazily-sized dirt table, so it cannot be removed).
+        // the lazily-sized life table, so it cannot be removed).
         let f = self.flags_mut(id);
         if *f & DIRT != 0 {
-            *f &= !DIRT;
-            let d = self.dirt[id.index()];
-            Some((d.site, d.step))
+            let site = FuncId((*f >> SITE_SHIFT) as u16);
+            // Zero the site with its bit: an untagged line's flags word
+            // reads as it did before the site moved into it.
+            *f &= !(DIRT | SITE_MASK);
+            Some((site, self.life[id.index()].dirt_step))
         } else {
             None
         }
@@ -385,11 +414,9 @@ impl LineTables for FlatTables {
     fn grow(&mut self, lines: usize) {
         // New entries carry epoch 0, which never matches the current epoch
         // (≥ 1 after any `reset`), so they read as logically absent — no
-        // epoch bump, existing entries keep their state. `cold` and `dirt`
-        // stay lazily sized by their accessors.
-        if self.hot.len() < lines {
-            self.hot.resize(lines, HotEntry::default());
-        }
+        // epoch bump, existing entries keep their state. The side tables
+        // stay lazily sized by their setters.
+        self.cover(lines);
     }
 
     #[inline]
@@ -553,7 +580,241 @@ pub(crate) fn put_scratch(scratch: EngineScratch) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simcore::LineInterner;
+
+    /// One [`LineTables`] operation. Line operands are raw draws, resolved
+    /// modulo the lines covered so far, so the same op stays valid as the
+    /// id space grows.
+    #[derive(Debug, Clone, Copy)]
+    enum TableOp {
+        OwnerSet(u32, CoreId),
+        OwnerClear(u32),
+        WbSet(u32, Cycles),
+        WbClear(u32),
+        NtSet(u32, Cycles),
+        NtClear(u32),
+        ReleaseBump(u32, Cycles),
+        ReleaseRestore(u32, u32),
+        DirtMark(u32, u16, u64),
+        DirtTake(u32),
+        FuncAdd(u16, Cycles),
+        /// Drain the per-function cycles, then start a new run.
+        Reset,
+        /// Intern this many more lines mid-run.
+        Grow(u32),
+    }
+
+    /// Core ids up to the limit, its edges drawn often.
+    fn any_core() -> impl Strategy<Value = CoreId> {
+        prop_oneof![Just(0), Just(MAX_CORES - 1), 0..MAX_CORES]
+    }
+
+    /// Sites with the packed field's edge values drawn often: 0, the
+    /// highest registrable id and the UNKNOWN sentinel (all ones).
+    fn any_site() -> impl Strategy<Value = u16> {
+        prop_oneof![Just(0), Just(u16::MAX - 1), Just(FuncId::UNKNOWN.0), any::<u16>()]
+    }
+
+    fn any_table_op() -> impl Strategy<Value = TableOp> {
+        let line = || any::<u32>();
+        prop_oneof![
+            (line(), any_core()).prop_map(|(l, c)| TableOp::OwnerSet(l, c)),
+            line().prop_map(TableOp::OwnerClear),
+            (line(), any::<u64>()).prop_map(|(l, t)| TableOp::WbSet(l, t)),
+            line().prop_map(TableOp::WbClear),
+            (line(), any::<u64>()).prop_map(|(l, t)| TableOp::NtSet(l, t)),
+            line().prop_map(TableOp::NtClear),
+            (line(), any::<u64>()).prop_map(|(l, t)| TableOp::ReleaseBump(l, t)),
+            (line(), 0u32..1000).prop_map(|(l, n)| TableOp::ReleaseRestore(l, n)),
+            (line(), any_site(), any::<u64>()).prop_map(|(l, f, s)| TableOp::DirtMark(l, f, s)),
+            line().prop_map(TableOp::DirtTake),
+            (any_site(), 1u64..1000).prop_map(|(f, c)| TableOp::FuncAdd(f, c)),
+            Just(TableOp::Reset),
+            (1u32..40).prop_map(TableOp::Grow),
+        ]
+    }
+
+    /// The id and address of raw line draw `l` among `lines` covered ones.
+    fn at(l: u32, lines: u32) -> (LineId, Addr) {
+        (LineId(l % lines), u64::from(l % lines) * 64)
+    }
+
+    /// A line's owner, writeback, NT store and release state.
+    type LineState = (Option<CoreId>, Option<Cycles>, Option<Cycles>, Option<(u32, Cycles)>);
+
+    /// Everything `t` answers about line `l` without changing it.
+    fn peek(t: &impl LineTables, l: u32, lines: u32) -> LineState {
+        let (id, a) = at(l, lines);
+        (t.owner_get(id, a), t.wb_get(id, a), t.nt_get(id, a), t.release_get(id, a))
+    }
+
+    /// One implementation's per-function cycles, drained and sorted.
+    fn drain_funcs(t: &mut impl LineTables) -> Vec<(FuncId, Cycles)> {
+        let mut v = t.take_func_cycles();
+        v.sort_unstable();
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random interleavings of every op, epoch resets and mid-run
+        /// growth included: the flat tables answer exactly like the
+        /// address-keyed reference after every op, on every covered line.
+        #[test]
+        fn flat_tables_match_hash_tables_under_random_ops(
+            first in 1u32..16,
+            ops in proptest::collection::vec(any_table_op(), 1..300),
+        ) {
+            let mut lines = first;
+            let mut flat = FlatTables::default();
+            flat.reset(lines as usize);
+            let mut hash = HashTables::default();
+            for op in ops {
+                match op {
+                    TableOp::OwnerSet(l, c) => {
+                        let (id, a) = at(l, lines);
+                        flat.owner_set(id, a, c);
+                        hash.owner_set(id, a, c);
+                    }
+                    TableOp::OwnerClear(l) => {
+                        let (id, a) = at(l, lines);
+                        flat.owner_clear(id, a);
+                        hash.owner_clear(id, a);
+                    }
+                    TableOp::WbSet(l, t) => {
+                        let (id, a) = at(l, lines);
+                        flat.wb_set(id, a, t);
+                        hash.wb_set(id, a, t);
+                    }
+                    TableOp::WbClear(l) => {
+                        let (id, a) = at(l, lines);
+                        flat.wb_clear(id, a);
+                        hash.wb_clear(id, a);
+                    }
+                    TableOp::NtSet(l, t) => {
+                        let (id, a) = at(l, lines);
+                        flat.nt_set(id, a, t);
+                        hash.nt_set(id, a, t);
+                    }
+                    TableOp::NtClear(l) => {
+                        let (id, a) = at(l, lines);
+                        flat.nt_clear(id, a);
+                        hash.nt_clear(id, a);
+                    }
+                    TableOp::ReleaseBump(l, t) => {
+                        let (id, a) = at(l, lines);
+                        flat.release_bump(id, a, t);
+                        hash.release_bump(id, a, t);
+                    }
+                    TableOp::ReleaseRestore(l, n) => {
+                        let (id, a) = at(l, lines);
+                        flat.release_restore(id, a, n);
+                        hash.release_restore(id, a, n);
+                    }
+                    TableOp::DirtMark(l, f, s) => {
+                        let (id, a) = at(l, lines);
+                        flat.dirt_mark(id, a, FuncId(f), s);
+                        hash.dirt_mark(id, a, FuncId(f), s);
+                    }
+                    TableOp::DirtTake(l) => {
+                        let (id, a) = at(l, lines);
+                        prop_assert_eq!(flat.dirt_take(id, a), hash.dirt_take(id, a));
+                    }
+                    TableOp::FuncAdd(f, c) => {
+                        flat.func_add(FuncId(f), c);
+                        hash.func_add(FuncId(f), c);
+                    }
+                    TableOp::Reset => {
+                        prop_assert_eq!(drain_funcs(&mut flat), drain_funcs(&mut hash));
+                        flat.reset(lines as usize);
+                        hash = HashTables::default();
+                    }
+                    TableOp::Grow(n) => {
+                        lines += n;
+                        flat.grow(lines as usize);
+                    }
+                }
+                for l in 0..lines {
+                    let (f, h) = (peek(&flat, l, lines), peek(&hash, l, lines));
+                    prop_assert_eq!(f, h, "line {l} after {op:?}");
+                }
+            }
+            // The tags left standing, and the attribution, agree too.
+            for l in 0..lines {
+                let (id, a) = at(l, lines);
+                prop_assert_eq!(flat.dirt_take(id, a), hash.dirt_take(id, a), "dirt of {l}");
+            }
+            prop_assert_eq!(drain_funcs(&mut flat), drain_funcs(&mut hash));
+        }
+    }
+
+    /// Heap bytes `flat` holds: capacity × element size, summed over
+    /// every table.
+    fn heap_bytes(flat: &FlatTables) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&flat.hot)
+            + bytes(&flat.life)
+            + bytes(&flat.nt)
+            + bytes(&flat.rel)
+            + bytes(&flat.func)
+            + bytes(&flat.func_touched)
+    }
+
+    /// The per-line budget: a `clean`-mode KV stream pays the hot entry
+    /// and the write-lifetime row (8 + 16 B per line), a read-only one only
+    /// the hot entry; growth adds at most an eighth on top.
+    #[test]
+    fn kv_replay_fits_the_per_line_budget() {
+        use prestore::PrestoreMode;
+        use workloads::kv::{serving, KvServingSource, ServingParams};
+        let cfg = crate::MachineConfig::machine_a();
+        for (read_fraction, budget) in [(0.9, 27), (1.0, 9)] {
+            let params = ServingParams {
+                read_fraction,
+                ..ServingParams::new(12_500, 200_000, 2, PrestoreMode::Clean)
+            };
+            let mut src = KvServingSource::new(params);
+            let threads = serving::materialize(&mut src, 4096);
+            let lines = simcore::trace::validate_and_intern(&threads, cfg.line_size)
+                .expect("the KV stream is valid")
+                .interner()
+                .len();
+            // Small refills: the tables grow across ~25 of them per thread.
+            put_scratch(EngineScratch::default());
+            let opts = crate::StreamOptions { chunk_events: 4096 };
+            crate::try_simulate_stream_opts(&cfg, &mut src, opts).expect("the KV stream replays");
+            let flat = take_scratch().flat;
+            let bytes = heap_bytes(&flat);
+            assert!(
+                bytes <= budget * lines,
+                "read fraction {read_fraction}: {bytes} B of line state for {lines} lines"
+            );
+            let rare = (flat.nt.capacity(), flat.rel.capacity());
+            assert_eq!(rare, (0, 0), "no NT stores or atomics, no NT or release table");
+        }
+    }
+
+    #[test]
+    fn growth_is_geometric_by_an_eighth() {
+        let mut flat = FlatTables::default();
+        flat.reset(0);
+        let mut reallocs = 0;
+        let mut cap = 0;
+        for lines in (1..=10_000).step_by(7) {
+            flat.grow(lines);
+            assert!(flat.hot.len() >= lines);
+            let now = flat.hot.capacity();
+            assert!(now <= lines + lines / 8, "{now} entries for {lines} lines");
+            reallocs += usize::from(now != cap);
+            cap = now;
+        }
+        // 1,429 calls; exact growth would reallocate on every one.
+        assert!(reallocs < 80, "{reallocs} reallocations");
+    }
 
     #[test]
     fn flat_tables_match_hash_tables() {

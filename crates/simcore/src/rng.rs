@@ -120,7 +120,8 @@ impl SimRng {
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
+    /// `uz` below this draws item 1: `1 + 0.5^theta`, computed once.
+    one_cut: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -139,7 +140,8 @@ impl Zipfian {
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        Self { n, theta, alpha, zetan, eta, zeta2 }
+        let one_cut = 1.0 + 0.5f64.powf(theta);
+        Self { n, one_cut, alpha, zetan, eta, zeta2 }
     }
 
     fn zeta(n: u64, theta: f64) -> f64 {
@@ -164,7 +166,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.one_cut {
             return 1;
         }
         let idx = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
