@@ -18,9 +18,8 @@
 //! trace sites cause the device's write-amplified media traffic and the
 //! cores' stall cycles (the paper's Table-3 view). `--trace-out FILE`
 //! additionally writes the run's telemetry spans as a Chrome Trace Event
-//! JSON timeline (Perfetto-loadable; empty without `--features
-//! telemetry`). Per-phase wall-clock timing goes to stderr so stdout stays
-//! pipeable.
+//! JSON timeline (Perfetto-loadable). Per-phase wall-clock timing goes to
+//! stderr so stdout stays pipeable.
 //!
 //! `--crash-at-fence N` / `--crash-at-step N` arm a simulated power
 //! failure (at the N-th fence, or the N-th scheduler step) on the Machine
@@ -121,8 +120,7 @@ fn usage() -> String {
          listing1 listing3 {}\n\
          \n\
          --trace-out FILE  write telemetry spans as Chrome Trace Event JSON\n\
-         \u{20}                  (load in https://ui.perfetto.dev; empty without\n\
-         \u{20}                  a --features telemetry build)\n\
+         \u{20}                  (load in https://ui.perfetto.dev)\n\
          --crash-at-fence N  simulate a power failure at the N-th fence of the\n\
          \u{20}                  Machine A replay, print the crash report, then\n\
          \u{20}                  recover and verify digest equivalence\n\
@@ -266,8 +264,7 @@ fn main() {
 
     let cfg = DirtBusterConfig { sample_interval, ..Default::default() };
 
-    // Record telemetry spans for --trace-out; both calls are no-ops
-    // without `--features telemetry`.
+    // Record telemetry spans for --trace-out.
     let recorder = TraceRecorder::new();
     if trace_out.is_some() {
         simcore::telemetry::set_span_observer(Some(Box::new(recorder.clone())));

@@ -3,8 +3,8 @@
 //! ```text
 //! figures [--quick] [--json] [--chart] [--jobs N] [--timing]
 //!         [--force-scalar] [--job-deadline SECS] [--baseline FILE]
-//!         [--metrics FILE] [--metrics-baseline FILE] [--metrics-fail-on-new]
-//!         [--trace-out FILE] [--report FILE] [--out DIR] [id ...]
+//!         [--metrics FILE] [--metrics-baseline FILE] [--trace-out FILE]
+//!         [--report FILE] [--out DIR] [id ...]
 //! ```
 //!
 //! With no ids, every experiment runs. Results are printed as text tables
@@ -32,27 +32,23 @@
 //! from quietly eroding.
 //!
 //! `--metrics FILE` writes a JSON snapshot of the telemetry registry
-//! (engine, runner and memo-cache counters plus span timings and histogram
-//! percentiles) covering the main pass, next to the other outputs. The
-//! snapshot is always written; the per-probe values are nonzero only when
-//! the binary was built with `--features telemetry`, and the flag never
-//! changes the experiment outputs either way (pinned by the
+//! (engine, device, runner and memo-cache counters plus span timings and
+//! histogram percentiles) covering the main pass, next to the other
+//! outputs; the flag never changes the experiment outputs (pinned by the
 //! `metrics_identity` test). `--metrics-baseline FILE` additionally diffs
-//! the snapshot against a committed one and fails (exit 2) on any
-//! deterministic counter or histogram-percentile drift beyond tolerance.
+//! the snapshot against a committed one and fails (exit 2) unless every
+//! deterministic counter and histogram statistic equals the baseline's
+//! and the snapshot has no deterministic name the baseline lacks.
 //!
 //! `--trace-out FILE` records every telemetry span of the main pass and
 //! writes a Chrome Trace Event JSON timeline — load it in
 //! <https://ui.perfetto.dev> to see experiments, replays and pool jobs on
-//! their thread lanes. Empty without `--features telemetry`.
+//! their thread lanes.
 //!
 //! `--report FILE` renders every regenerated figure as a self-contained
 //! HTML report (inline-SVG charts, no scripts or external assets) — the
 //! artifact CI uploads so a run's shapes can be eyeballed without
-//! checking out the branch. `--metrics-fail-on-new` hardens the
-//! `--metrics-baseline` gate: gated metrics present in the snapshot but
-//! absent from the baseline (normally informational `new_metrics`) also
-//! fail with exit 2, catching baselines that went stale.
+//! checking out the branch.
 //!
 //! Experiments run fail-soft: each one executes under
 //! [`ps_bench::runner::run_experiments_supervised`], so a panicking
@@ -107,19 +103,14 @@ fn usage() -> ! {
                with --timing: fail (exit 2) if this run's wall-clock is
                more than 20% slower than FILE's parallel_seconds
   --metrics FILE
-               write a telemetry snapshot (JSON) of the main pass; values
-               are nonzero only with a --features telemetry build
+               write a telemetry snapshot (JSON) of the main pass
   --metrics-baseline FILE
                diff the telemetry snapshot against a committed one; fail
-               (exit 2) on deterministic counter/percentile drift beyond
-               10% (no-op without a --features telemetry build)
+               (exit 2) unless every deterministic counter and histogram
+               statistic equals the baseline's
   --trace-out FILE
                write the main pass's telemetry spans as a Chrome Trace
-               Event JSON timeline (Perfetto-loadable; empty without a
-               --features telemetry build)
-  --metrics-fail-on-new
-               with --metrics-baseline: also fail (exit 2) when gated
-               metrics exist in the snapshot but not in the baseline
+               Event JSON timeline (Perfetto-loadable)
   --report FILE
                write every regenerated figure as a self-contained HTML
                report (inline SVG, no scripts)
@@ -157,7 +148,6 @@ fn main() {
     let baseline = flag_value("--baseline");
     let metrics = flag_value("--metrics");
     let metrics_baseline = flag_value("--metrics-baseline");
-    let metrics_fail_on_new = args.iter().any(|a| a == "--metrics-fail-on-new");
     let trace_out = flag_value("--trace-out");
     let report_out = flag_value("--report");
     if baseline.is_some() && !timing {
@@ -269,7 +259,7 @@ fn main() {
 
     // The --metrics/--trace-out snapshots cover the main pass only: drop
     // whatever the serial --timing pass accumulated and subscribe the span
-    // recorder. Both calls are no-ops without `--features telemetry`.
+    // recorder.
     let recorder = TraceRecorder::new();
     if metrics.is_some() || metrics_baseline.is_some() || trace_out.is_some() {
         simcore::telemetry::set_span_observer(Some(Box::new(recorder.clone())));
@@ -357,10 +347,7 @@ fn main() {
         if let Err(e) = std::fs::write(metrics_path, &metrics_report) {
             exit_io_error("write metrics snapshot", metrics_path, e);
         }
-        println!(
-            "metrics: telemetry {}; snapshot written to {metrics_path}",
-            if simcore::telemetry::enabled() { "enabled" } else { "compiled out" }
-        );
+        println!("metrics: snapshot written to {metrics_path}");
     }
     if let Some(trace_path) = &trace_out {
         if let Err(e) = std::fs::write(trace_path, recorder.render_chrome_trace()) {
@@ -372,56 +359,32 @@ fn main() {
         );
     }
     if let Some(baseline_path) = &metrics_baseline {
-        if !simcore::telemetry::enabled() {
-            println!("metrics baseline: telemetry compiled out, nothing to compare");
-        } else {
-            let text = match std::fs::read_to_string(baseline_path) {
-                Ok(t) => t,
-                Err(e) => exit_io_error("read metrics baseline", baseline_path, e),
-            };
-            match metricsjson::diff(&metrics_report, &text, metricsjson::DEFAULT_TOLERANCE) {
-                Err(e) => {
-                    eprintln!("cannot compare metrics baseline {baseline_path:?}: {e}");
-                    std::process::exit(1);
+        let text = match std::fs::read_to_string(baseline_path) {
+            Ok(t) => t,
+            Err(e) => exit_io_error("read metrics baseline", baseline_path, e),
+        };
+        match metricsjson::diff(&metrics_report, &text) {
+            Err(e) => {
+                eprintln!("cannot compare metrics baseline {baseline_path:?}: {e}");
+                std::process::exit(1);
+            }
+            Ok(report) if !report.regressions.is_empty() => {
+                eprintln!(
+                    "metrics regressions vs baseline {baseline_path} ({} issue(s), {} gated \
+                     values compared):",
+                    report.regressions.len(),
+                    report.compared
+                );
+                for r in &report.regressions {
+                    eprintln!("  {r}");
                 }
-                Ok(report)
-                    if !report.regressions.is_empty()
-                        || (metrics_fail_on_new && !report.new_metrics.is_empty()) =>
-                {
-                    eprintln!(
-                        "metrics regressions vs baseline {baseline_path} \
-                         ({} of {} gated values, {} new):",
-                        report.regressions.len(),
-                        report.compared,
-                        report.new_metrics.len()
-                    );
-                    for r in &report.regressions {
-                        eprintln!("  {r}");
-                    }
-                    for n in &report.new_metrics {
-                        eprintln!("  new (absent from baseline): {n}");
-                    }
-                    std::process::exit(2);
-                }
-                Ok(report) if !report.comparable => {
-                    println!(
-                        "metrics baseline: {baseline_path} was written without telemetry, \
-                         nothing to compare"
-                    );
-                }
-                Ok(report) => {
-                    println!(
-                        "metrics baseline: {} gated values within {:.0}% of {baseline_path}\
-                         {}",
-                        report.compared,
-                        metricsjson::DEFAULT_TOLERANCE * 100.0,
-                        if report.new_metrics.is_empty() {
-                            String::new()
-                        } else {
-                            format!(" ({} new, informational)", report.new_metrics.len())
-                        }
-                    );
-                }
+                std::process::exit(2);
+            }
+            Ok(report) => {
+                println!(
+                    "metrics baseline: {} gated values equal to {baseline_path}",
+                    report.compared
+                );
             }
         }
     }

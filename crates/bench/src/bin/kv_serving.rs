@@ -50,7 +50,7 @@
 
 use machine::{MachineConfig, RunStats, StreamOptions};
 use prestore::PrestoreMode;
-use simcore::telemetry::HistogramSample;
+use simcore::telemetry::Histogram;
 use workloads::kv::{serving, KvServingSource, ServingParams};
 
 /// Conservative per-event window cost: 24 B event + 4 B id-run offset +
@@ -163,7 +163,7 @@ fn parse_slo(specs: &str) -> Vec<SloBound> {
 }
 
 /// Look up a percentile by name on a histogram.
-fn percentile_of(h: &HistogramSample, pct: &str) -> u64 {
+fn percentile_of(h: &Histogram, pct: &str) -> u64 {
     match pct {
         "p50" => h.p50(),
         "p90" => h.p90(),

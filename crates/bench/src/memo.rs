@@ -132,18 +132,11 @@ static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 static DERIVED: AtomicU64 = AtomicU64::new(0);
 static DERIVE_NS: AtomicU64 = AtomicU64::new(0);
 
-/// Telemetry mirrors of the always-on atomics above, so `figures
-/// --metrics` reports the memo cache next to the engine and runner
-/// counters. No-ops unless simcore's `telemetry` feature is on.
+/// Span probes of the memo cache; its counters are the atomics above,
+/// which `figures --metrics` renders as the snapshot's `"memo"` object.
 mod probes {
     use simcore::telemetry::Metric;
 
-    pub(super) static LOOKUPS: Metric = Metric::counter("memo.lookups");
-    pub(super) static HITS: Metric = Metric::counter("memo.hits");
-    pub(super) static MISSES: Metric = Metric::counter("memo.misses");
-    pub(super) static INSERTS: Metric = Metric::counter("memo.inserts");
-    pub(super) static EVICTIONS: Metric = Metric::counter("memo.evictions");
-    pub(super) static DERIVED: Metric = Metric::counter("memo.derived");
     /// Time spent recording a missed key (workload run or derivation).
     pub(super) static RECORD: Metric = Metric::span("memo.record");
     /// Time spent rewriting baselines into mode variants.
@@ -217,7 +210,6 @@ pub fn clear() {
 /// loser's output is dropped (both are deterministic and identical).
 fn cached(key: String, record: impl FnOnce() -> WorkloadOutput) -> Arc<WorkloadOutput> {
     LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    probes::LOOKUPS.inc();
     {
         let mut guard = CACHE.lock().expect("memo cache poisoned");
         let inner = guard.get_or_insert_with(|| CacheInner {
@@ -227,12 +219,10 @@ fn cached(key: String, record: impl FnOnce() -> WorkloadOutput) -> Arc<WorkloadO
         });
         if let Some(out) = inner.map.get(&key) {
             HITS.fetch_add(1, Ordering::Relaxed);
-            probes::HITS.inc();
             return Arc::clone(out);
         }
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    probes::MISSES.inc();
     let out = {
         let _timed = simcore::telemetry::span(&probes::RECORD);
         Arc::new(record())
@@ -253,13 +243,11 @@ fn cached(key: String, record: impl FnOnce() -> WorkloadOutput) -> Arc<WorkloadO
     inner.map.insert(key.clone(), Arc::clone(&out));
     inner.order.push_back(key);
     INSERTS.fetch_add(1, Ordering::Relaxed);
-    probes::INSERTS.inc();
     while inner.events > CAPACITY.load(Ordering::Relaxed) && inner.order.len() > 1 {
         let oldest = inner.order.pop_front().expect("order tracks map");
         if let Some(evicted) = inner.map.remove(&oldest) {
             inner.events -= evicted.traces.total_events();
             EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            probes::EVICTIONS.inc();
         }
     }
     out
@@ -285,19 +273,16 @@ pub fn stream_cached(
     run: impl FnOnce() -> machine::StreamReport,
 ) -> Arc<machine::StreamReport> {
     LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    probes::LOOKUPS.inc();
     {
         let mut guard = STREAM_CACHE.lock().expect("stream memo cache poisoned");
         let inner = guard
             .get_or_insert_with(|| StreamInner { map: HashMap::new(), order: VecDeque::new() });
         if let Some(out) = inner.map.get(&key) {
             HITS.fetch_add(1, Ordering::Relaxed);
-            probes::HITS.inc();
             return Arc::clone(out);
         }
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    probes::MISSES.inc();
     let out = {
         let _timed = simcore::telemetry::span(&probes::RECORD);
         Arc::new(run())
@@ -313,12 +298,10 @@ pub fn stream_cached(
     inner.map.insert(key.clone(), Arc::clone(&out));
     inner.order.push_back(key);
     INSERTS.fetch_add(1, Ordering::Relaxed);
-    probes::INSERTS.inc();
     while inner.map.len() > STREAM_CAPACITY.load(Ordering::Relaxed).max(1) {
         let oldest = inner.order.pop_front().expect("order tracks map");
         if inner.map.remove(&oldest).is_some() {
             EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            probes::EVICTIONS.inc();
         }
     }
     out
@@ -346,19 +329,16 @@ pub fn plan_cached(
     run: impl FnOnce() -> Option<machine::RunStats>,
 ) -> Option<Arc<machine::RunStats>> {
     LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    probes::LOOKUPS.inc();
     {
         let mut guard = PLAN_CACHE.lock().expect("plan memo cache poisoned");
         let inner =
             guard.get_or_insert_with(|| PlanInner { map: HashMap::new(), order: VecDeque::new() });
         if let Some(out) = inner.map.get(&key) {
             HITS.fetch_add(1, Ordering::Relaxed);
-            probes::HITS.inc();
             return Some(Arc::clone(out));
         }
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
-    probes::MISSES.inc();
     let out = {
         let _timed = simcore::telemetry::span(&probes::RECORD);
         Arc::new(run()?)
@@ -374,12 +354,10 @@ pub fn plan_cached(
     inner.map.insert(key.clone(), Arc::clone(&out));
     inner.order.push_back(key);
     INSERTS.fetch_add(1, Ordering::Relaxed);
-    probes::INSERTS.inc();
     while inner.map.len() > PLAN_CAPACITY.load(Ordering::Relaxed).max(1) {
         let oldest = inner.order.pop_front().expect("order tracks map");
         if inner.map.remove(&oldest).is_some() {
             EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            probes::EVICTIONS.inc();
         }
     }
     Some(out)
@@ -414,7 +392,6 @@ fn derive_variant(
         "derivation plan matched no functions among {funcs:?}"
     );
     DERIVED.fetch_add(1, Ordering::Relaxed);
-    probes::DERIVED.inc();
     let start = std::time::Instant::now();
     let traces = {
         let _timed = simcore::telemetry::span(&probes::DERIVE);

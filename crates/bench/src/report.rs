@@ -7,7 +7,7 @@
 
 use crate::FigureResult;
 use machine::{ts_channel, RunStats, TsWindow};
-use simcore::telemetry::HistogramSample;
+use simcore::telemetry::Histogram;
 use simcore::FuncRegistry;
 
 /// Chart plot width in SVG user units.
@@ -116,7 +116,7 @@ impl Report {
     /// Add a tail-latency table: one row per request-class histogram with
     /// count, mean and the p50/p90/p99/p99.9 percentiles in simulated
     /// cycles, plus a merged `all` row when more than one class exists.
-    pub fn add_latency_table(&mut self, title: &str, classes: &[HistogramSample]) {
+    pub fn add_latency_table(&mut self, title: &str, classes: &[Histogram]) {
         let mut html = format!("<h2>{}</h2>\n", html_escape(title));
         if classes.iter().all(|h| h.count == 0) {
             html.push_str("<p class=\"note\">no classified requests</p>\n");
@@ -127,7 +127,7 @@ impl Report {
             "<table><tr><th>class</th><th>requests</th><th>mean</th>\
              <th>p50</th><th>p90</th><th>p99</th><th>p99.9</th><th>max</th></tr>\n",
         );
-        let mut all = HistogramSample::empty("all");
+        let mut all = Histogram::new("all");
         for h in classes {
             all.merge(h);
             html.push_str(&latency_row(h));
@@ -203,7 +203,7 @@ impl Report {
     }
 }
 
-fn latency_row(h: &HistogramSample) -> String {
+fn latency_row(h: &Histogram) -> String {
     format!(
         "<tr><td>{}</td><td class=\"num\">{}</td><td class=\"num\">{:.1}</td>\
          <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
@@ -385,8 +385,8 @@ mod tests {
 
     #[test]
     fn latency_table_lists_percentiles_and_merged_all_row() {
-        let mut hot = HistogramSample::empty("get_hot");
-        let mut cold = HistogramSample::empty("get_cold");
+        let mut hot = Histogram::new("get_hot");
+        let mut cold = Histogram::new("get_cold");
         for i in 1..=100 {
             hot.record(i);
             cold.record(i * 10);
@@ -403,7 +403,7 @@ mod tests {
     #[test]
     fn empty_latency_table_degrades_to_a_note() {
         let mut r = Report::new("t");
-        r.add_latency_table("Tail latency", &[HistogramSample::empty("op")]);
+        r.add_latency_table("Tail latency", &[Histogram::new("op")]);
         assert!(r.render().contains("no classified requests"));
     }
 

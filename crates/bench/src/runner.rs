@@ -9,8 +9,7 @@
 use crate::FigureResult;
 
 /// Experiment-level telemetry: how many figures were regenerated and how
-/// long each took end to end (sweep fan-out included). No-ops unless
-/// simcore's `telemetry` feature is on.
+/// long each took end to end (sweep fan-out included).
 mod probes {
     use simcore::telemetry::Metric;
 

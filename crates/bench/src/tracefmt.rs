@@ -7,9 +7,6 @@
 //! complete (`"ph": "X"`) event on the thread lane it ran on, so an
 //! experiment run opens as a swim-lane timeline: experiment spans on the
 //! outer level, replay and job spans nested inside them.
-//!
-//! With the `telemetry` feature compiled out no span ever fires; the
-//! recorder stays empty and renders a valid trace with zero events.
 
 use simcore::telemetry::{SpanObserver, SpanRecord};
 use std::sync::{Arc, Mutex};

@@ -3,10 +3,6 @@
 //! a document that (a) parses as JSON with the Chrome Trace Event shape,
 //! (b) is well-nested per thread lane, and (c) carries exactly the spans
 //! the telemetry registry counted.
-//!
-//! Feature-agnostic: without `--features telemetry` no span ever fires,
-//! the registry is empty, and the rendered trace is a valid document with
-//! zero events — all three assertions still hold.
 
 use ps_bench::jsonv::Json;
 use ps_bench::tracefmt::TraceRecorder;
@@ -103,11 +99,7 @@ fn trace_export_is_valid_nested_and_complete() {
             "trace span count for {name} diverges from the --metrics snapshot"
         );
     }
-    if simcore::telemetry::enabled() {
-        assert!(!recorder.is_empty(), "telemetry build must have recorded replay spans");
-    } else {
-        assert!(recorder.is_empty(), "no-op build must record nothing");
-    }
+    assert!(recorder.count_named("engine.replay") > 0, "no replay spans recorded");
 
     simcore::telemetry::reset();
     memo::clear();

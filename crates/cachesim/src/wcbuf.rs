@@ -7,19 +7,13 @@
 //! WC buffers (the bad case — a partial write that forces the device into a
 //! read-modify-write).
 
-use simcore::telemetry::{Histogram, Metric};
+use simcore::telemetry::{self, Histogram, Metric};
 use simcore::{align_down, Addr};
 use std::collections::VecDeque;
 
-/// Partial WC-buffer evictions under capacity pressure — each one forces
-/// the device into a read-modify-write, the bad case the module docs
-/// describe. No-op unless simcore's `telemetry` feature is on.
+/// Registry total of the buffers' partial evictions, fed by
+/// [`WriteCombiningBuffer::publish`].
 static PARTIAL_EVICTIONS: Metric = Metric::counter("wcbuf.partial_evictions");
-
-/// Distribution of bytes carried by each flush the buffer emits — a full
-/// spike at the line size means perfect write combining, mass below it
-/// means capacity evictions or fences draining half-filled buffers.
-static FLUSH_BYTES: Histogram = Histogram::new("wcbuf.flush_bytes");
 
 /// A flush emitted by the WC buffer towards the memory device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +51,14 @@ pub struct WriteCombiningBuffer {
     cap: usize,
     /// Open buffers: (line address, bytes filled), oldest first.
     open: VecDeque<(Addr, u64)>,
+    /// Partial evictions under capacity pressure — each one forces the
+    /// device into a read-modify-write, the bad case the module docs
+    /// describe.
+    partial_evictions: u64,
+    /// Bytes carried by each flush: a full spike at the line size means
+    /// perfect write combining, mass below it means capacity evictions or
+    /// fences draining half-filled buffers.
+    flush_bytes: Histogram,
 }
 
 impl WriteCombiningBuffer {
@@ -68,7 +70,13 @@ impl WriteCombiningBuffer {
     pub fn new(line_size: u64, cap: usize) -> Self {
         assert!(line_size.is_power_of_two(), "line size must be a power of two");
         assert!(cap > 0, "need at least one WC buffer");
-        Self { line_size, cap, open: VecDeque::new() }
+        Self {
+            line_size,
+            cap,
+            open: VecDeque::new(),
+            partial_evictions: 0,
+            flush_bytes: Histogram::new("wcbuf.flush_bytes"),
+        }
     }
 
     /// Record a non-temporal store of `len` bytes at `addr`.
@@ -108,22 +116,22 @@ impl WriteCombiningBuffer {
             };
             if filled >= self.line_size {
                 self.open.remove(pos);
-                FLUSH_BYTES.record(self.line_size);
+                self.flush_bytes.record(self.line_size);
                 flushes.push(WcFlush::Full(line));
             }
             return;
         }
         if bytes >= self.line_size {
             // A full-line store writes through immediately.
-            FLUSH_BYTES.record(self.line_size);
+            self.flush_bytes.record(self.line_size);
             flushes.push(WcFlush::Full(line));
             return;
         }
         if self.open.len() >= self.cap {
             // Out of buffers: evict the oldest, partially filled.
             let (l, filled) = self.open.pop_front().expect("cap > 0");
-            PARTIAL_EVICTIONS.inc();
-            FLUSH_BYTES.record(filled);
+            self.partial_evictions += 1;
+            self.flush_bytes.record(filled);
             flushes.push(WcFlush::Partial(l, filled));
         }
         self.open.push_back((line, bytes));
@@ -140,12 +148,14 @@ impl WriteCombiningBuffer {
     /// (appended, not cleared). Buffers flush oldest-first.
     #[inline]
     pub fn flush_all_into(&mut self, out: &mut Vec<WcFlush>) {
+        let line_size = self.line_size;
+        let flush_bytes = &mut self.flush_bytes;
         out.extend(self.open.drain(..).map(|(l, filled)| {
-            if filled >= self.line_size {
-                FLUSH_BYTES.record(self.line_size);
+            if filled >= line_size {
+                flush_bytes.record(line_size);
                 WcFlush::Full(l)
             } else {
-                FLUSH_BYTES.record(filled);
+                flush_bytes.record(filled);
                 WcFlush::Partial(l, filled)
             }
         }));
@@ -154,6 +164,16 @@ impl WriteCombiningBuffer {
     /// Number of open (partially filled) buffers.
     pub fn open_buffers(&self) -> usize {
         self.open.len()
+    }
+
+    /// Publish the partial evictions and flush sizes recorded so far into
+    /// the metrics registry (`wcbuf.partial_evictions`,
+    /// `wcbuf.flush_bytes`). Call once, when the buffer's run ends.
+    pub fn publish(&self) {
+        if self.partial_evictions > 0 {
+            PARTIAL_EVICTIONS.add(self.partial_evictions);
+        }
+        telemetry::publish(&self.flush_bytes);
     }
 
     /// Append every open buffer's `(line, bytes_filled)` to `out`
@@ -219,6 +239,24 @@ mod tests {
         // Third distinct line evicts the oldest (line 0) partially.
         let flushes = wc.nt_write(128, 16);
         assert_eq!(flushes, vec![WcFlush::Partial(0, 16)]);
+    }
+
+    #[test]
+    fn publish_reports_partial_evictions_and_flush_sizes() {
+        let mut wc = WriteCombiningBuffer::new(64, 2);
+        wc.nt_write(0, 16);
+        wc.nt_write(64, 16);
+        wc.nt_write(128, 16); // evicts line 0, partially filled
+        wc.nt_write(192, 64); // a full line writes through
+        let before = PARTIAL_EVICTIONS.value();
+        wc.publish();
+        // The only test in this binary that publishes.
+        assert_eq!(PARTIAL_EVICTIONS.value() - before, 1);
+        let h = telemetry::hist_snapshot()
+            .into_iter()
+            .find(|h| h.name == "wcbuf.flush_bytes")
+            .expect("a non-empty publish registers the histogram");
+        assert_eq!((h.count, h.sum, h.max), (2, 16 + 64, 64));
     }
 
     #[test]

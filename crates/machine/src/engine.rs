@@ -44,7 +44,7 @@ use memdev::{Device, MemDevice};
 use simcore::faultinject::CrashPlan;
 use simcore::telemetry::flight::{FlightEvent, FlightKind, FlightRing, FLIGHT_CAPACITY};
 use simcore::telemetry::timeseries::TimeSeries;
-use simcore::telemetry::{HistogramSample, SiteTable};
+use simcore::telemetry::{Histogram, SiteTable};
 use simcore::stream::{EventSource, StreamFeed};
 use simcore::{
     align_down, blocks_touched, Addr, CoreId, Cycles, Event, EventKind, FuncId, FxHashMap,
@@ -232,7 +232,7 @@ impl CrashCtx {
 /// core's clock at its previous request boundary.
 struct ClassifierState {
     classifier: Box<dyn RequestClasses>,
-    hist: Vec<HistogramSample>,
+    hist: Vec<Histogram>,
     req_start: Vec<Cycles>,
 }
 
@@ -275,10 +275,10 @@ struct Engine<'a, T: LineTables = FlatTables> {
     wc_buf: Vec<WcFlush>,
     /// Reused buffer for end-of-run residual dirty lines.
     residual: Vec<Addr>,
-    /// Per-replay action counts, flushed into the telemetry registry at
-    /// the end of [`Engine::replay`] (plain `u64`s: the step loop pays no
-    /// atomics, and with telemetry compiled out the flush is a no-op).
-    acts: crate::probes::ActionCounts,
+    /// This replay's action counts and distributions, published into the
+    /// metrics registry when the replay returns (plain fields: the step
+    /// loop pays no atomics).
+    probes: crate::probes::RunProbes,
     /// Per-trace-site attribution rows (device traffic, pre-store actions,
     /// stalls), drained into [`RunStats::sites`] at end of run. Always on,
     /// like `func_cycles`: the attribution feeds results, not the metrics
@@ -290,13 +290,6 @@ struct Engine<'a, T: LineTables = FlatTables> {
     /// The scheduler step currently being replayed (for line-lifetime
     /// accounting against the first-dirty step tags).
     cur_step: u64,
-    /// Telemetry-only device write-burst tracking: next line address that
-    /// would continue the current contiguous burst, and its size so far.
-    burst_next: Addr,
-    burst_bytes: u64,
-    /// Telemetry-only: line of the previous device write, for the
-    /// eviction-distance histogram.
-    prev_write_line: Option<Addr>,
     /// Power-failure injection state: `None` on ordinary runs (the default
     /// and hot path), `Some` only for [`Machine::try_run_until_crash`] /
     /// [`Machine::recover_and_resume`] replays.
@@ -359,7 +352,7 @@ pub fn try_simulate_threads_reference(
     // The reference tables key by address and ignore the interned ids.
     let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
     let engine = Engine::with_tables(cfg, threads.len(), HashTables::default());
-    completed(engine.replay(&mut Materialized { threads, interned: &interned }))
+    completed(engine.replay_timed(&mut Materialized { threads, interned: &interned }))
 }
 
 /// Validate and replay `traces`, returning a typed error instead of
@@ -509,7 +502,7 @@ fn replay_unchecked(
         panic!("{e}");
     }
     let engine = Engine::new_flat(cfg, interned.interner().len(), threads.len());
-    completed(engine.replay(&mut Materialized { threads, interned }))
+    completed(engine.replay_timed(&mut Materialized { threads, interned }))
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -529,7 +522,7 @@ fn replay_checked(
     let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
     let mut engine = Engine::new_flat(cfg, interned.interner().len(), threads.len());
     setup(&mut engine, interned.interner());
-    engine.replay(&mut Materialized { threads, interned: &interned })
+    engine.replay_timed(&mut Materialized { threads, interned: &interned })
 }
 
 /// Replay `source` through a fresh [`StreamFeed`] on a flat engine armed
@@ -550,7 +543,7 @@ fn replay_source<S: EventSource>(
     // The tables start empty and grow with the feed's interner.
     let mut engine = Engine::new_flat(cfg, 0, threads);
     setup(&mut engine);
-    let stats = completed(engine.replay(&mut streamed))?;
+    let stats = completed(engine.replay_timed(&mut streamed))?;
     let feed = streamed.feed;
     Ok(StreamReport {
         stats,
@@ -748,13 +741,10 @@ impl<'a, T: LineTables> Engine<'a, T> {
             cores,
             wc_buf: Vec::new(),
             residual: Vec::new(),
-            acts: crate::probes::ActionCounts::default(),
+            probes: crate::probes::RunProbes::new(),
             sites: SiteTable::new(),
             unknown_site: [0; SITE_COLS],
             cur_step: 0,
-            burst_next: 0,
-            burst_bytes: 0,
-            prev_write_line: None,
             crash: None,
             ts: cfg.timeseries_window.map(|w| TimeSeries::new(w.max(1), TS_CAPACITY)),
             ts_next_boundary: u64::MAX,
@@ -773,8 +763,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// boundaries on a thread, collected into
     /// [`RunStats::request_latency`].
     fn set_classifier(&mut self, classifier: Box<dyn RequestClasses>) {
-        let hist =
-            classifier.class_names().iter().map(|n| HistogramSample::empty(n)).collect();
+        let hist = classifier.class_names().iter().copied().map(Histogram::new).collect();
         self.classes = Some(ClassifierState {
             classifier,
             hist,
@@ -798,14 +787,37 @@ impl<'a, T: LineTables> Engine<'a, T> {
             .collect()
     }
 
+    /// Publish what this replay measured below the replay loop — the
+    /// engine's distributions, each core's WC-buffer flushes and the
+    /// device's traffic — into the metrics registry. Both exits of a
+    /// replay that returns (`finalize` and `freeze_crash`) call it once, so
+    /// the registry aggregates exactly the replays that return a
+    /// [`RunStats`] or a [`CrashReport`].
+    fn publish_run(&self) {
+        self.probes.publish();
+        for c in &self.cores {
+            c.wc.publish();
+        }
+        self.device.publish();
+    }
+
+    /// [`Engine::replay`] inside the `engine.replay` span, so failed and
+    /// crashed replays are timed too. The span guard lives here, around
+    /// the call, and `replay` is never inlined into this frame: a guard
+    /// held live across the step loop slowed the loop itself.
+    fn replay_timed<F: Feed>(self, feed: &mut F) -> Result<CrashOutcome, EngineError> {
+        let _span = simcore::telemetry::span(&crate::probes::REPLAY);
+        self.replay(feed)
+    }
+
     /// The replay loop, for every feed. Each iteration refills spent
     /// windows, steps the runnable core with the smallest clock (blocked
     /// cores wake up when their awaited release lands), and then checks an
     /// armed crash plan. Returns [`CrashOutcome::Crashed`] when the plan
     /// fires, else the completed run.
+    #[inline(never)]
     fn replay<F: Feed>(mut self, feed: &mut F) -> Result<CrashOutcome, EngineError> {
         debug_assert_eq!(feed.interner().line_size(), self.cfg.line_size);
-        let _replay_span = simcore::telemetry::span(&crate::probes::REPLAY);
         // Progress watchdog: a valid replay executes at most ~2 steps per
         // event (each step either consumes an event or re-runs an acquire
         // exactly once after its wakeup), so the derived budget only fires
@@ -948,7 +960,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             let (site, step) =
                 self.tables.dirt_take(id, line).unwrap_or((FuncId::UNKNOWN, self.cur_step));
             self.site_add(site, site_col::RESIDUAL_LINES, 1);
-            crate::probes::LINE_LIFETIME.record(self.cur_step.saturating_sub(step));
+            self.probes.line_lifetime.record(self.cur_step.saturating_sub(step));
             self.device_write_attributed(line, line_size, site);
         }
         self.residual = residual;
@@ -962,12 +974,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             dstats_now.media_bytes_written - flushed_before.media_bytes_written;
         self.unknown_site[site_col::RMW_BYTES] +=
             dstats_now.media_bytes_rmw_read - flushed_before.media_bytes_rmw_read;
-        // Close the trailing write burst, if the telemetry build tracked
-        // one.
-        if self.burst_bytes > 0 {
-            crate::probes::WRITE_BURST.record(self.burst_bytes);
-            self.burst_bytes = 0;
-        }
+        self.probes.close_burst();
 
         let cpu_cycles = self.cores.iter().map(|c| c.now).max().unwrap_or(0);
         let dstats = *self.device.stats();
@@ -1035,20 +1042,19 @@ impl<'a, T: LineTables> Engine<'a, T> {
             timeseries_window_cycles,
             request_latency,
         };
-        // Telemetry: end-of-run epoch-validity sweep — how many flat-table
-        // entries still carry current-epoch state (vectorized; `None` on
-        // the reference tables).
-        if simcore::telemetry::enabled() {
-            if let Some(live) = self.tables.live_lines() {
-                crate::probes::TABLE_LIVE_LINES.record(live as u64);
-            }
+        // End-of-run epoch-validity sweep: how many flat-table entries
+        // still carry current-epoch state (vectorized; `None` on the
+        // reference tables).
+        if let Some(live) = self.tables.live_lines() {
+            crate::probes::publish_value(crate::probes::TABLE_LIVE_LINES, live as u64);
         }
+        crate::probes::publish_completed(&stats, &self.probes, steps);
+        self.publish_run();
         // Hand the reusable allocations back for the next run on this
         // thread (flat tables only; the reference tables drop them).
         self.residual.clear();
         self.wc_buf.clear();
         self.tables.recycle(self.wc_buf, self.residual, self.sites);
-        crate::probes::flush_run(&stats, &self.acts, steps);
         // Crash-armed runs that completed: the device flush above closed
         // every buffered block, so the whole received set is durable.
         let durable_digest = self.crash.take().map(|ctx| {
@@ -1148,7 +1154,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
         releases.sort_unstable();
         let lost_bytes = lost.len() as u64 * line_size;
         crate::probes::CRASHES.inc();
-        crate::probes::CRASH_LOST_BYTES.record(lost_bytes);
+        crate::probes::publish_value(crate::probes::CRASH_LOST_BYTES, lost_bytes);
+        self.publish_run();
         let at_cycle = self.cores.iter().map(|c| c.now).max().unwrap_or(0);
         // Close the flight dump with the crash itself, so the dump's last
         // event always names the frozen step.
@@ -1222,7 +1229,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 self.cores[cid].stats.fences += 1;
                 self.site_add(ev.func, site_col::FENCE_STALL, stall);
                 if stall > 0 {
-                    crate::probes::STALL_CYCLES.record(stall);
+                    self.probes.stall_cycles.record(stall);
                 }
             }
             EventKind::Atomic => {
@@ -1364,28 +1371,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             site_col::RMW_BYTES,
             after.media_bytes_rmw_read - before.media_bytes_rmw_read,
         );
-        if simcore::telemetry::enabled() {
-            self.track_device_write(line, bytes);
-        }
-    }
-
-    /// Telemetry-only distribution upkeep for one device write: the
-    /// eviction-distance and write-burst histograms.
-    fn track_device_write(&mut self, line: Addr, bytes: u64) {
-        let line_size = self.cfg.line_size.max(1);
-        if let Some(prev) = self.prev_write_line {
-            crate::probes::EVICTION_DISTANCE.record(line.abs_diff(prev) / line_size);
-        }
-        self.prev_write_line = Some(line);
-        if self.burst_bytes > 0 && line == self.burst_next {
-            self.burst_bytes += bytes;
-        } else {
-            if self.burst_bytes > 0 {
-                crate::probes::WRITE_BURST.record(self.burst_bytes);
-            }
-            self.burst_bytes = bytes;
-        }
-        self.burst_next = line + self.cfg.line_size;
+        self.probes.device_write(line, bytes, self.cfg.line_size);
     }
 
     /// Insert a line into the LLC, writing any dirty victim to the device.
@@ -1399,7 +1385,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                     .dirt_take(v.id, v.line)
                     .unwrap_or((FuncId::UNKNOWN, self.cur_step));
                 self.site_add(site, site_col::DIRTY_EVICTIONS, 1);
-                crate::probes::LINE_LIFETIME.record(self.cur_step.saturating_sub(step));
+                self.probes.line_lifetime.record(self.cur_step.saturating_sub(step));
                 self.device_write_attributed(v.line, self.cfg.line_size, site);
             }
         }
@@ -1471,7 +1457,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 self.cores[cid].stats.writeback_stall_cycles += done - now;
                 self.cores[cid].now = done;
                 self.site_add(site, site_col::WRITEBACK_STALL, done - now);
-                crate::probes::STALL_CYCLES.record(done - now);
+                self.probes.stall_cycles.record(done - now);
             }
             self.tables.nt_clear(id, line);
             self.cores[cid].now += self.device.read_latency() + self.device.fault_stall();
@@ -1598,7 +1584,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
 
     /// Start the drains of all pending store-buffer entries of `cid`.
     fn start_drains(&mut self, cid: CoreId) -> Cycles {
-        self.acts.sb_drains += 1;
+        self.probes.sb_drains += 1;
         let now = self.cores[cid].now;
         let done = self.schedule_drains(cid, now, usize::MAX);
         self.cores[cid].sb.collect_completed(now);
@@ -1623,7 +1609,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 self.cores[cid].stats.writeback_stall_cycles += done - now;
                 self.cores[cid].now = done;
                 self.site_add(site, site_col::WRITEBACK_STALL, done - now);
-                crate::probes::STALL_CYCLES.record(done - now);
+                self.probes.stall_cycles.record(done - now);
             }
             self.tables.wb_clear(id, line);
         }
@@ -1634,7 +1620,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             // already completed in the past; only wait if still full.
             self.start_drains(cid);
             if self.cores[cid].sb.is_full() {
-                self.acts.sb_forced_drains += 1;
+                self.probes.sb_forced_drains += 1;
                 let now = self.cores[cid].now;
                 // `start_drains` above scheduled every entry, so the head's
                 // drain is already costed and the callback cannot fire.
@@ -1646,7 +1632,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                     self.cores[cid].stats.sb_pressure_stall_cycles += stall;
                     self.cores[cid].now = done;
                     self.site_add(site, site_col::SB_STALL, stall);
-                    crate::probes::STALL_CYCLES.record(stall);
+                    self.probes.stall_cycles.record(stall);
                 }
             }
         }
@@ -1696,7 +1682,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             lines += 1;
         }
         self.cores[cid].stats.write_lines += lines;
-        self.acts.nt_lines += lines;
+        self.probes.nt_lines += lines;
         self.site_add(site, site_col::NT_LINES, lines);
         // Reuse one flush buffer for the whole run instead of allocating a
         // Vec per NT store (`mem::take` of a Vec moves, never allocates).
@@ -1724,7 +1710,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
 
     /// A `clean` pre-store: write the dirty line back, keep it cached.
     fn prestore_clean(&mut self, cid: CoreId, line: Addr, id: LineId, site: FuncId) {
-        self.acts.cleans += 1;
+        self.probes.cleans += 1;
         self.site_add(site, site_col::CLEANS, 1);
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Order with respect to a pending private store: force its drain
@@ -1745,7 +1731,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             // clean's own site for lines dirtied outside the tagged paths).
             let (dirt_site, step) =
                 self.tables.dirt_take(id, line).unwrap_or((site, self.cur_step));
-            crate::probes::LINE_LIFETIME.record(self.cur_step.saturating_sub(step));
+            self.probes.line_lifetime.record(self.cur_step.saturating_sub(step));
             self.device_write_attributed(line, self.cfg.line_size, dirt_site);
             let now = self.cores[cid].now;
             let ready = now + self.device.write_latency();
@@ -1757,7 +1743,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// line stays dirty (now in the LLC), so its first-dirty tag survives
     /// for the eventual eviction to claim.
     fn prestore_demote(&mut self, cid: CoreId, line: Addr, id: LineId, site: FuncId) {
-        self.acts.demotes += 1;
+        self.probes.demotes += 1;
         self.site_add(site, site_col::DEMOTES, 1);
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Start the background drain of the private store, if any.
@@ -1806,7 +1792,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 self.cores[cid].stats.writeback_stall_cycles += done - now;
                 self.cores[cid].now = done;
                 self.site_add(site, site_col::WRITEBACK_STALL, done - now);
-                crate::probes::STALL_CYCLES.record(done - now);
+                self.probes.stall_cycles.record(done - now);
             }
             self.tables.wb_clear(id, line);
         }
@@ -1819,7 +1805,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         self.cores[cid].stats.atomics += 1;
         self.site_add(site, site_col::ATOMIC_STALL, total);
         if total > 0 {
-            crate::probes::STALL_CYCLES.record(total);
+            self.probes.stall_cycles.record(total);
         }
     }
 }

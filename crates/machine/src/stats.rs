@@ -2,7 +2,7 @@
 
 use cachesim::CacheStats;
 use memdev::DeviceStats;
-use simcore::telemetry::HistogramSample;
+use simcore::telemetry::Histogram;
 use simcore::{Cycles, FuncId};
 use std::collections::HashMap;
 
@@ -223,7 +223,7 @@ pub struct RunStats {
     /// histogram per class of the [`simcore::RequestClasses`] classifier
     /// the run was given (empty without one). Sampled in units of
     /// simulated cycles; deterministic across all replay axes.
-    pub request_latency: Vec<HistogramSample>,
+    pub request_latency: Vec<Histogram>,
 }
 
 impl RunStats {
@@ -332,14 +332,14 @@ impl RunStats {
 
     /// The latency histogram of request class `name`, if the run was
     /// classified and produced one.
-    pub fn request_class(&self, name: &str) -> Option<&HistogramSample> {
+    pub fn request_class(&self, name: &str) -> Option<&Histogram> {
         self.request_latency.iter().find(|h| h.name == name)
     }
 
     /// One latency histogram merging every request class of the run
     /// (labelled `all`; empty if the run was not classified).
-    pub fn request_latency_all(&self) -> HistogramSample {
-        let mut all = HistogramSample::empty("all");
+    pub fn request_latency_all(&self) -> Histogram {
+        let mut all = Histogram::new("all");
         for h in &self.request_latency {
             all.merge(h);
         }
@@ -420,10 +420,10 @@ mod tests {
     #[test]
     fn request_class_lookup_and_merge() {
         let mut r = stats(100);
-        let mut get = HistogramSample::empty("get");
+        let mut get = Histogram::new("get");
         get.record(10);
         get.record(30);
-        let mut put = HistogramSample::empty("put");
+        let mut put = Histogram::new("put");
         put.record(50);
         r.request_latency = vec![get.clone(), put];
         assert_eq!(r.request_class("get"), Some(&get));

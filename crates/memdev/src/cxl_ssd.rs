@@ -6,6 +6,7 @@
 //! that sweep the internal granularity beyond Optane's 256 B.
 
 use crate::{DeviceStats, MemDevice, OptanePmem};
+use simcore::telemetry::Histogram;
 use simcore::{Addr, Cycles};
 
 /// A CXL SSD exposing byte-addressable, cacheable memory.
@@ -38,6 +39,12 @@ impl CxlSsd {
     /// A pristine copy with the same parameters; see [`OptanePmem::fresh`].
     pub fn fresh(&self) -> Self {
         Self { inner: self.inner.fresh() }
+    }
+
+    /// Bytes covered in each internal block when it closed; see
+    /// [`OptanePmem::block_coverage`].
+    pub fn block_coverage(&self) -> &Histogram {
+        self.inner.block_coverage()
     }
 }
 

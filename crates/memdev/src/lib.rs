@@ -222,15 +222,16 @@ pub trait MemDevice {
     fn buffered_blocks_into(&self, _out: &mut Vec<(Addr, u64)>) {}
 }
 
-/// Telemetry probes on the [`Device`] dispatch layer (the engine's single
-/// funnel to any device model): no-ops unless simcore's `telemetry`
-/// feature is on.
+/// Registry probes of the [`Device`] dispatch layer (the engine's single
+/// funnel to any device model), fed once per replay.
 mod probes {
     use simcore::telemetry::Metric;
 
-    /// Bytes handed to [`super::MemDevice::receive_write`].
+    /// Bytes handed to [`super::MemDevice::receive_write`]
+    /// ([`super::DeviceStats::bytes_received`]).
     pub(super) static WRITE_BYTES: Metric = Metric::counter("device.write_bytes");
-    /// Bytes handed to [`super::MemDevice::receive_read`].
+    /// Bytes handed to [`super::MemDevice::receive_read`]
+    /// ([`super::DeviceStats::bytes_read`]).
     pub(super) static READ_BYTES: Metric = Metric::counter("device.read_bytes");
     /// End-of-run [`super::MemDevice::flush`] calls.
     pub(super) static FLUSHES: Metric = Metric::counter("device.flushes");
@@ -271,6 +272,22 @@ impl Device {
             Device::Optane(d) => Device::Optane(d.fresh()),
             Device::Fpga(d) => Device::Fpga(d.fresh()),
             Device::CxlSsd(d) => Device::CxlSsd(d.fresh()),
+        }
+    }
+
+    /// Publish this device's run into the metrics registry: the bytes it
+    /// received and served (`device.write_bytes`, `device.read_bytes`,
+    /// from its [`DeviceStats`]) and, on the block-buffered models, the
+    /// coverage of every block it closed (`device.block_covered_bytes`).
+    /// Call once, when the device's run ends.
+    pub fn publish(&self) {
+        let s = self.stats();
+        probes::WRITE_BYTES.add(s.bytes_received);
+        probes::READ_BYTES.add(s.bytes_read);
+        match self {
+            Device::Optane(d) => simcore::telemetry::publish(d.block_coverage()),
+            Device::CxlSsd(d) => simcore::telemetry::publish(d.block_coverage()),
+            Device::Dram(_) | Device::Fpga(_) => {}
         }
     }
 }
@@ -314,13 +331,11 @@ impl MemDevice for Device {
 
     #[inline]
     fn receive_write(&mut self, addr: Addr, bytes: u64) {
-        probes::WRITE_BYTES.add(bytes);
         dispatch!(self, d => d.receive_write(addr, bytes))
     }
 
     #[inline]
     fn receive_read(&mut self, addr: Addr, bytes: u64) {
-        probes::READ_BYTES.add(bytes);
         dispatch!(self, d => d.receive_read(addr, bytes))
     }
 

@@ -17,12 +17,8 @@ use crate::{DeviceStats, FaultInjectionUnsupported, MemDevice, TransientFaults};
 use simcore::telemetry::Histogram;
 use simcore::{align_down, Addr, Cycles};
 
-/// Distribution of bytes covered in each internal block when it closes —
-/// mass at the block size means writebacks arrived sequentially enough to
-/// merge (write amplification 1.0), mass at one line means every
-/// writeback paid a full block write plus a read-modify-write fill.
-/// No-op unless simcore's `telemetry` feature is on.
-static BLOCK_COVERED: Histogram = Histogram::new("device.block_covered_bytes");
+/// Registry name of [`OptanePmem::block_coverage`].
+const BLOCK_COVERED: &str = "device.block_covered_bytes";
 
 /// End-of-list marker of the XPBuffer's intrusive LRU links.
 const NIL: u32 = u32::MAX;
@@ -69,6 +65,9 @@ pub struct OptanePmem {
     /// proves absence, skipping the membership scan on that common path.
     filter: [u32; 256],
     stats: DeviceStats,
+    /// Bytes covered in each internal block when it closed (see
+    /// [`OptanePmem::block_coverage`]).
+    block_covered: Histogram,
     /// Transient-fault injection schedule, if enabled.
     faults: Option<TransientFaults>,
 }
@@ -119,6 +118,7 @@ impl OptanePmem {
             newest: NIL,
             filter: [0; 256],
             stats: DeviceStats::default(),
+            block_covered: Histogram::new(BLOCK_COVERED),
             faults: None,
         }
     }
@@ -134,8 +134,19 @@ impl OptanePmem {
             newest: NIL,
             filter: [0; 256],
             stats: DeviceStats::default(),
+            block_covered: Histogram::new(BLOCK_COVERED),
             ..*self
         }
+    }
+
+    /// Bytes covered in each internal block when it closed: mass at the
+    /// block size means writebacks arrived sequentially enough to merge
+    /// (write amplification 1.0), mass at one line means every writeback
+    /// paid a full block write plus a read-modify-write fill. One value
+    /// per closed block, so `count` × block size equals
+    /// [`DeviceStats::media_bytes_written`].
+    pub fn block_coverage(&self) -> &Histogram {
+        &self.block_covered
     }
 
     /// Filter bucket for a block address.
@@ -213,7 +224,7 @@ impl OptanePmem {
     }
 
     fn close_block(&mut self, covered: u64) {
-        BLOCK_COVERED.record(covered);
+        self.block_covered.record(covered);
         self.stats.media_bytes_written += self.block;
         if covered < self.block {
             // Partially covered block: the device must read the rest first.
@@ -308,6 +319,7 @@ impl MemDevice for OptanePmem {
 
     fn reset_stats(&mut self) {
         self.stats = DeviceStats::default();
+        self.block_covered = Histogram::new(BLOCK_COVERED);
         self.clear_open();
     }
 
@@ -377,6 +389,9 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.write_amplification(), 4.0);
         assert!(s.media_bytes_rmw_read > 0, "partial blocks require RMW");
+        let h = d.block_coverage();
+        assert_eq!((h.count, h.max), (64, 64), "one single-line block per write");
+        assert_eq!(h.count * 256, s.media_bytes_written);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use intern::{InternedTraces, LineId, LineInterner};
 pub use loc::{FuncId, FuncInfo, FuncRegistry};
 pub use request::RequestClasses;
-pub use stats::Histogram;
 pub use stream::{EventSource, SliceSource, StreamDigest, StreamFeed, StreamValidator};
 pub use trace::{ThreadTrace, TraceSet, Tracer};
 

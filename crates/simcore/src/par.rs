@@ -22,8 +22,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Telemetry probes for the pool: all no-ops unless the `telemetry`
-/// feature is on (see [`crate::telemetry`]).
+/// Telemetry probes for the pool (see [`crate::telemetry`]): one update
+/// per map, per job or per supervision event, never per replayed event.
 mod probes {
     use crate::telemetry::Metric;
 
@@ -225,14 +225,14 @@ where
     }
     probes::HELPERS.add(helpers as u64);
     let _permits = PermitGuard(helpers);
-    let queue_start = crate::telemetry::Stopwatch::start();
+    let queue_start = std::time::Instant::now();
     let next = AtomicUsize::new(start);
     let worker = |out: &mut Vec<(usize, T)>| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
         }
-        probes::JOB_QUEUE_WAIT.record_ns(queue_start.elapsed_ns());
+        probes::JOB_QUEUE_WAIT.record_ns(queue_start.elapsed().as_nanos() as u64);
         out.push((i, run_job(i)));
     };
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();

@@ -1,104 +1,5 @@
-//! Small statistics helpers shared by the simulator and DirtBuster.
-
-/// A log2-bucketed histogram of u64 samples.
-///
-/// Used for re-read / re-write distance distributions and sequential-context
-/// size distributions, where only the order of magnitude matters.
-///
-/// # Examples
-///
-/// ```
-/// let mut h = simcore::Histogram::new();
-/// h.record(3);
-/// h.record(1000);
-/// assert_eq!(h.count(), 2);
-/// assert!(h.mean() > 400.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Create an empty histogram.
-    pub fn new() -> Self {
-        Self { buckets: [0; 64], count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, value: u64) {
-        let bucket = 64 - value.leading_zeros().min(63) as usize - 1;
-        let bucket = if value == 0 { 0 } else { bucket + 1 };
-        self.buckets[bucket.min(63)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of the samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Approximate p-th percentile (0.0..=1.0) from the log2 buckets.
-    ///
-    /// Returns the upper bound of the bucket containing the percentile.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target.max(1) {
-                return Some(if i == 0 { 0 } else { 1u64 << i });
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Small formatting helpers shared by the simulator and DirtBuster
+//! reports.
 
 /// Format a byte count the way the paper's reports do ("240B", "2.1MB").
 ///
@@ -135,59 +36,6 @@ pub fn fmt_distance(d: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_histogram() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.percentile(0.5), None);
-    }
-
-    #[test]
-    fn records_extremes() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(u64::MAX);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(u64::MAX));
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn mean_is_exact() {
-        let mut h = Histogram::new();
-        for v in [10u64, 20, 30] {
-            h.record(v);
-        }
-        assert!((h.mean() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentile_monotone() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let p50 = h.percentile(0.5).expect("non-empty histogram has percentiles");
-        let p99 = h.percentile(0.99).expect("non-empty histogram has percentiles");
-        assert!(p50 <= p99);
-        assert!((256..=1024).contains(&p50), "p50 bucket {p50}");
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Histogram::new();
-        a.record(5);
-        let mut b = Histogram::new();
-        b.record(500);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(5));
-        assert_eq!(a.max(), Some(500));
-    }
 
     #[test]
     fn byte_formatting() {

@@ -20,9 +20,8 @@
 //!   sequence number. Cheap because jobs are experiment-granular; dumped
 //!   by `figures` only when a job actually fails.
 //!
-//! Neither ring is feature-gated: like [`super::SiteTable`], the cost is
-//! paid only by callers that use it, and crash dumps must exist (and
-//! match) in default builds too.
+//! Neither ring is part of the metrics registry: like
+//! [`super::SiteTable`], the cost is paid only by callers that use it.
 
 use std::sync::Mutex;
 

@@ -16,10 +16,8 @@
 //! `(cycle, totals)` observation sequence. The engine feeds observations
 //! in retire order, which is itself identical across `--jobs`,
 //! SIMD/scalar, and streaming/materialized replay — so the windows are
-//! byte-identical across all of those axes, and across telemetry
-//! feature configurations (this module is *not* feature-gated, by the
-//! same rule as [`super::SiteTable`]: it feeds `RunStats`-style results,
-//! not the wall-clock metrics registry).
+//! byte-identical across all of those axes (like [`super::SiteTable`], it
+//! feeds `RunStats`-style results, not the wall-clock metrics registry).
 //!
 //! # Attribution convention
 //!

@@ -2,12 +2,11 @@
 //! ([`simcore::telemetry`]): the bucket index is monotone in the value,
 //! the reported percentiles bracket the true quantile within one bucket,
 //! and merging two histograms equals recording the concatenated value
-//! stream. The bucket math lives outside the feature gate, so these
-//! properties hold in both build configurations.
+//! stream.
 
 use proptest::prelude::*;
 use simcore::telemetry::{
-    bucket_index, bucket_lower_bound, bucket_upper_bound, HistogramSample, HIST_BUCKETS,
+    bucket_index, bucket_lower_bound, bucket_upper_bound, Histogram, HIST_BUCKETS,
 };
 
 /// The exact `q`-th percentile of `values` under the rank definition the
@@ -52,7 +51,7 @@ proptest! {
         q_pct in 1u64..100,
     ) {
         let q = q_pct as f64;
-        let mut h = HistogramSample::empty("t");
+        let mut h = Histogram::new("t");
         for &v in &values {
             h.record(v);
         }
@@ -77,9 +76,9 @@ proptest! {
         xs in proptest::collection::vec(any::<u32>(), 0..48),
         ys in proptest::collection::vec(any::<u32>(), 0..48),
     ) {
-        let mut a = HistogramSample::empty("t");
-        let mut b = HistogramSample::empty("t");
-        let mut both = HistogramSample::empty("t");
+        let mut a = Histogram::new("t");
+        let mut b = Histogram::new("t");
+        let mut both = Histogram::new("t");
         for &v in &xs {
             a.record(v as u64);
             both.record(v as u64);

@@ -3,9 +3,7 @@
 //! observation points the emitted windows tile the simulated-time axis
 //! gap-free and monotone, the per-window deltas sum back to the final
 //! totals (minus whatever the bounded ring provably dropped), and
-//! downsampling preserves totals. The sampler is plain deterministic
-//! data-structure code outside the feature gate, so these properties
-//! hold in both build configurations.
+//! downsampling preserves totals.
 
 use proptest::prelude::*;
 use simcore::telemetry::timeseries::{downsample, totals, TimeSeries};
