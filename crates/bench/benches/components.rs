@@ -242,39 +242,6 @@ fn nt_write_path(c: &mut Criterion) {
     g.finish();
 }
 
-fn simd_kernels(c: &mut Criterion) {
-    use simcore::simd;
-
-    let mut g = c.benchmark_group("simd_kernels");
-    g.sample_size(20).measurement_time(Duration::from_secs(4));
-
-    // Each kernel is measured on both its runtime-selected (AVX2 where
-    // available) and forced-scalar twin, at the operand shapes the replay
-    // hot loop actually feeds it: a store-buffer-sized u64 haystack for
-    // the finder and a 16-way NRU reference mask for the victim draw.
-    for forced in [false, true] {
-        simd::set_force_scalar(forced);
-        let label = if forced { "scalar" } else { simd::active_kernels() };
-
-        let hay: Vec<u64> = (0..48u64).map(|i| i * 0x9E37).collect();
-        g.bench_function(BenchmarkId::new("find_u64_48_miss", label), |b| {
-            b.iter(|| simd::find_u64(&hay, u64::MAX));
-        });
-
-        g.bench_function(BenchmarkId::new("kth_set_bit", label), |b| {
-            b.iter(|| {
-                let mut acc = 0u32;
-                for k in 0..12u32 {
-                    acc += simd::kth_set_bit(0x0055_AA33_0F0F_5757, k);
-                }
-                acc
-            });
-        });
-    }
-    simd::set_force_scalar(false);
-    g.finish();
-}
-
 fn streaming_replay(c: &mut Criterion) {
     use machine::{try_simulate_stream_opts, try_simulate_threads, MachineConfig, StreamOptions};
     use workloads::kv::{KvServingSource, ServingParams};
@@ -348,7 +315,6 @@ criterion_group!(
     engine_replay,
     intern_vs_hash,
     nt_write_path,
-    simd_kernels,
     streaming_replay,
     dirtbuster_passes
 );

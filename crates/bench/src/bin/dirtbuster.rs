@@ -104,6 +104,22 @@ fn workload_by_name(name: &str) -> Option<WorkloadOutput> {
     Some(out)
 }
 
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: [&str; 12] = [
+    "--sample-interval",
+    "--save-trace",
+    "--from-trace",
+    "--trace-out",
+    "--crash-at-fence",
+    "--crash-at-step",
+    "--crash-report",
+    "--auto-iters",
+    "--auto-budget-secs",
+    "--auto-objective",
+    "--seed",
+    "--jobs",
+];
+
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
 }
@@ -153,6 +169,10 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{}", usage());
         return;
+    }
+    if let Some(flag) = ps_bench::unknown_flag(&args, &VALUE_FLAGS, &["--verbose", "--auto"]) {
+        eprintln!("unknown flag {flag:?}\n{}", usage());
+        std::process::exit(2);
     }
     let verbose = args.iter().any(|a| a == "--verbose");
     let sample_interval = match flag_value(&args, "--sample-interval") {
@@ -241,23 +261,10 @@ fn main() {
         },
     }
 
-    let flag_values: Vec<&String> = [
-        "--sample-interval",
-        "--save-trace",
-        "--from-trace",
-        "--trace-out",
-        "--crash-at-fence",
-        "--crash-at-step",
-        "--crash-report",
-        "--auto-iters",
-        "--auto-budget-secs",
-        "--auto-objective",
-        "--seed",
-        "--jobs",
-    ]
-    .iter()
-    .filter_map(|f| flag_value(&args, f))
-    .collect();
+    let flag_values: Vec<&String> = VALUE_FLAGS
+        .iter()
+        .filter_map(|f| flag_value(&args, f))
+        .collect();
     let positional = args
         .iter()
         .find(|a| !a.starts_with("--") && !flag_values.contains(a));

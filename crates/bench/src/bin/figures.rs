@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [--quick] [--json] [--chart] [--jobs N] [--timing]
-//!         [--force-scalar] [--job-deadline SECS] [--baseline FILE]
+//!         [--job-deadline SECS] [--baseline FILE]
 //!         [--metrics FILE] [--metrics-baseline FILE] [--trace-out FILE]
 //!         [--report FILE] [--out DIR] [id ...]
 //! ```
@@ -18,12 +18,6 @@
 //! serially, then at the requested job count — verifies the outputs match
 //! byte-for-byte, and writes the wall-clock comparison to
 //! `BENCH_figures.json` in the output directory.
-//!
-//! `--force-scalar` pins the replay engine's vectorized scan kernels to
-//! their scalar twins (equivalent to setting `PS_FORCE_SCALAR=1`); results
-//! are byte-identical either way — the flag exists so CI can exercise both
-//! paths and so perf numbers can be attributed. The active kernel set is
-//! recorded in `BENCH_figures.json` as `"kernels"`.
 //!
 //! `--baseline FILE` (requires `--timing`) compares the measured
 //! wall-clock against the `parallel_seconds` recorded in a previously
@@ -61,8 +55,9 @@
 //! `<out>/flight-dump.jsonl`, so the post-mortem ("which jobs were in
 //! flight, what had just retried") ships with the partial results.
 //!
-//! Exit codes: `0` success, `1` I/O error, no matching experiment, or a
-//! `--timing` identity mismatch, `2` wall-clock regression vs `--baseline`
+//! Exit codes: `0` success, `1` usage error (an unknown `--` flag among
+//! them), I/O error, no matching experiment, or a `--timing` identity
+//! mismatch, `2` wall-clock regression vs `--baseline`
 //! or metrics regression vs `--metrics-baseline`, `3` one or more
 //! experiments failed (panicked every attempt or missed the deadline) and
 //! only partial results were written. The regression checks run before the
@@ -75,6 +70,18 @@ use ps_bench::{experiments, memo, metricsjson};
 
 /// An experiment id paired with the function regenerating it.
 type Experiment = (&'static str, fn(bool) -> ps_bench::FigureResult);
+
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: [&str; 8] = [
+    "--out",
+    "--jobs",
+    "--job-deadline",
+    "--baseline",
+    "--metrics",
+    "--metrics-baseline",
+    "--trace-out",
+    "--report",
+];
 
 /// Report an I/O failure and exit with code 1 instead of panicking.
 fn exit_io_error(what: &str, path: &str, e: std::io::Error) -> ! {
@@ -96,9 +103,6 @@ fn usage() -> ! {
                later is discarded and reported as failed (default: none)
   --timing     run serial then parallel, check outputs are byte-identical,
                write BENCH_figures.json to the output directory
-  --force-scalar
-               pin the vectorized scan kernels to their scalar twins
-               (same as PS_FORCE_SCALAR=1; outputs are byte-identical)
   --baseline FILE
                with --timing: fail (exit 2) if this run's wall-clock is
                more than 20% slower than FILE's parallel_seconds
@@ -116,9 +120,10 @@ fn usage() -> ! {
                report (inline SVG, no scripts)
   --out DIR    output directory (default: results/)
 
-exit codes: 0 success; 1 I/O error, no matching experiment, or --timing
-            mismatch; 2 regression vs --baseline or --metrics-baseline;
-            3 experiment(s) failed, partial results written"
+exit codes: 0 success; 1 usage error, I/O error, no matching experiment,
+            or --timing mismatch; 2 regression vs --baseline or
+            --metrics-baseline; 3 experiment(s) failed, partial results
+            written"
     );
     std::process::exit(1);
 }
@@ -128,13 +133,15 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
+    let switches = ["--quick", "--json", "--chart", "--timing"];
+    if let Some(flag) = ps_bench::unknown_flag(&args, &VALUE_FLAGS, &switches) {
+        eprintln!("unknown flag {flag:?}");
+        usage();
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let chart = args.iter().any(|a| a == "--chart");
     let timing = args.iter().any(|a| a == "--timing");
-    if args.iter().any(|a| a == "--force-scalar") {
-        simcore::simd::set_force_scalar(true);
-    }
     let flag_value = |flag: &str| {
         args.iter().position(|a| a == flag).map(|i| match args.get(i + 1) {
             Some(v) => v.clone(),
@@ -178,19 +185,7 @@ fn main() {
         retries: 1,
     };
     // Positional args are experiment ids; skip flag values.
-    let flag_values: Vec<String> = [
-        "--out",
-        "--jobs",
-        "--job-deadline",
-        "--baseline",
-        "--metrics",
-        "--metrics-baseline",
-        "--trace-out",
-        "--report",
-    ]
-    .iter()
-    .filter_map(|f| flag_value(f))
-    .collect();
+    let flag_values: Vec<String> = VALUE_FLAGS.iter().filter_map(|f| flag_value(f)).collect();
     let ids: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -327,10 +322,8 @@ fn main() {
             results.len(),
             if quick { ", --quick" } else { "" }
         ));
-        for res in &results {
-            if let Ok(t) = res {
-                html.add_figure(&t.fig);
-            }
+        for t in results.iter().flatten() {
+            html.add_figure(&t.fig);
         }
         for f in &failures {
             html.add_note(&format!("FAILED: {f}"));
@@ -413,7 +406,6 @@ fn main() {
         let mut report = String::from("{\n");
         report.push_str(&format!("  \"jobs\": {jobs},\n"));
         report.push_str(&format!("  \"quick\": {quick},\n"));
-        report.push_str(&format!("  \"kernels\": \"{}\",\n", simcore::simd::active_kernels()));
         report.push_str(&format!("  \"serial_seconds\": {serial_seconds:.3},\n"));
         report.push_str(&format!("  \"parallel_seconds\": {parallel_seconds:.3},\n"));
         report.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
@@ -449,8 +441,7 @@ fn main() {
         }
         println!(
             "timing: serial {serial_seconds:.2}s, --jobs {jobs} {parallel_seconds:.2}s \
-             ({speedup:.2}x, {} kernels); report written to {path}",
-            simcore::simd::active_kernels()
+             ({speedup:.2}x); report written to {path}"
         );
         if !mismatched.is_empty() {
             eprintln!("--timing output mismatch in: {}", mismatched.join(", "));

@@ -58,6 +58,22 @@ use workloads::kv::{serving, KvServingSource, ServingParams};
 /// (vectors grow geometrically).
 const BYTES_PER_EVENT: u64 = 64;
 
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: [&str; 12] = [
+    "--users",
+    "--events",
+    "--threads",
+    "--machine",
+    "--mode",
+    "--mem-budget",
+    "--chunk",
+    "--metrics-out",
+    "--assert-rss-mb",
+    "--timeseries",
+    "--slo",
+    "--report",
+];
+
 fn usage() -> ! {
     eprintln!(
         "usage: kv_serving [--users N] [--events N] [--threads N]
@@ -199,17 +215,21 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
+    if let Some(flag) = ps_bench::unknown_flag(&args, &VALUE_FLAGS, &["--verify-materialized"]) {
+        eprintln!("unknown flag {flag:?}");
+        usage();
+    }
     let users = parse_u64(&args, "--users", 1_000_000);
     let events = parse_u64(&args, "--events", 2_000_000);
     let threads = parse_u64(&args, "--threads", 2) as usize;
-    let mem_budget = match args.iter().position(|a| a == "--mem-budget") {
-        None => None,
-        Some(_) => Some(parse_u64(&args, "--mem-budget", 0)),
-    };
-    let assert_rss_mb = match args.iter().position(|a| a == "--assert-rss-mb") {
-        None => None,
-        Some(_) => Some(parse_u64(&args, "--assert-rss-mb", 0)),
-    };
+    let mem_budget = args
+        .iter()
+        .position(|a| a == "--mem-budget")
+        .map(|_| parse_u64(&args, "--mem-budget", 0));
+    let assert_rss_mb = args
+        .iter()
+        .position(|a| a == "--assert-rss-mb")
+        .map(|_| parse_u64(&args, "--assert-rss-mb", 0));
     let verify = args.iter().any(|a| a == "--verify-materialized");
     let machine = parse_str(&args, "--machine").unwrap_or_else(|| "a".into());
     let cfg = match machine.as_str() {

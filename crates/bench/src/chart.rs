@@ -1,4 +1,4 @@
-//! Terminal chart rendering for [`FigureResult`](crate::FigureResult)s:
+//! Terminal chart rendering for [`FigureResult`]s:
 //! the `figures` binary can show each reproduced figure as an ASCII line
 //! chart, which makes the *shapes* — the whole point of the reproduction —
 //! visible at a glance.

@@ -2,10 +2,11 @@
 //!
 //! Table 3 reports where a human, guided by DirtBuster's report, placed
 //! each workload's pre-stores. The `--auto` search
-//! ([`dirtbuster::search`]) closes that loop without the human: it
-//! hill-climbs per-site plans against the Machine A replay, scoring
-//! candidates by attributed media bytes. This experiment runs the search
-//! on every Table-3 workload and compares three plans head-to-head:
+//! ([`dirtbuster::search`](mod@dirtbuster::search)) closes that loop
+//! without the human: it hill-climbs per-site plans against the Machine A
+//! replay, scoring candidates by attributed media bytes. This experiment
+//! runs the search on every Table-3 workload and compares three plans
+//! head-to-head:
 //!
 //! * **baseline** — no pre-stores at all;
 //! * **hand-placed** — the paper's mode applied at the workload's

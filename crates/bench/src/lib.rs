@@ -18,6 +18,26 @@ pub mod report;
 pub mod runner;
 pub mod tracefmt;
 
+/// The first `--` argument of a CLI's `args` that is neither one of its
+/// `value_flags` (whose next argument, the value, is skipped) nor one of
+/// its `switches`. The binaries report it as a usage error, so a typo or a
+/// retired flag never runs as if it had been accepted.
+pub fn unknown_flag<'a>(
+    args: &'a [String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Option<&'a str> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        if value_flags.contains(&a) {
+            rest.next();
+        } else if a.starts_with("--") && !switches.contains(&a) {
+            return Some(a);
+        }
+    }
+    None
+}
+
 /// One line/bar series of a figure.
 #[derive(Debug, Clone)]
 pub struct Series {
@@ -166,6 +186,19 @@ fn serde_json_lite(fig: &FigureResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unknown_flag_skips_values_and_known_switches() {
+        let args: Vec<String> = ["--out", "--odd-dir", "--quick", "fig5", "--qiuck"]
+            .map(String::from)
+            .into();
+        assert_eq!(
+            unknown_flag(&args, &["--out"], &["--quick"]),
+            Some("--qiuck")
+        );
+        assert_eq!(unknown_flag(&args[..4], &["--out"], &["--quick"]), None);
+        assert_eq!(unknown_flag(&args, &[], &["--quick"]), Some("--out"));
+    }
 
     #[test]
     fn series_accessors() {

@@ -20,7 +20,8 @@
 //! [`simcore::par`] pool) and bounded: entries are evicted oldest-first
 //! once the cached traces exceed an event budget. Derived variants are
 //! cached under their own key — several figures replay the same variant
-//! on more than one machine configuration.
+//! on more than one machine configuration. The two result caches below
+//! are the same FIFO cache with a weight of one per entry.
 //!
 //! Streaming workloads cannot cache traces — not holding the trace is
 //! their point — so they memoize the *replay result* instead:
@@ -41,7 +42,7 @@ use dirtbuster::{apply_plan, PrestorePlan, Recommendation};
 use prestore::PrestoreMode;
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use workloads::kv::ycsb::{run_clht, run_masstree, YcsbParams};
 use workloads::microbench::{
@@ -52,78 +53,120 @@ use workloads::tensor::{training_step, TensorParams};
 use workloads::x9::{run as record_x9, X9Params};
 use workloads::WorkloadOutput;
 
+/// One bounded, process-global FIFO cache of shared values.
+///
+/// Every entry has a weight; once the resident weight exceeds the
+/// capacity, entries are evicted oldest-first, but never the newest one.
+/// A missed value is computed outside the lock: concurrent callers may
+/// race to compute the same key, in which case the first insertion wins
+/// and the loser's value is dropped (both are deterministic and
+/// identical). Hits, misses, inserts and evictions of every instance are
+/// booked in this module's one [`MemoCounters`] ledger.
+struct FifoCache<V> {
+    inner: Mutex<Option<FifoInner<V>>>,
+    /// The weight bound: the instance's default in production, shrunk by
+    /// tests to exercise eviction accounting.
+    capacity: AtomicUsize,
+    weight: fn(&V) -> usize,
+}
+
+struct FifoInner<V> {
+    map: HashMap<String, Arc<V>>,
+    /// Insertion order, oldest first.
+    order: VecDeque<String>,
+    /// Summed weight of the resident entries.
+    weight: usize,
+}
+
+impl<V> FifoCache<V> {
+    const fn new(capacity: usize, weight: fn(&V) -> usize) -> Self {
+        Self {
+            inner: Mutex::new(None),
+            capacity: AtomicUsize::new(capacity),
+            weight,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<FifoInner<V>>> {
+        self.inner.lock().expect("memo cache poisoned")
+    }
+
+    /// Fetch `key`, or compute it with `make`. A `None` from `make` is a
+    /// miss without an insert — the same accounting as a lost race — so
+    /// `hits + misses == lookups` and `evictions <= inserts <= misses`
+    /// hold whether or not every computation succeeds. Failures are not
+    /// negatively cached: the next lookup retries.
+    fn fetch(&self, key: String, make: impl FnOnce() -> Option<V>) -> Option<Arc<V>> {
+        LOOKUPS.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.lock().as_ref().and_then(|inner| inner.map.get(&key)) {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            return Some(Arc::clone(hit));
+        }
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        let out = {
+            let _timed = simcore::telemetry::span(&probes::RECORD);
+            Arc::new(make()?)
+        };
+        let mut guard = self.lock();
+        let inner = guard.get_or_insert_with(|| FifoInner {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            weight: 0,
+        });
+        if let Some(existing) = inner.map.get(&key) {
+            // Lost a race; the values are identical. Dropped without an
+            // insert, which is why `inserts <= misses`.
+            return Some(Arc::clone(existing));
+        }
+        inner.weight += (self.weight)(&out);
+        inner.map.insert(key.clone(), Arc::clone(&out));
+        inner.order.push_back(key);
+        INSERTS.fetch_add(1, Ordering::Relaxed);
+        let capacity = self.capacity.load(Ordering::Relaxed);
+        while inner.weight > capacity && inner.order.len() > 1 {
+            let oldest = inner.order.pop_front().expect("order tracks map");
+            if let Some(evicted) = inner.map.remove(&oldest) {
+                inner.weight -= (self.weight)(&evicted);
+                EVICTIONS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Some(out)
+    }
+
+    fn clear(&self) {
+        *self.lock() = None;
+    }
+
+    /// Test-only: change the weight bound. Pair with [`clear`] and restore
+    /// the default afterwards; production code never calls this.
+    #[cfg(test)]
+    fn set_capacity(&self, capacity: usize) {
+        self.capacity.store(capacity, Ordering::Relaxed);
+    }
+}
+
 /// Cached baseline recordings may hold at most this many trace events
 /// (~24 B each) before the oldest entries are dropped.
 const MAX_CACHED_EVENTS: usize = 24_000_000;
 
-/// The active event budget: [`MAX_CACHED_EVENTS`] in production, shrunk by
-/// tests to exercise eviction accounting without multi-GB recordings.
-static CAPACITY: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(MAX_CACHED_EVENTS);
-
-/// Test-only: shrink the eviction budget. Pair with [`clear`] and restore
-/// [`MAX_CACHED_EVENTS`] afterwards; production code never calls this.
-#[cfg(test)]
-fn set_capacity_for_test(events: usize) {
-    CAPACITY.store(events, Ordering::Relaxed);
-}
-
-struct CacheInner {
-    map: HashMap<String, Arc<WorkloadOutput>>,
-    /// Insertion order, oldest first (FIFO eviction).
-    order: VecDeque<String>,
-    events: usize,
-}
-
-static CACHE: Mutex<Option<CacheInner>> = Mutex::new(None);
+/// Workload recordings, weighted by their trace events.
+static TRACES: FifoCache<WorkloadOutput> =
+    FifoCache::new(MAX_CACHED_EVENTS, |out| out.traces.total_events());
 
 /// Streamed replay results cached by [`stream_cached`]. A
 /// [`machine::StreamReport`] is a few hundred bytes of statistics, so the
-/// bound is an entry count, not an event budget.
+/// bound is an entry count (weight 1 each).
 const MAX_STREAM_RESULTS: usize = 64;
 
-/// The active entry bound: [`MAX_STREAM_RESULTS`] in production, shrunk
-/// by tests to exercise eviction accounting.
-static STREAM_CAPACITY: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(MAX_STREAM_RESULTS);
-
-/// Test-only: shrink the streaming-result bound. Pair with [`clear`].
-#[cfg(test)]
-fn set_stream_capacity_for_test(entries: usize) {
-    STREAM_CAPACITY.store(entries, Ordering::Relaxed);
-}
-
-struct StreamInner {
-    map: HashMap<String, Arc<machine::StreamReport>>,
-    /// Insertion order, oldest first (FIFO eviction).
-    order: VecDeque<String>,
-}
-
-static STREAM_CACHE: Mutex<Option<StreamInner>> = Mutex::new(None);
+static STREAMS: FifoCache<machine::StreamReport> = FifoCache::new(MAX_STREAM_RESULTS, |_| 1);
 
 /// Candidate-plan replay results cached by [`plan_cached`]. A
 /// [`machine::RunStats`] is a few KB, and one `--auto` search evaluates a
 /// few hundred candidates at most, so the bound is an entry count.
 const MAX_PLAN_RESULTS: usize = 512;
 
-/// The active entry bound: [`MAX_PLAN_RESULTS`] in production, shrunk by
-/// tests to exercise eviction accounting.
-static PLAN_CAPACITY: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(MAX_PLAN_RESULTS);
+static PLANS: FifoCache<machine::RunStats> = FifoCache::new(MAX_PLAN_RESULTS, |_| 1);
 
-/// Test-only: shrink the plan-result bound. Pair with [`clear`].
-#[cfg(test)]
-fn set_plan_capacity_for_test(entries: usize) {
-    PLAN_CAPACITY.store(entries, Ordering::Relaxed);
-}
-
-struct PlanInner {
-    map: HashMap<String, Arc<machine::RunStats>>,
-    /// Insertion order, oldest first (FIFO eviction).
-    order: VecDeque<String>,
-}
-
-static PLAN_CACHE: Mutex<Option<PlanInner>> = Mutex::new(None);
 static LOOKUPS: AtomicU64 = AtomicU64::new(0);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -145,7 +188,7 @@ mod probes {
 
 /// Cache-effectiveness counters since the last [`clear`].
 ///
-/// Invariants (pinned by the reconciliation test): every [`cached`] call
+/// Invariants (pinned by the reconciliation test): every memoized fetch
 /// is exactly one lookup and either a hit or a miss, so
 /// `hits + misses == lookups`; an entry can only be evicted after being
 /// inserted, so `evictions <= inserts`; and a recording race's loser is
@@ -161,7 +204,7 @@ pub struct MemoCounters {
     /// Recordings actually inserted (race losers are dropped, not
     /// inserted).
     pub inserts: u64,
-    /// Entries evicted by the FIFO event budget.
+    /// Entries evicted by a cache's FIFO bound.
     pub evictions: u64,
     /// Mode variants derived by trace rewriting instead of re-recording.
     pub derived: u64,
@@ -186,14 +229,9 @@ pub fn counters() -> MemoCounters {
 /// serial and parallel passes of `figures --timing` so both measure cold
 /// caches).
 pub fn clear() {
-    let mut guard = CACHE.lock().expect("memo cache poisoned");
-    *guard = None;
-    drop(guard);
-    let mut guard = STREAM_CACHE.lock().expect("stream memo cache poisoned");
-    *guard = None;
-    drop(guard);
-    let mut guard = PLAN_CACHE.lock().expect("plan memo cache poisoned");
-    *guard = None;
+    TRACES.clear();
+    STREAMS.clear();
+    PLANS.clear();
     LOOKUPS.store(0, Ordering::Relaxed);
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
@@ -203,54 +241,11 @@ pub fn clear() {
     DERIVE_NS.store(0, Ordering::Relaxed);
 }
 
-/// Fetch `key` from the cache or record it with `record`.
-///
-/// The recording runs outside the lock: concurrent sweep points may race
-/// to record the same key, in which case the first insertion wins and the
-/// loser's output is dropped (both are deterministic and identical).
+/// Fetch `key` from the trace cache or record it with `record`.
 fn cached(key: String, record: impl FnOnce() -> WorkloadOutput) -> Arc<WorkloadOutput> {
-    LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut guard = CACHE.lock().expect("memo cache poisoned");
-        let inner = guard.get_or_insert_with(|| CacheInner {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            events: 0,
-        });
-        if let Some(out) = inner.map.get(&key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(out);
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let out = {
-        let _timed = simcore::telemetry::span(&probes::RECORD);
-        Arc::new(record())
-    };
-    let events = out.traces.total_events();
-    let mut guard = CACHE.lock().expect("memo cache poisoned");
-    let inner = guard.get_or_insert_with(|| CacheInner {
-        map: HashMap::new(),
-        order: VecDeque::new(),
-        events: 0,
-    });
-    if let Some(existing) = inner.map.get(&key) {
-        // Lost a recording race; the entries are identical. The loser is
-        // dropped without an insert, which is why `inserts <= misses`.
-        return Arc::clone(existing);
-    }
-    inner.events += events;
-    inner.map.insert(key.clone(), Arc::clone(&out));
-    inner.order.push_back(key);
-    INSERTS.fetch_add(1, Ordering::Relaxed);
-    while inner.events > CAPACITY.load(Ordering::Relaxed) && inner.order.len() > 1 {
-        let oldest = inner.order.pop_front().expect("order tracks map");
-        if let Some(evicted) = inner.map.remove(&oldest) {
-            inner.events -= evicted.traces.total_events();
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    out
+    TRACES
+        .fetch(key, || Some(record()))
+        .expect("a recording always yields an entry")
 }
 
 /// The cache key of one streamed replay: the stream's chunk-size-invariant
@@ -263,48 +258,16 @@ pub fn stream_key(digest: u64, machine_tag: &str) -> String {
 /// Fetch a streamed replay result from the cache or compute it with `run`
 /// (which replays the stream through `machine::try_simulate_stream`).
 ///
-/// Shares the trace cache's counter ledger: every call is one lookup and
-/// either a hit or a miss, race losers are dropped without an insert, and
-/// FIFO eviction (entry-count bound — reports are small) increments the
-/// shared eviction counter. The [`MemoCounters`] invariants therefore hold
-/// across both caches combined.
+/// Shares the trace cache's counter ledger and eviction rule, bounded by
+/// entry count (reports are small), so the [`MemoCounters`] invariants
+/// hold across every cache combined.
 pub fn stream_cached(
     key: String,
     run: impl FnOnce() -> machine::StreamReport,
 ) -> Arc<machine::StreamReport> {
-    LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut guard = STREAM_CACHE.lock().expect("stream memo cache poisoned");
-        let inner = guard
-            .get_or_insert_with(|| StreamInner { map: HashMap::new(), order: VecDeque::new() });
-        if let Some(out) = inner.map.get(&key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(out);
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let out = {
-        let _timed = simcore::telemetry::span(&probes::RECORD);
-        Arc::new(run())
-    };
-    let mut guard = STREAM_CACHE.lock().expect("stream memo cache poisoned");
-    let inner =
-        guard.get_or_insert_with(|| StreamInner { map: HashMap::new(), order: VecDeque::new() });
-    if let Some(existing) = inner.map.get(&key) {
-        // Lost a replay race; the reports are identical (deterministic
-        // replay). Dropped without an insert, keeping `inserts <= misses`.
-        return Arc::clone(existing);
-    }
-    inner.map.insert(key.clone(), Arc::clone(&out));
-    inner.order.push_back(key);
-    INSERTS.fetch_add(1, Ordering::Relaxed);
-    while inner.map.len() > STREAM_CAPACITY.load(Ordering::Relaxed).max(1) {
-        let oldest = inner.order.pop_front().expect("order tracks map");
-        if inner.map.remove(&oldest).is_some() {
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    out
+    STREAMS
+        .fetch(key, || Some(run()))
+        .expect("a replay always yields an entry")
 }
 
 /// The cache key of one candidate-plan evaluation: the workload, the
@@ -328,39 +291,7 @@ pub fn plan_cached(
     key: String,
     run: impl FnOnce() -> Option<machine::RunStats>,
 ) -> Option<Arc<machine::RunStats>> {
-    LOOKUPS.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut guard = PLAN_CACHE.lock().expect("plan memo cache poisoned");
-        let inner =
-            guard.get_or_insert_with(|| PlanInner { map: HashMap::new(), order: VecDeque::new() });
-        if let Some(out) = inner.map.get(&key) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(out));
-        }
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let out = {
-        let _timed = simcore::telemetry::span(&probes::RECORD);
-        Arc::new(run()?)
-    };
-    let mut guard = PLAN_CACHE.lock().expect("plan memo cache poisoned");
-    let inner =
-        guard.get_or_insert_with(|| PlanInner { map: HashMap::new(), order: VecDeque::new() });
-    if let Some(existing) = inner.map.get(&key) {
-        // Lost an evaluation race; deterministic replay makes the results
-        // identical. Dropped without an insert, keeping `inserts <= misses`.
-        return Some(Arc::clone(existing));
-    }
-    inner.map.insert(key.clone(), Arc::clone(&out));
-    inner.order.push_back(key);
-    INSERTS.fetch_add(1, Ordering::Relaxed);
-    while inner.map.len() > PLAN_CAPACITY.load(Ordering::Relaxed).max(1) {
-        let oldest = inner.order.pop_front().expect("order tracks map");
-        if inner.map.remove(&oldest).is_some() {
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    Some(out)
+    PLANS.fetch(key, run)
 }
 
 fn recommendation_for(mode: PrestoreMode) -> Option<Recommendation> {
@@ -570,9 +501,9 @@ mod tests {
             p.seed = i + 100;
             let _ = listing1(&p, PrestoreMode::None);
         }
-        let guard = CACHE.lock().expect("memo cache poisoned");
+        let guard = TRACES.lock();
         let inner = guard.as_ref().expect("cache populated");
-        assert!(inner.events <= MAX_CACHED_EVENTS || inner.map.len() == 1);
+        assert!(inner.weight <= MAX_CACHED_EVENTS || inner.map.len() == 1);
         assert_eq!(inner.map.len(), inner.order.len());
         drop(guard);
         clear();
@@ -587,7 +518,7 @@ mod tests {
         let _g = LOCK.lock().expect("no memo test panicked while holding the lock");
         clear();
         // One event of budget: every insert but the newest is evicted.
-        set_capacity_for_test(1);
+        TRACES.set_capacity(1);
         let mut p = Listing1Params::quick();
         for i in 0..4 {
             p.seed = 300 + i;
@@ -606,7 +537,7 @@ mod tests {
         assert!(c.evictions > 0, "a one-event budget must evict: {c:?}");
         assert_eq!(c.hits, 4, "each seed's immediate re-lookup hits: {c:?}");
         assert_eq!(c.misses, 5, "four first recordings plus one re-recording: {c:?}");
-        set_capacity_for_test(MAX_CACHED_EVENTS);
+        TRACES.set_capacity(MAX_CACHED_EVENTS);
         clear();
     }
 
@@ -617,7 +548,7 @@ mod tests {
     fn stream_results_share_the_counter_ledger() {
         let _g = LOCK.lock().expect("no memo test panicked while holding the lock");
         clear();
-        set_stream_capacity_for_test(2);
+        STREAMS.set_capacity(2);
         let cfg = machine::MachineConfig::machine_a();
         let report_for = |seed: u64| {
             let p = workloads::kv::ServingParams {
@@ -652,7 +583,7 @@ mod tests {
         let hits_before = counters().hits;
         let _ = report_for(1);
         assert_eq!(counters().hits, hits_before);
-        set_stream_capacity_for_test(MAX_STREAM_RESULTS);
+        STREAMS.set_capacity(MAX_STREAM_RESULTS);
         clear();
     }
 
@@ -701,9 +632,9 @@ mod tests {
         assert!(results.iter().all(Option::is_some), "every candidate replays");
         // Identical keys resolve to the same cached replay.
         for w in results.chunks(3).collect::<Vec<_>>().windows(2) {
-            for k in 0..3 {
-                let a = w[0][k].as_ref().expect("replayed");
-                let b = w[1][k].as_ref().expect("replayed");
+            for (k, (a, b)) in w[0].iter().zip(w[1]).enumerate() {
+                let a = a.as_ref().expect("replayed");
+                let b = b.as_ref().expect("replayed");
                 assert!(Arc::ptr_eq(a, b), "candidate {k} must share one replay");
             }
         }
@@ -720,7 +651,7 @@ mod tests {
 
         // Shrink the bound: the next insert overflows the 3 resident
         // plans down to 2 entries, booking evictions through the ledger.
-        set_plan_capacity_for_test(2);
+        PLANS.set_capacity(2);
         let mut skip = PrestorePlan::empty();
         skip.force(site, Recommendation::Skip);
         let _ = plan_cached(plan_key("listing3", "machine_a", &skip), || {
@@ -740,7 +671,7 @@ mod tests {
         assert_eq!(c.hits + c.misses, c.lookups, "{c:?}");
 
         simcore::par::set_parallelism(prev_jobs);
-        set_plan_capacity_for_test(MAX_PLAN_RESULTS);
+        PLANS.set_capacity(MAX_PLAN_RESULTS);
         clear();
     }
 }

@@ -3,15 +3,9 @@
 //! and no matter whether the memo cache served a point from a derived
 //! trace or a fresh recording.
 
-use std::sync::Mutex;
-
 use ps_bench::{experiments, memo, runner, FigureResult};
 
 type Experiment = (&'static str, fn(bool) -> FigureResult);
-
-/// The kernel-set override is process-global, so the tests in this binary
-/// serialize instead of racing each other's `set_force_scalar` calls.
-static LOCK: Mutex<()> = Mutex::new(());
 
 /// A fast-but-representative subset: a multi-machine sweep
 /// (`fig5`), a multi-mode KV figure (`fig13`), the x9 grid, and a
@@ -34,33 +28,12 @@ fn render_all(jobs: usize) -> Vec<(String, String)> {
 
 #[test]
 fn jobs_8_is_byte_identical_to_jobs_1() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let serial = render_all(1);
     let parallel = render_all(8);
     assert_eq!(serial.len(), parallel.len());
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(s.0, p.0, "CSV for {} differs across job counts", SUBSET[i].0);
         assert_eq!(s.1, p.1, "JSON for {} differs across job counts", SUBSET[i].0);
-    }
-    memo::clear();
-}
-
-/// The two determinism axes compose: a serial sweep on the vectorized
-/// kernels and an 8-worker sweep on the forced-scalar kernels must render
-/// the same bytes, even though the latter both shards each grid across
-/// threads and replays every point through the scalar twins.
-#[test]
-fn jobs_8_forced_scalar_matches_jobs_1_simd() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simcore::simd::set_force_scalar(false);
-    let simd_serial = render_all(1);
-    simcore::simd::set_force_scalar(true);
-    let scalar_parallel = render_all(8);
-    simcore::simd::set_force_scalar(false);
-    assert_eq!(simd_serial.len(), scalar_parallel.len());
-    for (i, (s, p)) in simd_serial.iter().zip(&scalar_parallel).enumerate() {
-        assert_eq!(s.0, p.0, "CSV for {} differs across kernel/job axes", SUBSET[i].0);
-        assert_eq!(s.1, p.1, "JSON for {} differs across kernel/job axes", SUBSET[i].0);
     }
     memo::clear();
 }

@@ -101,7 +101,7 @@ fn random_single(rng: &mut SimRng, events: usize) -> ThreadTrace {
         let addr = rng.gen_range(1 << 20) * 8;
         let size = 1 + rng.gen_range(256) as u32;
         match rng.gen_range(8) {
-            0 | 1 | 2 => t.read(addr, size),
+            0..=2 => t.read(addr, size),
             3 | 4 => t.write(addr, size),
             5 => t.nt_write(addr, size),
             6 => t.fence(),

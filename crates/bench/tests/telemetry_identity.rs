@@ -5,11 +5,10 @@
 //! axis the repo guarantees:
 //!
 //!   * streaming vs materialized replay,
-//!   * every chunk size of the streaming pipeline,
-//!   * SIMD vs forced-scalar kernels.
+//!   * every chunk size of the streaming pipeline.
 //!
 //! The sampler keys off simulated cycles and the classifier observes
-//! retired events in per-thread program order, so none of these axes may
+//! retired events in per-thread program order, so neither axis may
 //! perturb a single window or histogram bucket.
 
 use machine::{MachineConfig, StreamOptions};
@@ -46,26 +45,22 @@ fn timeseries_and_latency_are_identical_across_all_axes() {
         "classifier must observe requests"
     );
 
-    // Axis 1+2: streaming replay at every chunk size, SIMD and scalar.
-    for force_scalar in [false, true] {
-        simcore::simd::set_force_scalar(force_scalar);
-        for chunk_events in CHUNKS {
-            let mut source = KvServingSource::new(serving_params());
-            let classifier = Box::new(source.classifier());
-            let report = machine::try_simulate_stream_classified(
-                &cfg,
-                &mut source,
-                StreamOptions { chunk_events },
-                classifier,
-            )
-            .unwrap_or_else(|e| panic!("stream replay failed at chunk {chunk_events}: {e}"));
-            assert_eq!(
-                report.stats, golden,
-                "stats diverge at chunk_events={chunk_events} force_scalar={force_scalar}"
-            );
-        }
+    // Both axes: streaming replay at every chunk size.
+    for chunk_events in CHUNKS {
+        let mut source = KvServingSource::new(serving_params());
+        let classifier = Box::new(source.classifier());
+        let report = machine::try_simulate_stream_classified(
+            &cfg,
+            &mut source,
+            StreamOptions { chunk_events },
+            classifier,
+        )
+        .unwrap_or_else(|e| panic!("stream replay failed at chunk {chunk_events}: {e}"));
+        assert_eq!(
+            report.stats, golden,
+            "stats diverge at chunk_events={chunk_events}"
+        );
     }
-    simcore::simd::set_force_scalar(false);
 }
 
 #[test]

@@ -137,11 +137,24 @@ impl ReplacementKind {
                     rng.gen_range(ways as u64) as usize
                 } else {
                     let k = rng.gen_range(u64::from(mask.count_ones())) as u32;
-                    simcore::simd::kth_set_bit(mask, k) as usize
+                    kth_set_bit(mask, k) as usize
                 }
             }
         }
     }
+}
+
+/// Position of the `k`-th set bit of `mask`, counting from bit 0 upward
+/// (`k` is 0-based and must be below `mask.count_ones()`): clear the
+/// lowest set bit `k` times, then locate the next one.
+#[inline]
+fn kth_set_bit(mask: u64, k: u32) -> u32 {
+    debug_assert!(k < mask.count_ones(), "k out of range for mask");
+    let mut m = mask;
+    for _ in 0..k {
+        m &= m - 1;
+    }
+    m.trailing_zeros()
 }
 
 #[cfg(test)]
@@ -254,6 +267,18 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn plru_rejects_non_power_of_two() {
         let _ = TestSet::new(ReplacementKind::TreePlru, 6);
+    }
+
+    #[test]
+    fn kth_set_bit_returns_a_set_bit_with_k_set_bits_below() {
+        for mask in [1u64, 0b1010, 0xFF, 0xF0F0, u64::MAX, 1 << 63, 0x8000_0001] {
+            for k in 0..mask.count_ones() {
+                let bit = kth_set_bit(mask, k);
+                assert_eq!(mask >> bit & 1, 1, "mask {mask:#x} k {k}: bit {bit} clear");
+                let below = mask & ((1u64 << bit) - 1);
+                assert_eq!(below.count_ones(), k, "mask {mask:#x} k {k}: bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -111,9 +111,8 @@ pub struct StoreBuffer {
     entries: VecDeque<SbEntry>,
     /// The line address of every entry, in entry order — a dense mirror of
     /// `entries` kept in lockstep so the per-event membership scans
-    /// (store-to-load forwarding, coalescing, demote lookup) run as
-    /// vectorized equality sweeps over contiguous `u64`s instead of
-    /// striding through 40-byte entries.
+    /// (store-to-load forwarding, coalescing, demote lookup) walk
+    /// contiguous `u64`s instead of striding through 40-byte entries.
     lines: VecDeque<Addr>,
     /// Counting filter over `lines`: bucket [`bucket`]`(line)` counts the
     /// entries hashing there. Most loads and demotes look up a line the
@@ -216,30 +215,20 @@ impl StoreBuffer {
     }
 
     /// Position of the first entry covering `line`, if any (entry order):
-    /// the filter rules most lines out, a vectorized equality scan over the
-    /// contiguous line mirror finds the rest.
+    /// the filter rules most lines out, a scan of the contiguous line
+    /// mirror finds the rest.
     #[inline]
     fn position_of(&self, line: Addr) -> Option<usize> {
         if self.filter[bucket(line)] == 0 {
             return None;
         }
-        let (a, b) = self.lines.as_slices();
-        simcore::simd::find_u64(a, line)
-            .or_else(|| simcore::simd::find_u64(b, line).map(|p| p + a.len()))
+        self.lines.iter().position(|&l| l == line)
     }
 
     /// Whether any entry at or past index `from` covers `line`.
     #[inline]
     fn contains_from(&self, from: usize, line: Addr) -> bool {
-        if self.filter[bucket(line)] == 0 {
-            return false;
-        }
-        let (a, b) = self.lines.as_slices();
-        if from < a.len() {
-            simcore::simd::contains_u64(&a[from..], line) || simcore::simd::contains_u64(b, line)
-        } else {
-            simcore::simd::contains_u64(&b[from - a.len()..], line)
-        }
+        self.filter[bucket(line)] != 0 && self.lines.range(from..).any(|&l| l == line)
     }
 
     /// Record a store to `line` at cycle `now`.
@@ -637,9 +626,8 @@ mod tests {
 
     #[test]
     fn line_mirror_stays_in_lockstep_with_entries() {
-        // Exercise every mutation path and check the vectorized-scan
-        // mirror and the membership filter against the entry deque after
-        // each one.
+        // Exercise every mutation path and check the line mirror and the
+        // membership filter against the entry deque after each one.
         let mut sb = StoreBuffer::with_mlp(4, 10);
         let check = |sb: &StoreBuffer| {
             let want: Vec<Addr> = sb.entries.iter().map(|e| e.line).collect();

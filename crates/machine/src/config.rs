@@ -90,8 +90,8 @@ pub struct MachineConfig {
     /// default) disables sampling entirely — the step loop then pays one
     /// integer compare and `RunStats` is byte-identical to builds that
     /// never heard of sampling. Keyed to *simulated* cycles, never
-    /// wall-clock, so the windows are deterministic across `--jobs`,
-    /// SIMD/scalar and streaming/materialized replay.
+    /// wall-clock, so the windows are deterministic across `--jobs` and
+    /// streaming/materialized replay.
     pub timeseries_window: Option<Cycles>,
 }
 

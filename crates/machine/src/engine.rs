@@ -401,7 +401,7 @@ pub fn try_simulate_threads(
 /// latency histograms of [`RunStats::request_latency`]. Classification
 /// observes retired events in per-thread program order — the one order
 /// shared by every replay path — so the histograms are byte-identical
-/// across `--jobs`, SIMD/scalar and streaming/materialized replay. All
+/// across `--jobs` and streaming/materialized replay. All
 /// other statistics are unchanged by classification.
 pub fn try_simulate_threads_classified(
     cfg: &MachineConfig,
@@ -1043,8 +1043,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
             request_latency,
         };
         // End-of-run epoch-validity sweep: how many flat-table entries
-        // still carry current-epoch state (vectorized; `None` on the
-        // reference tables).
+        // still carry current-epoch state (`None` on the reference
+        // tables).
         if let Some(live) = self.tables.live_lines() {
             crate::probes::publish_value(crate::probes::TABLE_LIVE_LINES, live as u64);
         }
@@ -1413,10 +1413,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
     fn stream_check(&mut self, cid: CoreId, line: Addr) -> bool {
         let line_size = self.cfg.line_size;
         let streams = &mut self.cores[cid].streams;
-        let (a, b) = streams.as_slices();
-        let pos = simcore::simd::find_u64(a, line)
-            .or_else(|| simcore::simd::find_u64(b, line).map(|p| p + a.len()));
-        if let Some(pos) = pos {
+        if let Some(pos) = streams.iter().position(|&s| s == line) {
             streams.remove(pos);
             streams.push_back(line + line_size);
             return true;

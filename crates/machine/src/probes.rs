@@ -66,8 +66,8 @@ pub(crate) static TABLE_EPOCHS: Metric = Metric::counter("engine.table_epochs");
 /// Epoch-counter wraps (the rare full re-zero path).
 pub(crate) static TABLE_EPOCH_WRAPS: Metric = Metric::counter("engine.table_epoch_wraps");
 /// Registry name of the end-of-run live flat-table entry distribution
-/// (the vectorized epoch-validity sweep): how many lines still carried
-/// state when the replay finished.
+/// (the epoch-validity sweep): how many lines still carried state when
+/// the replay finished.
 pub(crate) const TABLE_LIVE_LINES: &str = "engine.table_live_lines";
 
 /// One replay's probe values, kept as plain fields on the engine so the

@@ -15,7 +15,7 @@
 //!   ([`simcore::trace::validate_and_intern`]), so each table is a plain
 //!   `Vec` indexed by id. Entries are *epoch-stamped*: resetting all
 //!   tables for the next run is a single epoch bump, no clearing, which
-//!   lets one thread-local [`EngineScratch`] be recycled across the
+//!   lets one thread-local `EngineScratch` be recycled across the
 //!   thousands of replays a parameter sweep performs.
 //! * [`HashTables`] — the pre-interning reference, byte-for-byte the old
 //!   behaviour. Kept for the equivalence suite
@@ -116,11 +116,7 @@ pub trait LineTables {
 /// state exactly when its current-epoch flags word is nonzero — except
 /// that a cleared owner keeps its core id: the epoch-validity sweep's
 /// count is a gated telemetry figure, and zeroing the id would move it.
-///
-/// `repr(C)` so the epoch-validity sweep ([`FlatTables::live_lines`]) can
-/// view the hot table as `[epoch, flags]` pairs for the vectorized scan.
 #[derive(Debug, Clone, Copy, Default)]
-#[repr(C)]
 struct HotEntry {
     epoch: u32,
     flags: u32,
@@ -173,7 +169,7 @@ struct RelEntry {
 /// Dense, epoch-stamped per-line state tables (the production path).
 ///
 /// The hot table covers every interned line; the side tables (`life`,
-/// `nt`, `rel`) are gated by [`HotEntry`] flag bits and sized to the hot
+/// `nt`, `rel`) are gated by `HotEntry` flag bits and sized to the hot
 /// table's length by their first setter, so a trace that never writes,
 /// NT-stores or releases never allocates the matching table. A `clean`
 /// write workload holds 8 + 16 = 24 bytes per line, a read-only one 8.
@@ -283,17 +279,14 @@ impl FlatTables {
     }
 
     /// Number of lines carrying live state this epoch: the epoch-validity
-    /// sweep, vectorized over the `[epoch, flags]` pairs of the hot table.
-    /// O(lines) — called for end-of-run telemetry only, never on the step
-    /// path.
+    /// sweep, counting the hot entries stamped with the current epoch whose
+    /// flags are nonzero. O(lines) — called for end-of-run telemetry only,
+    /// never on the step path.
     pub(crate) fn epoch_live_lines(&self) -> usize {
-        // SAFETY: `HotEntry` is `repr(C)` with exactly two `u32` fields
-        // and no padding, so `&[HotEntry]` and `&[[u32; 2]]` have
-        // identical layout.
-        let pairs = unsafe {
-            std::slice::from_raw_parts(self.hot.as_ptr().cast::<[u32; 2]>(), self.hot.len())
-        };
-        simcore::simd::count_live_pairs(pairs, self.epoch)
+        self.hot
+            .iter()
+            .filter(|e| e.epoch == self.epoch && e.flags != 0)
+            .count()
     }
 }
 

@@ -47,8 +47,7 @@ pub struct OptanePmem {
     /// Addresses of the open blocks, one per occupied XPBuffer slot. Slots
     /// are only freed all at once (flush), and an eviction hands its slot
     /// straight to the incoming block, so the occupied slots are always
-    /// this whole vector — a dense key array the membership scan walks
-    /// with [`simcore::simd::find_u64`].
+    /// this whole vector — a dense key array the membership scan walks.
     open_blocks: Vec<Addr>,
     /// LRU links and fill level per slot (parallel to `open_blocks`): an
     /// intrusive doubly-linked list from `oldest` to `newest`, so moving a
@@ -161,7 +160,7 @@ impl OptanePmem {
         if self.filter[self.bucket(blk)] == 0 {
             return None;
         }
-        simcore::simd::find_u64(&self.open_blocks, blk)
+        self.open_blocks.iter().position(|&b| b == blk)
     }
 
     /// Unlink `slot` from the LRU list.

@@ -14,8 +14,7 @@
 //!
 //! `on_event` is called exactly once per *retired* event, in each
 //! thread's program order — the one order that is identical across
-//! `--jobs`, SIMD/scalar, streaming/materialized replay and core
-//! interleavings. A classifier must derive its verdict only from
+//! `--jobs`, streaming/materialized replay and core interleavings. A classifier must derive its verdict only from
 //! `(thread, event)` history, never from clocks or global state, so the
 //! resulting histograms are byte-identical across all of those axes.
 

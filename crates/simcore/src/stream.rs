@@ -266,7 +266,7 @@ struct Window {
 
 /// The streaming pipeline's shared state across chunks: the growing
 /// [`LineInterner`], the incremental validator, the rolling digest, and
-/// one decoded [`Window`] per thread. The replay engine pulls events and
+/// one decoded `Window` per thread. The replay engine pulls events and
 /// id runs from here and asks for refills when a window runs dry.
 #[derive(Debug)]
 pub struct StreamFeed {
@@ -511,7 +511,7 @@ mod tests {
         for chunk in [1usize, 2, 64] {
             let mut src = SliceSource::new(&threads);
             let mut feed = StreamFeed::new(64, 2, chunk);
-            for tid in 0..2 {
+            for (tid, thread) in threads.iter().enumerate() {
                 let mut idx = 0usize;
                 loop {
                     let n = feed.refill(&mut src, tid).expect("valid trace");
@@ -519,7 +519,7 @@ mod tests {
                         break;
                     }
                     for _ in 0..n {
-                        assert_eq!(feed.event(tid, idx), threads[tid].events[idx]);
+                        assert_eq!(feed.event(tid, idx), thread.events[idx]);
                         // Streaming ids may differ (interleaving changes
                         // first-touch order) but must resolve to the same
                         // line addresses.

@@ -14,10 +14,10 @@
 //! Nothing here reads a clock, allocates after construction, or depends
 //! on thread scheduling: the output is a pure function of the
 //! `(cycle, totals)` observation sequence. The engine feeds observations
-//! in retire order, which is itself identical across `--jobs`,
-//! SIMD/scalar, and streaming/materialized replay — so the windows are
-//! byte-identical across all of those axes (like [`super::SiteTable`], it
-//! feeds `RunStats`-style results, not the wall-clock metrics registry).
+//! in retire order, which is itself identical across `--jobs` and
+//! streaming/materialized replay — so the windows are byte-identical
+//! across both axes (like [`super::SiteTable`], it feeds `RunStats`-style
+//! results, not the wall-clock metrics registry).
 //!
 //! # Attribution convention
 //!

@@ -44,7 +44,7 @@ fn lines(line_size: u64) -> impl Strategy<Value = Vec<u64>> {
             .map(|(shape, k)| match shape {
                 0 => k % 512 * line_size,
                 1 => k * 64 * line_size + (k % 64) * line_size,
-                _ => (k % 8) << 40 | (k % 97) * line_size,
+                _ => ((k % 8) << 40) | ((k % 97) * line_size),
             })
             .collect()
     })
