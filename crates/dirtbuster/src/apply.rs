@@ -131,6 +131,9 @@ pub fn apply_plan_thread(trace: &ThreadTrace, plan: &PrestorePlan) -> ThreadTrac
             _ => events.push(*ev),
         }
     }
+    // The reservation covers one pre-store per four events; a recording
+    // at rest holds no slack (as `Tracer::finish` leaves it).
+    events.shrink_to_fit();
     ThreadTrace { events }
 }
 

@@ -57,18 +57,23 @@ const PAGE_LINES: usize = 64;
 /// map would hold one entry per line, and stays resident in the host's
 /// cache; consecutive lookups of one page skip the directory altogether.
 ///
+/// Memory grows with pages, not lines: 256 bytes of block plus one
+/// directory entry per page, and no per-line table. The map runs one way
+/// only (line → id); nothing maps an id back to its line.
+///
 /// # Examples
 ///
 /// ```
 /// use simcore::intern::LineInterner;
-/// use simcore::Tracer;
+/// use simcore::{LineId, Tracer};
 ///
 /// let mut t = Tracer::new();
 /// t.write(100, 64); // touches lines 64 and 128
 /// let interner = LineInterner::from_threads(&[t.finish()], 64);
 /// assert_eq!(interner.len(), 2);
-/// let id = interner.id_of(64).unwrap();
-/// assert_eq!(interner.line_of(id), 64);
+/// // First-touch order: the two lines hold ids 0 and 1.
+/// assert_eq!(interner.id_of(64), Some(LineId(0)));
+/// assert_eq!(interner.id_of(128), Some(LineId(1)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LineInterner {
@@ -79,13 +84,16 @@ pub struct LineInterner {
     /// of the page's block in `blocks`.
     pages: FxHashMap<u64, u32>,
     /// Per page: the id of each of its lines, [`LineId::INVALID`] where
-    /// the line was never interned.
+    /// the line was never interned. Grown by an eighth at a time with
+    /// exact reservations ([`LineInterner::push_block`]), not by `Vec`
+    /// doubling.
     blocks: Vec<[LineId; PAGE_LINES]>,
     /// The page of the latest [`LineInterner::try_intern`] and its block
     /// (`u64::MAX` before the first), so runs of lines within one page
     /// skip the directory.
     last_page: (u64, u32),
-    lines: Vec<Addr>,
+    /// Distinct lines interned: the next id to assign.
+    len: u32,
     /// Refuse to intern more than this many distinct lines. The default,
     /// [`LineInterner::DEFAULT_MAX_LINES`], is the full dense-id space;
     /// tests shrink it to exercise the exhaustion path without 4 G inserts.
@@ -100,7 +108,7 @@ impl Default for LineInterner {
             pages: FxHashMap::default(),
             blocks: Vec::new(),
             last_page: (u64::MAX, 0),
-            lines: Vec::new(),
+            len: 0,
             max_lines: Self::DEFAULT_MAX_LINES,
         }
     }
@@ -127,7 +135,7 @@ impl LineInterner {
             pages: FxHashMap::default(),
             blocks: Vec::new(),
             last_page: (u64::MAX, 0),
-            lines: Vec::new(),
+            len: 0,
             max_lines,
         }
     }
@@ -141,12 +149,12 @@ impl LineInterner {
     /// Number of distinct lines interned.
     #[inline]
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.len as usize
     }
 
     /// Whether no lines have been interned.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.len == 0
     }
 
     /// Split a line-aligned address into its page number and the line's
@@ -180,7 +188,7 @@ impl LineInterner {
                 return Ok(id);
             }
         }
-        self.intern_new(line, page, slot, block)
+        self.intern_new(page, slot, block)
     }
 
     /// First sight of `line` (slot `slot` of page `page`, whose block is
@@ -190,31 +198,42 @@ impl LineInterner {
     #[inline(never)]
     fn intern_new(
         &mut self,
-        line: Addr,
         page: u64,
         slot: usize,
         block: Option<u32>,
     ) -> Result<LineId, ValidateError> {
-        if self.lines.len() >= self.max_lines as usize {
+        if self.len >= self.max_lines {
             return Err(ValidateError::TooManyLines {
-                needed: self.lines.len() as u64 + 1,
-                limit: self.max_lines as u64,
+                needed: u64::from(self.len) + 1,
+                limit: u64::from(self.max_lines),
             });
         }
         let b = match block {
             Some(b) => b,
             None => {
-                let b = self.blocks.len() as u32;
-                self.blocks.push([LineId::INVALID; PAGE_LINES]);
+                let b = self.push_block();
                 self.pages.insert(page, b);
                 self.last_page = (page, b);
                 b
             }
         };
-        let id = LineId(self.lines.len() as u32);
+        let id = LineId(self.len);
         self.blocks[b as usize][slot] = id;
-        self.lines.push(line);
+        self.len += 1;
         Ok(id)
+    }
+
+    /// Append an empty block and return its index. When the blocks are
+    /// full, reserve exactly an eighth more (at least four blocks) rather
+    /// than let `Vec` double: doubling left up to half of the blocks, 256
+    /// bytes each, as slack.
+    fn push_block(&mut self) -> u32 {
+        let len = self.blocks.len();
+        if len == self.blocks.capacity() {
+            self.blocks.reserve_exact((len / 8).max(4));
+        }
+        self.blocks.push([LineId::INVALID; PAGE_LINES]);
+        len as u32
     }
 
     /// Intern a line-aligned address, assigning the next dense id on first
@@ -260,12 +279,6 @@ impl LineInterner {
         let b = *self.pages.get(&page)?;
         let id = self.blocks[b as usize][slot];
         (id != LineId::INVALID).then_some(id)
-    }
-
-    /// The line address behind an id (panics on a foreign id).
-    #[inline]
-    pub fn line_of(&self, id: LineId) -> Addr {
-        self.lines[id.index()]
     }
 
     /// Intern every line `ev` will make the replay engine touch, using the
@@ -471,10 +484,44 @@ mod tests {
         assert_eq!(b, LineId(1));
         assert_eq!(a, a2);
         assert_eq!(i.len(), 2);
-        assert_eq!(i.line_of(a), 0);
-        assert_eq!(i.line_of(b), 64);
+        // Each id round-trips through its line, and the ids are 0..len().
+        assert_eq!(i.id_of(0), Some(a));
         assert_eq!(i.id_of(64), Some(b));
         assert_eq!(i.id_of(128), None);
+    }
+
+    /// The interner's memory grows with pages, not lines: the blocks grow
+    /// by an eighth with exact reservations (never by `Vec` doubling),
+    /// and filling the lines of mapped pages grows no table at all.
+    #[test]
+    fn blocks_grow_with_pages_by_an_eighth() {
+        const PAGES: u64 = 3_000;
+        for line_size in [64u64, 128] {
+            let line = |page: u64, slot: u64| (page * PAGE_LINES as u64 + slot) * line_size;
+            let mut i = LineInterner::new(line_size);
+            let (mut cap, mut reallocs) = (0, 0);
+            // One line per page, on page numbers 97 apart.
+            for p in 0..PAGES {
+                i.intern(line(p * 97, p % 64));
+                let pages = p as usize + 1;
+                assert_eq!(i.len(), pages);
+                let now = i.blocks.capacity();
+                assert!(now <= pages + pages / 8 + 16, "{now} blocks for {pages} pages");
+                reallocs += usize::from(now != cap);
+                cap = now;
+            }
+            // 3,000 pages; exact growth would reallocate on every one.
+            assert!(reallocs < 80, "{reallocs} reallocations");
+            // Every line of those pages: 64x the lines, no more memory.
+            let directory = i.pages.capacity();
+            for p in 0..PAGES {
+                for slot in 0..PAGE_LINES as u64 {
+                    i.intern(line(p * 97, slot));
+                }
+            }
+            assert_eq!(i.len(), PAGES as usize * PAGE_LINES);
+            assert_eq!((i.blocks.capacity(), i.pages.capacity()), (cap, directory));
+        }
     }
 
     #[test]

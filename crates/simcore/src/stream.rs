@@ -519,21 +519,25 @@ mod tests {
                         break;
                     }
                     for _ in 0..n {
-                        assert_eq!(feed.event(tid, idx), thread.events[idx]);
+                        let ev = thread.events[idx];
+                        assert_eq!(feed.event(tid, idx), ev);
                         // Streaming ids may differ (interleaving changes
-                        // first-touch order) but must resolve to the same
-                        // line addresses.
-                        let lines: Vec<_> = feed
-                            .ids(tid, idx)
-                            .iter()
-                            .map(|&id| feed.interner().line_of(id))
-                            .collect();
-                        let expect: Vec<_> = interned
-                            .ids_for(tid, idx)
-                            .iter()
-                            .map(|&id| interned.interner().line_of(id))
-                            .collect();
-                        assert_eq!(lines, expect, "chunk {chunk} thread {tid} event {idx}");
+                        // first-touch order), but both runs must be the
+                        // ids of the lines the engine splits the event
+                        // into.
+                        let lines: Vec<u64> = match ev.kind {
+                            EventKind::Fence | EventKind::Compute => Vec::new(),
+                            EventKind::Atomic | EventKind::Acquire => {
+                                vec![crate::align_down(ev.addr, 64)]
+                            }
+                            _ => crate::blocks_touched(ev.addr, ev.size.into(), 64).collect(),
+                        };
+                        let ids_in = |i: &LineInterner| -> Vec<LineId> {
+                            lines.iter().map(|&l| i.id_of(l).expect("interned line")).collect()
+                        };
+                        let at = format!("chunk {chunk} thread {tid} event {idx}");
+                        assert_eq!(feed.ids(tid, idx), ids_in(feed.interner()), "{at}");
+                        assert_eq!(interned.ids_for(tid, idx), ids_in(interned.interner()), "{at}");
                         idx += 1;
                     }
                 }

@@ -190,6 +190,10 @@ impl Tracer {
     }
 
     /// Create a tracer pre-sized for roughly `n` events.
+    ///
+    /// Derive `n` from the generator's parameters: [`Tracer::finish`]
+    /// debug-asserts that the reservation was at most about twice the
+    /// events recorded.
     pub fn with_capacity(n: usize) -> Self {
         Self { events: Vec::with_capacity(n), stack: Vec::new() }
     }
@@ -295,9 +299,25 @@ impl Tracer {
         self.events.push(ev);
     }
 
-    /// Consume the tracer, yielding the recorded trace.
+    /// Consume the tracer, yielding the recorded trace with its capacity
+    /// trimmed to its length: a recording at rest holds its events and no
+    /// growth slack.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the tracer held more than `2 * len + 4096`
+    /// slots: a [`Tracer::with_capacity`] hint that over-reserves that
+    /// much is a sizing bug at the call site, not slack to trim.
     pub fn finish(self) -> ThreadTrace {
-        ThreadTrace { events: self.events }
+        let mut events = self.events;
+        debug_assert!(
+            events.capacity() <= 2 * events.len() + 4096,
+            "tracer over-reserved: capacity {} for {} events",
+            events.capacity(),
+            events.len()
+        );
+        events.shrink_to_fit();
+        ThreadTrace { events }
     }
 }
 

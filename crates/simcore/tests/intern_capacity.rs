@@ -46,11 +46,15 @@ proptest! {
         }
 
         // Every pre-failure line still resolves and still re-interns to
-        // its original id (a hit, not a new slot).
+        // its original id (a hit, not a new slot): line i holds id i, so
+        // the interned lines cover `0..cap` once each. The refused lines
+        // hold no id.
         for (i, &line) in lines.iter().take(cap as usize).enumerate() {
             prop_assert_eq!(it.id_of(line).map(|id| id.index()), Some(i));
             prop_assert_eq!(it.try_intern(line).expect("hits never fail").index(), i);
-            prop_assert_eq!(it.line_of(simcore::LineId(i as u32)), line);
+        }
+        for &line in &lines[cap as usize..] {
+            prop_assert_eq!(it.id_of(line), None);
         }
     }
 

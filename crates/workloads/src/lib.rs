@@ -48,9 +48,11 @@ mod tests {
     use super::*;
     use prestore::PrestoreMode;
 
-    /// Every workload must produce a non-empty trace in every mode.
+    /// Every workload must produce a non-empty trace in every mode, and a
+    /// finished recording holds its events and no growth slack.
     #[test]
     fn all_workloads_produce_traces() {
+        let ycsb = kv::ycsb::YcsbParams::quick();
         let outs: Vec<(&str, WorkloadOutput)> = vec![
             ("listing1", microbench::listing1(&microbench::Listing1Params::quick(), PrestoreMode::None)),
             ("listing2", microbench::listing2(&microbench::Listing2Params::quick(), false)),
@@ -60,10 +62,15 @@ mod tests {
             ("ft", nas::ft::run(&nas::ft::FtParams::quick(), PrestoreMode::None)),
             ("is", nas::is::run(&nas::is::IsParams::quick(), PrestoreMode::None)),
             ("x9", x9::run(&x9::X9Params::quick(), PrestoreMode::None)),
+            ("clht", kv::ycsb::run_clht(&ycsb, PrestoreMode::None)),
+            ("masstree", kv::ycsb::run_masstree(&ycsb, PrestoreMode::None)),
         ];
         for (name, out) in outs {
             assert!(out.traces.total_events() > 0, "{name} produced an empty trace");
             assert!(out.ops > 0, "{name} reported zero ops");
+            for (tid, t) in out.traces.threads.iter().enumerate() {
+                assert_eq!(t.events.capacity(), t.len(), "{name} thread {tid}");
+            }
         }
     }
 }

@@ -281,8 +281,10 @@ pub fn training_step(p: &TensorParams, mode: PrestoreMode) -> WorkloadOutput {
 
     let mut rng = simcore::rng::SimRng::new(p.seed);
     let nthreads = p.threads.max(1);
-    let mut ts: Vec<Tracer> =
-        (0..nthreads).map(|_| Tracer::with_capacity((1usize << 20) / nthreads)).collect();
+    // No capacity hint: the event count depends on six parameters, so no
+    // fixed guess fits (2^20 slots were 317x the quick trace). `Vec`
+    // doubling grows the trace and `Tracer::finish` trims its slack.
+    let mut ts: Vec<Tracer> = (0..nthreads).map(|_| Tracer::new()).collect();
     let mut ops = 0u64;
     for _ in 0..p.steps {
         for k in 0..p.large_ops {
