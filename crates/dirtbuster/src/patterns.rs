@@ -12,10 +12,12 @@
 //! * **Writes before fences** — the distance in instructions from each
 //!   write to the next fence-semantics instruction (fences and atomics).
 //! * **Re-read / re-write distances** — per cache line, the instruction
-//!   distance from a write to the next read/write of the same line, kept
-//!   in a B-Tree like the paper's implementation. Sequential extensions do
-//!   not count as re-writes ("DirtBuster updates the rewrite distance only
-//!   when a write breaks a streak of sequential accesses").
+//!   distance from a write to the next read/write of the same line.
+//!   Sequential extensions do not count as re-writes ("DirtBuster updates
+//!   the rewrite distance only when a write breaks a streak of sequential
+//!   accesses"). The paper keeps the per-line records in a B-Tree; this
+//!   pass only looks lines up and never walks them in order, so it keys
+//!   them in an `FxHashMap` — the container is not part of the method.
 
 use crate::DirtBusterConfig;
 use simcore::{blocks_touched, Addr, EventKind, FuncId, FxHashMap, TraceSet};
@@ -122,8 +124,9 @@ pub fn analyze(traces: &TraceSet, monitored: &[FuncId], cfg: &DirtBusterConfig) 
         .iter()
         .map(|&f| (f, FState::default()))
         .collect();
-    // The paper stores per-line information in a B-Tree (§6.2.3).
-    let mut lines: BTreeMap<Addr, LineInfo> = BTreeMap::new();
+    // Per-line records, looked up and inserted, never iterated (the
+    // paper's B-Tree, §6.2.3, orders them; nothing here reads the order).
+    let mut lines: FxHashMap<Addr, LineInfo> = FxHashMap::default();
 
     for (tid, thread) in traces.threads.iter().enumerate() {
         let tid = tid as u32;

@@ -37,7 +37,7 @@ use crate::config::{MachineConfig, MemModel};
 use crate::crash::{CrashImage, CrashOutcome, CrashReport, LostSite, CRASH_COLS};
 use crate::error::{BlockedAcquire, EngineError};
 use crate::stats::{site_col, ts_channel, CoreStats, RunStats, SiteCounters, SITE_COLS, TS_CAPACITY, TS_CHANNELS};
-use crate::tables::{take_scratch, FlatTables, HashTables, LineTables, MAX_CORES};
+use crate::tables::{FlatTables, HashTables, LineTables, MAX_CORES};
 use cachesim::{Cache, StoreBuffer, WriteCombiningBuffer};
 use cachesim::wcbuf::WcFlush;
 use memdev::{Device, MemDevice};
@@ -149,10 +149,6 @@ impl<S: EventSource> Feed for Streamed<'_, S> {
 
     fn refill(&mut self, cid: CoreId) -> Result<(), EngineError> {
         self.feed.refill(self.source, cid)?;
-        // Coarse marker in the process-global flight ring (chunk-granular,
-        // so the lock is off the step path); dumped only when a supervised
-        // job fails.
-        simcore::telemetry::flight::note(FlightKind::Refill, cid as u64, self.feed.fetched());
         Ok(())
     }
 
@@ -273,8 +269,6 @@ struct Engine<'a, T: LineTables = FlatTables> {
     cores: Vec<CoreState>,
     /// Reused buffer for write-combining flushes (cleared per use).
     wc_buf: Vec<WcFlush>,
-    /// Reused buffer for end-of-run residual dirty lines.
-    residual: Vec<Addr>,
     /// This replay's action counts and distributions, published into the
     /// metrics registry when the replay returns (plain fields: the step
     /// loop pays no atomics).
@@ -554,6 +548,21 @@ fn replay_source<S: EventSource>(
     })
 }
 
+/// Replay `source` in windows of `chunk_events` on the given tables, so a
+/// test can read the tables a streamed replay leaves behind.
+#[cfg(test)]
+pub(crate) fn replay_stream_on<S: EventSource, T: LineTables>(
+    cfg: &MachineConfig,
+    source: &mut S,
+    chunk_events: usize,
+    tables: T,
+) -> Result<RunStats, EngineError> {
+    let threads = source.threads();
+    let feed = StreamFeed::new(cfg.line_size, threads, chunk_events);
+    let engine = Engine::with_tables(cfg, threads, tables);
+    completed(engine.replay(&mut Streamed { feed, source }))
+}
+
 /// Refuse a replay of more threads than the flat tables' packed owner
 /// field can name as cores (see [`MAX_CORES`]).
 fn check_cores(cores: usize) -> Result<(), EngineError> {
@@ -695,20 +704,10 @@ impl Machine {
 }
 
 impl<'a> Engine<'a, FlatTables> {
-    /// Build the production engine for `lines` interned lines: flat tables
-    /// recycled from this thread's scratch set.
+    /// Build the production engine for `lines` interned lines, on fresh
+    /// flat tables that drop with the engine when the replay ends.
     fn new_flat(cfg: &'a MachineConfig, lines: usize, cores: usize) -> Self {
-        let mut scratch = take_scratch();
-        let mut flat = std::mem::take(&mut scratch.flat);
-        flat.reset(lines);
-        let mut engine = Self::with_tables(cfg, cores, flat);
-        engine.wc_buf = std::mem::take(&mut scratch.wc_buf);
-        engine.residual = std::mem::take(&mut scratch.residual);
-        engine.sites = std::mem::take(&mut scratch.sites);
-        // Recycled tables are drained on every successful run; the reset
-        // here covers scratch from a run that errored out mid-replay.
-        engine.sites.reset();
-        engine
+        Self::with_tables(cfg, cores, FlatTables::new(lines))
     }
 }
 
@@ -740,7 +739,6 @@ impl<'a, T: LineTables> Engine<'a, T> {
             tables,
             cores,
             wc_buf: Vec::new(),
-            residual: Vec::new(),
             probes: crate::probes::RunProbes::new(),
             sites: SiteTable::new(),
             unknown_site: [0; SITE_COLS],
@@ -843,11 +841,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
             }
             if grew {
                 // The feed interned new lines: the id-indexed tables grow
-                // while existing entries keep their state — growth never
-                // bumps an epoch (see [`FlatTables::grow`] for why that is
-                // sound). They grow by at least an eighth at a time, so a
-                // call after every refill copies each entry a bounded
-                // number of times.
+                // while existing entries keep their state. They grow by at
+                // least an eighth at a time, so a call after every refill
+                // copies each entry a bounded number of times.
                 self.tables.grow(feed.interner().len());
                 budget = self.cfg.effective_step_budget(feed.fetched());
             }
@@ -927,7 +923,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
     }
 
     /// Close out a completed replay: final drains, residual dirty-line
-    /// accounting, device flush, stats assembly and scratch recycling.
+    /// accounting, device flush and stats assembly.
     /// `interner` (the feed's) resolves residual line addresses back to
     /// ids.
     fn finalize(mut self, interner: &LineInterner, steps: u64) -> CrashOutcome {
@@ -944,8 +940,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         // at simulation scale (the paper's 6.4 GB working sets make cache
         // residue negligible; our scaled ones do not).
         let line_size = self.cfg.line_size;
-        let mut residual = std::mem::take(&mut self.residual);
-        residual.clear();
+        let mut residual = Vec::new();
         for c in &self.cores {
             c.l1.dirty_lines_into(&mut residual);
         }
@@ -963,7 +958,6 @@ impl<'a, T: LineTables> Engine<'a, T> {
             self.probes.line_lifetime.record(self.cur_step.saturating_sub(step));
             self.device_write_attributed(line, line_size, site);
         }
-        self.residual = residual;
         // The device's final flush closes still-open buffered blocks; no
         // single site caused those media writes, so they land in the
         // UNKNOWN row (bounded by the device's buffer capacity).
@@ -1042,19 +1036,13 @@ impl<'a, T: LineTables> Engine<'a, T> {
             timeseries_window_cycles,
             request_latency,
         };
-        // End-of-run epoch-validity sweep: how many flat-table entries
-        // still carry current-epoch state (`None` on the reference
-        // tables).
+        // End-of-run sweep: how many flat-table entries still carry state
+        // (`None` on the reference tables).
         if let Some(live) = self.tables.live_lines() {
             crate::probes::publish_value(crate::probes::TABLE_LIVE_LINES, live as u64);
         }
         crate::probes::publish_completed(&stats, &self.probes, steps);
         self.publish_run();
-        // Hand the reusable allocations back for the next run on this
-        // thread (flat tables only; the reference tables drop them).
-        self.residual.clear();
-        self.wc_buf.clear();
-        self.tables.recycle(self.wc_buf, self.residual, self.sites);
         // Crash-armed runs that completed: the device flush above closed
         // every buffered block, so the whole received set is durable.
         let durable_digest = self.crash.take().map(|ctx| {

@@ -7,7 +7,7 @@
 //! [`RunStats`]-derived totals ([`publish_completed`]) and, like
 //! `freeze_crash`, the distributions ([`RunProbes::publish`]). The only
 //! other registry touches are the `engine.replay` span, taken around each
-//! replay call, and the per-replay table-epoch counters.
+//! replay call, and the per-replay table set-up counter.
 
 use crate::stats::RunStats;
 use simcore::telemetry::{self, Histogram, Metric};
@@ -61,13 +61,13 @@ pub(crate) static CRASHES: Metric = Metric::counter("machine.crashes");
 /// Registry name of the per-crash lost-bytes distribution.
 pub(crate) const CRASH_LOST_BYTES: &str = "crash.lost_bytes";
 
-/// Flat-table epoch bumps (one per `FlatTables::reset`).
+/// Flat-table set-ups, one per replay on the flat tables (one per
+/// `FlatTables::new`). The name is from the epoch bump that reset the
+/// recycled tables before each replay had its own; the metrics baseline
+/// gates it under that name.
 pub(crate) static TABLE_EPOCHS: Metric = Metric::counter("engine.table_epochs");
-/// Epoch-counter wraps (the rare full re-zero path).
-pub(crate) static TABLE_EPOCH_WRAPS: Metric = Metric::counter("engine.table_epoch_wraps");
-/// Registry name of the end-of-run live flat-table entry distribution
-/// (the epoch-validity sweep): how many lines still carried state when
-/// the replay finished.
+/// Registry name of the end-of-run live flat-table entry distribution:
+/// how many lines still carried state when the replay finished.
 pub(crate) const TABLE_LIVE_LINES: &str = "engine.table_live_lines";
 
 /// One replay's probe values, kept as plain fields on the engine so the

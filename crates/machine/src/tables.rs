@@ -13,10 +13,9 @@
 //! * [`FlatTables`] — the production path. Every line address has been
 //!   interned to a dense [`LineId`] during validation
 //!   ([`simcore::trace::validate_and_intern`]), so each table is a plain
-//!   `Vec` indexed by id. Entries are *epoch-stamped*: resetting all
-//!   tables for the next run is a single epoch bump, no clearing, which
-//!   lets one thread-local `EngineScratch` be recycled across the
-//!   thousands of replays a parameter sweep performs.
+//!   `Vec` indexed by id. Each replay builds its own tables and drops them
+//!   when it ends; the write-lifetime rows cover only the lines the replay
+//!   writes.
 //! * [`HashTables`] — the pre-interning reference, byte-for-byte the old
 //!   behaviour. Kept for the equivalence suite
 //!   (`crates/bench/tests/intern_equivalence.rs`) and the
@@ -27,11 +26,7 @@
 //! compiles once per implementation. Both replay the same interned feed;
 //! the reference tables ignore its ids.
 
-use crate::stats::SITE_COLS;
-use cachesim::wcbuf::WcFlush;
-use simcore::telemetry::SiteTable;
 use simcore::{Addr, CoreId, Cycles, FuncId, FxHashMap, LineId};
-use std::cell::RefCell;
 
 /// The engine's per-line (and per-function) bookkeeping state.
 ///
@@ -74,9 +69,9 @@ pub trait LineTables {
     /// end-of-run residual flush.
     fn dirt_take(&mut self, id: LineId, line: Addr) -> Option<(FuncId, u64)>;
 
-    /// Number of lines carrying live table state (the epoch-validity
-    /// sweep), when the implementation can answer without walking a map —
-    /// `None` for the hashed reference. End-of-run telemetry only.
+    /// Number of lines carrying live table state, when the implementation
+    /// can answer without walking a map — `None` for the hashed reference.
+    /// End-of-run telemetry only.
     fn live_lines(&self) -> Option<usize> {
         None
     }
@@ -91,20 +86,15 @@ pub trait LineTables {
     fn func_add(&mut self, f: FuncId, spent: Cycles);
     /// Drain the per-function attribution accumulated this run.
     fn take_func_cycles(&mut self) -> Vec<(FuncId, Cycles)>;
-
-    /// Hand reusable allocations back for the next run on this thread
-    /// (no-op for the reference tables).
-    fn recycle(self, wc_buf: Vec<WcFlush>, residual: Vec<Addr>, sites: SiteTable<SITE_COLS>);
 }
 
-/// The always-touched part of a line's state: an epoch stamp plus a packed
-/// flags word. 8 bytes per line, so eight lines of state share one
-/// hardware cache line — this is the table every per-line lookup hits,
-/// and on footprint-sized traces its density is what decides whether the
-/// flat path beats hashing.
+/// The always-touched part of a line's state: a packed flags word and the
+/// line's write-lifetime row. 8 bytes per line, so eight lines of state
+/// share one hardware cache line — this is the table every per-line
+/// lookup hits, and on footprint-sized traces its density is what decides
+/// whether the flat path beats hashing.
 ///
-/// A stale `epoch` means the whole entry (and its side-table rows) is
-/// logically absent. Within the current epoch, `flags` packs:
+/// `flags` packs:
 ///
 /// | bits  | field |
 /// |-------|-------|
@@ -113,13 +103,16 @@ pub trait LineTables {
 /// | 16–31 | the first-dirty [`FuncId`], valid under [`DIRT`] |
 ///
 /// A field whose presence bit is clear is zero, so a line carries live
-/// state exactly when its current-epoch flags word is nonzero — except
-/// that a cleared owner keeps its core id: the epoch-validity sweep's
-/// count is a gated telemetry figure, and zeroing the id would move it.
+/// state exactly when its flags word is nonzero — except that a cleared
+/// owner keeps its core id: the live-line count is a gated telemetry
+/// figure, and zeroing the id would move it.
 #[derive(Debug, Clone, Copy, Default)]
 struct HotEntry {
-    epoch: u32,
     flags: u32,
+    /// 1 + the line's row in [`FlatTables::life`]; 0 = no row. A row is
+    /// appended on the line's first [`WB`] or [`DIRT`] and kept for the
+    /// rest of the replay.
+    life: u32,
 }
 
 /// [`HotEntry::flags`] bit: a core owns the line dirty.
@@ -148,10 +141,10 @@ pub const MAX_CORES: usize = 1 << OWNER_BITS;
 
 /// A line's write lifetime: the completion time of the writeback a
 /// `clean` started (valid under [`WB`]) and the replay step that first
-/// dirtied it (valid under [`DIRT`]). One 16-byte row, so a write → clean
-/// lifetime touches two per-line host lines — this one and the hot entry.
-/// Each field is fully written before its flag bit is set, so the row
-/// needs no epoch of its own; replays that never write never size it.
+/// dirtied it (valid under [`DIRT`]). One 16-byte row per line the replay
+/// writes, so a write → clean lifetime touches two per-line host lines —
+/// this one and the hot entry. Each field is fully written before its flag
+/// bit is set.
 #[derive(Debug, Clone, Copy, Default)]
 struct LifeEntry {
     wb_done: Cycles,
@@ -166,29 +159,29 @@ struct RelEntry {
     count: u32,
 }
 
-/// Dense, epoch-stamped per-line state tables (the production path).
+/// Dense per-line state tables (the production path), built fresh for one
+/// replay and dropped with it.
 ///
-/// The hot table covers every interned line; the side tables (`life`,
-/// `nt`, `rel`) are gated by `HotEntry` flag bits and sized to the hot
-/// table's length by their first setter, so a trace that never writes,
-/// NT-stores or releases never allocates the matching table. A `clean`
-/// write workload holds 8 + 16 = 24 bytes per line, a read-only one 8.
+/// The hot table covers every interned line. Write lifetimes live in an
+/// arena with one row per line the replay writes, found through the hot
+/// entry. The rare side tables (`nt`, `rel`) are gated by `HotEntry` flag
+/// bits and sized to the hot table's length by their first setter, so a
+/// trace that never NT-stores or releases never allocates them. A line
+/// costs 8 bytes, plus 16 if it is written.
 #[derive(Debug, Default)]
 pub struct FlatTables {
-    epoch: u32,
-    /// Per line id: epoch + packed flags, owner and site (touched by
-    /// every lookup).
+    /// Per line id: packed flags, owner and site, and the line's
+    /// write-lifetime row (touched by every lookup).
     hot: Vec<HotEntry>,
-    /// Per line id: writeback completion and first-dirty step.
+    /// Write-lifetime rows, one per line written this replay, in order of
+    /// first write.
     life: Vec<LifeEntry>,
     /// Per line id: in-flight NT-store completion times, under [`NT`].
     nt: Vec<Cycles>,
     /// Per line id: release count and time.
     rel: Vec<RelEntry>,
-    /// Per function index: cycles attributed this run.
+    /// Per function index: cycles attributed this run (0 = none).
     func: Vec<Cycles>,
-    /// Functions with a non-zero entry in `func` (for O(touched) drain).
-    func_touched: Vec<FuncId>,
     /// Cycles attributed to [`FuncId::UNKNOWN`] (kept out of `func` so the
     /// sentinel id does not force a 64 Ki-entry table).
     unknown: Cycles,
@@ -216,33 +209,21 @@ fn side_mut<T: Copy + Default>(table: &mut Vec<T>, hot_len: usize, id: LineId) -
 }
 
 impl FlatTables {
-    /// Prepare the tables for a run over `lines` interned lines. All
-    /// per-line entries become logically absent in O(1) via an epoch bump;
-    /// the per-function table is drained by
-    /// [`LineTables::take_func_cycles`] at the end of each run.
-    pub(crate) fn reset(&mut self, lines: usize) {
+    /// Empty tables for a replay over `lines` interned lines (0 for a
+    /// streamed replay, whose tables grow with its interner).
+    pub(crate) fn new(lines: usize) -> Self {
         crate::probes::TABLE_EPOCHS.inc();
-        self.cover(lines);
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap: pay one O(lines) re-zero and restart. A
-                // stale stamp could otherwise collide with the new epoch.
-                // (The side tables are flag-gated, so they need no re-zero.)
-                crate::probes::TABLE_EPOCH_WRAPS.inc();
-                self.hot.iter_mut().for_each(|e| *e = HotEntry::default());
-                1
-            }
-        };
-        debug_assert!(self.func_touched.is_empty() && self.unknown == 0, "undrained run");
+        let mut tables = Self::default();
+        extend_exact(&mut tables.hot, lines);
+        tables
     }
 
     /// Make the hot table cover `lines` ids. It grows geometrically by an
     /// eighth (or straight to `lines` if that is further), never by `Vec`
     /// doubling: a streaming replay calls this after every refill, so
     /// exact growth would copy quadratically, and doubling would leave up
-    /// to half the table as slack. The side tables follow the hot table's
-    /// length when their setters next reach past their end.
+    /// to half the table as slack. The NT and release tables follow the
+    /// hot table's length when their setters next reach past their end.
     fn cover(&mut self, lines: usize) {
         let len = self.hot.len();
         if len < lines {
@@ -250,43 +231,42 @@ impl FlatTables {
         }
     }
 
-    /// The current-epoch flags for `id` (0 = entry absent).
-    ///
-    /// Branchless: the epoch comparison becomes an all-ones/all-zeros mask
-    /// select instead of a data-dependent branch — this accessor runs on
-    /// every per-line lookup of the replay hot loop, where the mix of
-    /// stale and current entries makes the branch unpredictable.
+    /// The flags word of `id`.
     #[inline]
     fn flags(&self, id: LineId) -> u32 {
-        let e = &self.hot[id.index()];
-        e.flags & ((e.epoch == self.epoch) as u32).wrapping_neg()
+        self.hot[id.index()].flags
     }
 
-    /// The flags word for `id`, re-stamped empty if stale. Mutating
-    /// accessors go through here so a first touch within an epoch never
-    /// sees leftover flags from a previous run.
-    ///
-    /// Branchless like [`FlatTables::flags`]: stale flags are zeroed via
-    /// the same mask select and the epoch stamp is written unconditionally
-    /// (idempotent when already current).
+    /// The flags word of `id`, for update.
     #[inline]
     fn flags_mut(&mut self, id: LineId) -> &mut u32 {
-        let epoch = self.epoch;
-        let e = &mut self.hot[id.index()];
-        e.flags &= ((e.epoch == epoch) as u32).wrapping_neg();
-        e.epoch = epoch;
-        &mut e.flags
+        &mut self.hot[id.index()].flags
     }
 
-    /// Number of lines carrying live state this epoch: the epoch-validity
-    /// sweep, counting the hot entries stamped with the current epoch whose
-    /// flags are nonzero. O(lines) — called for end-of-run telemetry only,
-    /// never on the step path.
-    pub(crate) fn epoch_live_lines(&self) -> usize {
-        self.hot
-            .iter()
-            .filter(|e| e.epoch == self.epoch && e.flags != 0)
-            .count()
+    /// The write-lifetime row of `id`, appended on the line's first use.
+    /// A full arena reserves exactly an eighth more (at least 16 rows)
+    /// rather than let `Vec` double.
+    #[inline]
+    fn life_mut(&mut self, id: LineId) -> &mut LifeEntry {
+        let e = &mut self.hot[id.index()];
+        if e.life == 0 {
+            let rows = &mut self.life;
+            if rows.len() == rows.capacity() {
+                rows.reserve_exact((rows.len() / 8).max(16));
+            }
+            rows.push(LifeEntry::default());
+            // At most one row per interned line, and line ids fit a u32.
+            e.life = rows.len() as u32;
+        }
+        let row = e.life as usize - 1;
+        &mut self.life[row]
+    }
+
+    /// The write-lifetime row of `id`, which has one under [`WB`] or
+    /// [`DIRT`].
+    #[inline]
+    fn life(&self, id: LineId) -> &LifeEntry {
+        &self.life[self.hot[id.index()].life as usize - 1]
     }
 }
 
@@ -308,22 +288,20 @@ impl LineTables for FlatTables {
 
     #[inline]
     fn owner_clear(&mut self, id: LineId, _line: Addr) {
-        // Via the branchless re-stamp: clearing a bit of a stale entry
-        // leaves it at 0 flags, exactly like the historical no-op.
         *self.flags_mut(id) &= !OWNER;
     }
 
     #[inline]
     fn wb_get(&self, id: LineId, _line: Addr) -> Option<Cycles> {
-        // `then` (not `then_some`): the side table is only touched when
-        // the flag says the state exists.
-        (self.flags(id) & WB != 0).then(|| self.life[id.index()].wb_done)
+        // `then` (not `then_some`): the row is only read when the flag
+        // says it exists.
+        (self.flags(id) & WB != 0).then(|| self.life(id).wb_done)
     }
 
     #[inline]
     fn wb_set(&mut self, id: LineId, _line: Addr, done: Cycles) {
         *self.flags_mut(id) |= WB;
-        side_mut(&mut self.life, self.hot.len(), id).wb_done = done;
+        self.life_mut(id).wb_done = done;
     }
 
     #[inline]
@@ -379,36 +357,32 @@ impl LineTables for FlatTables {
         }
         // An untagged line's site bits are zero (`dirt_take` clears them).
         *f |= DIRT | (u32::from(site.0) << SITE_SHIFT);
-        side_mut(&mut self.life, self.hot.len(), id).dirt_step = step;
+        self.life_mut(id).dirt_step = step;
     }
 
     #[inline]
     fn dirt_take(&mut self, id: LineId, _line: Addr) -> Option<(FuncId, u64)> {
-        // The branchless re-stamp folds the epoch check into a mask, so
-        // the only remaining branch is on the DIRT bit itself (which gates
-        // the lazily-sized life table, so it cannot be removed).
         let f = self.flags_mut(id);
         if *f & DIRT != 0 {
             let site = FuncId((*f >> SITE_SHIFT) as u16);
             // Zero the site with its bit: an untagged line's flags word
             // reads as it did before the site moved into it.
             *f &= !(DIRT | SITE_MASK);
-            Some((site, self.life[id.index()].dirt_step))
+            Some((site, self.life(id).dirt_step))
         } else {
             None
         }
     }
 
-    #[inline]
+    /// The hot entries whose flags are nonzero. O(lines) — called for
+    /// end-of-run telemetry only, never on the step path.
     fn live_lines(&self) -> Option<usize> {
-        Some(self.epoch_live_lines())
+        Some(self.hot.iter().filter(|e| e.flags != 0).count())
     }
 
     fn grow(&mut self, lines: usize) {
-        // New entries carry epoch 0, which never matches the current epoch
-        // (≥ 1 after any `reset`), so they read as logically absent — no
-        // epoch bump, existing entries keep their state. The side tables
-        // stay lazily sized by their setters.
+        // New entries are zero: no flags, no row. The NT and release
+        // tables stay lazily sized by their setters.
         self.cover(lines);
     }
 
@@ -422,27 +396,23 @@ impl LineTables for FlatTables {
         if idx >= self.func.len() {
             self.func.resize(idx + 1, 0);
         }
-        if self.func[idx] == 0 {
-            self.func_touched.push(f);
-        }
         self.func[idx] += spent;
     }
 
     fn take_func_cycles(&mut self) -> Vec<(FuncId, Cycles)> {
-        let mut out = Vec::with_capacity(
-            self.func_touched.len() + usize::from(self.unknown > 0),
-        );
-        for f in self.func_touched.drain(..) {
-            out.push((f, std::mem::take(&mut self.func[f.0 as usize])));
-        }
+        // Every attribution is positive, so a nonzero entry is a touched
+        // function.
+        let mut out: Vec<(FuncId, Cycles)> = self
+            .func
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, c)| **c > 0)
+            .map(|(f, c)| (FuncId(f as u16), std::mem::take(c)))
+            .collect();
         if self.unknown > 0 {
             out.push((FuncId::UNKNOWN, std::mem::take(&mut self.unknown)));
         }
         out
-    }
-
-    fn recycle(self, wc_buf: Vec<WcFlush>, residual: Vec<Addr>, sites: SiteTable<SITE_COLS>) {
-        put_scratch(EngineScratch { flat: self, wc_buf, residual, sites });
     }
 }
 
@@ -539,35 +509,6 @@ impl LineTables for HashTables {
     fn take_func_cycles(&mut self) -> Vec<(FuncId, Cycles)> {
         self.func_cycles.drain().collect()
     }
-
-    fn recycle(self, _wc_buf: Vec<WcFlush>, _residual: Vec<Addr>, _sites: SiteTable<SITE_COLS>) {}
-}
-
-/// Reusable per-thread replay allocations: the flat tables and the
-/// engine's flush/residual buffers.
-#[derive(Debug, Default)]
-pub(crate) struct EngineScratch {
-    pub(crate) flat: FlatTables,
-    pub(crate) wc_buf: Vec<WcFlush>,
-    pub(crate) residual: Vec<Addr>,
-    /// Per-site attribution rows, epoch-reset like the flat tables.
-    pub(crate) sites: SiteTable<SITE_COLS>,
-}
-
-thread_local! {
-    /// One scratch set per thread: the sweep runner replays on a pool of
-    /// worker threads, each recycling its own tables run to run.
-    static SCRATCH: RefCell<Option<EngineScratch>> = const { RefCell::new(None) };
-}
-
-/// Take this thread's scratch set (or a fresh one).
-pub(crate) fn take_scratch() -> EngineScratch {
-    SCRATCH.with(|s| s.borrow_mut().take()).unwrap_or_default()
-}
-
-/// Return a scratch set for the next run on this thread.
-pub(crate) fn put_scratch(scratch: EngineScratch) {
-    SCRATCH.with(|s| *s.borrow_mut() = Some(scratch));
 }
 
 #[cfg(test)]
@@ -592,8 +533,9 @@ mod tests {
         DirtMark(u32, u16, u64),
         DirtTake(u32),
         FuncAdd(u16, Cycles),
-        /// Drain the per-function cycles, then start a new run.
-        Reset,
+        /// Drain the per-function cycles, then start a new run on fresh
+        /// tables.
+        Fresh,
         /// Intern this many more lines mid-run.
         Grow(u32),
     }
@@ -623,7 +565,7 @@ mod tests {
             (line(), any_site(), any::<u64>()).prop_map(|(l, f, s)| TableOp::DirtMark(l, f, s)),
             line().prop_map(TableOp::DirtTake),
             (any_site(), 1u64..1000).prop_map(|(f, c)| TableOp::FuncAdd(f, c)),
-            Just(TableOp::Reset),
+            Just(TableOp::Fresh),
             (1u32..40).prop_map(TableOp::Grow),
         ]
     }
@@ -652,18 +594,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Random interleavings of every op, epoch resets and mid-run
-        /// growth included: the flat tables answer exactly like the
-        /// address-keyed reference after every op, on every covered line.
+        /// Random interleavings of every op, fresh runs and mid-run growth
+        /// included: the flat tables answer exactly like the address-keyed
+        /// reference after every op, on every covered line, and hold one
+        /// write-lifetime row for each line ever marked or wb-set in the
+        /// run, and none for any other line.
         #[test]
         fn flat_tables_match_hash_tables_under_random_ops(
             first in 1u32..16,
             ops in proptest::collection::vec(any_table_op(), 1..300),
         ) {
             let mut lines = first;
-            let mut flat = FlatTables::default();
-            flat.reset(lines as usize);
+            let mut flat = FlatTables::new(lines as usize);
             let mut hash = HashTables::default();
+            // The lines this run has marked or wb-set.
+            let mut written = std::collections::BTreeSet::new();
             for op in ops {
                 match op {
                     TableOp::OwnerSet(l, c) => {
@@ -680,6 +625,7 @@ mod tests {
                         let (id, a) = at(l, lines);
                         flat.wb_set(id, a, t);
                         hash.wb_set(id, a, t);
+                        written.insert(id.0);
                     }
                     TableOp::WbClear(l) => {
                         let (id, a) = at(l, lines);
@@ -710,6 +656,7 @@ mod tests {
                         let (id, a) = at(l, lines);
                         flat.dirt_mark(id, a, FuncId(f), s);
                         hash.dirt_mark(id, a, FuncId(f), s);
+                        written.insert(id.0);
                     }
                     TableOp::DirtTake(l) => {
                         let (id, a) = at(l, lines);
@@ -719,10 +666,11 @@ mod tests {
                         flat.func_add(FuncId(f), c);
                         hash.func_add(FuncId(f), c);
                     }
-                    TableOp::Reset => {
+                    TableOp::Fresh => {
                         prop_assert_eq!(drain_funcs(&mut flat), drain_funcs(&mut hash));
-                        flat.reset(lines as usize);
+                        flat = FlatTables::new(lines as usize);
                         hash = HashTables::default();
+                        written.clear();
                     }
                     TableOp::Grow(n) => {
                         lines += n;
@@ -732,7 +680,10 @@ mod tests {
                 for l in 0..lines {
                     let (f, h) = (peek(&flat, l, lines), peek(&hash, l, lines));
                     prop_assert_eq!(f, h, "line {l} after {op:?}");
+                    let has_row = flat.hot[l as usize].life != 0;
+                    prop_assert_eq!(has_row, written.contains(&l), "row of line {l} after {op:?}");
                 }
+                prop_assert_eq!(flat.life.len(), written.len(), "rows after {op:?}");
             }
             // The tags left standing, and the attribution, agree too.
             for l in 0..lines {
@@ -749,43 +700,113 @@ mod tests {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        bytes(&flat.hot)
-            + bytes(&flat.life)
-            + bytes(&flat.nt)
-            + bytes(&flat.rel)
-            + bytes(&flat.func)
-            + bytes(&flat.func_touched)
+        bytes(&flat.hot) + bytes(&flat.life) + bytes(&flat.nt) + bytes(&flat.rel) + bytes(&flat.func)
     }
 
-    /// The per-line budget: a `clean`-mode KV stream pays the hot entry
-    /// and the write-lifetime row (8 + 16 B per line), a read-only one only
-    /// the hot entry; growth adds at most an eighth on top.
+    /// Lends a replay the tables under test: the engine drops only the
+    /// borrow, so the test reads the tables the replay left behind.
+    impl LineTables for &mut FlatTables {
+        fn owner_get(&self, id: LineId, line: Addr) -> Option<CoreId> {
+            (**self).owner_get(id, line)
+        }
+        fn owner_set(&mut self, id: LineId, line: Addr, cid: CoreId) {
+            (**self).owner_set(id, line, cid)
+        }
+        fn owner_clear(&mut self, id: LineId, line: Addr) {
+            (**self).owner_clear(id, line)
+        }
+        fn wb_get(&self, id: LineId, line: Addr) -> Option<Cycles> {
+            (**self).wb_get(id, line)
+        }
+        fn wb_set(&mut self, id: LineId, line: Addr, done: Cycles) {
+            (**self).wb_set(id, line, done)
+        }
+        fn wb_clear(&mut self, id: LineId, line: Addr) {
+            (**self).wb_clear(id, line)
+        }
+        fn nt_get(&self, id: LineId, line: Addr) -> Option<Cycles> {
+            (**self).nt_get(id, line)
+        }
+        fn nt_set(&mut self, id: LineId, line: Addr, done: Cycles) {
+            (**self).nt_set(id, line, done)
+        }
+        fn nt_clear(&mut self, id: LineId, line: Addr) {
+            (**self).nt_clear(id, line)
+        }
+        fn release_get(&self, id: LineId, line: Addr) -> Option<(u32, Cycles)> {
+            (**self).release_get(id, line)
+        }
+        fn release_bump(&mut self, id: LineId, line: Addr, now: Cycles) {
+            (**self).release_bump(id, line, now)
+        }
+        fn release_restore(&mut self, id: LineId, line: Addr, count: u32) {
+            (**self).release_restore(id, line, count)
+        }
+        fn dirt_mark(&mut self, id: LineId, line: Addr, site: FuncId, step: u64) {
+            (**self).dirt_mark(id, line, site, step)
+        }
+        fn dirt_take(&mut self, id: LineId, line: Addr) -> Option<(FuncId, u64)> {
+            (**self).dirt_take(id, line)
+        }
+        fn live_lines(&self) -> Option<usize> {
+            (**self).live_lines()
+        }
+        fn grow(&mut self, lines: usize) {
+            (**self).grow(lines)
+        }
+        fn func_add(&mut self, f: FuncId, spent: Cycles) {
+            (**self).func_add(f, spent)
+        }
+        fn take_func_cycles(&mut self) -> Vec<(FuncId, Cycles)> {
+            (**self).take_func_cycles()
+        }
+    }
+
+    /// The per-line budget: every line pays its hot entry, and a line the
+    /// replay writes also pays a write-lifetime row (8 + 16 B); growth adds
+    /// at most an eighth on top. A line that is only read has no row.
     #[test]
     fn kv_replay_fits_the_per_line_budget() {
         use prestore::PrestoreMode;
+        use simcore::EventKind;
         use workloads::kv::{serving, KvServingSource, ServingParams};
         let cfg = crate::MachineConfig::machine_a();
-        for (read_fraction, budget) in [(0.9, 27), (1.0, 9)] {
+        for read_fraction in [0.9, 1.0] {
             let params = ServingParams {
                 read_fraction,
                 ..ServingParams::new(12_500, 200_000, 2, PrestoreMode::Clean)
             };
-            let mut src = KvServingSource::new(params);
-            let threads = serving::materialize(&mut src, 4096);
-            let lines = simcore::trace::validate_and_intern(&threads, cfg.line_size)
-                .expect("the KV stream is valid")
-                .interner()
-                .len();
+            let threads = serving::materialize(&mut KvServingSource::new(params.clone()), 4096);
+            let interned = simcore::trace::validate_and_intern(&threads, cfg.line_size)
+                .expect("the KV stream is valid");
+            let lines = interned.interner().len();
+            let mut written = vec![false; lines];
+            for (tid, t) in threads.iter().enumerate() {
+                for (i, ev) in t.events.iter().enumerate() {
+                    if ev.kind == EventKind::Write {
+                        for id in interned.ids_for(tid, i) {
+                            written[id.index()] = true;
+                        }
+                    }
+                }
+            }
+            let writes = written.iter().filter(|&&w| w).count();
             // Small refills: the tables grow across ~25 of them per thread.
-            put_scratch(EngineScratch::default());
-            let opts = crate::StreamOptions { chunk_events: 4096 };
-            crate::try_simulate_stream_opts(&cfg, &mut src, opts).expect("the KV stream replays");
-            let flat = take_scratch().flat;
+            let mut flat = FlatTables::new(0);
+            let mut src = KvServingSource::new(params);
+            crate::engine::replay_stream_on(&cfg, &mut src, 4096, &mut flat)
+                .expect("the KV stream replays");
             let bytes = heap_bytes(&flat);
+            let budget = 9 * (8 * lines + 16 * writes) / 8;
             assert!(
-                bytes <= budget * lines,
-                "read fraction {read_fraction}: {bytes} B of line state for {lines} lines"
+                bytes <= budget,
+                "read fraction {read_fraction}: {bytes} B of line state for {lines} lines, \
+                 {writes} written (budget {budget} B)"
             );
+            // Every store marks its line, so each written line has a row;
+            // as many rows as written lines leaves none for a line that is
+            // only read.
+            assert_eq!(flat.life.len(), writes, "read fraction {read_fraction}: rows");
             let rare = (flat.nt.capacity(), flat.rel.capacity());
             assert_eq!(rare, (0, 0), "no NT stores or atomics, no NT or release table");
         }
@@ -793,10 +814,9 @@ mod tests {
 
     #[test]
     fn growth_is_geometric_by_an_eighth() {
-        let mut flat = FlatTables::default();
-        flat.reset(0);
-        let mut reallocs = 0;
-        let mut cap = 0;
+        let mut flat = FlatTables::new(0);
+        let (mut reallocs, mut cap) = (0, 0);
+        let (mut row_reallocs, mut row_cap) = (0, 0);
         for lines in (1..=10_000).step_by(7) {
             flat.grow(lines);
             assert!(flat.hot.len() >= lines);
@@ -804,9 +824,17 @@ mod tests {
             assert!(now <= lines + lines / 8, "{now} entries for {lines} lines");
             reallocs += usize::from(now != cap);
             cap = now;
+            // Write the newest line: the row arena grows the same way.
+            flat.wb_set(LineId(lines as u32 - 1), 0, 1);
+            let rows = flat.life.len();
+            let now = flat.life.capacity();
+            assert!(now <= rows + rows / 8 + 16, "{now} rows for {rows} written lines");
+            row_reallocs += usize::from(now != row_cap);
+            row_cap = now;
         }
         // 1,429 calls; exact growth would reallocate on every one.
         assert!(reallocs < 80, "{reallocs} reallocations");
+        assert!(row_reallocs < 80, "{row_reallocs} row reallocations");
     }
 
     #[test]
@@ -816,8 +844,7 @@ mod tests {
         for &l in &lines {
             interner.intern(l);
         }
-        let mut flat = FlatTables::default();
-        flat.reset(interner.len());
+        let mut flat = FlatTables::new(interner.len());
         let mut hash = HashTables::default();
         // Interleave the full op set over both implementations.
         for (i, &line) in lines.iter().enumerate() {
@@ -853,29 +880,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_reset_is_an_epoch_bump() {
-        let mut flat = FlatTables::default();
-        flat.reset(4);
-        let id = LineId(2);
-        flat.owner_set(id, 0x80, 1);
-        flat.release_bump(id, 0x80, 10);
-        assert_eq!(flat.owner_get(id, 0x80), Some(1));
-        flat.reset(4);
-        assert_eq!(flat.owner_get(id, 0x80), None, "epoch bump clears owners");
-        assert_eq!(flat.release_get(id, 0x80), None, "epoch bump clears releases");
-        flat.release_bump(id, 0x80, 5);
-        assert_eq!(flat.release_get(id, 0x80), Some((1, 5)), "count restarts at 1");
-    }
-
-    #[test]
     fn dirt_tags_match_between_flat_and_hash() {
         let mut interner = LineInterner::new(8);
         let lines: Vec<Addr> = (0..4).map(|i| i * 64).collect();
         for &l in &lines {
             interner.intern(l);
         }
-        let mut flat = FlatTables::default();
-        flat.reset(interner.len());
+        let mut flat = FlatTables::new(interner.len());
         let mut hash = HashTables::default();
         for (i, &line) in lines.iter().enumerate() {
             let id = interner.id_of(line).expect("interned above");
@@ -892,11 +903,6 @@ mod tests {
             assert_eq!(flat.dirt_take(id, line), None);
             assert_eq!(hash.dirt_take(id, line), None);
         }
-        // An epoch bump forgets flat tags, like a fresh HashTables.
-        let id = interner.id_of(lines[0]).expect("interned above");
-        flat.dirt_mark(id, lines[0], FuncId(1), 1);
-        flat.reset(interner.len());
-        assert_eq!(flat.dirt_take(id, lines[0]), None);
     }
 
     #[test]
@@ -905,8 +911,7 @@ mod tests {
         let line = 0x140;
         interner.intern(line);
         let id = interner.id_of(line).expect("interned above");
-        let mut flat = FlatTables::default();
-        flat.reset(interner.len());
+        let mut flat = FlatTables::new(interner.len());
         let mut hash = HashTables::default();
         flat.release_restore(id, line, 7);
         hash.release_restore(id, line, 7);
@@ -920,31 +925,26 @@ mod tests {
     }
 
     #[test]
-    fn epoch_live_lines_counts_only_current_epoch_state() {
-        let mut flat = FlatTables::default();
-        flat.reset(40);
-        assert_eq!(flat.epoch_live_lines(), 0);
+    fn live_lines_counts_entries_with_flags() {
+        let mut flat = FlatTables::new(40);
+        assert_eq!(flat.live_lines(), Some(0));
         for i in 0..10u32 {
             flat.owner_set(LineId(i), 0, 1);
         }
         flat.wb_set(LineId(20), 0, 5);
-        assert_eq!(flat.epoch_live_lines(), 11);
-        assert_eq!(LineTables::live_lines(&flat), Some(11));
-        // Clearing the only concern of a line makes it dead again (the
-        // entry stays current-epoch but carries no flags).
+        assert_eq!(flat.live_lines(), Some(11));
+        // Clearing the only concern of a line makes it dead again; its
+        // write-lifetime row stays for the rest of the run.
         flat.wb_clear(LineId(20), 0);
-        assert_eq!(flat.epoch_live_lines(), 10);
-        // An epoch bump kills everything without touching the entries.
-        flat.reset(40);
-        assert_eq!(flat.epoch_live_lines(), 0);
+        assert_eq!(flat.live_lines(), Some(10));
+        assert_eq!(flat.life.len(), 1);
         // The hashed reference opts out.
         assert_eq!(LineTables::live_lines(&HashTables::default()), None);
     }
 
     #[test]
-    fn func_cycles_drain_and_reset() {
-        let mut flat = FlatTables::default();
-        flat.reset(1);
+    fn func_cycles_drain() {
+        let mut flat = FlatTables::new(1);
         flat.func_add(FuncId(3), 10);
         flat.func_add(FuncId(3), 5);
         flat.func_add(FuncId(0), 2);
@@ -952,23 +952,9 @@ mod tests {
         let mut got = flat.take_func_cycles();
         got.sort_unstable();
         assert_eq!(got, vec![(FuncId(0), 2), (FuncId(3), 15), (FuncId::UNKNOWN, 99)]);
-        // Drained: the next run starts from zero without a reallocation.
-        flat.reset(1);
+        // Drained: attribution starts again from zero.
         assert!(flat.take_func_cycles().is_empty());
         flat.func_add(FuncId(3), 1);
         assert_eq!(flat.take_func_cycles(), vec![(FuncId(3), 1)]);
-    }
-
-    #[test]
-    fn scratch_round_trips_through_tls() {
-        let mut s = take_scratch();
-        s.wc_buf.reserve(123);
-        let cap = s.wc_buf.capacity();
-        s.flat.reset(8);
-        s.flat.recycle(s.wc_buf, s.residual, s.sites);
-        let s2 = take_scratch();
-        assert!(s2.wc_buf.capacity() >= cap, "allocation survives the round trip");
-        // Leave TLS clean for other tests on this thread.
-        put_scratch(s2);
     }
 }

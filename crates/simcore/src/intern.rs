@@ -7,8 +7,8 @@
 //! per-line maps per event). The set of distinct lines is fixed the moment
 //! a trace exists, so we pay one hash per *line occurrence* here — during
 //! validation, a pass that is already mandatory — and zero hashes during
-//! replay. The id space is dense (`0..len`), which is what makes
-//! epoch-stamped `Vec` state tables in `machine::engine` possible.
+//! replay. The id space is dense (`0..len`), which is what makes the
+//! id-indexed `Vec` state tables in `machine::tables` possible.
 //!
 //! The interning rules mirror the engine's event splitting exactly:
 //! accesses intern every line of [`crate::blocks_touched`], atomics and
@@ -17,7 +17,8 @@
 //! interner knows it.
 
 use crate::{
-    align_down, blocks_touched, Addr, Event, EventKind, FxHashMap, ThreadTrace, ValidateError,
+    align_down, blocks_touched, Addr, BlockIter, Event, EventKind, FxHashMap, ThreadTrace,
+    ValidateError,
 };
 
 /// Dense identifier of a line-aligned address within one trace set.
@@ -251,23 +252,6 @@ impl LineInterner {
             .expect("line-id space exhausted; use try_intern/validate_and_intern for typed errors")
     }
 
-    /// [`LineInterner::try_intern`] for the line containing an arbitrary
-    /// address.
-    #[inline]
-    pub fn try_intern_addr(&mut self, addr: Addr) -> Result<LineId, ValidateError> {
-        self.try_intern(align_down(addr, self.line_size))
-    }
-
-    /// Intern the line containing an arbitrary address.
-    ///
-    /// # Panics
-    ///
-    /// On id-space exhaustion, like [`LineInterner::intern`].
-    #[inline]
-    pub fn intern_addr(&mut self, addr: Addr) -> LineId {
-        self.intern(align_down(addr, self.line_size))
-    }
-
     /// The id of a line-aligned address, if it was interned (`None` for
     /// an address that is not line-aligned).
     #[inline]
@@ -301,20 +285,10 @@ impl LineInterner {
         ev: &Event,
         mut sink: impl FnMut(LineId),
     ) -> Result<(), ValidateError> {
-        match ev.kind {
-            EventKind::Read
-            | EventKind::Write
-            | EventKind::NtWrite
-            | EventKind::PrestoreClean
-            | EventKind::PrestoreDemote => {
-                for line in blocks_touched(ev.addr, ev.size as u64, self.line_size) {
-                    sink(self.try_intern(line)?);
-                }
+        if let Some(lines) = event_lines(ev, self.line_size) {
+            for line in lines {
+                sink(self.try_intern(line)?);
             }
-            EventKind::Atomic | EventKind::Acquire => {
-                sink(self.try_intern_addr(ev.addr)?);
-            }
-            EventKind::Fence | EventKind::Compute => {}
         }
         Ok(())
     }
@@ -343,6 +317,24 @@ impl LineInterner {
             }
         }
         interner
+    }
+}
+
+/// The lines `ev` makes the replay engine touch, in its splitting order:
+/// the [`blocks_touched`] lines of an access, the one line containing the
+/// address of an atomic or acquire, and none (`None`) for fences and
+/// compute events. Interning and id-stream sizing both split through
+/// here, so the two cannot disagree.
+#[inline]
+fn event_lines(ev: &Event, line_size: u64) -> Option<BlockIter> {
+    match ev.kind {
+        EventKind::Read
+        | EventKind::Write
+        | EventKind::NtWrite
+        | EventKind::PrestoreClean
+        | EventKind::PrestoreDemote => Some(blocks_touched(ev.addr, ev.size as u64, line_size)),
+        EventKind::Atomic | EventKind::Acquire => Some(blocks_touched(ev.addr, 1, line_size)),
+        EventKind::Fence | EventKind::Compute => None,
     }
 }
 
@@ -420,9 +412,16 @@ impl InternedTraces {
     /// thread — previously a silent truncation that cross-linked events).
     /// On error the thread is not recorded; already-recorded threads stay
     /// intact.
+    ///
+    /// The stream is reserved exactly — its lines are counted first — since
+    /// memoized views keep it for their lifetime. A count past the offset
+    /// space reserves nothing; the pass below reports that overflow.
     pub fn try_push_thread(&mut self, t: &ThreadTrace) -> Result<(), ValidateError> {
+        let line_size = self.interner.line_size();
+        let lines: usize =
+            t.events.iter().map(|ev| event_lines(ev, line_size).map_or(0, |b| b.len())).sum();
         let mut s = IdStream {
-            ids: Vec::new(),
+            ids: Vec::with_capacity(if Self::checked_offset(lines).is_ok() { lines } else { 0 }),
             offsets: Vec::with_capacity(t.events.len() + 1),
         };
         for ev in &t.events {
@@ -466,6 +465,15 @@ impl InternedTraces {
     pub fn ids_for(&self, thread: usize, ev: usize) -> &[LineId] {
         let s = &self.threads[thread];
         &s.ids[s.offsets[ev] as usize..s.offsets[ev + 1] as usize]
+    }
+
+    /// Elements reserved but unused across every thread's id stream and
+    /// offsets: 0, since both are reserved exactly.
+    pub fn spare_capacity(&self) -> usize {
+        self.threads
+            .iter()
+            .map(|s| s.ids.capacity() - s.ids.len() + s.offsets.capacity() - s.offsets.len())
+            .sum()
     }
 }
 

@@ -272,13 +272,12 @@ pub trait SpanObserver: Send + Sync {
     fn on_span(&self, span: &SpanRecord);
 }
 
-/// A dense keyed-attribution table: per-site counter rows, epoch-reset
-/// like the engine's `FlatTables`.
+/// A dense keyed-attribution table: per-site counter rows.
 ///
 /// `COLS` fixed-meaning `u64` columns per site id (the caller defines the
 /// column schema). Rows are allocated lazily up to the largest site id
-/// touched and reset in O(1) by an epoch bump, so one table can be
-/// recycled across the thousands of replays a parameter sweep performs.
+/// touched; a row is present once one of its columns is nonzero, so
+/// adding 0 creates no row. Each replay builds its own table.
 /// Attribution feeds `RunStats`-style results, not the metrics registry.
 ///
 /// # Examples
@@ -291,48 +290,21 @@ pub trait SpanObserver: Send + Sync {
 /// t.add(1, 1, 2);
 /// t.add(3, 0, 5);
 /// assert_eq!(t.drain_sorted(), vec![(1, [0, 2]), (3, [15, 0])]);
-/// assert!(t.drain_sorted().is_empty(), "drain ends the epoch");
+/// assert!(t.drain_sorted().is_empty(), "the drain empties the table");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteTable<const COLS: usize> {
-    epoch: u32,
-    /// Per site id: the epoch the row was last zeroed for (a stale stamp
-    /// means the row is logically absent).
-    stamps: Vec<u32>,
+    /// Per site id: its counters (all zero = no row).
     rows: Vec<[u64; COLS]>,
-    /// Site ids with a live row this epoch, in first-touch order.
-    touched: Vec<u32>,
-}
-
-impl<const COLS: usize> Default for SiteTable<COLS> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<const COLS: usize> SiteTable<COLS> {
     /// An empty table.
     pub fn new() -> Self {
-        // Epoch starts at 1 so default-zero stamps read as absent.
-        Self { epoch: 1, stamps: Vec::new(), rows: Vec::new(), touched: Vec::new() }
+        Self { rows: Vec::new() }
     }
 
-    /// Forget every row in O(1) (epoch bump), keeping the allocations.
-    pub fn reset(&mut self) {
-        self.touched.clear();
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // Epoch wrap: pay one O(sites) re-zero so stale stamps
-                // cannot collide with the restarted epoch counter.
-                self.stamps.iter_mut().for_each(|s| *s = 0);
-                1
-            }
-        };
-    }
-
-    /// Add `n` to column `col` of `site`'s row, creating the row (zeroed)
-    /// on first touch this epoch.
+    /// Add `n` to column `col` of `site`'s row.
     ///
     /// Rows are dense up to the largest `site` seen — keep ids compact
     /// (e.g. interned `FuncId`s), not sparse sentinels.
@@ -345,44 +317,23 @@ impl<const COLS: usize> SiteTable<COLS> {
         let idx = site as usize;
         if idx >= self.rows.len() {
             self.rows.resize(idx + 1, [0; COLS]);
-            self.stamps.resize(idx + 1, 0);
-        }
-        if self.stamps[idx] != self.epoch {
-            self.stamps[idx] = self.epoch;
-            self.rows[idx] = [0; COLS];
-            self.touched.push(site);
         }
         self.rows[idx][col] += n;
     }
 
-    /// The row for `site`, if touched this epoch.
+    /// The row for `site`, if present.
     pub fn get(&self, site: u32) -> Option<&[u64; COLS]> {
-        let idx = site as usize;
-        (idx < self.rows.len() && self.stamps[idx] == self.epoch).then(|| &self.rows[idx])
+        self.rows.get(site as usize).filter(|row| **row != [0; COLS])
     }
 
-    /// Number of sites touched this epoch.
-    pub fn len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Whether no site has been touched this epoch.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-
-    /// Take every live row, sorted by site id, and [`reset`] the table
-    /// (the drain ends the epoch).
-    ///
-    /// [`reset`]: SiteTable::reset
+    /// Take every present row, sorted by site id, leaving the table empty.
     pub fn drain_sorted(&mut self) -> Vec<(u32, [u64; COLS])> {
-        let mut touched = std::mem::take(&mut self.touched);
-        touched.sort_unstable();
-        let out = touched.iter().map(|&s| (s, self.rows[s as usize])).collect();
-        touched.clear();
-        self.touched = touched; // keep the allocation across runs
-        self.reset();
-        out
+        std::mem::take(&mut self.rows)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, row)| *row != [0; COLS])
+            .map(|(site, row)| (site as u32, row))
+            .collect()
     }
 }
 
@@ -766,22 +717,20 @@ mod tests {
     }
 
     #[test]
-    fn site_table_epoch_reset_and_drain() {
+    fn site_table_adds_and_drains() {
         let mut t: SiteTable<3> = SiteTable::new();
-        assert!(t.is_empty());
         t.add(5, 0, 7);
         t.add(2, 2, 1);
         t.add(5, 0, 3);
-        assert_eq!(t.len(), 2);
+        t.add(7, 1, 0);
         assert_eq!(t.get(5), Some(&[10, 0, 0]));
-        assert_eq!(t.get(4), None);
+        assert_eq!(t.get(4), None, "a site below the largest one, never touched");
+        assert_eq!(t.get(7), None, "adding 0 creates no row");
+        assert_eq!(t.get(9), None);
         let drained = t.drain_sorted();
         assert_eq!(drained, vec![(2, [0, 0, 1]), (5, [10, 0, 0])]);
-        assert!(t.is_empty(), "drain ends the epoch");
-        assert_eq!(t.get(5), None);
+        assert_eq!(t.get(5), None, "the drain empties the table");
         t.add(5, 1, 9);
-        assert_eq!(t.get(5), Some(&[0, 9, 0]), "row re-zeroed for the new epoch");
-        t.reset();
-        assert!(t.is_empty());
+        assert_eq!(t.get(5), Some(&[0, 9, 0]), "a drained row restarts from zero");
     }
 }

@@ -15,10 +15,13 @@
 //!   the engine's own step counter. Pure simulated state, no wall-clock:
 //!   the dump is byte-identical across builds and determinism axes, and
 //!   its last event is the crash itself.
-//! * **Process-global** ([`note`]) — coarse markers (supervised job
-//!   start/retry/failure) from the sweep runner, stamped with a global
-//!   sequence number. Cheap because jobs are experiment-granular; dumped
-//!   by `figures` only when a job actually fails.
+//! * **Process-global** ([`note`]) — supervised-job markers (start,
+//!   retry, failure, completion) from the sweep runner, and nothing else,
+//!   stamped with a global sequence number. Cheap because jobs are
+//!   experiment-granular, and allocated only by a process that supervises
+//!   jobs; dumped by `figures` only when a job actually fails. Replays
+//!   note nothing here: a marker per streamed refill would push the job
+//!   markers out of the ring.
 //!
 //! Neither ring is part of the metrics registry: like
 //! [`super::SiteTable`], the cost is paid only by callers that use it.
@@ -49,8 +52,6 @@ pub enum FlightKind {
     Release,
     /// A retired pre-store; `a` = address.
     Prestore,
-    /// A streaming-replay chunk refill; `a` = chunk index, `b` = events.
-    Refill,
     /// The injected crash fired; `a` = the frozen step.
     Crash,
     /// A supervised job started; `a` = job index, `b` = attempt.
@@ -75,7 +76,6 @@ impl FlightKind {
             FlightKind::Acquire => "acquire",
             FlightKind::Release => "release",
             FlightKind::Prestore => "prestore",
-            FlightKind::Refill => "refill",
             FlightKind::Crash => "crash",
             FlightKind::JobStart => "job_start",
             FlightKind::JobRetry => "job_retry",
@@ -205,13 +205,14 @@ pub fn render_jsonl(events: &[FlightEvent]) -> String {
     out
 }
 
-/// The process-global ring fed by [`note`]; used for coarse sweep-runner
-/// markers where no engine-local ring exists.
+/// The process-global ring fed by [`note`]: the sweep runner's
+/// supervised-job markers.
 static GLOBAL: Mutex<Option<FlightRing>> = Mutex::new(None);
 
 /// Record a marker in the process-global ring, stamping it with a global
-/// sequence number. Intended for coarse events (supervised job
-/// lifecycle), not per-trace-event recording — each call takes a lock.
+/// sequence number. Intended for supervised-job lifecycle events, not for
+/// replay progress — each call takes a lock, and the first allocates the
+/// whole ring.
 pub fn note(kind: FlightKind, a: u64, b: u64) {
     let mut guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let ring = guard.get_or_insert_with(|| FlightRing::new(FLIGHT_CAPACITY));

@@ -49,7 +49,8 @@ mod tests {
     use prestore::PrestoreMode;
 
     /// Every workload must produce a non-empty trace in every mode, and a
-    /// finished recording holds its events and no growth slack.
+    /// finished recording, like its memoized interned view, holds its
+    /// events and no growth slack.
     #[test]
     fn all_workloads_produce_traces() {
         let ycsb = kv::ycsb::YcsbParams::quick();
@@ -71,6 +72,8 @@ mod tests {
             for (tid, t) in out.traces.threads.iter().enumerate() {
                 assert_eq!(t.events.capacity(), t.len(), "{name} thread {tid}");
             }
+            // Id streams and their offsets: capacity() == len() for each.
+            assert_eq!(out.traces.interned_for(64).spare_capacity(), 0, "{name} id streams");
         }
     }
 }
