@@ -1,6 +1,8 @@
-//! Profiling harness: replays the two `engine_replay` bench workloads in a
-//! loop so a sampling profiler can attribute time. Not a benchmark — run
-//! under a sampling profiler, e.g.:
+//! Profiling harness: replays one of two synthetic 1M-event traces (a
+//! Zipfian `scattered` write/read mix, or a `stream` of 1 KiB writes) in a
+//! loop so a sampling profiler can attribute time. Not a benchmark (host
+//! time is measured by the `benchmark/` crate) — run under a sampling
+//! profiler, e.g.:
 //!
 //! ```console
 //! cargo build --release -p ps-bench --example profile_replay

@@ -4,10 +4,10 @@
 //! Each `experiments::figN` function runs the corresponding workload sweep
 //! on the corresponding simulated machine and returns a [`FigureResult`]
 //! whose series mirror the lines/bars of the paper's figure. The
-//! `figures` binary renders them as text tables and CSV files; the
-//! Criterion benches in `benches/` time the underlying simulations; and
-//! the workspace integration tests assert the qualitative *shapes* (who
-//! wins, where crossovers fall) so regressions are caught by `cargo test`.
+//! `figures` binary renders them as text tables and CSV files, and the
+//! workspace integration tests assert the qualitative *shapes* (who wins,
+//! where crossovers fall) so regressions are caught by `cargo test`. Host
+//! time is measured by the separate `benchmark/` crate.
 
 pub mod chart;
 pub mod experiments;

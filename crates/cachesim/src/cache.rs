@@ -324,6 +324,24 @@ impl Cache {
         self.fill(line, id, dirty)
     }
 
+    /// The miss half of [`Cache::access_id`] (`count_miss`) or of
+    /// [`Cache::insert_id`] (no hit/miss accounting), for a pre-aligned
+    /// `line` the caller has just probed absent — [`Cache::hit_read`] or
+    /// [`Cache::hit_write`] returned `false` and nothing has filled this
+    /// cache since — so the set is not scanned a second time.
+    #[inline]
+    pub fn fill_absent(
+        &mut self,
+        line: Addr,
+        id: LineId,
+        dirty: bool,
+        count_miss: bool,
+    ) -> Option<Victim> {
+        debug_assert!(self.find(line).is_none(), "line {line:#x} is resident");
+        self.stats.misses += u64::from(count_miss);
+        self.fill(line, id, dirty)
+    }
+
     /// Allocate the absent `line` into its set — the lowest free way, else
     /// the replacement policy's victim — and return the victim, if any.
     fn fill(&mut self, line: Addr, id: LineId, dirty: bool) -> Option<Victim> {

@@ -60,22 +60,10 @@ impl ReplacementKind {
                 stamps[base + way] = clock;
             }
             ReplacementKind::TreePlru => {
-                // Walk from the root, flipping each node to point away
-                // from the accessed way. Branch-free: with the asserted
-                // power-of-two geometry, each level's direction is simply
-                // the next bit of `way` (1 = right half), so the halving
-                // midpoint comparison of the textbook walk reduces to bit
-                // arithmetic without an unpredictable branch per level.
-                let levels = ways.trailing_zeros();
-                let mut node = 0usize;
-                for k in 0..levels {
-                    let right = (way >> (levels - 1 - k)) & 1;
-                    let bit = 1u64 << node;
-                    // Went left: point the node right (set). Went right:
-                    // point it left (clear).
-                    *repl = (*repl | (bit * (1 - right as u64))) & !(bit * right as u64);
-                    node = 2 * node + 1 + right;
-                }
+                // Point every node on the root-to-`way` path away from
+                // `way`: one table lookup instead of a walk per level.
+                let m = PLRU_MASKS[ways - 1 + way];
+                *repl = (*repl & !m.path) | m.set;
             }
             ReplacementKind::Fifo | ReplacementKind::Random => {}
             ReplacementKind::NruRandom => {
@@ -108,8 +96,8 @@ impl ReplacementKind {
                 .unwrap_or(0),
             ReplacementKind::TreePlru => {
                 // Follow the PLRU bits: 1 means "go right", 0 "go left".
-                // Branch-free twin of the `touch` walk: accumulate the
-                // direction bits straight into the way number.
+                // Branch-free: accumulate the direction bits straight into
+                // the way number.
                 let levels = ways.trailing_zeros();
                 let mut node = 0usize;
                 let mut way = 0usize;
@@ -142,6 +130,46 @@ impl ReplacementKind {
             }
         }
     }
+}
+
+/// The tree-PLRU nodes a touch of one way rewrites: `path` holds the
+/// node bits on the root-to-way path, `set` those of them that must point
+/// right (the way lies in their left half); the rest of `path` is cleared.
+#[derive(Clone, Copy)]
+struct PlruMask {
+    path: u64,
+    set: u64,
+}
+
+/// [`PlruMask`] of every way of every power-of-two associativity up to
+/// 64: a set of `ways` ways finds way `w`'s entry at `ways - 1 + w`
+/// (1 + 2 + ... + ways / 2 = ways - 1 entries precede it). Nodes are
+/// numbered heap-style: node `n`'s children are `2n + 1` and `2n + 2`.
+static PLRU_MASKS: [PlruMask; 127] = plru_masks();
+
+const fn plru_masks() -> [PlruMask; 127] {
+    let mut table = [PlruMask { path: 0, set: 0 }; 127];
+    let mut ways: usize = 1;
+    while ways <= 64 {
+        let levels = ways.trailing_zeros();
+        let mut way = 0;
+        while way < ways {
+            let (mut path, mut set, mut node, mut k) = (0u64, 0u64, 0usize, 0);
+            while k < levels {
+                let right = (way >> (levels - 1 - k)) & 1;
+                path |= 1 << node;
+                if right == 0 {
+                    set |= 1 << node;
+                }
+                node = 2 * node + 1 + right;
+                k += 1;
+            }
+            table[ways - 1 + way] = PlruMask { path, set };
+            way += 1;
+        }
+        ways *= 2;
+    }
+    table
 }
 
 /// Position of the `k`-th set bit of `mask`, counting from bit 0 upward
@@ -261,6 +289,46 @@ mod tests {
         p.on_access(1, 2); // saturates, resets to only way 1 referenced
         let mut r = rng();
         assert_eq!(p.victim(2, &mut r), 0);
+    }
+
+    /// The textbook tree-PLRU touch: halve the way range from the root,
+    /// pointing every node on the path away from the accessed half (bit
+    /// set = right).
+    fn textbook_plru_touch(mut repl: u64, way: usize, ways: usize) -> u64 {
+        let (mut lo, mut hi, mut node) = (0, ways, 0);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if way < mid {
+                repl |= 1 << node;
+                node = 2 * node + 1;
+                hi = mid;
+            } else {
+                repl &= !(1 << node);
+                node = 2 * node + 2;
+                lo = mid;
+            }
+        }
+        repl
+    }
+
+    #[test]
+    fn plru_mask_table_matches_the_textbook_walk() {
+        // From all-clear and all-set words a touch exposes its `set` and
+        // `path` masks bit for bit; the mixed words check the untouched
+        // nodes stay as they were.
+        let mut r = rng();
+        let mut words = vec![0, u64::MAX, 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA];
+        words.extend((0..8).map(|_| r.next_u64()));
+        for ways in (0..=6).map(|k| 1usize << k) {
+            for way in 0..ways {
+                for &start in &words {
+                    let mut repl = start;
+                    ReplacementKind::TreePlru.touch(&mut repl, &mut [], 0, way, ways);
+                    let want = textbook_plru_touch(start, way, ways);
+                    assert_eq!(repl, want, "{ways} ways, way {way}, from {start:#x}");
+                }
+            }
+        }
     }
 
     #[test]

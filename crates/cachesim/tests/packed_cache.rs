@@ -2,7 +2,8 @@
 //! record per set, keyed tags) against a naive per-set model: one record
 //! per way, textbook replacement walks, candidate lists materialized.
 //! Every operation must agree on hits, victims and their ids, dirty bits
-//! and counters, for all five replacement policies, and the
+//! and counters, for all five replacement policies — fills of lines the
+//! model holds absent through `Cache::fill_absent` included — and the
 //! `dirty_lines_into` / `flush_all_into` sweeps must list the same lines
 //! in the same order.
 
@@ -260,7 +261,7 @@ proptest! {
         policy in any_policy(),
         geometry in 0usize..GEOMETRIES.len(),
         seed in any::<u64>(),
-        ops in proptest::collection::vec((0u8..8, 0u64..1 << 17, any::<bool>()), 1..1500),
+        ops in proptest::collection::vec((0u8..9, 0u64..1 << 17, any::<bool>()), 1..1500),
     ) {
         let (capacity, ways, line_size) = GEOMETRIES[geometry];
         if policy == ReplacementKind::TreePlru && !ways.is_power_of_two() {
@@ -295,6 +296,21 @@ proptest! {
                 }
                 5 => prop_assert_eq!(packed.clean_line(addr), naive.clean(addr), "op {}", i),
                 6 => prop_assert_eq!(packed.invalidate(addr), naive.invalidate(addr), "op {}", i),
+                7 => {
+                    // The fill a caller makes after probing the line absent:
+                    // counted as a miss like `access_id`'s, or not, like
+                    // `insert_id`'s (the offset bit picks which).
+                    let count_miss = addr & 1 == 1;
+                    if naive.locate(addr).2.is_none() {
+                        let got = packed.fill_absent(line, id_for(line), flag, count_miss);
+                        let want = if count_miss {
+                            naive.access(addr, id_for(line), flag).1
+                        } else {
+                            naive.insert(addr, id_for(line), flag)
+                        };
+                        prop_assert_eq!(got, want, "op {} {:?}", i, policy);
+                    }
+                }
                 _ => {
                     prop_assert_eq!(packed.probe(addr), naive.locate(addr).2.is_some());
                     prop_assert_eq!(packed.is_dirty(addr), naive.locate(addr).2.is_some_and(

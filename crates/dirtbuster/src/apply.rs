@@ -14,25 +14,23 @@
 
 use crate::{Analysis, Recommendation};
 use simcore::{Event, EventKind, FuncId, ThreadTrace, TraceSet};
-use std::collections::HashMap;
 
 /// The per-function patch decisions derived from an [`Analysis`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrestorePlan {
-    per_func: HashMap<FuncId, Recommendation>,
+    /// One actionable decision per function, sorted by id.
+    per_func: Vec<(FuncId, Recommendation)>,
 }
 
 impl PrestorePlan {
     /// Build a plan from an analysis: every function with an actionable
     /// recommendation is included.
     pub fn from_analysis(analysis: &Analysis) -> Self {
-        let per_func = analysis
-            .reports
-            .iter()
-            .filter(|r| r.choice != Recommendation::NoPrestore)
-            .map(|r| (r.func, r.choice))
-            .collect();
-        Self { per_func }
+        let mut plan = Self::empty();
+        for r in analysis.reports.iter().filter(|r| r.choice != Recommendation::NoPrestore) {
+            plan.force(r.func, r.choice);
+        }
+        plan
     }
 
     /// An empty plan (patches nothing).
@@ -43,17 +41,22 @@ impl PrestorePlan {
     /// Force a specific operation for `func` (overriding the analysis) —
     /// how the paper evaluates deliberately wrong patches (§7.4.2).
     pub fn force(&mut self, func: FuncId, op: Recommendation) -> &mut Self {
-        if op == Recommendation::NoPrestore {
-            self.per_func.remove(&func);
-        } else {
-            self.per_func.insert(func, op);
+        match (self.per_func.binary_search_by_key(&func, |&(f, _)| f), op) {
+            (Ok(i), Recommendation::NoPrestore) => {
+                self.per_func.remove(i);
+            }
+            (Ok(i), op) => self.per_func[i].1 = op,
+            (Err(_), Recommendation::NoPrestore) => {}
+            (Err(i), op) => self.per_func.insert(i, (func, op)),
         }
         self
     }
 
     /// The planned operation for `func`, if any.
+    #[inline]
     pub fn op_for(&self, func: FuncId) -> Option<Recommendation> {
-        self.per_func.get(&func).copied()
+        let i = self.per_func.binary_search_by_key(&func, |&(f, _)| f).ok()?;
+        Some(self.per_func[i].1)
     }
 
     /// Number of patched functions.
@@ -68,11 +71,8 @@ impl PrestorePlan {
 
     /// The plan's decisions in ascending [`FuncId`] order — the
     /// deterministic view used for rendering and cache keys.
-    pub fn iter_sorted(&self) -> Vec<(FuncId, Recommendation)> {
-        let mut v: Vec<(FuncId, Recommendation)> =
-            self.per_func.iter().map(|(&f, &r)| (f, r)).collect();
-        v.sort_by_key(|&(f, _)| f);
-        v
+    pub fn iter_sorted(&self) -> &[(FuncId, Recommendation)] {
+        &self.per_func
     }
 
     /// Canonical signature string, e.g. `"f3=clean,f7=skip"` (`"-"` for
@@ -132,7 +132,10 @@ pub fn apply_plan_thread(trace: &ThreadTrace, plan: &PrestorePlan) -> ThreadTrac
         }
     }
     // The reservation covers one pre-store per four events; a recording
-    // at rest holds no slack (as `Tracer::finish` leaves it).
+    // at rest holds no slack (as `Tracer::finish` leaves it). Counting
+    // the insertions first to allocate once, exactly, costs a second pass
+    // over the events that outweighs the regrowth it saves (DESIGN.md §8
+    // "One probe per cache level").
     events.shrink_to_fit();
     ThreadTrace { events }
 }

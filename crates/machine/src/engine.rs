@@ -36,9 +36,10 @@
 use crate::config::{MachineConfig, MemModel};
 use crate::crash::{CrashImage, CrashOutcome, CrashReport, LostSite, CRASH_COLS};
 use crate::error::{BlockedAcquire, EngineError};
+use crate::prefetch::StreamTrackers;
 use crate::stats::{site_col, ts_channel, CoreStats, RunStats, SiteCounters, SITE_COLS, TS_CAPACITY, TS_CHANNELS};
 use crate::tables::{FlatTables, HashTables, LineTables, MAX_CORES};
-use cachesim::{Cache, StoreBuffer, WriteCombiningBuffer};
+use cachesim::{Cache, StoreBuffer, Victim, WriteCombiningBuffer};
 use cachesim::wcbuf::WcFlush;
 use memdev::{Device, MemDevice};
 use simcore::faultinject::CrashPlan;
@@ -54,9 +55,6 @@ use simcore::{
 /// Floor added to the derived step budget so tiny traces with legitimate
 /// acquire retries never trip the watchdog.
 pub(crate) const STEP_BUDGET_FLOOR: u64 = 1_000_000;
-
-/// Streams tracked by the per-core hardware prefetcher.
-const STREAM_TRACKERS: usize = 16;
 
 /// Latency divisor for stream-prefetched device reads (the prefetcher
 /// keeps this many line fills in flight on a detected stream).
@@ -187,7 +185,7 @@ struct CoreState {
     pc: usize,
     /// Next expected line of each detected read stream (hardware stream
     /// prefetcher state).
-    streams: std::collections::VecDeque<Addr>,
+    streams: StreamTrackers,
     /// Acquire this core is blocked on: (line, id, release sequence
     /// number).
     blocked: Option<(Addr, LineId, u32)>,
@@ -333,8 +331,7 @@ pub fn simulate_single(cfg: &MachineConfig, trace: &ThreadTrace) -> RunStats {
 /// Validate and replay `threads` through the hashed *reference* engine —
 /// the exact pre-interning data paths ([`HashTables`], address-keyed line
 /// state). Bit-identical to [`try_simulate_threads`] by construction; kept
-/// callable so the equivalence suite and the `intern_vs_hash`
-/// microbenchmark can always compare the two.
+/// callable so the equivalence suite can always compare the two.
 pub fn try_simulate_threads_reference(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
@@ -636,7 +633,7 @@ impl Machine {
         plan: CrashPlan,
     ) -> Result<CrashOutcome, EngineError> {
         replay_checked(&self.cfg, &traces.threads, |engine, _| {
-            engine.arm_crash(CrashCtx::new(plan))
+            engine.arm_crash(CrashCtx::new(plan), true)
         })
     }
 
@@ -685,7 +682,7 @@ impl Machine {
             let mut ctx = CrashCtx::new(plan.unwrap_or(CrashPlan::AtStep(u64::MAX)));
             ctx.received.extend(image.durable.iter().copied());
             ctx.releases.extend(image.releases.iter().copied());
-            engine.arm_crash(ctx);
+            engine.arm_crash(ctx, plan.is_some());
             for &(line, count) in &image.releases {
                 if let Some(id) = interner.id_of(line) {
                     engine.tables.release_restore(id, line, count);
@@ -727,7 +724,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                     wc: WriteCombiningBuffer::new(cfg.line_size, cfg.wc_buffers),
                     stats: CoreStats::default(),
                     pc: 0,
-                    streams: std::collections::VecDeque::with_capacity(STREAM_TRACKERS),
+                    streams: StreamTrackers::new(),
                     blocked: None,
                 }
             })
@@ -769,11 +766,14 @@ impl<'a, T: LineTables> Engine<'a, T> {
         });
     }
 
-    /// Arm a crash plan, with the flight recorder that dumps the steps
-    /// leading up to the crash.
-    fn arm_crash(&mut self, ctx: CrashCtx) {
+    /// Arm a crash plan; `record` adds the flight recorder that dumps the
+    /// steps leading up to the crash. A plan that can never fire records
+    /// nothing: a completed replay returns no dump.
+    fn arm_crash(&mut self, ctx: CrashCtx, record: bool) {
         self.crash = Some(ctx);
-        self.flight = Some(FlightRing::new(FLIGHT_CAPACITY));
+        if record {
+            self.flight = Some(FlightRing::new(FLIGHT_CAPACITY));
+        }
     }
 
     /// The cores currently blocked on acquires: `(core, line, seq)`.
@@ -1366,7 +1366,20 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// The victim's traffic is attributed to the site that first dirtied
     /// it (its dirt tag); a tagless dirty victim charges the UNKNOWN row.
     fn llc_insert(&mut self, line: Addr, id: LineId, dirty: bool) {
-        if let Some(v) = self.llc.insert_id(line, id, dirty) {
+        let victim = self.llc.insert_id(line, id, dirty);
+        self.llc_evicted(victim);
+    }
+
+    /// Fill a clean line read from the device into the LLC, which
+    /// `hit_read` has just probed it absent from.
+    fn llc_fill_read(&mut self, line: Addr, id: LineId) {
+        let victim = self.llc.fill_absent(line, id, false, false);
+        self.llc_evicted(victim);
+    }
+
+    /// Write an LLC victim to the device if it is dirty.
+    fn llc_evicted(&mut self, victim: Option<Victim>) {
+        if let Some(v) = victim {
             if v.dirty {
                 let (site, step) = self
                     .tables
@@ -1380,9 +1393,10 @@ impl<'a, T: LineTables> Engine<'a, T> {
     }
 
     /// Fill a line into `cid`'s L1 (counting the miss), spilling any dirty
-    /// victim to the LLC.
+    /// victim to the LLC. Every caller has just missed in that L1
+    /// (`hit_read` / `hit_write`), so the fill skips the residency scan.
     fn l1_fill(&mut self, cid: CoreId, line: Addr, id: LineId, dirty: bool) {
-        let victim = self.cores[cid].l1.access_id(line, id, dirty).victim;
+        let victim = self.cores[cid].l1.fill_absent(line, id, dirty, true);
         if let Some(v) = victim {
             if self.tables.owner_get(v.id, v.line) == Some(cid) {
                 self.tables.owner_clear(v.id, v.line);
@@ -1394,23 +1408,6 @@ impl<'a, T: LineTables> Engine<'a, T> {
         if dirty {
             self.tables.owner_set(id, line, cid);
         }
-    }
-
-    /// Record `line` with the core's stream prefetcher. Returns whether the
-    /// access continued a detected stream (and advances that stream).
-    fn stream_check(&mut self, cid: CoreId, line: Addr) -> bool {
-        let line_size = self.cfg.line_size;
-        let streams = &mut self.cores[cid].streams;
-        if let Some(pos) = streams.iter().position(|&s| s == line) {
-            streams.remove(pos);
-            streams.push_back(line + line_size);
-            return true;
-        }
-        if streams.len() >= STREAM_TRACKERS {
-            streams.pop_front();
-        }
-        streams.push_back(line + line_size);
-        false
     }
 
     /// Read one line, charging the appropriate level's latency.
@@ -1451,7 +1448,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             self.l1_fill(cid, line, id, false);
             return;
         }
-        let streamed = self.stream_check(cid, line);
+        let streamed = self.cores[cid].streams.check(line, self.cfg.line_size);
         if let Some(o) = self.tables.owner_get(id, line) {
             if o != cid {
                 // Dirty in a remote L1: directory lookup + transfer.
@@ -1487,7 +1484,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         let cost = if streamed { (lat / STREAM_MLP).max(costs.l1_hit) } else { lat };
         self.cores[cid].now += cost + self.device.fault_stall();
         self.device.receive_read(line, self.cfg.line_size);
-        self.llc_insert(line, id, false);
+        self.llc_fill_read(line, id);
         self.l1_fill(cid, line, id, false);
     }
 
@@ -1542,7 +1539,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         // the directory update — and any injected transient-fault stall.
         let stall = self.device.fault_stall();
         self.device.receive_read(line, self.cfg.line_size);
-        self.llc_insert(line, id, false);
+        self.llc_fill_read(line, id);
         self.l1_fill(cid, line, id, true);
         self.device.read_latency() + self.device.directory_latency() + stall
     }
@@ -2526,7 +2523,7 @@ mod tests {
                 let mut source = simcore::SliceSource::new(&threads);
                 let feed = StreamFeed::new(cfg.line_size, threads.len(), chunk_events);
                 let mut engine = Engine::new_flat(&cfg, 0, threads.len());
-                engine.arm_crash(CrashCtx::new(plan));
+                engine.arm_crash(CrashCtx::new(plan), true);
                 let streamed = engine.replay(&mut Streamed { feed, source: &mut source }).unwrap();
                 assert_eq!(streamed, materialized, "{plan:?} at chunk_events={chunk_events}");
             }

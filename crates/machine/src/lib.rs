@@ -37,6 +37,7 @@ pub mod config;
 pub mod crash;
 pub mod engine;
 pub mod error;
+mod prefetch;
 mod probes;
 pub mod report;
 pub mod stats;

@@ -18,9 +18,8 @@
 //!   writes.
 //! * [`HashTables`] — the pre-interning reference, byte-for-byte the old
 //!   behaviour. Kept for the equivalence suite
-//!   (`crates/bench/tests/intern_equivalence.rs`) and the
-//!   `intern_vs_hash` microbenchmark, so the flat path is always testable
-//!   against a known-good twin.
+//!   (`crates/bench/tests/intern_equivalence.rs`), so the flat path is
+//!   always testable against a known-good twin.
 //!
 //! The engine is generic over `T: LineTables`, so its one replay loop
 //! compiles once per implementation. Both replay the same interned feed;

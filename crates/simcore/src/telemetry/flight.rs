@@ -4,9 +4,10 @@
 //! When a replay crashes (deliberately, via a `CrashPlan`) or a
 //! supervised sweep job dies, the end-of-run aggregates say *what* broke
 //! but not *what led up to it*. A [`FlightRing`] keeps the last N events
-//! at O(1) cost per event and no allocation after construction, so the
-//! crash path can dump "the last 10k things that happened" next to the
-//! crash report.
+//! at O(1) amortized cost per event, its buffer growing toward N only as
+//! events arrive, so the crash path can dump "the last 10k things that
+//! happened" next to the crash report while a replay that crashes early
+//! holds only the events it recorded.
 //!
 //! Two rings exist in practice:
 //!
@@ -100,8 +101,9 @@ pub struct FlightEvent {
     pub b: u64,
 }
 
-/// Bounded ring of [`FlightEvent`]s: O(1) push, allocation only at
-/// construction, oldest events evicted silently.
+/// Bounded ring of [`FlightEvent`]s: O(1) amortized push, oldest events
+/// evicted silently once `capacity` are held. The buffer grows toward the
+/// capacity as events arrive (never past it) and stays put once full.
 ///
 /// # Examples
 ///
@@ -119,6 +121,8 @@ pub struct FlightEvent {
 #[derive(Debug, Clone)]
 pub struct FlightRing {
     buf: Vec<FlightEvent>,
+    /// Most events retained; `buf` holds fewer until it first wraps.
+    capacity: usize,
     head: usize,
     total: u64,
 }
@@ -131,14 +135,19 @@ impl FlightRing {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flight ring capacity must be positive");
-        Self { buf: Vec::with_capacity(capacity), head: 0, total: 0 }
+        Self { buf: Vec::new(), capacity, head: 0, total: 0 }
     }
 
     /// Record one event, evicting the oldest when full.
     #[inline]
     pub fn push(&mut self, ev: FlightEvent) {
         self.total += 1;
-        if self.buf.len() < self.buf.capacity() {
+        if self.buf.len() < self.capacity {
+            if self.buf.len() == self.buf.capacity() {
+                // Double, as `Vec::push` would, but stop at the capacity.
+                let room = self.buf.len().max(16).min(self.capacity - self.buf.len());
+                self.buf.reserve_exact(room);
+            }
             self.buf.push(ev);
         } else {
             self.buf[self.head] = ev;
@@ -165,7 +174,7 @@ impl FlightRing {
     pub fn last(&self) -> Option<&FlightEvent> {
         if self.buf.is_empty() {
             None
-        } else if self.buf.len() < self.buf.capacity() || self.head == 0 {
+        } else if self.buf.len() < self.capacity || self.head == 0 {
             self.buf.last()
         } else {
             Some(&self.buf[self.head - 1])
@@ -211,8 +220,7 @@ static GLOBAL: Mutex<Option<FlightRing>> = Mutex::new(None);
 
 /// Record a marker in the process-global ring, stamping it with a global
 /// sequence number. Intended for supervised-job lifecycle events, not for
-/// replay progress — each call takes a lock, and the first allocates the
-/// whole ring.
+/// replay progress — each call takes a lock.
 pub fn note(kind: FlightKind, a: u64, b: u64) {
     let mut guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     let ring = guard.get_or_insert_with(|| FlightRing::new(FLIGHT_CAPACITY));
@@ -263,6 +271,25 @@ mod tests {
         r.push(ev(4, FlightKind::Crash));
         assert_eq!(r.last().unwrap().kind, FlightKind::Crash);
         assert_eq!(r.to_vec().last().unwrap().seq, 4);
+    }
+
+    #[test]
+    fn ring_grows_with_its_events_and_wraps_at_its_capacity() {
+        let mut r = FlightRing::new(FLIGHT_CAPACITY);
+        for s in 0..5 {
+            r.push(ev(s, FlightKind::Write));
+        }
+        assert!(r.buf.capacity() < 64, "5 events reserved {} slots", r.buf.capacity());
+        for s in 5..FLIGHT_CAPACITY as u64 + 3 {
+            r.push(ev(s, FlightKind::Write));
+        }
+        assert_eq!(r.buf.capacity(), FLIGHT_CAPACITY, "growth stops at the capacity");
+        assert_eq!(r.len(), FLIGHT_CAPACITY);
+        assert_eq!(r.total(), FLIGHT_CAPACITY as u64 + 3);
+        let seqs: Vec<u64> = r.to_vec().iter().map(|e| e.seq).collect();
+        let want: Vec<u64> = (3..FLIGHT_CAPACITY as u64 + 3).collect();
+        assert_eq!(seqs, want, "the oldest three were evicted");
+        assert_eq!(r.last().unwrap().seq, FLIGHT_CAPACITY as u64 + 2);
     }
 
     #[test]
