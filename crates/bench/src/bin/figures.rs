@@ -1,8 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [--quick] [--json] [--chart] [--jobs N] [--timing]
-//!         [--job-deadline SECS] [--baseline FILE]
+//! figures [--quick] [--json] [--chart] [--jobs N] [--job-deadline SECS]
 //!         [--metrics FILE] [--metrics-baseline FILE] [--trace-out FILE]
 //!         [--report FILE] [--out DIR] [id ...]
 //! ```
@@ -14,28 +13,20 @@
 //! `--jobs N` bounds the worker threads used for concurrent experiments
 //! and sweep points (default: the machine's available parallelism;
 //! `--jobs 1` runs everything serially). Output files are byte-identical
-//! for every job count. `--timing` runs the selected experiments twice —
-//! serially, then at the requested job count — verifies the outputs match
-//! byte-for-byte, and writes the wall-clock comparison to
-//! `BENCH_figures.json` in the output directory.
-//!
-//! `--baseline FILE` (requires `--timing`) compares the measured
-//! wall-clock against the `parallel_seconds` recorded in a previously
-//! committed `BENCH_figures.json` and fails if the run regressed by more
-//! than 20% — the CI guard that keeps the replay engine's interning wins
-//! from quietly eroding.
+//! for every job count. Host time is measured by the `benchmark/` crate,
+//! not here.
 //!
 //! `--metrics FILE` writes a JSON snapshot of the telemetry registry
 //! (engine, device, runner and memo-cache counters plus span timings and
-//! histogram percentiles) covering the main pass, next to the other
-//! outputs; the flag never changes the experiment outputs (pinned by the
+//! histogram percentiles) covering the run, next to the other outputs;
+//! the flag never changes the experiment outputs (pinned by the
 //! `metrics_identity` test). `--metrics-baseline FILE` additionally diffs
 //! the snapshot against a committed one and fails (exit 2) unless every
 //! deterministic counter and histogram statistic equals the baseline's
 //! and the snapshot has no deterministic name the baseline lacks.
 //!
-//! `--trace-out FILE` records every telemetry span of the main pass and
-//! writes a Chrome Trace Event JSON timeline — load it in
+//! `--trace-out FILE` records every telemetry span of the run and writes
+//! a Chrome Trace Event JSON timeline — load it in
 //! <https://ui.perfetto.dev> to see experiments, replays and pool jobs on
 //! their thread lanes.
 //!
@@ -56,13 +47,11 @@
 //! flight, what had just retried") ships with the partial results.
 //!
 //! Exit codes: `0` success, `1` usage error (an unknown `--` flag among
-//! them), I/O error, no matching experiment, or a `--timing` identity
-//! mismatch, `2` wall-clock regression vs `--baseline`
-//! or metrics regression vs `--metrics-baseline`, `3` one or more
-//! experiments failed (panicked every attempt or missed the deadline) and
-//! only partial results were written. The regression checks run before the
-//! final exit-3 decision, so a run that both regresses and loses an
-//! experiment reports the regression.
+//! them), I/O error or no matching experiment, `2` metrics regression vs
+//! `--metrics-baseline`, `3` one or more experiments failed (panicked every
+//! attempt or missed the deadline) and only partial results were written.
+//! The metrics check runs before the final exit-3 decision, so a run that
+//! both regresses and loses an experiment reports the regression.
 
 use ps_bench::runner::{self, TimedFigure};
 use ps_bench::tracefmt::TraceRecorder;
@@ -72,11 +61,10 @@ use ps_bench::{experiments, memo, metricsjson};
 type Experiment = (&'static str, fn(bool) -> ps_bench::FigureResult);
 
 /// Flags that take a value (the next argument).
-const VALUE_FLAGS: [&str; 8] = [
+const VALUE_FLAGS: [&str; 7] = [
     "--out",
     "--jobs",
     "--job-deadline",
-    "--baseline",
     "--metrics",
     "--metrics-baseline",
     "--trace-out",
@@ -91,7 +79,7 @@ fn exit_io_error(what: &str, path: &str, e: std::io::Error) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [--quick] [--json] [--chart] [--jobs N] [--timing] [--out DIR] [id ...]
+        "usage: figures [--quick] [--json] [--chart] [--jobs N] [--out DIR] [id ...]
 
   --quick      scaled-down parameters (CI)
   --json       also write <id>.json next to each <id>.csv
@@ -101,29 +89,23 @@ fn usage() -> ! {
   --job-deadline SECS
                soft per-experiment deadline: an experiment that finishes
                later is discarded and reported as failed (default: none)
-  --timing     run serial then parallel, check outputs are byte-identical,
-               write BENCH_figures.json to the output directory
-  --baseline FILE
-               with --timing: fail (exit 2) if this run's wall-clock is
-               more than 20% slower than FILE's parallel_seconds
   --metrics FILE
-               write a telemetry snapshot (JSON) of the main pass
+               write a telemetry snapshot (JSON) of the run
   --metrics-baseline FILE
                diff the telemetry snapshot against a committed one; fail
                (exit 2) unless every deterministic counter and histogram
                statistic equals the baseline's
   --trace-out FILE
-               write the main pass's telemetry spans as a Chrome Trace
+               write the run's telemetry spans as a Chrome Trace
                Event JSON timeline (Perfetto-loadable)
   --report FILE
                write every regenerated figure as a self-contained HTML
                report (inline SVG, no scripts)
   --out DIR    output directory (default: results/)
 
-exit codes: 0 success; 1 usage error, I/O error, no matching experiment,
-            or --timing mismatch; 2 regression vs --baseline or
-            --metrics-baseline; 3 experiment(s) failed, partial results
-            written"
+exit codes: 0 success; 1 usage error, I/O error or no matching
+            experiment; 2 regression vs --metrics-baseline;
+            3 experiment(s) failed, partial results written"
     );
     std::process::exit(1);
 }
@@ -133,7 +115,7 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let switches = ["--quick", "--json", "--chart", "--timing"];
+    let switches = ["--quick", "--json", "--chart"];
     if let Some(flag) = ps_bench::unknown_flag(&args, &VALUE_FLAGS, &switches) {
         eprintln!("unknown flag {flag:?}");
         usage();
@@ -141,7 +123,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let json = args.iter().any(|a| a == "--json");
     let chart = args.iter().any(|a| a == "--chart");
-    let timing = args.iter().any(|a| a == "--timing");
     let flag_value = |flag: &str| {
         args.iter().position(|a| a == flag).map(|i| match args.get(i + 1) {
             Some(v) => v.clone(),
@@ -152,15 +133,10 @@ fn main() {
         })
     };
     let out_dir = flag_value("--out").unwrap_or_else(|| "results".to_owned());
-    let baseline = flag_value("--baseline");
     let metrics = flag_value("--metrics");
     let metrics_baseline = flag_value("--metrics-baseline");
     let trace_out = flag_value("--trace-out");
     let report_out = flag_value("--report");
-    if baseline.is_some() && !timing {
-        eprintln!("--baseline needs --timing (it compares measured wall-clock)");
-        usage();
-    }
     let jobs = match flag_value("--jobs") {
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => n,
@@ -242,30 +218,13 @@ fn main() {
         std::process::exit(1);
     }
 
-    let serial_baseline = if timing {
-        memo::clear();
-        runner::set_jobs(1);
-        let start = std::time::Instant::now();
-        let figs = runner::run_experiments_supervised(&selected, quick, supervision);
-        Some((figs, start.elapsed().as_secs_f64(), memo::counters()))
-    } else {
-        None
-    };
-
-    // The --metrics/--trace-out snapshots cover the main pass only: drop
-    // whatever the serial --timing pass accumulated and subscribe the span
-    // recorder.
     let recorder = TraceRecorder::new();
     if metrics.is_some() || metrics_baseline.is_some() || trace_out.is_some() {
         simcore::telemetry::set_span_observer(Some(Box::new(recorder.clone())));
     }
-    simcore::telemetry::reset();
 
-    memo::clear();
     runner::set_jobs(jobs);
-    let start = std::time::Instant::now();
     let results = runner::run_experiments_supervised(&selected, quick, supervision);
-    let parallel_seconds = start.elapsed().as_secs_f64();
     let counters = memo::counters();
 
     let mut failures: Vec<&runner::ExperimentFailure> = Vec::new();
@@ -382,115 +341,9 @@ fn main() {
         }
     }
 
-    if let Some((serial_figs, serial_seconds, serial_counters)) = serial_baseline {
-        // Identity and per-experiment timings only compare pairs that
-        // succeeded in both passes; a failed experiment is already
-        // reported in the failure summary (and forces exit 3 below).
-        let compared: Vec<(&TimedFigure, &TimedFigure)> = serial_figs
-            .iter()
-            .zip(&results)
-            .filter_map(|(s, p)| match (s, p) {
-                (Ok(s), Ok(p)) => Some((s, p)),
-                _ => None,
-            })
-            .collect();
-        let mut mismatched: Vec<&str> = Vec::new();
-        for (s, p) in &compared {
-            if s.fig.render_csv() != p.fig.render_csv()
-                || s.fig.render_json() != p.fig.render_json()
-            {
-                mismatched.push(s.id);
-            }
-        }
-        let speedup = serial_seconds / parallel_seconds.max(1e-9);
-        let mut report = String::from("{\n");
-        report.push_str(&format!("  \"jobs\": {jobs},\n"));
-        report.push_str(&format!("  \"quick\": {quick},\n"));
-        report.push_str(&format!("  \"serial_seconds\": {serial_seconds:.3},\n"));
-        report.push_str(&format!("  \"parallel_seconds\": {parallel_seconds:.3},\n"));
-        report.push_str(&format!("  \"speedup\": {speedup:.3},\n"));
-        report.push_str(&format!(
-            "  \"outputs_identical\": {},\n",
-            mismatched.is_empty()
-        ));
-        report.push_str(&format!(
-            "  \"memo_serial\": {{\"hits\": {}, \"misses\": {}, \"derived\": {}}},\n",
-            serial_counters.hits, serial_counters.misses, serial_counters.derived
-        ));
-        report.push_str(&format!(
-            "  \"memo_parallel\": {{\"hits\": {}, \"misses\": {}, \"derived\": {}}},\n",
-            counters.hits, counters.misses, counters.derived
-        ));
-        report.push_str("  \"experiments\": [");
-        for (i, (s, p)) in compared.iter().enumerate() {
-            if i > 0 {
-                report.push(',');
-            }
-            // Microsecond resolution: the quick suite's small experiments
-            // finish in well under a millisecond, and three decimals would
-            // round every one of them to 0.000.
-            report.push_str(&format!(
-                "\n    {{\"id\": \"{}\", \"serial_seconds\": {:.6}, \"parallel_seconds\": {:.6}}}",
-                s.id, s.seconds, p.seconds
-            ));
-        }
-        report.push_str("\n  ]\n}\n");
-        let path = format!("{out_dir}/BENCH_figures.json");
-        if let Err(e) = std::fs::write(&path, report) {
-            exit_io_error("write timing report", &path, e);
-        }
-        println!(
-            "timing: serial {serial_seconds:.2}s, --jobs {jobs} {parallel_seconds:.2}s \
-             ({speedup:.2}x); report written to {path}"
-        );
-        if !mismatched.is_empty() {
-            eprintln!("--timing output mismatch in: {}", mismatched.join(", "));
-            std::process::exit(1);
-        }
-        if let Some(baseline_path) = baseline {
-            let text = match std::fs::read_to_string(&baseline_path) {
-                Ok(t) => t,
-                Err(e) => exit_io_error("read baseline", &baseline_path, e),
-            };
-            let Some(base_seconds) = json_f64_field(&text, "parallel_seconds") else {
-                eprintln!("baseline {baseline_path:?} has no \"parallel_seconds\" field");
-                std::process::exit(1);
-            };
-            let limit = base_seconds * REGRESSION_LIMIT;
-            if parallel_seconds > limit {
-                eprintln!(
-                    "wall-clock regression: {parallel_seconds:.2}s vs baseline \
-                     {base_seconds:.2}s (limit {limit:.2}s, +20%)"
-                );
-                std::process::exit(2);
-            }
-            println!(
-                "baseline: {parallel_seconds:.2}s within {limit:.2}s \
-                 (baseline {base_seconds:.2}s + 20%)"
-            );
-        }
-    }
-
     // Last: degraded (but not torn down) runs exit 3. Every hard failure
     // above already exited 1 or 2 before reaching this point.
     if !failures.is_empty() {
         std::process::exit(3);
     }
-}
-
-/// A timing run may be at most this factor slower than its `--baseline`.
-const REGRESSION_LIMIT: f64 = 1.20;
-
-/// Extract the number following `"key":` from a flat JSON document.
-///
-/// `BENCH_figures.json` is written by this binary with a fixed shape, so a
-/// scan is enough — no JSON dependency needed for the CI guard.
-fn json_f64_field(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

@@ -1,13 +1,13 @@
 //! A minimal JSON value model and recursive-descent parser.
 //!
-//! The harness writes all of its machine-readable outputs
-//! (`BENCH_figures.json`, metrics snapshots, Chrome traces) with
-//! hand-rolled formatting; this module is the matching *reader*, used by
-//! the `--metrics-baseline` gate and the trace-export tests to consume
-//! those documents back without an external JSON dependency. It parses
-//! standard JSON (RFC 8259) with two deliberate simplifications: numbers
-//! are `f64`, and object keys keep their textual order in a `Vec` (no
-//! map, so duplicate keys survive and output stays deterministic).
+//! The harness writes all of its machine-readable outputs (metrics
+//! snapshots, Chrome traces) with hand-rolled formatting; this module is
+//! the matching *reader*, used by the `--metrics-baseline` gate and the
+//! trace-export tests to consume those documents back without an external
+//! JSON dependency. It parses standard JSON (RFC 8259) with two deliberate
+//! simplifications: numbers are `f64`, and object keys keep their textual
+//! order in a `Vec` (no map, so duplicate keys survive and output stays
+//! deterministic).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -225,9 +225,9 @@ pub fn counters() -> MemoCounters {
     }
 }
 
-/// Drop every cached recording and zero the counters (used between the
-/// serial and parallel passes of `figures --timing` so both measure cold
-/// caches).
+/// Drop every cached recording and zero the counters, so the next pass
+/// starts from cold caches (the benchmark's samples and the job-count
+/// tests run several passes in one process).
 pub fn clear() {
     TRACES.clear();
     STREAMS.clear();

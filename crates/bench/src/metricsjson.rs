@@ -12,9 +12,8 @@
 //! Only simulation-defined values are compared, and they must match
 //! exactly: metric names under the `engine.`, `device.` and `wcbuf.`
 //! prefixes, excluding span timings. Replay is deterministic, so these
-//! values are identical at any `--jobs`, on either kernel set and in
-//! either `--timing` pass; a drift of one unit is a change in what the
-//! simulator did. Machine-dependent values (span nanoseconds, `runner.*`
+//! values are identical at any `--jobs`; a drift of one unit is a change
+//! in what the simulator did. Machine-dependent values (span nanoseconds, `runner.*`
 //! scheduling counters, memo hit rates) are rendered for humans but never
 //! gated.
 

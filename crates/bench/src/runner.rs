@@ -78,19 +78,6 @@ pub struct TimedFigure {
     pub seconds: f64,
 }
 
-/// Run `experiments` (id, regenerate-function) pairs under the current
-/// jobs budget and return the results in input order.
-pub fn run_experiments(experiments: &[Experiment], quick: bool) -> Vec<TimedFigure> {
-    sweep(experiments.len(), |i| {
-        let (id, f) = experiments[i];
-        probes::EXPERIMENTS.inc();
-        let _timed = simcore::telemetry::span(&probes::EXPERIMENT);
-        let start = std::time::Instant::now();
-        let fig = f(quick);
-        TimedFigure { id, fig, seconds: start.elapsed().as_secs_f64() }
-    })
-}
-
 /// One experiment the supervised runner could not regenerate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentFailure {
@@ -106,7 +93,8 @@ impl std::fmt::Display for ExperimentFailure {
     }
 }
 
-/// Fail-soft variant of [`run_experiments`]: each experiment runs under
+/// Run `experiments` (id, regenerate-function) pairs under the current
+/// jobs budget, fail-soft: each experiment runs under
 /// [`simcore::par::supervised_map`], so a panicking or over-deadline
 /// experiment yields a typed [`ExperimentFailure`] instead of tearing down
 /// the whole regeneration. Results keep input order; the healthy
@@ -148,7 +136,10 @@ mod tests {
         let out =
             run_experiments_supervised(exps, true, Supervision { deadline: None, retries: 0 });
         assert_eq!(out.len(), 3);
-        assert_eq!(out[0].as_ref().map(|t| t.id), Ok("ok"));
+        let first = out[0].as_ref().expect("healthy experiment");
+        assert_eq!(first.id, "ok");
+        assert_eq!(first.fig.id, "ok");
+        assert!(first.seconds >= 0.0);
         match &out[1] {
             Err(ExperimentFailure { id: "dies", failure: JobFailure::Panicked { message, .. } }) => {
                 assert!(message.contains("experiment is broken"), "{message}");
@@ -168,22 +159,5 @@ mod tests {
         }
         assert_eq!(sweep_grid(0, 4, |r, c| r + c), Vec::<Vec<usize>>::new());
         assert_eq!(sweep_grid(2, 0, |r, c| r + c), vec![Vec::<usize>::new(); 2]);
-    }
-
-    #[test]
-    fn run_experiments_preserves_order_and_ids() {
-        fn mk_a(_q: bool) -> FigureResult {
-            FigureResult::new("a", "A", "x", "y")
-        }
-        fn mk_b(_q: bool) -> FigureResult {
-            FigureResult::new("b", "B", "x", "y")
-        }
-        let exps: &[Experiment] = &[("a", mk_a), ("b", mk_b)];
-        let out = run_experiments(exps, true);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].id, "a");
-        assert_eq!(out[1].id, "b");
-        assert_eq!(out[0].fig.id, "a");
-        assert!(out[0].seconds >= 0.0);
     }
 }

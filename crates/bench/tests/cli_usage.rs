@@ -48,31 +48,32 @@ fn kv_serving_rejects_an_unknown_flag() {
     assert!(out.stdout.is_empty(), "nothing runs");
 }
 
-/// A flag `figures` once accepted: it must now fail like any typo.
-const RETIRED_FLAG: &str = "--force-scalar";
+/// Flags `figures` once accepted, each with the value it took: each must
+/// now fail like any typo.
+const RETIRED_FLAGS: [&[&str]; 3] = [
+    &["--force-scalar"],
+    &["--timing"],
+    &["--baseline", "BENCH_figures.json"],
+];
 
 #[test]
 fn figures_rejects_an_unknown_flag_and_writes_nothing() {
     let out_dir = std::env::temp_dir().join(format!("figures-unknown-flag-{}", std::process::id()));
-    let out = run(
-        env!("CARGO_BIN_EXE_figures"),
-        &[
-            "--quick",
-            RETIRED_FLAG,
-            "--out",
-            out_dir.to_str().expect("utf-8 path"),
-            "table1",
-        ],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains(&format!("unknown flag {RETIRED_FLAG:?}")),
-        "{stderr}"
-    );
-    assert!(stderr.contains("usage: figures"), "{stderr}");
-    assert!(out.stdout.is_empty(), "nothing runs");
-    assert!(!out_dir.exists(), "no output directory is created");
+    for retired in RETIRED_FLAGS {
+        let mut args = vec!["--quick"];
+        args.extend_from_slice(retired);
+        args.extend(["--out", out_dir.to_str().expect("utf-8 path"), "table1"]);
+        let out = run(env!("CARGO_BIN_EXE_figures"), &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{retired:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {:?}", retired[0])),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: figures"), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing runs");
+        assert!(!out_dir.exists(), "no output directory is created");
+    }
 }
 
 #[test]

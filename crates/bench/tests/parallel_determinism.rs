@@ -1,9 +1,11 @@
 //! The load-bearing property of `figures --jobs N`: the rendered outputs
 //! are byte-identical no matter how many worker threads run the sweeps,
 //! and no matter whether the memo cache served a point from a derived
-//! trace or a fresh recording.
+//! trace or a fresh recording. The experiments run through the supervised
+//! runner `figures` uses, and every one must succeed.
 
 use ps_bench::{experiments, memo, runner, FigureResult};
+use simcore::par::Supervision;
 
 type Experiment = (&'static str, fn(bool) -> FigureResult);
 
@@ -20,9 +22,12 @@ const SUBSET: &[Experiment] = &[
 fn render_all(jobs: usize) -> Vec<(String, String)> {
     memo::clear();
     runner::set_jobs(jobs);
-    runner::run_experiments(SUBSET, true)
+    runner::run_experiments_supervised(SUBSET, true, Supervision::default())
         .into_iter()
-        .map(|t| (t.fig.render_csv(), t.fig.render_json()))
+        .map(|r| {
+            let t = r.unwrap_or_else(|f| panic!("{f}"));
+            (t.fig.render_csv(), t.fig.render_json())
+        })
         .collect()
 }
 

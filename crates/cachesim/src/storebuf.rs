@@ -134,12 +134,6 @@ pub struct StoreBuffer {
     /// Memory-level parallelism: a drain of cost `c` delays the next drain
     /// start by `max(1, c / mlp)`.
     mlp: Cycles,
-    /// Lines whose drains were scheduled (retired into the cache by the
-    /// engine when it collects them). Only recorded while `track_retired`.
-    retired: Vec<Addr>,
-    /// Whether retired lines are recorded at all (see
-    /// [`StoreBuffer::set_retired_tracking`]).
-    track_retired: bool,
 }
 
 impl StoreBuffer {
@@ -173,20 +167,6 @@ impl StoreBuffer {
             next_earliest: 0,
             last_done: 0,
             mlp,
-            retired: Vec::new(),
-            track_retired: true,
-        }
-    }
-
-    /// Enable or disable recording of retired lines.
-    ///
-    /// The engine's replay loop schedules drains but never consumes the
-    /// retired list; with tracking off, drained lines are dropped instead
-    /// of being accumulated (and re-allocated) per event.
-    pub fn set_retired_tracking(&mut self, on: bool) {
-        self.track_retired = on;
-        if !on {
-            self.retired.clear();
         }
     }
 
@@ -280,15 +260,11 @@ impl StoreBuffer {
 
     /// Remove the head entry (its drain must be scheduled).
     #[inline]
-    fn pop_head(&mut self) -> SbEntry {
+    fn pop_head(&mut self) {
         let head = self.entries.pop_front().expect("pop from an empty store buffer");
         self.lines.pop_front();
         self.filter[bucket(head.line)] -= 1;
         self.started -= 1;
-        if self.track_retired {
-            self.retired.push(head.line);
-        }
-        head
     }
 
     /// Re-derive `head_done` from the current front entry (after a pop).
@@ -383,9 +359,6 @@ impl StoreBuffer {
     /// Panics (in debug builds) if an entry is still unscheduled.
     pub fn retire_all(&mut self) {
         debug_assert_eq!(self.started, self.entries.len(), "retire_all with unscheduled drains");
-        if self.track_retired {
-            self.retired.extend(self.lines.iter());
-        }
         self.entries.clear();
         self.lines.clear();
         self.filter = [0; FILTER_BUCKETS];
@@ -422,7 +395,7 @@ impl StoreBuffer {
     }
 
     /// Pop entries whose drains completed at or before `now` (background
-    /// completion). Their lines are moved to the retired list.
+    /// completion).
     ///
     /// Called once per replayed event; the cached `head_done` makes the
     /// dominant nothing-finished case branch on a resident field without
@@ -436,18 +409,6 @@ impl StoreBuffer {
             self.pop_head();
         }
         self.refresh_head_done();
-    }
-
-    /// Take the lines whose drains have been scheduled/completed since the
-    /// last call; the engine applies them to the cache hierarchy.
-    pub fn take_retired(&mut self) -> Vec<Addr> {
-        std::mem::take(&mut self.retired)
-    }
-
-    /// [`StoreBuffer::take_retired`] into a caller-provided buffer
-    /// (appended, not cleared), reusing its allocation.
-    pub fn take_retired_into(&mut self, out: &mut Vec<Addr>) {
-        out.append(&mut self.retired);
     }
 
     /// Completion time of the latest scheduled drain.
@@ -495,10 +456,14 @@ mod tests {
         sb.push(64, 0);
         sb.push(128, 0);
         // II = 50/10 = 5: starts at 10, 15, 20; done at 60, 65, 70.
-        let done = sb.drain_all(10, |_| 50);
+        let mut order = Vec::new();
+        let done = sb.drain_all(10, |l| {
+            order.push(l);
+            50
+        });
         assert_eq!(done, 70);
         assert!(sb.is_empty());
-        assert_eq!(sb.take_retired(), vec![0, 64, 128]);
+        assert_eq!(order, vec![0, 64, 128]);
     }
 
     #[test]
@@ -562,10 +527,9 @@ mod tests {
         sb.start_all(0, |_| 100); // II = 100: starts 0 and 100; done 100, 200
         sb.collect_completed(150);
         assert_eq!(sb.len(), 1);
-        assert_eq!(sb.take_retired(), vec![0]);
+        assert!(!sb.contains(0) && sb.contains(64));
         sb.collect_completed(250);
         assert!(sb.is_empty());
-        assert_eq!(sb.take_retired(), vec![64]);
     }
 
     #[test]
@@ -690,15 +654,23 @@ mod tests {
         assert_eq!(done, pulled.entries[2].drain_done.expect("scheduled"));
         assert_eq!(pulled.unstarted_through(128), Some(0), "already draining");
         // A fence: pull the rest, then retire everything.
-        let fence = closure.drain_all(50, |_| 10);
-        while pulled.next_unstarted().is_some() {
+        let mut closure_rest = Vec::new();
+        let fence = closure.drain_all(50, |l| {
+            closure_rest.push(l);
+            10
+        });
+        let mut pulled_rest = Vec::new();
+        while let Some((line, _)) = pulled.next_unstarted() {
+            pulled_rest.push(line);
             pulled.schedule_next(50, 10);
         }
         let pulled_fence = pulled.last_drain_done().max(50);
         pulled.retire_all();
         assert_eq!(fence, pulled_fence);
+        assert_eq!(closure_rest, vec![192]);
+        assert_eq!(pulled_rest, closure_rest);
         assert!(pulled.is_empty() && !pulled.contains(64));
-        assert_eq!(pulled.take_retired(), closure.take_retired());
+        assert!(closure.is_empty() && !closure.contains(64));
     }
 
     #[test]

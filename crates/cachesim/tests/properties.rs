@@ -95,23 +95,24 @@ proptest! {
         cost in 1u64..500,
     ) {
         let mut sb = StoreBuffer::new(16);
-        let mut retired: Vec<u64> = Vec::new();
+        let mut left = 0usize;
         let mut pushed = 0usize;
         let mut now = 0;
         for &l in &lines {
             let line = l * 64;
             if sb.is_full() {
                 now = now.max(sb.drain_head(now, |_| cost));
-                retired.extend(sb.take_retired());
+                left += 1;
             }
             if !sb.push(line, now) {
                 pushed += 1;
             }
             now += 1;
         }
+        left += sb.len();
         let done = sb.drain_all(now, |_| cost);
-        retired.extend(sb.take_retired());
-        prop_assert_eq!(retired.len(), pushed, "every pushed entry retires once");
+        prop_assert!(sb.is_empty());
+        prop_assert_eq!(left, pushed, "every pushed entry leaves once");
         // The drain pipeline is bounded: total time <= pushes * (cost + 1).
         prop_assert!(done <= now + pushed as u64 * (cost + 1) + cost);
     }

@@ -180,9 +180,7 @@ impl MachineConfig {
     /// the explicit [`MachineConfig::step_budget`], or the derived default
     /// (4x the event count plus one million — a valid replay executes at
     /// most ~2 steps per event, so the derived budget never fires on sane
-    /// traces). Shared by the engine watchdog and the supervised sweep
-    /// runner's wall-clock deadline derivation
-    /// ([`simcore::par::Supervision::from_step_budget`]).
+    /// traces).
     pub fn effective_step_budget(&self, total_events: usize) -> u64 {
         self.step_budget.unwrap_or_else(|| {
             (total_events as u64)

@@ -712,21 +712,15 @@ impl<'a, T: LineTables> Engine<'a, T> {
     fn with_tables(cfg: &'a MachineConfig, cores: usize, tables: T) -> Self {
         assert!(cores > 0, "need at least one core");
         let cores = (0..cores)
-            .map(|i| {
-                let mut sb = StoreBuffer::with_mlp(cfg.store_buffer_entries, cfg.sb_mlp);
-                // The engine schedules drains but never consumes the
-                // retired-lines list; with tracking off it is never built.
-                sb.set_retired_tracking(false);
-                CoreState {
-                    now: 0,
-                    sb,
-                    l1: Cache::new(cfg.l1, cfg.seed ^ (i as u64).wrapping_mul(0x9E37)),
-                    wc: WriteCombiningBuffer::new(cfg.line_size, cfg.wc_buffers),
-                    stats: CoreStats::default(),
-                    pc: 0,
-                    streams: StreamTrackers::new(),
-                    blocked: None,
-                }
+            .map(|i| CoreState {
+                now: 0,
+                sb: StoreBuffer::with_mlp(cfg.store_buffer_entries, cfg.sb_mlp),
+                l1: Cache::new(cfg.l1, cfg.seed ^ (i as u64).wrapping_mul(0x9E37)),
+                wc: WriteCombiningBuffer::new(cfg.line_size, cfg.wc_buffers),
+                stats: CoreStats::default(),
+                pc: 0,
+                streams: StreamTrackers::new(),
+                blocked: None,
             })
             .collect();
         let mut engine = Self {

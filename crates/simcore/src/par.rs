@@ -11,15 +11,9 @@
 //! calls, so an outer loop over experiments and inner loops over sweep
 //! points share one budget instead of multiplying. When no permits are
 //! available the calling thread simply runs its loop serially — same
-//! results, no oversubscription. Nested maps additionally probe items
-//! inline one at a time and finish serially while the *largest* per-item
-//! cost observed so far projects the remaining work below the thread
-//! handoff overhead, so tiny inner sweeps never get *slower* under
-//! `--jobs` — but growing sweeps (cheap first point, costly later ones)
-//! still escape to the pool the moment any item proves the remainder is
-//! worth fanning out.
+//! results, no oversubscription. The pool never reads the clock to decide
+//! where a job runs.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Telemetry probes for the pool (see [`crate::telemetry`]): one update
@@ -36,10 +30,6 @@ mod probes {
     /// Multi-job maps that ran serially because the permit budget was
     /// exhausted — the pool's contention signal.
     pub(super) static SERIAL_FALLBACKS: Metric = Metric::counter("runner.serial_fallbacks");
-    /// Nested maps that ran *fully* inline because the incremental probe
-    /// never saw an item costly enough to make the projected remainder
-    /// worth fanning out.
-    pub(super) static INLINE_MAPS: Metric = Metric::counter("runner.inline_maps");
     /// The budget configured by the last `set_parallelism` call.
     pub(super) static CONFIGURED_JOBS: Metric = Metric::gauge("runner.configured_jobs");
     /// Time from map start to each job being picked up (queue wait).
@@ -58,39 +48,6 @@ mod probes {
 /// Extra worker threads currently allowed process-wide (budget minus
 /// threads running). The calling thread never needs a permit.
 static EXTRA_PERMITS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Map-nesting depth on this thread: non-zero while a job body of an
-    /// enclosing [`map_indexed`] is running.
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Minimum estimated *remaining* work, in nanoseconds, before a nested
-/// map fans out to worker threads. Below this the spawn/handoff overhead
-/// dominates and the tiny sweeps behind `--jobs` get slower, not faster.
-/// Measured on the figure suite's sharded sweeps: at 2 ms the sub-
-/// millisecond shards (listing3 ~1.5 ms serial, fig12 ~0.5 s of many tiny
-/// points) fanned out anyway and ran up to 2x slower than the serial
-/// pass; 8 ms keeps them inline while sweeps with real per-point cost
-/// (≥ 10 ms figures) still escape on their first costly item.
-const INLINE_THRESHOLD_NS: u64 = 8_000_000;
-
-/// Increments the thread-local map depth for the guard's lifetime
-/// (drop-based so a panicking job body still restores it).
-struct DepthGuard;
-
-impl DepthGuard {
-    fn enter() -> Self {
-        DEPTH.with(|d| d.set(d.get() + 1));
-        DepthGuard
-    }
-}
-
-impl Drop for DepthGuard {
-    fn drop(&mut self) {
-        DEPTH.with(|d| d.set(d.get() - 1));
-    }
-}
 
 /// The budget configured by [`set_parallelism`] (for reporting).
 static CONFIGURED: AtomicUsize = AtomicUsize::new(1);
@@ -173,60 +130,21 @@ where
     probes::MAPS.inc();
     probes::JOBS.add(n as u64);
     let run_job = |i: usize| {
-        let _depth = DepthGuard::enter();
         let _timed = crate::telemetry::span(&probes::JOB_RUN);
         f(i)
     };
     if n <= 1 {
         return (0..n).map(run_job).collect();
     }
-    // A budget of 1 disables threading outright: no permits can ever be
-    // acquired, so skip the nested-map probe (an `Instant::now` pair per
-    // item — the dominant cost of sub-millisecond sweeps at `--jobs 1`)
-    // and run serially without touching the clock.
-    if parallelism() == 1 {
-        probes::SERIAL_FALLBACKS.inc();
-        return (0..n).map(run_job).collect();
-    }
-    // Nested maps (called from inside an enclosing map's job body) probe
-    // items inline, one at a time: while the *largest* per-item cost seen
-    // so far projects the remaining work below the handoff overhead,
-    // finishing serially is faster than fanning out and the permits stay
-    // available for the enclosing sweep. Probing per item (not just item
-    // 0) is what keeps growing sweeps honest: a sweep whose first point is
-    // cheap but whose later points are not escapes to the pool as soon as
-    // any observed item makes the projected remainder worth the handoff.
-    let mut prefix: Vec<T> = Vec::new();
-    if DEPTH.with(|d| d.get()) > 0 {
-        let mut max_item_ns = 0u64;
-        while prefix.len() < n {
-            let probe = std::time::Instant::now();
-            prefix.push(run_job(prefix.len()));
-            let item_ns = u64::try_from(probe.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            max_item_ns = max_item_ns.max(item_ns);
-            let remaining = (n - prefix.len()) as u64;
-            if max_item_ns.saturating_mul(remaining) >= INLINE_THRESHOLD_NS {
-                break;
-            }
-        }
-        if prefix.len() == n {
-            probes::INLINE_MAPS.inc();
-            return prefix;
-        }
-    }
-    let start = prefix.len();
-    if n - start <= 1 {
-        return prefix.into_iter().chain((start..n).map(run_job)).collect();
-    }
-    let helpers = acquire_permits(n - start - 1);
+    let helpers = acquire_permits(n - 1);
     if helpers == 0 {
         probes::SERIAL_FALLBACKS.inc();
-        return prefix.into_iter().chain((start..n).map(run_job)).collect();
+        return (0..n).map(run_job).collect();
     }
     probes::HELPERS.add(helpers as u64);
     let _permits = PermitGuard(helpers);
     let queue_start = std::time::Instant::now();
-    let next = AtomicUsize::new(start);
+    let next = AtomicUsize::new(0);
     let worker = |out: &mut Vec<(usize, T)>| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
@@ -236,9 +154,6 @@ where
         out.push((i, run_job(i)));
     };
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, v) in prefix.into_iter().enumerate() {
-        slots[i] = Some(v);
-    }
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..helpers)
             .map(|_| {
@@ -294,16 +209,6 @@ impl Default for Supervision {
     /// No deadline, one retry after a panic.
     fn default() -> Self {
         Self { deadline: None, retries: 1 }
-    }
-}
-
-impl Supervision {
-    /// Derive a soft deadline from a replay step budget, assuming a
-    /// conservative ~10M scheduler steps per second, clamped to at least
-    /// 10 seconds so machine noise never fails a healthy short job.
-    pub fn from_step_budget(steps: u64) -> Self {
-        let secs = (steps / 10_000_000).max(10);
-        Self { deadline: Some(std::time::Duration::from_secs(secs)), retries: 1 }
     }
 }
 
@@ -464,54 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_tiny_maps_stay_correct_and_release_permits() {
-        let _g = LOCK.lock().expect("no test panicked while holding the budget lock");
-        set_parallelism(4);
-        // Inner maps are near-instant, so the incremental probe should
-        // route them through the inline path — either way the results and
-        // the permit balance must be identical.
-        let v = map_indexed(3, |i| map_indexed(16, move |j| i * 100 + j));
-        for (i, inner) in v.into_iter().enumerate() {
-            assert_eq!(inner, (0..16).map(|j| i * 100 + j).collect::<Vec<_>>());
-        }
-        assert_eq!(EXTRA_PERMITS.load(Ordering::Relaxed), 3);
-        assert_eq!(DEPTH.with(|d| d.get()), 0);
-        set_parallelism(1);
-    }
-
-    #[test]
-    fn nested_growing_maps_escape_the_inline_path() {
-        let _g = LOCK.lock().expect("no test panicked while holding the budget lock");
-        set_parallelism(4);
-        // A nested sweep whose first item is near-instant but whose later
-        // items are not: the single-item probe of old serialized the whole
-        // sweep off item 0's cost; the incremental probe must fan out once
-        // a costly item is observed. Peak observed concurrency > 1 proves
-        // worker threads actually ran.
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let v = map_indexed(1, |_| {
-            map_indexed(12, |j| {
-                let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                if j > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                live.fetch_sub(1, Ordering::SeqCst);
-                j
-            })
-        });
-        assert_eq!(v[0], (0..12).collect::<Vec<_>>());
-        assert!(
-            peak.load(Ordering::SeqCst) > 1,
-            "growing nested sweep never left the inline path"
-        );
-        assert_eq!(EXTRA_PERMITS.load(Ordering::Relaxed), 3, "permits leaked");
-        assert_eq!(DEPTH.with(|d| d.get()), 0);
-        set_parallelism(1);
-    }
-
-    #[test]
     fn empty_and_single_inputs() {
         let _g = LOCK.lock().expect("no test panicked while holding the budget lock");
         set_parallelism(2);
@@ -568,7 +425,6 @@ mod tests {
             }
         }
         assert_eq!(EXTRA_PERMITS.load(Ordering::Relaxed), 3, "permits leaked");
-        assert_eq!(DEPTH.with(|d| d.get()), 0);
         set_parallelism(1);
     }
 
@@ -614,15 +470,6 @@ mod tests {
         assert_eq!(r[2], Ok(2));
         assert_eq!(EXTRA_PERMITS.load(Ordering::Relaxed), 1, "permits leaked");
         set_parallelism(1);
-    }
-
-    #[test]
-    fn supervision_from_step_budget_clamps_sanely() {
-        let small = Supervision::from_step_budget(1_000);
-        assert_eq!(small.deadline, Some(std::time::Duration::from_secs(10)));
-        let big = Supervision::from_step_budget(600_000_000);
-        assert_eq!(big.deadline, Some(std::time::Duration::from_secs(60)));
-        assert_eq!(big.retries, 1);
     }
 
     #[test]
