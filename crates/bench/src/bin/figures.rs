@@ -53,12 +53,9 @@
 //! The metrics check runs before the final exit-3 decision, so a run that
 //! both regresses and loses an experiment reports the regression.
 
-use ps_bench::runner::{self, TimedFigure};
+use ps_bench::runner::{self, Experiment, TimedFigure};
 use ps_bench::tracefmt::TraceRecorder;
 use ps_bench::{experiments, memo, metricsjson};
-
-/// An experiment id paired with the function regenerating it.
-type Experiment = (&'static str, fn(bool) -> ps_bench::FigureResult);
 
 /// Flags that take a value (the next argument).
 const VALUE_FLAGS: [&str; 7] = [
@@ -160,13 +157,11 @@ fn main() {
         },
         retries: 1,
     };
-    // Positional args are experiment ids; skip flag values.
-    let flag_values: Vec<String> = VALUE_FLAGS.iter().filter_map(|f| flag_value(f)).collect();
-    let ids: Vec<&str> = args
-        .iter()
+    // Positional args are experiment ids; a flag's value never is, even
+    // one that equals an id (`--out table1 table1`).
+    let ids: Vec<&str> = ps_bench::without_flag_values(&args, &VALUE_FLAGS)
+        .into_iter()
         .filter(|a| !a.starts_with("--"))
-        .filter(|a| !flag_values.contains(a))
-        .map(|s| s.as_str())
         .collect();
 
     if let Err(e) = std::fs::create_dir_all(&out_dir) {

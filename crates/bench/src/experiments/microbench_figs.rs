@@ -1,7 +1,7 @@
 //! Figures 3 and 5 plus the §5 pitfall experiments (Listings 1-3).
 
 use crate::{memo, runner, FigureResult, Series};
-use machine::{simulate, simulate_single, MachineConfig};
+use machine::{simulate, MachineConfig};
 use prestore::PrestoreMode;
 use workloads::microbench::{Listing1Params, Listing2Params};
 
@@ -119,7 +119,7 @@ pub fn fig5(quick: bool) -> FigureResult {
         if quick {
             p.iters = 2_000;
         }
-        simulate_single(cfg, &memo::listing2(&p, variants[v]).traces.threads[0])
+        simulate(cfg, &memo::listing2(&p, variants[v]).traces)
     });
     let points: Vec<(f64, f64)> = combos
         .iter()
@@ -142,8 +142,8 @@ pub fn fig5(quick: bool) -> FigureResult {
 pub fn listing3_pitfall(quick: bool) -> FigureResult {
     let iters = if quick { 5_000 } else { 50_000 };
     let cfg = MachineConfig::machine_a();
-    let base = simulate_single(&cfg, &memo::listing3(iters, false).traces.threads[0]);
-    let cleaned = simulate_single(&cfg, &memo::listing3(iters, true).traces.threads[0]);
+    let base = simulate(&cfg, &memo::listing3(iters, false).traces);
+    let cleaned = simulate(&cfg, &memo::listing3(iters, true).traces);
     let slowdown = cleaned.cycles as f64 / base.cycles as f64;
     let mut fig = FigureResult::new(
         "listing3",

@@ -1,7 +1,7 @@
 //! §5 and §7.4: the cost of pre-stores when they are not needed.
 
 use crate::{FigureResult, Series};
-use machine::{simulate, simulate_single, MachineConfig};
+use machine::{simulate, MachineConfig};
 use prestore::PrestoreMode;
 use workloads::nas;
 
@@ -22,10 +22,10 @@ pub fn prestore_issue_cost(quick: bool) -> FigureResult {
                 t.prestore(i * 64, 64, simcore::PrestoreOp::Clean);
             }
         }
-        t.finish()
+        simcore::TraceSet::new(vec![t.finish()])
     };
-    let base = simulate_single(&cfg, &mk(false));
-    let clean = simulate_single(&cfg, &mk(true));
+    let base = simulate(&cfg, &mk(false));
+    let clean = simulate(&cfg, &mk(true));
     let extra = (clean.cpu_cycles as i64 - base.cpu_cycles as i64).max(0) as f64;
     let per_op = extra / iters as f64;
     let mut fig = FigureResult::new(
@@ -128,9 +128,9 @@ pub fn bad_prestores(quick: bool) -> FigureResult {
         threads: 1,
         clean_scratch: false,
     };
-    let base = simulate_single(&cfg, &nas::ft::run(&ftp, PrestoreMode::None).traces.threads[0]);
+    let base = simulate(&cfg, &nas::ft::run(&ftp, PrestoreMode::None).traces);
     ftp.clean_scratch = true;
-    let bad = simulate_single(&cfg, &nas::ft::run(&ftp, PrestoreMode::None).traces.threads[0]);
+    let bad = simulate(&cfg, &nas::ft::run(&ftp, PrestoreMode::None).traces);
     s.points.push((0.0, bad.cycles as f64 / base.cycles as f64));
 
     // IS with rank's random writes cleaned (same scale as Figure 9).

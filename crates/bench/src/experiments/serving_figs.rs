@@ -4,13 +4,11 @@
 //! population is far too large (and the request stream far too long) to
 //! materialize, so each sweep point synthesizes its events on the fly as
 //! a [`KvServingSource`] and replays them with
-//! [`machine::try_simulate_stream`]. Results are memoized on the stream's
-//! chunk-size-invariant digest ([`memo::stream_cached`]) — re-generating
-//! a synthetic stream for the digest pre-pass is cheap; replaying it is
-//! not.
+//! [`machine::try_simulate_stream_opts`]. Each sweep point is a distinct
+//! (machine, mode, tenants) stream, so nothing is memoized.
 
-use crate::{memo, runner, FigureResult, Series};
-use machine::{MachineConfig, StreamOptions, StreamReport};
+use crate::{runner, FigureResult, Series};
+use machine::{MachineConfig, StreamOptions};
 use prestore::PrestoreMode;
 use workloads::kv::{KvServingSource, ServingParams};
 
@@ -27,21 +25,6 @@ const EVENTS_QUICK: u64 = 200_000;
 /// Serving threads per point (matches the YCSB Machine B client count:
 /// the FPGA link saturates quickly).
 const THREADS: usize = 2;
-
-/// Replay one serving configuration, memoized on its stream digest.
-pub fn replay_serving(
-    cfg: &MachineConfig,
-    tag: &str,
-    p: &ServingParams,
-    opts: StreamOptions,
-) -> std::sync::Arc<StreamReport> {
-    let mut src = KvServingSource::new(p.clone());
-    let digest = simcore::stream::digest_source(&mut src, opts.chunk_events);
-    memo::stream_cached(memo::stream_key(digest, tag), || {
-        machine::try_simulate_stream_opts(cfg, &mut src, opts)
-            .expect("serving stream replays cleanly")
-    })
-}
 
 /// The `kv_serving` experiment: baseline vs clean pre-stores on Machine A
 /// and Machine B (fast FPGA) across tenant populations.
@@ -64,9 +47,10 @@ pub fn kv_serving(quick: bool) -> FigureResult {
         .collect();
     let rows = runner::sweep_grid(configs.len(), users.len(), |row, ui| {
         let (mi, md) = configs[row];
-        let (tag, ref cfg) = machines[mi];
-        let p = ServingParams::new(users[ui], events, THREADS, modes[md]);
-        let report = replay_serving(cfg, tag, &p, StreamOptions::default());
+        let cfg = &machines[mi].1;
+        let mut src = KvServingSource::new(ServingParams::new(users[ui], events, THREADS, modes[md]));
+        let report = machine::try_simulate_stream_opts(cfg, &mut src, StreamOptions::default())
+            .expect("serving stream replays cleanly");
         let throughput =
             report.stats.ops_per_sec(report.events, cfg.freq_ghz) / 1e6;
         (users[ui] as f64, throughput)

@@ -18,6 +18,22 @@ pub mod report;
 pub mod runner;
 pub mod tracefmt;
 
+/// A CLI's `args` without each of its `value_flags` and the argument after
+/// it (the flag's value), in order: the switches and positional arguments,
+/// so a value that happens to equal an id or a flag is never read as one.
+pub fn without_flag_values<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(a) = rest.next() {
+        if value_flags.contains(&a) {
+            rest.next();
+        } else {
+            out.push(a);
+        }
+    }
+    out
+}
+
 /// The first `--` argument of a CLI's `args` that is neither one of its
 /// `value_flags` (whose next argument, the value, is skipped) nor one of
 /// its `switches`. The binaries report it as a usage error, so a typo or a
@@ -27,15 +43,9 @@ pub fn unknown_flag<'a>(
     value_flags: &[&str],
     switches: &[&str],
 ) -> Option<&'a str> {
-    let mut rest = args.iter().map(String::as_str);
-    while let Some(a) = rest.next() {
-        if value_flags.contains(&a) {
-            rest.next();
-        } else if a.starts_with("--") && !switches.contains(&a) {
-            return Some(a);
-        }
-    }
-    None
+    without_flag_values(args, value_flags)
+        .into_iter()
+        .find(|a| a.starts_with("--") && !switches.contains(a))
 }
 
 /// One line/bar series of a figure.
@@ -198,6 +208,7 @@ mod tests {
         );
         assert_eq!(unknown_flag(&args[..4], &["--out"], &["--quick"]), None);
         assert_eq!(unknown_flag(&args, &[], &["--quick"]), Some("--out"));
+        assert_eq!(without_flag_values(&args, &["--out"]), ["--quick", "fig5", "--qiuck"]);
     }
 
     #[test]

@@ -20,23 +20,21 @@
 //! [`simcore::par`] pool) and bounded: entries are evicted oldest-first
 //! once the cached traces exceed an event budget. Derived variants are
 //! cached under their own key — several figures replay the same variant
-//! on more than one machine configuration. The two result caches below
-//! are the same FIFO cache with a weight of one per entry.
-//!
-//! Streaming workloads cannot cache traces — not holding the trace is
-//! their point — so they memoize the *replay result* instead:
-//! [`stream_cached`] keys a [`machine::StreamReport`] on the stream's
-//! chunk-size-invariant [`simcore::StreamDigest`] (plus the machine
-//! configuration), sharing this module's hit/miss/insert/evict ledger so
-//! the [`MemoCounters`] invariants cover both caches.
+//! on more than one machine configuration. A cached trace set also keeps
+//! its validated interned view ([`simcore::TraceSet::interned_for`]), so
+//! every replay of it at one line size shares one ingest.
 //!
 //! The closed-loop policy search (`dirtbuster --auto`) memoizes whole
-//! candidate *evaluations* the same way: [`plan_cached`] keys a
-//! [`machine::RunStats`] on the workload, the machine configuration and
-//! the candidate plan's canonical [`PrestorePlan::signature`], so a
-//! hill-climb that revisits a plan — or several [`simcore::par`] jobs
-//! racing on the same candidate — pays for one replay. Same shared
-//! ledger, same invariants.
+//! candidate *evaluations*: [`plan_cached`] keys a [`machine::RunStats`]
+//! on the workload, the machine configuration and the candidate plan's
+//! canonical [`PrestorePlan::signature`], so a hill-climb that revisits a
+//! plan — or several [`simcore::par`] jobs racing on the same candidate —
+//! pays for one replay. It is the same FIFO cache with a weight of one per
+//! entry, booked in the same hit/miss/insert/evict ledger, so the
+//! [`MemoCounters`] invariants cover both caches.
+//!
+//! Streamed replays are not memoized: a stream is never held, and no two
+//! `kv_serving` sweep points replay the same stream on the same machine.
 
 use dirtbuster::{apply_plan, PrestorePlan, Recommendation};
 use prestore::PrestoreMode;
@@ -153,13 +151,6 @@ const MAX_CACHED_EVENTS: usize = 24_000_000;
 static TRACES: FifoCache<WorkloadOutput> =
     FifoCache::new(MAX_CACHED_EVENTS, |out| out.traces.total_events());
 
-/// Streamed replay results cached by [`stream_cached`]. A
-/// [`machine::StreamReport`] is a few hundred bytes of statistics, so the
-/// bound is an entry count (weight 1 each).
-const MAX_STREAM_RESULTS: usize = 64;
-
-static STREAMS: FifoCache<machine::StreamReport> = FifoCache::new(MAX_STREAM_RESULTS, |_| 1);
-
 /// Candidate-plan replay results cached by [`plan_cached`]. A
 /// [`machine::RunStats`] is a few KB, and one `--auto` search evaluates a
 /// few hundred candidates at most, so the bound is an entry count.
@@ -230,7 +221,6 @@ pub fn counters() -> MemoCounters {
 /// tests run several passes in one process).
 pub fn clear() {
     TRACES.clear();
-    STREAMS.clear();
     PLANS.clear();
     LOOKUPS.store(0, Ordering::Relaxed);
     HITS.store(0, Ordering::Relaxed);
@@ -246,28 +236,6 @@ fn cached(key: String, record: impl FnOnce() -> WorkloadOutput) -> Arc<WorkloadO
     TRACES
         .fetch(key, || Some(record()))
         .expect("a recording always yields an entry")
-}
-
-/// The cache key of one streamed replay: the stream's chunk-size-invariant
-/// digest plus the machine configuration tag (the same stream replays
-/// differently on different machines).
-pub fn stream_key(digest: u64, machine_tag: &str) -> String {
-    format!("stream|{digest:016x}|{machine_tag}")
-}
-
-/// Fetch a streamed replay result from the cache or compute it with `run`
-/// (which replays the stream through `machine::try_simulate_stream`).
-///
-/// Shares the trace cache's counter ledger and eviction rule, bounded by
-/// entry count (reports are small), so the [`MemoCounters`] invariants
-/// hold across every cache combined.
-pub fn stream_cached(
-    key: String,
-    run: impl FnOnce() -> machine::StreamReport,
-) -> Arc<machine::StreamReport> {
-    STREAMS
-        .fetch(key, || Some(run()))
-        .expect("a replay always yields an entry")
 }
 
 /// The cache key of one candidate-plan evaluation: the workload, the
@@ -538,52 +506,6 @@ mod tests {
         assert_eq!(c.hits, 4, "each seed's immediate re-lookup hits: {c:?}");
         assert_eq!(c.misses, 5, "four first recordings plus one re-recording: {c:?}");
         TRACES.set_capacity(MAX_CACHED_EVENTS);
-        clear();
-    }
-
-    /// Satellite: the streaming-result cache books its digest-keyed hits,
-    /// misses, inserts and evictions through the same ledger, and the
-    /// combined counters still reconcile.
-    #[test]
-    fn stream_results_share_the_counter_ledger() {
-        let _g = LOCK.lock().expect("no memo test panicked while holding the lock");
-        clear();
-        STREAMS.set_capacity(2);
-        let cfg = machine::MachineConfig::machine_a();
-        let report_for = |seed: u64| {
-            let p = workloads::kv::ServingParams {
-                seed,
-                ..workloads::kv::ServingParams::quick()
-            };
-            let mut src = workloads::kv::KvServingSource::new(p);
-            let digest = simcore::stream::digest_source(&mut src, 4096);
-            stream_cached(stream_key(digest, "machine_a"), || {
-                machine::try_simulate_stream(&cfg, &mut src).expect("serving stream replays")
-            })
-        };
-        let a = report_for(1);
-        let b = report_for(1);
-        assert!(Arc::ptr_eq(&a, &b), "same digest must share the report");
-        assert_eq!(a.digest, b.digest);
-        let c = counters();
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 1);
-        // A trace-cache lookup interleaves with stream lookups in the
-        // same ledger.
-        let _ = listing3(200, false);
-        // Two more digests overflow the 2-entry bound and evict.
-        let _ = report_for(2);
-        let _ = report_for(3);
-        let c = counters();
-        assert_eq!(c.hits + c.misses, c.lookups, "{c:?}");
-        assert!(c.inserts <= c.misses, "{c:?}");
-        assert!(c.evictions <= c.inserts, "{c:?}");
-        assert!(c.evictions >= 1, "2-entry bound must evict: {c:?}");
-        // The evicted first digest re-records as a miss, hitting nothing.
-        let hits_before = counters().hits;
-        let _ = report_for(1);
-        assert_eq!(counters().hits, hits_before);
-        STREAMS.set_capacity(MAX_STREAM_RESULTS);
         clear();
     }
 

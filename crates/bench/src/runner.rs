@@ -25,11 +25,6 @@ pub fn set_jobs(jobs: usize) {
     simcore::par::set_parallelism(jobs);
 }
 
-/// The configured thread budget.
-pub fn jobs() -> usize {
-    simcore::par::parallelism()
-}
-
 /// The default for `--jobs`: the machine's available parallelism.
 pub fn default_jobs() -> usize {
     simcore::par::available_parallelism()

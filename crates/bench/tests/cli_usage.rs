@@ -85,3 +85,24 @@ fn dirtbuster_rejects_an_unknown_flag() {
     assert!(stderr.contains("usage: dirtbuster"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing runs");
 }
+
+/// A value flag's value is never an experiment id, even one that names an
+/// experiment: `--out table1 table1` runs `table1` into `table1/`.
+#[test]
+fn figures_takes_ids_after_a_flag_value_that_names_one() {
+    let cwd = std::env::temp_dir().join(format!("figures-ids-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temporary working directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--quick", "--out", "table1", "table1"])
+        .current_dir(&cwd)
+        .output()
+        .expect("binary runs");
+    let written: Vec<String> = std::fs::read_dir(cwd.join("table1"))
+        .expect("output directory")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    std::fs::remove_dir_all(&cwd).expect("remove the temporary working directory");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(written, ["table1.csv"], "only the named experiment runs");
+}

@@ -1,21 +1,22 @@
 //! Streaming-vs-materialized replay equivalence.
 //!
-//! The chunked pipeline (`machine::try_simulate_stream`) must produce
+//! The chunked pipeline (`machine::try_simulate_stream_opts`) must produce
 //! *exactly* the statistics of the conventional materialized path — full
 //! [`RunStats`] struct equality, not a digest — for every workload
 //! family, at every chunk size (including pathological 1-event chunks),
 //! on all three machine models. The stream digest must additionally be
-//! chunk-size-invariant, since it is the streaming memo key.
+//! chunk-size-invariant, since it names the stream in checks that replay
+//! it at another chunk size.
 //!
 //! A randomized sweep replays generated traces (single-thread, and
 //! two-thread with satisfiable cross-thread acquire/release hand-offs)
 //! over random chunk boundaries for the same full-struct equality.
 
-use machine::{try_simulate_stream_opts, try_simulate_threads, MachineConfig, StreamOptions};
+use machine::{try_simulate, try_simulate_stream_opts, MachineConfig, StreamOptions};
 use prestore::PrestoreMode;
 use simcore::rng::SimRng;
 use simcore::stream::digest_source;
-use simcore::{SliceSource, ThreadTrace, Tracer};
+use simcore::{SliceSource, ThreadTrace, TraceSet, Tracer};
 use workloads::microbench::{listing1, Listing1Params};
 use workloads::nas;
 use workloads::tensor::{training_step, TensorParams};
@@ -36,7 +37,7 @@ fn machines() -> [(&'static str, MachineConfig); 3] {
 /// Assert streaming == materialized for `threads` on `cfg`, across every
 /// chunk size, and return the (chunk-invariant) stream digest.
 fn assert_equivalent(what: &str, cfg: &MachineConfig, threads: &[ThreadTrace]) -> u64 {
-    let golden = try_simulate_threads(cfg, threads)
+    let golden = try_simulate(cfg, &TraceSet::new(threads.to_vec()))
         .unwrap_or_else(|e| panic!("{what}: materialized replay failed: {e}"));
     let mut digests = Vec::new();
     for chunk_events in CHUNKS {
@@ -80,8 +81,8 @@ fn workload_streams_match_materialized_replays() {
 
 #[test]
 fn stream_digest_matches_digest_source_prepass() {
-    // The memo key is computed by a digest-only pre-pass; it must equal
-    // the digest the replaying feed accumulates.
+    // A digest-only pass over a source (`kv_serving --verify-materialized`)
+    // must equal the digest the replaying feed accumulates.
     let threads = listing1(&Listing1Params::quick(), PrestoreMode::None).traces.threads;
     let mut src = SliceSource::new(&threads);
     let pre = digest_source(&mut src, 513);
@@ -152,7 +153,7 @@ fn random_traces_match_over_random_chunk_boundaries() {
         for (mname, cfg) in machines() {
             for (what, threads) in [("single", &single), ("pair", &pair)] {
                 let what = format!("random-{what}/round{round}@{mname}");
-                let golden = try_simulate_threads(&cfg, threads)
+                let golden = try_simulate(&cfg, &TraceSet::new(threads.clone()))
                     .unwrap_or_else(|e| panic!("{what}: materialized failed: {e}"));
                 let mut src = SliceSource::new(threads);
                 let report = try_simulate_stream_opts(
@@ -169,7 +170,7 @@ fn random_traces_match_over_random_chunk_boundaries() {
 
 /// Golden stream digests for fixed inputs: these pin the digest function
 /// itself (lane mixing, field widths) across refactors — a silent change
-/// would orphan every memoized streaming result.
+/// would make every recorded digest (`kv_serving` prints one) stale.
 #[test]
 fn stream_digests_are_stable() {
     let mut t = Tracer::new();

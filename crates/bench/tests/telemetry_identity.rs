@@ -13,6 +13,7 @@
 
 use machine::{MachineConfig, StreamOptions};
 use prestore::PrestoreMode;
+use simcore::TraceSet;
 use workloads::kv::{KvServingSource, ServingParams};
 
 const CHUNKS: [usize; 4] = [1, 7, 1024, 65_536];
@@ -70,7 +71,7 @@ fn disabling_the_sampler_changes_nothing_else() {
     let mut source = KvServingSource::new(serving_params());
     let threads = workloads::kv::serving::materialize(&mut source, 4096);
 
-    let plain = machine::try_simulate_threads(&MachineConfig::machine_a(), &threads)
+    let plain = machine::try_simulate(&MachineConfig::machine_a(), &TraceSet::new(threads.clone()))
         .expect("plain replay");
     let mut sampled = machine::try_simulate_threads_classified(
         &sampled_config(),

@@ -38,7 +38,7 @@ use crate::crash::{CrashImage, CrashOutcome, CrashReport, LostSite, CRASH_COLS};
 use crate::error::{BlockedAcquire, EngineError};
 use crate::prefetch::StreamTrackers;
 use crate::stats::{site_col, ts_channel, CoreStats, RunStats, SiteCounters, SITE_COLS, TS_CAPACITY, TS_CHANNELS};
-use crate::tables::{FlatTables, HashTables, LineTables, MAX_CORES};
+use crate::tables::{FlatTables, LineTables, MAX_CORES};
 use cachesim::{Cache, StoreBuffer, Victim, WriteCombiningBuffer};
 use cachesim::wcbuf::WcFlush;
 use memdev::{Device, MemDevice};
@@ -90,9 +90,10 @@ trait Feed {
     fn fetched(&self) -> usize;
 }
 
-/// Whole traces plus the interned view built from them (by
-/// [`simcore::trace::validate_and_intern`] or [`TraceSet::interned_for`]).
-/// Every window is a whole trace, so it never refills.
+/// Whole traces plus their validated interned view (a set's cached
+/// [`TraceSet::interned_for`], or [`simcore::trace::validate_and_intern`]
+/// of a borrowed slice). Every window is a whole trace, so it never
+/// refills.
 struct Materialized<'t> {
     threads: &'t [ThreadTrace],
     interned: &'t InternedTraces,
@@ -250,9 +251,9 @@ fn flight_kind(kind: EventKind) -> Option<FlightKind> {
 ///
 /// Generic over its per-line state representation: [`FlatTables`] (dense
 /// [`LineId`]-indexed vectors fed by the feed's [`LineInterner`] — the
-/// production path) or [`HashTables`] (the pre-interning per-line hash
-/// maps, kept as the reference twin for equivalence tests and
-/// benchmarks). Both monomorphisations replay bit-identically.
+/// production path) or [`crate::tables::HashTables`] (the pre-interning
+/// per-line hash maps, kept as the reference twin for equivalence tests).
+/// Both monomorphisations replay bit-identically.
 struct Engine<'a, T: LineTables = FlatTables> {
     cfg: &'a MachineConfig,
     llc: Cache,
@@ -304,50 +305,38 @@ struct Engine<'a, T: LineTables = FlatTables> {
     flight: Option<FlightRing>,
 }
 
-/// Replay `traces` on the machine described by `cfg`.
+/// Replay `traces` on the machine described by `cfg`: [`try_simulate`]
+/// for callers that treat any failure as a bug.
 ///
 /// # Panics
 ///
-/// Panics with a formatted [`EngineError`] on replay failure (deadlocked
-/// acquires, exceeded step budget). Use [`try_simulate`] to get the typed
-/// error instead; unlike this function, it also validates the traces
-/// statically first.
+/// Panics with the formatted [`EngineError`] wherever [`try_simulate`]
+/// returns one: a trace that fails validation, a deadlocked acquire, an
+/// exceeded step budget.
 pub fn simulate(cfg: &MachineConfig, traces: &TraceSet) -> RunStats {
-    let interned = traces.interned_for(cfg.line_size);
-    replay_unchecked(cfg, &traces.threads, &interned)
-}
-
-/// Replay a single-threaded trace.
-///
-/// # Panics
-///
-/// Panics with a formatted [`EngineError`] on replay failure; see
-/// [`try_simulate_threads`] for the fallible form.
-pub fn simulate_single(cfg: &MachineConfig, trace: &ThreadTrace) -> RunStats {
-    let threads = std::slice::from_ref(trace);
-    replay_unchecked(cfg, threads, &InternedTraces::from_threads(threads, cfg.line_size))
+    try_simulate(cfg, traces).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Validate and replay `threads` through the hashed *reference* engine —
-/// the exact pre-interning data paths ([`HashTables`], address-keyed line
-/// state). Bit-identical to [`try_simulate_threads`] by construction; kept
-/// callable so the equivalence suite can always compare the two.
-pub fn try_simulate_threads_reference(
+/// the exact pre-interning data paths (`HashTables`, address-keyed line
+/// state). Bit-identical to [`try_simulate`] by construction; the
+/// equivalence tests compare the two.
+#[cfg(test)]
+pub(crate) fn try_simulate_threads_reference(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
 ) -> Result<RunStats, EngineError> {
-    if threads.is_empty() {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    check_cores(threads.len())?;
+    check_threads(threads.len())?;
     // The reference tables key by address and ignore the interned ids.
     let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
-    let engine = Engine::with_tables(cfg, threads.len(), HashTables::default());
+    let engine = Engine::with_tables(cfg, threads.len(), crate::tables::HashTables::default());
     completed(engine.replay_timed(&mut Materialized { threads, interned: &interned }))
 }
 
 /// Validate and replay `traces`, returning a typed error instead of
-/// panicking on malformed input, deadlock or watchdog expiry.
+/// panicking on malformed input, deadlock or watchdog expiry. The
+/// validated view is the set's own ([`TraceSet::interned_for`]), so a set
+/// replayed again at the same line size is not validated again.
 ///
 /// Every failure is a typed [`EngineError`]:
 ///
@@ -375,31 +364,28 @@ pub fn try_simulate_threads_reference(
 /// assert!(matches!(err, Err(EngineError::AcquireUnsatisfiable { .. })));
 /// ```
 pub fn try_simulate(cfg: &MachineConfig, traces: &TraceSet) -> Result<RunStats, EngineError> {
-    try_simulate_threads(cfg, &traces.threads)
+    completed(replay_set(cfg, traces, |_, _| {}))
 }
 
-/// Validate and replay a borrowed slice of per-thread traces (the
-/// zero-copy core of [`try_simulate`]; nothing is cloned).
-pub fn try_simulate_threads(
-    cfg: &MachineConfig,
-    threads: &[ThreadTrace],
-) -> Result<RunStats, EngineError> {
-    completed(replay_checked(cfg, threads, |_, _| {}))
-}
-
-/// [`try_simulate_threads`] with a request-boundary classifier: each
-/// request's retire-to-retire simulated cycles land in the per-class
-/// latency histograms of [`RunStats::request_latency`]. Classification
-/// observes retired events in per-thread program order — the one order
-/// shared by every replay path — so the histograms are byte-identical
-/// across `--jobs` and streaming/materialized replay. All
-/// other statistics are unchanged by classification.
+/// [`try_simulate`] over a borrowed slice of per-thread traces, with a
+/// request-boundary classifier: each request's retire-to-retire simulated
+/// cycles land in the per-class latency histograms of
+/// [`RunStats::request_latency`]. Classification observes retired events
+/// in per-thread program order — the one order shared by every replay
+/// path — so the histograms are byte-identical across `--jobs` and
+/// streaming/materialized replay. All other statistics are unchanged by
+/// classification. A slice has no cache to keep its view in, so every
+/// call validates it.
 pub fn try_simulate_threads_classified(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
     classifier: Box<dyn RequestClasses>,
 ) -> Result<RunStats, EngineError> {
-    completed(replay_checked(cfg, threads, |engine, _| engine.set_classifier(classifier)))
+    check_threads(threads.len())?;
+    let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
+    completed(replay_interned(cfg, threads, &interned, |engine, _| {
+        engine.set_classifier(classifier)
+    }))
 }
 
 /// Tuning knobs for the streaming replay pipeline.
@@ -423,8 +409,7 @@ impl Default for StreamOptions {
 
 /// What a streaming replay produced, beyond the stats themselves: how much
 /// trace flowed through the pipeline, how it was chunked, the peak bytes
-/// the pipeline held at once, and the chunk-size-invariant trace digest
-/// (the memoization key — see `bench::memo`).
+/// the pipeline held at once, and the chunk-size-invariant trace digest.
 #[derive(Debug, Clone)]
 pub struct StreamReport {
     /// The run's statistics, identical to a materialized replay of the
@@ -442,9 +427,9 @@ pub struct StreamReport {
     pub digest: u64,
 }
 
-/// Replay an [`EventSource`] chunk-by-chunk under default
-/// [`StreamOptions`]: record → validate → intern → replay proceed one
-/// bounded window at a time, so the full trace is never materialized.
+/// Replay an [`EventSource`] chunk-by-chunk: record → validate → intern
+/// → replay proceed one bounded window at a time, so the full trace is
+/// never materialized.
 ///
 /// Semantics match [`try_simulate`] exactly — same scheduler loop, same
 /// step budget, same statistics — except that a statically unsatisfiable
@@ -452,14 +437,6 @@ pub struct StreamReport {
 /// stall rather than [`EngineError::AcquireUnsatisfiable`] up front (a
 /// stream's future releases are unknowable; the runtime deadlock detector
 /// covers the same inputs).
-pub fn try_simulate_stream<S: EventSource>(
-    cfg: &MachineConfig,
-    source: &mut S,
-) -> Result<StreamReport, EngineError> {
-    try_simulate_stream_opts(cfg, source, StreamOptions::default())
-}
-
-/// [`try_simulate_stream`] with explicit [`StreamOptions`].
 pub fn try_simulate_stream_opts<S: EventSource>(
     cfg: &MachineConfig,
     source: &mut S,
@@ -482,38 +459,31 @@ pub fn try_simulate_stream_classified<S: EventSource>(
     replay_source(cfg, source, opts, |engine| engine.set_classifier(classifier))
 }
 
-/// Replay `threads` through an interned view built without validation,
-/// panicking with the formatted [`EngineError`] on failure.
-fn replay_unchecked(
+/// Refuse an empty or too-wide `traces`, read its validated view and
+/// replay it: the core of every materialized entry point on a
+/// [`TraceSet`].
+fn replay_set(
+    cfg: &MachineConfig,
+    traces: &TraceSet,
+    setup: impl FnOnce(&mut Engine<'_>, &LineInterner),
+) -> Result<CrashOutcome, EngineError> {
+    check_threads(traces.threads.len())?;
+    let interned = traces.interned_for(cfg.line_size)?;
+    replay_interned(cfg, &traces.threads, &interned, setup)
+}
+
+/// Build a flat engine for `threads` and their validated view, let `setup`
+/// arm it (classifier, crash plan, recovery image; it gets the trace's
+/// interner) and replay.
+fn replay_interned(
     cfg: &MachineConfig,
     threads: &[ThreadTrace],
     interned: &InternedTraces,
-) -> RunStats {
-    if let Err(e) = check_cores(threads.len()) {
-        panic!("{e}");
-    }
-    let engine = Engine::new_flat(cfg, interned.interner().len(), threads.len());
-    completed(engine.replay_timed(&mut Materialized { threads, interned }))
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Validate `threads`, build a flat engine for them, let `setup` arm it
-/// (classifier, crash plan, recovery image; it gets the trace's interner)
-/// and replay: the core of every fallible materialized entry point.
-fn replay_checked(
-    cfg: &MachineConfig,
-    threads: &[ThreadTrace],
     setup: impl FnOnce(&mut Engine<'_>, &LineInterner),
 ) -> Result<CrashOutcome, EngineError> {
-    if threads.is_empty() {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    check_cores(threads.len())?;
-    // Validation already walks every event; interning rides along for free.
-    let interned = simcore::trace::validate_and_intern(threads, cfg.line_size)?;
     let mut engine = Engine::new_flat(cfg, interned.interner().len(), threads.len());
     setup(&mut engine, interned.interner());
-    engine.replay_timed(&mut Materialized { threads, interned: &interned })
+    engine.replay_timed(&mut Materialized { threads, interned })
 }
 
 /// Replay `source` through a fresh [`StreamFeed`] on a flat engine armed
@@ -525,10 +495,7 @@ fn replay_source<S: EventSource>(
     setup: impl FnOnce(&mut Engine<'_>),
 ) -> Result<StreamReport, EngineError> {
     let threads = source.threads();
-    if threads == 0 {
-        return Err(EngineError::EmptyTraceSet);
-    }
-    check_cores(threads)?;
+    check_threads(threads)?;
     let feed = StreamFeed::new(cfg.line_size, threads, opts.chunk_events);
     let mut streamed = Streamed { feed, source };
     // The tables start empty and grow with the feed's interner.
@@ -560,9 +527,12 @@ pub(crate) fn replay_stream_on<S: EventSource, T: LineTables>(
     completed(engine.replay(&mut Streamed { feed, source }))
 }
 
-/// Refuse a replay of more threads than the flat tables' packed owner
-/// field can name as cores (see [`MAX_CORES`]).
-fn check_cores(cores: usize) -> Result<(), EngineError> {
+/// Refuse a replay of no threads, or of more threads than the flat
+/// tables' packed owner field can name as cores (see [`MAX_CORES`]).
+fn check_threads(cores: usize) -> Result<(), EngineError> {
+    if cores == 0 {
+        return Err(EngineError::EmptyTraceSet);
+    }
     if cores > MAX_CORES {
         return Err(EngineError::TooManyCores { cores, limit: MAX_CORES });
     }
@@ -632,9 +602,7 @@ impl Machine {
         traces: &TraceSet,
         plan: CrashPlan,
     ) -> Result<CrashOutcome, EngineError> {
-        replay_checked(&self.cfg, &traces.threads, |engine, _| {
-            engine.arm_crash(CrashCtx::new(plan), true)
-        })
+        replay_set(&self.cfg, traces, |engine, _| engine.arm_crash(CrashCtx::new(plan), true))
     }
 
     /// Rebuild a crashed machine from `image` and replay the rest of
@@ -676,7 +644,7 @@ impl Machine {
                 machine_line_size: self.cfg.line_size,
             });
         }
-        replay_checked(&self.cfg, threads, |engine, interner| {
+        replay_set(&self.cfg, traces, |engine, interner| {
             // A plan that can never fire keeps received-line tracking (and
             // the completion digest) active on plain resumes.
             let mut ctx = CrashCtx::new(plan.unwrap_or(CrashPlan::AtStep(u64::MAX)));
@@ -1800,13 +1768,18 @@ mod tests {
 
     /// Validate and replay one thread.
     fn try_single(cfg: &MachineConfig, trace: &ThreadTrace) -> Result<RunStats, EngineError> {
-        try_simulate_threads(cfg, std::slice::from_ref(trace))
+        try_simulate(cfg, &TraceSet::new(vec![trace.clone()]))
+    }
+
+    /// Replay one thread, panicking on failure.
+    fn single(cfg: &MachineConfig, trace: &ThreadTrace) -> RunStats {
+        simulate(cfg, &TraceSet::new(vec![trace.clone()]))
     }
 
     #[test]
     fn empty_trace_runs() {
         let cfg = MachineConfig::machine_a();
-        let r = simulate_single(&cfg, &ThreadTrace::default());
+        let r = single(&cfg, &ThreadTrace::default());
         assert_eq!(r.cpu_cycles, 0);
     }
 
@@ -1833,7 +1806,7 @@ mod tests {
         });
         let threads = vec![t0, t1];
         for cfg in [MachineConfig::machine_a(), MachineConfig::machine_b_fast()] {
-            let golden = try_simulate_threads(&cfg, &threads).unwrap();
+            let golden = try_simulate(&cfg, &TraceSet::new(threads.clone())).unwrap();
             let mut digests = Vec::new();
             for chunk_events in [1usize, 7, 64, 65_536] {
                 let mut src = simcore::SliceSource::new(&threads);
@@ -1880,7 +1853,7 @@ mod tests {
         let threads = [trace_of(|t| t.acquire(0, 1))];
         let cfg = MachineConfig::machine_a();
         let mut src = simcore::SliceSource::new(&threads);
-        let err = try_simulate_stream(&cfg, &mut src).unwrap_err();
+        let err = try_simulate_stream_opts(&cfg, &mut src, StreamOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::ReplayDeadlock { .. }), "{err}");
     }
 
@@ -1890,13 +1863,13 @@ mod tests {
         let threads: [ThreadTrace; 0] = [];
         let mut src = simcore::SliceSource::new(&threads);
         assert!(matches!(
-            try_simulate_stream(&cfg, &mut src).unwrap_err(),
+            try_simulate_stream_opts(&cfg, &mut src, StreamOptions::default()).unwrap_err(),
             EngineError::EmptyTraceSet
         ));
         let threads = [trace_of(|t| t.write(0, 0))];
         let mut src = simcore::SliceSource::new(&threads);
         assert!(matches!(
-            try_simulate_stream(&cfg, &mut src).unwrap_err(),
+            try_simulate_stream_opts(&cfg, &mut src, StreamOptions::default()).unwrap_err(),
             EngineError::MalformedTrace(simcore::ValidateError::ZeroSizeAccess { .. })
         ));
     }
@@ -1904,7 +1877,7 @@ mod tests {
     #[test]
     fn reads_hit_after_first_access() {
         let cfg = MachineConfig::machine_a();
-        let r = simulate_single(&cfg, &trace_of(|t| {
+        let r = single(&cfg, &trace_of(|t| {
             t.read(0, 64);
             t.read(0, 64);
             t.read(0, 64);
@@ -1933,8 +1906,8 @@ mod tests {
                 }
             })
         };
-        let base = simulate_single(&cfg, &reads_between(false));
-        let demoted = simulate_single(&cfg, &reads_between(true));
+        let base = single(&cfg, &reads_between(false));
+        let demoted = single(&cfg, &reads_between(true));
         assert!(
             demoted.cycles < base.cycles,
             "demote {} !< base {}",
@@ -1958,8 +1931,8 @@ mod tests {
                 }
             })
         };
-        let base = simulate_single(&cfg, &mk(false));
-        let demoted = simulate_single(&cfg, &mk(true));
+        let base = single(&cfg, &mk(false));
+        let demoted = single(&cfg, &mk(true));
         let gain = demoted.improvement_pct_vs(&base);
         assert!(gain.abs() < 5.0, "no-overlap gain should be ~0, got {gain:.1}%");
     }
@@ -1969,7 +1942,7 @@ mod tests {
         // On Machine A (TSO) drains start eagerly; a fence after enough
         // other work stalls very little.
         let cfg = MachineConfig::machine_a();
-        let r = simulate_single(&cfg, &trace_of(|t| {
+        let r = single(&cfg, &trace_of(|t| {
             t.write(0, 64);
             t.compute(2000);
             t.fence();
@@ -1984,7 +1957,7 @@ mod tests {
     #[test]
     fn weak_machine_fence_pays_ownership_latency() {
         let cfg = MachineConfig::machine_b_slow();
-        let r = simulate_single(&cfg, &trace_of(|t| {
+        let r = single(&cfg, &trace_of(|t| {
             t.write(0, 128);
             t.compute(2000);
             t.fence();
@@ -2011,8 +1984,8 @@ mod tests {
                 }
             })
         };
-        let base = simulate_single(&cfg, &mk(false));
-        let cleaned = simulate_single(&cfg, &mk(true));
+        let base = single(&cfg, &mk(false));
+        let cleaned = single(&cfg, &mk(true));
         assert!(
             cleaned.write_amplification() < 1.1,
             "cleaned WA {}",
@@ -2040,8 +2013,8 @@ mod tests {
                 }
             })
         };
-        let base = simulate_single(&cfg, &mk(false));
-        let cleaned = simulate_single(&cfg, &mk(true));
+        let base = single(&cfg, &mk(false));
+        let cleaned = single(&cfg, &mk(true));
         let slowdown = cleaned.cycles as f64 / base.cycles as f64;
         assert!(
             slowdown > 20.0,
@@ -2057,13 +2030,13 @@ mod tests {
         // would be hidden by the stream prefetcher).
         let addr = |i: u64| (i.wrapping_mul(0x9E37_79B9) % 100_000) * 64;
         let cfg = MachineConfig::machine_a();
-        let skip = simulate_single(&cfg, &trace_of(|t| {
+        let skip = single(&cfg, &trace_of(|t| {
             for i in 0..2000u64 {
                 t.nt_write(addr(i), 64);
                 t.read(addr(i), 8);
             }
         }));
-        let clean = simulate_single(&cfg, &trace_of(|t| {
+        let clean = single(&cfg, &trace_of(|t| {
             for i in 0..2000u64 {
                 t.write(addr(i), 64);
                 t.prestore(addr(i), 64, PrestoreOp::Clean);
@@ -2166,16 +2139,18 @@ mod tests {
         // At the limit every core id fits the packed owner field: the
         // flat tables agree with the address-keyed reference.
         let threads = many_core_threads(MAX_CORES);
-        let flat = try_simulate_threads(&cfg, &threads).expect("MAX_CORES threads replay");
+        let flat = try_simulate(&cfg, &TraceSet::new(threads.clone()))
+            .expect("MAX_CORES threads replay");
         assert_eq!(Ok(flat), try_simulate_threads_reference(&cfg, &threads));
 
         let threads = many_core_threads(MAX_CORES + 1);
         let too_many = Err(EngineError::TooManyCores { cores: MAX_CORES + 1, limit: MAX_CORES });
-        assert_eq!(try_simulate_threads(&cfg, &threads), too_many);
         assert_eq!(try_simulate_threads_reference(&cfg, &threads), too_many);
         let mut src = simcore::SliceSource::new(&threads);
-        assert_eq!(try_simulate_stream(&cfg, &mut src).map(|r| r.stats), too_many);
+        let streamed = try_simulate_stream_opts(&cfg, &mut src, StreamOptions::default());
+        assert_eq!(streamed.map(|r| r.stats), too_many);
         let traces = TraceSet::new(threads);
+        assert_eq!(try_simulate(&cfg, &traces), too_many);
         let crashed = Machine::new(cfg.clone()).try_run_until_crash(&traces, CrashPlan::AtStep(1));
         assert_eq!(crashed.map(|_| ()), too_many.map(|_: RunStats| ()));
         let msg = std::panic::catch_unwind(move || simulate(&cfg, &traces))
@@ -2189,6 +2164,42 @@ mod tests {
         let cfg = MachineConfig::machine_a();
         let traces = TraceSet::new(vec![trace_of(|t| t.read(0, 0))]);
         assert!(matches!(try_simulate(&cfg, &traces), Err(EngineError::MalformedTrace(_))));
+    }
+
+    #[test]
+    fn simulate_panics_with_the_validation_error() {
+        let traces = TraceSet::new(vec![trace_of(|t| t.read(0, 0))]);
+        let err = simcore::trace::validate(&traces, 64).expect_err("zero-size read");
+        let cfg = MachineConfig::machine_a();
+        let msg = std::panic::catch_unwind(move || simulate(&cfg, &traces))
+            .expect_err("simulate validates before it replays");
+        let msg = msg.downcast_ref::<String>().expect("panic payload is a String");
+        assert!(msg.contains(&err.to_string()), "{msg}");
+    }
+
+    /// Every materialized entry point reads the set's one validated view
+    /// per line size instead of building its own.
+    #[test]
+    fn entry_points_share_one_view_per_line_size() {
+        let traces = TraceSet::new(vec![trace_of(|t| {
+            for i in 0..50u64 {
+                t.write(i * 64, 64);
+            }
+            t.fence();
+        })]);
+        simcore::trace::validate(&traces, 64).expect("valid trace");
+        let view = traces.interned_for(64).expect("valid trace");
+        let m = Machine::new(MachineConfig::machine_a());
+        let stats = simulate(m.config(), &traces);
+        assert_eq!(try_simulate(m.config(), &traces), Ok(stats));
+        let report = crash_of(m.try_run_until_crash(&traces, CrashPlan::AtStep(10)));
+        digest_of(m.recover_and_resume(&traces, &report.image, None));
+        let same = traces.interned_for(64).expect("valid trace");
+        assert!(std::sync::Arc::ptr_eq(&view, &same), "one view at 64 B lines");
+        simulate(&MachineConfig::machine_b_fast(), &traces);
+        let wide = traces.interned_for(128).expect("valid trace");
+        assert!(!std::sync::Arc::ptr_eq(&view, &wide), "128 B lines get a view of their own");
+        assert_eq!((view.interner().len(), wide.interner().len()), (50, 25));
     }
 
     #[test]
@@ -2286,19 +2297,19 @@ mod tests {
                 t.read(i * 64, 64);
             }
         });
-        let clean = simulate_single(&MachineConfig::machine_a(), &trace);
+        let clean = single(&MachineConfig::machine_a(), &trace);
         let mut cfg = MachineConfig::machine_a();
         cfg.device
             .inject_faults(Some(TransientFaults::new(10, 5_000)))
             .expect("optane supports fault injection");
-        let faulty = simulate_single(&cfg, &trace);
+        let faulty = single(&cfg, &trace);
         assert!(
             faulty.cpu_cycles > clean.cpu_cycles,
             "faults {} !> clean {}",
             faulty.cpu_cycles,
             clean.cpu_cycles
         );
-        let again = simulate_single(&cfg, &trace);
+        let again = single(&cfg, &trace);
         assert_eq!(faulty, again, "fault injection must stay deterministic");
     }
 
@@ -2611,7 +2622,7 @@ mod tests {
             t.fence();
         });
         let cfg = MachineConfig::machine_a();
-        let via_run = simulate_single(&cfg, &trace);
+        let via_run = single(&cfg, &trace);
         let via_try = try_single(&cfg, &trace).expect("valid");
         assert_eq!(via_run, via_try);
     }
@@ -2743,13 +2754,13 @@ mod tests {
     #[test]
     fn prestore_issue_cost_is_one_cycle() {
         let cfg = MachineConfig::machine_a();
-        let with = simulate_single(&cfg, &trace_of(|t| {
+        let with = single(&cfg, &trace_of(|t| {
             for i in 0..1000u64 {
                 t.write(i * 64, 64);
                 t.prestore(i * 64, 64, PrestoreOp::Clean);
             }
         }));
-        let without = simulate_single(&cfg, &trace_of(|t| {
+        let without = single(&cfg, &trace_of(|t| {
             for i in 0..1000u64 {
                 t.write(i * 64, 64);
             }
@@ -2759,3 +2770,6 @@ mod tests {
         assert!(delta.abs() < 5_000, "prestore issue overhead {delta} cycles for 1000 ops");
     }
 }
+
+#[cfg(test)]
+mod equivalence;

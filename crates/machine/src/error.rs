@@ -7,11 +7,11 @@
 //! reported with enough structure to name the blocked core, line and
 //! sequence number instead of a bare panic message.
 //!
-//! The panicking entry points ([`crate::simulate`],
-//! [`crate::simulate_single`]) format an [`EngineError`] into their panic
-//! payload, so the legacy behaviour (and the `"deadlock"` substring tests
-//! match on) is preserved while [`crate::try_simulate`] and the other
-//! fallible entry points return the typed value.
+//! The panicking entry point ([`crate::simulate`]) formats an
+//! [`EngineError`] into its panic payload, so the legacy behaviour (and
+//! the `"deadlock"` substring tests match on) is preserved while
+//! [`crate::try_simulate`] and the other fallible entry points return the
+//! typed value.
 
 use simcore::{Addr, CoreId, ValidateError};
 use std::fmt;

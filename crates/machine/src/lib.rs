@@ -11,9 +11,10 @@
 //!   [`RunStats`]: run time in cycles, fence/atomic stall breakdowns, cache
 //!   counters and device-side write amplification.
 //! * [`try_simulate`] — the panic-free pipeline: traces are statically
-//!   validated, replay runs under a deadlock detector and a step-budget
-//!   watchdog, and every failure is a typed [`EngineError`] instead of a
-//!   panic or a hang. [`try_simulate_stream`] replays an
+//!   validated (once per trace set and line size), replay runs under a
+//!   deadlock detector and a step-budget watchdog, and every failure is a
+//!   typed [`EngineError`] instead of a panic or a hang.
+//!   [`try_simulate_stream_opts`] replays an
 //!   [`simcore::EventSource`] chunk by chunk without materializing it, and
 //!   [`Machine::try_run_until_crash`] / [`Machine::recover_and_resume`]
 //!   inject power failures and recover from them. All of them step events
@@ -22,14 +23,14 @@
 //! # Examples
 //!
 //! ```
-//! use machine::{simulate_single, MachineConfig};
-//! use simcore::Tracer;
+//! use machine::{simulate, MachineConfig};
+//! use simcore::{TraceSet, Tracer};
 //!
 //! let mut t = Tracer::new();
 //! for i in 0..1024u64 {
 //!     t.write(i * 64, 64);
 //! }
-//! let stats = simulate_single(&MachineConfig::machine_a(), &t.finish());
+//! let stats = simulate(&MachineConfig::machine_a(), &TraceSet::new(vec![t.finish()]));
 //! assert!(stats.cycles > 0);
 //! ```
 
@@ -46,9 +47,8 @@ pub mod tables;
 pub use config::{CostModel, MachineConfig, MemModel};
 pub use crash::{render_flight_jsonl, CrashImage, CrashOutcome, CrashReport, LostSite};
 pub use engine::{
-    simulate, simulate_single, try_simulate, try_simulate_stream, try_simulate_stream_classified,
-    try_simulate_stream_opts, try_simulate_threads, try_simulate_threads_classified,
-    try_simulate_threads_reference, Machine, StreamOptions, StreamReport,
+    simulate, try_simulate, try_simulate_stream_classified, try_simulate_stream_opts,
+    try_simulate_threads_classified, Machine, StreamOptions, StreamReport,
 };
 pub use error::{BlockedAcquire, EngineError};
 pub use simcore::faultinject::CrashPlan;

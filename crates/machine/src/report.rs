@@ -11,14 +11,14 @@ use std::fmt::Write as _;
 /// # Examples
 ///
 /// ```
-/// use machine::{report::summarize, simulate_single, MachineConfig};
-/// use simcore::Tracer;
+/// use machine::{report::summarize, simulate, MachineConfig};
+/// use simcore::{TraceSet, Tracer};
 ///
 /// let mut t = Tracer::new();
 /// t.write(0, 64);
 /// t.fence();
 /// let cfg = MachineConfig::machine_a();
-/// let stats = simulate_single(&cfg, &t.finish());
+/// let stats = simulate(&cfg, &TraceSet::new(vec![t.finish()]));
 /// let text = summarize(&stats, &cfg);
 /// assert!(text.contains("write amplification"));
 /// ```
@@ -97,8 +97,8 @@ fn llc_hit_rate(stats: &RunStats) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use machine::{report::render_site_table, simulate_single, MachineConfig};
-/// use simcore::{FuncRegistry, Tracer};
+/// use machine::{report::render_site_table, simulate, MachineConfig};
+/// use simcore::{FuncRegistry, TraceSet, Tracer};
 ///
 /// let mut reg = FuncRegistry::new();
 /// let f = reg.register("hot_writer", "listing.c", 42);
@@ -108,7 +108,7 @@ fn llc_hit_rate(stats: &RunStats) -> f64 {
 ///     t.write(i * 64 % (8 << 20), 64);
 /// }
 /// t.leave();
-/// let stats = simulate_single(&MachineConfig::machine_a(), &t.finish());
+/// let stats = simulate(&MachineConfig::machine_a(), &TraceSet::new(vec![t.finish()]));
 /// let table = render_site_table(&stats, &reg, 10);
 /// assert!(table.contains("listing.c"));
 /// assert!(table.contains("coverage"));
@@ -188,8 +188,11 @@ pub fn render_site_table(stats: &RunStats, registry: &FuncRegistry, top: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_single;
-    use simcore::Tracer;
+    use simcore::{ThreadTrace, TraceSet, Tracer};
+
+    fn replay_one(cfg: &MachineConfig, trace: ThreadTrace) -> RunStats {
+        crate::simulate(cfg, &TraceSet::new(vec![trace]))
+    }
 
     #[test]
     fn summary_contains_all_sections() {
@@ -200,7 +203,7 @@ mod tests {
             t.read(i * 64, 8);
         }
         t.fence();
-        let stats = simulate_single(&cfg, &t.finish());
+        let stats = replay_one(&cfg, t.finish());
         let text = summarize(&stats, &cfg);
         for needle in ["machine:", "run time:", "stalls:", "caches:", "device:", "core 0:"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
@@ -212,7 +215,7 @@ mod tests {
         let cfg = MachineConfig::machine_a();
         let mut t = Tracer::new();
         t.compute(1_000_000);
-        let stats = simulate_single(&cfg, &t.finish());
+        let stats = replay_one(&cfg, t.finish());
         assert!(summarize(&stats, &cfg).contains("CPU-bound"));
     }
 
@@ -278,7 +281,7 @@ mod tests {
         for i in 0..(8u64 << 20) / 64 {
             t.read(i * 64, 64);
         }
-        let stats = simulate_single(&cfg, &t.finish());
+        let stats = replay_one(&cfg, t.finish());
         assert_eq!(stats.llc.hits, 0);
         assert_eq!(stats.device.reads_received, 131_072);
         let text = summarize(&stats, &cfg);
@@ -298,7 +301,7 @@ mod tests {
             t.read(i * 64, 64);
         }
         t.leave();
-        let stats = simulate_single(&cfg, &t.finish());
+        let stats = replay_one(&cfg, t.finish());
         if stats.device.media_bytes_written == 0 && stats.attributed_stall_cycles() == 0 {
             let table = render_site_table(&stats, &reg, 10);
             assert!(!table.contains("NaN"), "{table}");

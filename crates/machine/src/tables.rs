@@ -841,7 +841,7 @@ mod tests {
         let mut interner = LineInterner::new(64);
         let lines: Vec<Addr> = (0..32).map(|i| i * 64).collect();
         for &l in &lines {
-            interner.intern(l);
+            interner.try_intern(l).expect("within the id space");
         }
         let mut flat = FlatTables::new(interner.len());
         let mut hash = HashTables::default();
@@ -883,7 +883,7 @@ mod tests {
         let mut interner = LineInterner::new(8);
         let lines: Vec<Addr> = (0..4).map(|i| i * 64).collect();
         for &l in &lines {
-            interner.intern(l);
+            interner.try_intern(l).expect("within the id space");
         }
         let mut flat = FlatTables::new(interner.len());
         let mut hash = HashTables::default();
@@ -908,8 +908,7 @@ mod tests {
     fn release_restore_seeds_counts_in_both_implementations() {
         let mut interner = LineInterner::new(8);
         let line = 0x140;
-        interner.intern(line);
-        let id = interner.id_of(line).expect("interned above");
+        let id = interner.try_intern(line).expect("within the id space");
         let mut flat = FlatTables::new(interner.len());
         let mut hash = HashTables::default();
         flat.release_restore(id, line, 7);

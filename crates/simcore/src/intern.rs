@@ -46,10 +46,10 @@ const PAGE_LINES: usize = 64;
 
 /// Interns line-aligned addresses to dense [`LineId`]s.
 ///
-/// Built once per (trace set, line size) pair — either as a by-product of
-/// validation ([`crate::trace::validate_and_intern`]) or directly via
-/// [`LineInterner::from_threads`] — and then shared read-only by every
-/// replay of that trace.
+/// Built once per (trace set, line size) pair as a by-product of
+/// validation ([`crate::trace::validate_and_intern`]), or chunk by chunk by
+/// a streaming feed, and then shared read-only by every replay of that
+/// trace.
 ///
 /// The map is a two-level page table: a hashed page directory keyed by
 /// the line number's high bits leads to a block of 64 ids, one per line of
@@ -65,12 +65,12 @@ const PAGE_LINES: usize = 64;
 /// # Examples
 ///
 /// ```
-/// use simcore::intern::LineInterner;
-/// use simcore::{LineId, Tracer};
+/// use simcore::{trace::validate_and_intern, LineId, Tracer};
 ///
 /// let mut t = Tracer::new();
 /// t.write(100, 64); // touches lines 64 and 128
-/// let interner = LineInterner::from_threads(&[t.finish()], 64);
+/// let interned = validate_and_intern(&[t.finish()], 64).unwrap();
+/// let interner = interned.interner();
 /// assert_eq!(interner.len(), 2);
 /// // First-touch order: the two lines hold ids 0 and 1.
 /// assert_eq!(interner.id_of(64), Some(LineId(0)));
@@ -237,21 +237,6 @@ impl LineInterner {
         len as u32
     }
 
-    /// Intern a line-aligned address, assigning the next dense id on first
-    /// sight.
-    ///
-    /// # Panics
-    ///
-    /// On id-space exhaustion (> [`LineInterner::DEFAULT_MAX_LINES`]
-    /// distinct lines — previously a silent `u32` wrap that aliased
-    /// unrelated lines). Validated paths reach the same condition as a
-    /// typed [`ValidateError::TooManyLines`] via [`LineInterner::try_intern`].
-    #[inline]
-    pub fn intern(&mut self, line: Addr) -> LineId {
-        self.try_intern(line)
-            .expect("line-id space exhausted; use try_intern/validate_and_intern for typed errors")
-    }
-
     /// The id of a line-aligned address, if it was interned (`None` for
     /// an address that is not line-aligned).
     #[inline]
@@ -265,20 +250,11 @@ impl LineInterner {
         (id != LineId::INVALID).then_some(id)
     }
 
-    /// Intern every line `ev` will make the replay engine touch, using the
-    /// same splitting rules as the engine: accesses split into
-    /// [`blocks_touched`] lines, atomics and acquires resolve to the single
-    /// line containing their address, fences and compute events touch no
-    /// lines.
-    #[inline]
-    pub fn intern_event(&mut self, ev: &Event) {
-        self.intern_event_with(ev, |_| {});
-    }
-
-    /// [`LineInterner::intern_event`], invoking `sink` with the id of each
-    /// interned line, in the engine's splitting order, stopping at the
-    /// first id-space exhaustion. This is how [`InternedTraces`] records
-    /// the per-event id streams in the same pass that builds the interner.
+    /// Intern every line `ev` will make the replay engine touch, invoking
+    /// `sink` with the id of each, in the engine's splitting order, and
+    /// stop at the first id-space exhaustion. This is how
+    /// [`InternedTraces`] records the per-event id streams in the same
+    /// pass that builds the interner.
     #[inline]
     pub fn try_intern_event_with(
         &mut self,
@@ -291,32 +267,6 @@ impl LineInterner {
             }
         }
         Ok(())
-    }
-
-    /// [`LineInterner::try_intern_event_with`] for unvalidated (panicking)
-    /// paths.
-    ///
-    /// # Panics
-    ///
-    /// On id-space exhaustion, like [`LineInterner::intern`].
-    #[inline]
-    pub fn intern_event_with(&mut self, ev: &Event, sink: impl FnMut(LineId)) {
-        self.try_intern_event_with(ev, sink)
-            .expect("line-id space exhausted; use try_intern_event_with for typed errors");
-    }
-
-    /// Build an interner covering every line `threads` touch.
-    ///
-    /// Infallible companion to [`crate::trace::validate_and_intern`] for
-    /// replay paths that skip validation.
-    pub fn from_threads(threads: &[ThreadTrace], line_size: u64) -> Self {
-        let mut interner = Self::new(line_size);
-        for t in threads {
-            for ev in &t.events {
-                interner.intern_event(ev);
-            }
-        }
-        interner
     }
 }
 
@@ -379,17 +329,6 @@ impl InternedTraces {
         Ok(this)
     }
 
-    /// Intern `threads`, recording each event's id run.
-    ///
-    /// # Panics
-    ///
-    /// On id-space exhaustion, like [`LineInterner::intern`]; validated
-    /// paths use [`InternedTraces::try_from_threads`].
-    pub fn from_threads(threads: &[ThreadTrace], line_size: u64) -> Self {
-        Self::try_from_threads(threads, line_size)
-            .expect("line-id space exhausted; use try_from_threads for typed errors")
-    }
-
     /// An interner with no threads recorded (line size still fixed): the
     /// building block for incremental construction.
     pub fn empty(line_size: u64) -> Self {
@@ -433,17 +372,6 @@ impl InternedTraces {
         Ok(())
     }
 
-    /// Intern one more thread's events, appending its id stream.
-    ///
-    /// # Panics
-    ///
-    /// On id-space or offset overflow, like [`LineInterner::intern`];
-    /// validated paths use [`InternedTraces::try_push_thread`].
-    pub fn push_thread(&mut self, t: &ThreadTrace) {
-        self.try_push_thread(t)
-            .expect("line-id space exhausted; use try_push_thread for typed errors");
-    }
-
     /// An id-stream offset, checked against the `u32` offset space.
     fn checked_offset(len: usize) -> Result<u32, ValidateError> {
         u32::try_from(len).map_err(|_| ValidateError::TooManyLines {
@@ -482,12 +410,20 @@ mod tests {
     use super::*;
     use crate::Tracer;
 
+    fn intern_line(i: &mut LineInterner, line: Addr) -> LineId {
+        i.try_intern(line).expect("within the id space")
+    }
+
+    fn interner_of(threads: &[ThreadTrace], line_size: u64) -> LineInterner {
+        InternedTraces::try_from_threads(threads, line_size).expect("within the id space").interner
+    }
+
     #[test]
     fn ids_are_dense_and_stable() {
         let mut i = LineInterner::new(64);
-        let a = i.intern(0);
-        let b = i.intern(64);
-        let a2 = i.intern(0);
+        let a = intern_line(&mut i, 0);
+        let b = intern_line(&mut i, 64);
+        let a2 = intern_line(&mut i, 0);
         assert_eq!(a, LineId(0));
         assert_eq!(b, LineId(1));
         assert_eq!(a, a2);
@@ -510,7 +446,7 @@ mod tests {
             let (mut cap, mut reallocs) = (0, 0);
             // One line per page, on page numbers 97 apart.
             for p in 0..PAGES {
-                i.intern(line(p * 97, p % 64));
+                intern_line(&mut i, line(p * 97, p % 64));
                 let pages = p as usize + 1;
                 assert_eq!(i.len(), pages);
                 let now = i.blocks.capacity();
@@ -524,7 +460,7 @@ mod tests {
             let directory = i.pages.capacity();
             for p in 0..PAGES {
                 for slot in 0..PAGE_LINES as u64 {
-                    i.intern(line(p * 97, slot));
+                    intern_line(&mut i, line(p * 97, slot));
                 }
             }
             assert_eq!(i.len(), PAGES as usize * PAGE_LINES);
@@ -540,7 +476,7 @@ mod tests {
         t.acquire(129, 1); // line 128 again
         t.fence(); // nothing
         t.compute(1_000_000); // nothing (addr is a cycle count)
-        let i = LineInterner::from_threads(&[t.finish()], 64);
+        let i = interner_of(&[t.finish()], 64);
         assert_eq!(i.len(), 3);
         assert!(i.id_of(0).is_some());
         assert!(i.id_of(64).is_some());
@@ -552,8 +488,8 @@ mod tests {
         let mut t = Tracer::new();
         t.write(0, 256);
         let tr = t.finish();
-        assert_eq!(LineInterner::from_threads(std::slice::from_ref(&tr), 64).len(), 4);
-        assert_eq!(LineInterner::from_threads(std::slice::from_ref(&tr), 128).len(), 2);
+        assert_eq!(interner_of(std::slice::from_ref(&tr), 64).len(), 4);
+        assert_eq!(interner_of(std::slice::from_ref(&tr), 128).len(), 2);
     }
 
     #[test]
@@ -563,7 +499,7 @@ mod tests {
         t.fence(); // no ids
         t.atomic(130, 8); // line 128
         t.read(64, 4); // line 64 again — same id as before
-        let it = InternedTraces::from_threads(&[t.finish()], 64);
+        let it = InternedTraces::try_from_threads(&[t.finish()], 64).expect("fits");
         assert_eq!(it.interner().len(), 3);
         assert_eq!(it.ids_for(0, 0), &[LineId(0), LineId(1)]);
         assert_eq!(it.ids_for(0, 1), &[]);
@@ -585,24 +521,5 @@ mod tests {
         assert_eq!(i.try_intern(0).expect("known line"), a);
         assert_eq!(i.try_intern(64).expect("known line"), b);
         assert_eq!(i.id_of(128), None);
-    }
-
-    #[test]
-    fn infallible_intern_panics_instead_of_wrapping() {
-        let mut i = LineInterner::with_max_lines(64, 1);
-        i.intern(0);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| i.intern(64)));
-        assert!(r.is_err(), "intern past capacity must panic, not alias ids");
-    }
-
-    #[test]
-    fn zero_size_access_still_touches_one_line() {
-        // `simulate` does not validate, so the interner must cover the same
-        // lines the engine would touch even for malformed events.
-        let mut t = Tracer::new();
-        t.read(100, 0);
-        let i = LineInterner::from_threads(&[t.finish()], 64);
-        assert_eq!(i.len(), 1);
-        assert!(i.id_of(64).is_some());
     }
 }

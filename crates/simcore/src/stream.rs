@@ -222,10 +222,10 @@ impl StreamDigest {
     }
 }
 
-/// Digest a whole source without interning or replaying: the cheap
-/// pre-pass that produces a memoization key for streaming results. The
-/// source is consumed and then [`EventSource::reset`] for the replay that
-/// usually follows.
+/// Digest a whole source without interning or replaying: the digest a
+/// streamed replay of the same events reports, at any chunk size (checks
+/// compare the two). The source is consumed and then
+/// [`EventSource::reset`].
 pub fn digest_source<S: EventSource>(source: &mut S, chunk_events: usize) -> u64 {
     let threads = source.threads();
     let mut digest = StreamDigest::new(threads);
@@ -507,7 +507,7 @@ mod tests {
     #[test]
     fn feed_windows_agree_with_interned_traces() {
         let threads = two_thread_traces();
-        let interned = crate::InternedTraces::from_threads(&threads, 64);
+        let interned = crate::trace::validate_and_intern(&threads, 64).expect("valid trace");
         for chunk in [1usize, 2, 64] {
             let mut src = SliceSource::new(&threads);
             let mut feed = StreamFeed::new(64, 2, chunk);

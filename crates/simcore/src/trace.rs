@@ -55,9 +55,13 @@ impl ThreadTrace {
 #[derive(Debug, Default)]
 pub struct TraceSet {
     /// One trace per simulated thread.
+    ///
+    /// Mutating the events after the set's first validation or replay
+    /// leaves its cached view ([`TraceSet::interned_for`]) stale: clone
+    /// the set first and edit the clone, which starts with no view.
     pub threads: Vec<ThreadTrace>,
-    /// Lazily-built interned views (line interner + per-event id streams),
-    /// one per line size this set has been replayed with (Machine A uses
+    /// Validated interned views (line interner + per-event id streams),
+    /// one per line size this set has been validated at (Machine A uses
     /// 64 B lines, Machine B 128 B). This is a derived side cache, not part
     /// of the trace's value: `Clone` resets it, and it never affects
     /// equality or serialization.
@@ -79,23 +83,27 @@ impl TraceSet {
         Self { threads, interners: Mutex::new(Vec::new()) }
     }
 
-    /// The interned view of this trace set for `line_size`-byte lines
-    /// (line interner plus per-event id streams), built on first use and
-    /// cached on the trace set.
+    /// The validated interned view of this trace set for `line_size`-byte
+    /// lines (line interner plus per-event id streams): the one ingest of
+    /// a materialized trace, which every validation and replay of the set
+    /// reads.
     ///
-    /// Memoized workloads (`ps_bench::memo`) hand out one shared
-    /// `TraceSet` per sweep, so every machine config and pre-store mode
-    /// replaying it reuses the same interned view instead of re-hashing
-    /// the trace — the interning cost is paid once per (workload, line
-    /// size).
-    pub fn interned_for(&self, line_size: u64) -> Arc<InternedTraces> {
+    /// The first call at a line size runs [`validate_and_intern`] and
+    /// caches the view on the set; later calls share it, so a set pays
+    /// one validating pass per line size however often it is replayed
+    /// (memoized sweeps, crash-at-every-step recovery). A trace that
+    /// fails validation caches nothing, and every call returns the same
+    /// error. The cache is not invalidated: mutating
+    /// [`TraceSet::threads`] after the first call leaves a stale view, so
+    /// clone the set first (`Clone` drops the cache).
+    pub fn interned_for(&self, line_size: u64) -> Result<Arc<InternedTraces>, ValidateError> {
         let mut cache = self.interners.lock().unwrap_or_else(|e| e.into_inner());
         if let Some((_, interned)) = cache.iter().find(|(ls, _)| *ls == line_size) {
-            return Arc::clone(interned);
+            return Ok(Arc::clone(interned));
         }
-        let built = Arc::new(InternedTraces::from_threads(&self.threads, line_size));
+        let built = Arc::new(validate_and_intern(&self.threads, line_size)?);
         cache.push((line_size, Arc::clone(&built)));
-        built
+        Ok(built)
     }
 
     /// Total number of events across all threads.
@@ -322,7 +330,9 @@ impl Tracer {
 }
 
 /// Validate a trace set before replay: catches the mistakes that would
-/// otherwise surface as replay panics or silent deadlocks.
+/// otherwise surface as replay panics or silent deadlocks. A set that
+/// passes keeps the view the check built ([`TraceSet::interned_for`]), so
+/// its replays at the same line size do not validate it again.
 ///
 /// Checks:
 /// * every memory access has a non-zero size no larger than
@@ -347,14 +357,7 @@ impl Tracer {
 /// assert!(err.to_string().contains("acquire"));
 /// ```
 pub fn validate(traces: &TraceSet, line_size: u64) -> Result<(), ValidateError> {
-    validate_threads(&traces.threads, line_size)
-}
-
-/// [`validate`] over a borrowed slice of per-thread traces — the zero-copy
-/// entry point used when no [`TraceSet`] wrapper exists (single-trace
-/// replay paths).
-pub fn validate_threads(threads: &[ThreadTrace], line_size: u64) -> Result<(), ValidateError> {
-    validate_and_intern(threads, line_size).map(|_| ())
+    traces.interned_for(line_size).map(|_| ())
 }
 
 /// Validate `threads` and intern every line they touch, in one sweep.
@@ -367,7 +370,8 @@ pub fn validate_threads(threads: &[ThreadTrace], line_size: u64) -> Result<(), V
 /// walking an array instead of hashing addresses on every event.
 ///
 /// The checks (and the order errors are reported in) are exactly those of
-/// [`validate`].
+/// [`validate`]. [`TraceSet::interned_for`] caches the result on a trace
+/// set; this uncached form serves borrowed slices of threads.
 pub fn validate_and_intern(
     threads: &[ThreadTrace],
     line_size: u64,
@@ -581,15 +585,28 @@ mod tests {
         let mut t = Tracer::new();
         t.write(0, 256);
         let set = TraceSet::new(vec![t.finish()]);
-        let a = set.interned_for(64);
-        let b = set.interned_for(64);
+        let a = set.interned_for(64).expect("valid");
+        let b = set.interned_for(64).expect("valid");
         assert!(Arc::ptr_eq(&a, &b), "same line size must reuse the cached intern view");
-        let wide = set.interned_for(128);
+        let wide = set.interned_for(128).expect("valid");
         assert_eq!(a.interner().len(), 4);
         assert_eq!(wide.interner().len(), 2);
         // A clone may be mutated, so it must not inherit the cache.
         let cloned = set.clone();
-        assert!(!Arc::ptr_eq(&a, &cloned.interned_for(64)));
+        assert!(!Arc::ptr_eq(&a, &cloned.interned_for(64).expect("valid")));
+    }
+
+    #[test]
+    fn interned_for_caches_no_failed_validation() {
+        let mut t = Tracer::new();
+        t.write(0, 64);
+        t.acquire(0, 1); // nobody releases line 0
+        let set = TraceSet::new(vec![t.finish()]);
+        let first = set.interned_for(64).expect_err("unsatisfiable acquire");
+        assert!(matches!(first, ValidateError::AcquireUnsatisfiable { index: 1, .. }), "{first}");
+        assert_eq!(validate(&set, 64), Err(first));
+        assert_eq!(set.interned_for(64).expect_err("still invalid"), first);
+        assert!(set.interners.lock().expect("unpoisoned").is_empty(), "no view is cached");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`Clht`]/[`Masstree`] stores), this scenario synthesizes its events
 //! arithmetically as an [`EventSource`]: the request stream is generated
 //! chunk-by-chunk on demand and never held in memory, so runs of hundreds
-//! of millions of events replay through `machine::try_simulate_stream`
+//! of millions of events replay through `machine::try_simulate_stream_opts`
 //! inside a fixed pipeline budget. The *address* behaviour is the same
 //! protocol shape as the real stores — bucket probe, value access, bucket
 //! commit, durability fence — which is where pre-stores pay off; what is

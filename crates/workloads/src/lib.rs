@@ -48,8 +48,8 @@ mod tests {
     use super::*;
     use prestore::PrestoreMode;
 
-    /// Every workload must produce a non-empty trace in every mode, and a
-    /// finished recording, like its memoized interned view, holds its
+    /// Every workload must produce a non-empty, valid trace in every mode,
+    /// and a finished recording, like its cached interned view, holds its
     /// events and no growth slack.
     #[test]
     fn all_workloads_produce_traces() {
@@ -73,7 +73,8 @@ mod tests {
                 assert_eq!(t.events.capacity(), t.len(), "{name} thread {tid}");
             }
             // Id streams and their offsets: capacity() == len() for each.
-            assert_eq!(out.traces.interned_for(64).spare_capacity(), 0, "{name} id streams");
+            let interned = out.traces.interned_for(64).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(interned.spare_capacity(), 0, "{name} id streams");
         }
     }
 }

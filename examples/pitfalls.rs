@@ -13,7 +13,7 @@
 //! Run with `cargo run --release --example pitfalls`.
 
 use pre_stores::dirtbuster::{analyze, DirtBusterConfig, Recommendation};
-use pre_stores::machine::{simulate, simulate_single, MachineConfig};
+use pre_stores::machine::{simulate, MachineConfig};
 use pre_stores::prestore::PrestoreMode;
 use pre_stores::workloads::{microbench, nas};
 
@@ -21,8 +21,8 @@ fn main() {
     let cfg = MachineConfig::machine_a();
 
     // 1. Listing 3: the hot-line pitfall.
-    let base = simulate_single(&cfg, &microbench::listing3(20_000, false).traces.threads[0]);
-    let bad = simulate_single(&cfg, &microbench::listing3(20_000, true).traces.threads[0]);
+    let base = simulate(&cfg, &microbench::listing3(20_000, false).traces);
+    let bad = simulate(&cfg, &microbench::listing3(20_000, true).traces);
     let slowdown = bad.cycles as f64 / base.cycles as f64;
     println!("1. cleaning a constantly rewritten line:  {slowdown:>6.0}x slowdown");
     assert!(slowdown > 20.0);
@@ -40,9 +40,9 @@ fn main() {
     // cleaned scratch is rewritten while its writeback is still in flight.
     let mut ftp = nas::ft::FtParams { n: 16, pencils: 4096, threads: 1, clean_scratch: false };
     let out = nas::ft::run(&ftp, PrestoreMode::None);
-    let base = simulate_single(&cfg, &out.traces.threads[0]);
+    let base = simulate(&cfg, &out.traces);
     ftp.clean_scratch = true;
-    let bad = simulate_single(&cfg, &nas::ft::run(&ftp, PrestoreMode::None).traces.threads[0]);
+    let bad = simulate(&cfg, &nas::ft::run(&ftp, PrestoreMode::None).traces);
     let slowdown = bad.cycles as f64 / base.cycles as f64;
     println!("3. cleaning FT's hot fftz2 scratch:       {slowdown:>6.1}x slowdown");
     assert!(slowdown > 1.5);
