@@ -40,11 +40,7 @@
 //! experiment (retried once) or one overrunning the optional
 //! `--job-deadline SECS` soft deadline is reported in a failure summary
 //! while every healthy experiment still prints and writes its files —
-//! partial results instead of a torn-down run. On any failure the
-//! process-global flight recorder — which the supervised runner feeds
-//! job start/retry/fail/done markers — is dumped to
-//! `<out>/flight-dump.jsonl`, so the post-mortem ("which jobs were in
-//! flight, what had just retried") ships with the partial results.
+//! partial results instead of a torn-down run.
 //!
 //! Exit codes: `0` success, `1` usage error (an unknown `--` flag among
 //! them), I/O error or no matching experiment, `2` metrics regression vs
@@ -255,18 +251,6 @@ fn main() {
         );
         for f in &failures {
             eprintln!("  {f}");
-        }
-        // Post-mortem: the supervised runner feeds the process-global
-        // flight recorder job start/retry/fail/done markers; dump the
-        // recent ones next to the partial results.
-        let flight = simcore::telemetry::flight::global_snapshot();
-        if !flight.is_empty() {
-            let path = format!("{out_dir}/flight-dump.jsonl");
-            if let Err(e) = std::fs::write(&path, simcore::telemetry::flight::render_jsonl(&flight))
-            {
-                exit_io_error("write flight dump", &path, e);
-            }
-            eprintln!("flight recorder: {} event(s) dumped to {path}", flight.len());
         }
     }
 

@@ -40,7 +40,7 @@
 //!
 //! `--timeseries CYCLES` additionally arms the engine's delta sampler at
 //! the given simulated-cycle window; the windows land in `--metrics-out`
-//! (machine-diffable, window-granular) and as charts in `--report FILE`,
+//! (window-granular JSON) and as charts in `--report FILE`,
 //! a self-contained HTML report (inline-SVG time-series, the tail-latency
 //! table, and the ranked site-attribution heatmap).
 //!

@@ -24,39 +24,3 @@ pub use tables::{table1, table2, dirtbuster_reports};
 pub use tensor_figs::{fig7, fig8};
 pub use x9_figs::x9_latency;
 
-use crate::FigureResult;
-
-/// Run every experiment (quick = scaled-down parameters for CI).
-pub fn all(quick: bool) -> Vec<FigureResult> {
-    vec![
-        table1(),
-        table2(quick),
-        fig3a(quick),
-        fig3b(quick),
-        fig5(quick),
-        fig7(quick),
-        fig8(quick),
-        fig9(quick),
-        fig10(quick),
-        fig11(quick),
-        fig12(quick),
-        fig13(quick),
-        fig14(quick),
-        x9_latency(quick),
-        listing3_pitfall(quick),
-        skip_variant(quick),
-        prestore_issue_cost(quick),
-        overhead_on_machine_b(quick),
-        bad_prestores(quick),
-        dirtbuster_reports(),
-        granularity_sweep(quick),
-        replacement_policy_sweep(quick),
-        fpga_latency_sweep(quick),
-        ycsb_mix_sweep(quick),
-        dram_sanity(quick),
-        cxl_kv(quick),
-        crashbuster(quick),
-        kv_serving(quick),
-        autotune(quick),
-    ]
-}

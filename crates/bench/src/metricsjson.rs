@@ -76,8 +76,7 @@ pub fn render(memo: &MemoCounters, span_events: u64, quick: bool) -> String {
 /// The outcome of a baseline comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
-    /// Values compared (metric values, histogram count/percentiles and
-    /// time-series window channels).
+    /// Values compared (metric values and histogram count/percentiles).
     pub compared: usize,
     /// Human-readable descriptions of every gated value that differs from
     /// the baseline and every gated name present on only one side (empty
@@ -108,13 +107,11 @@ fn by_name<'a>(doc: &'a Json, array: &str) -> Vec<(&'a str, &'a Json)> {
 /// (`count`, `p50`, `p90`, `p99`) present in the *baseline* must exist in
 /// the current snapshot with exactly the baseline's value, and every
 /// gated name in the current snapshot must exist in the baseline (a probe
-/// the baseline has never seen means the baseline went stale). When both
-/// snapshots carry a `"timeseries"` array, every per-window channel value
-/// is compared too, so a drift that only occurs in one temporal window —
-/// invisible to end-of-run aggregates — is still caught, and the report
-/// names the exact window. Keys outside the compared arrays (such as the
-/// `"telemetry"` flag of older snapshots) are ignored. Returns `Err` only
-/// when a document is not a metrics snapshot at all.
+/// the baseline has never seen means the baseline went stale). Time
+/// series are not compared: the snapshots [`render`] writes carry none.
+/// Keys outside the compared arrays (such as the `"telemetry"` flag of
+/// older snapshots) are ignored. Returns `Err` only when a document is
+/// not a metrics snapshot at all.
 pub fn diff(current: &str, baseline: &str) -> Result<DiffReport, String> {
     let cur = Json::parse(current).map_err(|e| format!("current snapshot: {e}"))?;
     let base = Json::parse(baseline).map_err(|e| format!("baseline snapshot: {e}"))?;
@@ -172,59 +169,7 @@ pub fn diff(current: &str, baseline: &str) -> Result<DiffReport, String> {
             }
         }
     }
-    diff_timeseries(&cur, &base, &mut report);
     Ok(report)
-}
-
-/// Compare the optional `"timeseries"` arrays of two snapshots at window
-/// granularity. Each entry is `{"name", "window_cycles", "channels",
-/// "windows": [[start, v...], ...]}`; entries are matched by name, and
-/// every channel value of every window present in the baseline must equal
-/// the current one. The windows are keyed to simulated cycles, so across
-/// builds and job counts they are exactly reproducible — a drift
-/// pinpoints *when* in the run behaviour changed.
-fn diff_timeseries(cur: &Json, base: &Json, report: &mut DiffReport) {
-    let cur_series = by_name(cur, "timeseries");
-    for (name, entry) in by_name(base, "timeseries") {
-        let Some(base_windows) = entry.get("windows").and_then(Json::as_arr) else { continue };
-        let cur_entry = cur_series.iter().find(|(n, _)| *n == name).map(|(_, e)| *e);
-        let Some(cur_windows) = cur_entry.and_then(|e| e.get("windows").and_then(Json::as_arr))
-        else {
-            report.regressions.push(format!("timeseries {name} missing from current snapshot"));
-            continue;
-        };
-        report.compared += 1;
-        if cur_windows.len() != base_windows.len() {
-            report.regressions.push(format!(
-                "timeseries {name}: {} windows vs baseline {}",
-                cur_windows.len(),
-                base_windows.len()
-            ));
-            continue;
-        }
-        let channels: Vec<&str> = entry
-            .get("channels")
-            .and_then(Json::as_arr)
-            .map(|a| a.iter().filter_map(Json::as_str).collect())
-            .unwrap_or_default();
-        for (b, c) in base_windows.iter().zip(cur_windows) {
-            let (Some(bw), Some(cw)) = (b.as_arr(), c.as_arr()) else { continue };
-            let start = bw.first().and_then(Json::as_f64).unwrap_or(0.0);
-            // Column 0 is the window start; value channels follow.
-            for (ch, (bv, cv)) in bw.iter().zip(cw).enumerate().skip(1) {
-                let (Some(bv), Some(cv)) = (bv.as_f64(), cv.as_f64()) else { continue };
-                report.compared += 1;
-                if cv != bv {
-                    let channel = channels
-                        .get(ch - 1)
-                        .map_or_else(|| format!("channel {}", ch - 1), ToString::to_string);
-                    report.regressions.push(format!(
-                        "timeseries {name} window@{start:.0} {channel}: {cv} vs baseline {bv}"
-                    ));
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,38 +266,6 @@ mod tests {
         let cur = snapshot(4096, 128).replace("runner.helpers_spawned", "runner.renamed");
         let r = diff(&cur, &snapshot(4096, 128)).expect("valid snapshots");
         assert!(r.regressions.is_empty(), "{:?}", r.regressions);
-    }
-
-    fn ts_snapshot(v: u64, windows: usize) -> String {
-        let rows: Vec<String> =
-            (0..windows).map(|i| format!("[{}, {}, {}]", i * 500, 100 + i, v)).collect();
-        snapshot(4096, 128).replace(
-            "  \"histograms\": [",
-            &format!(
-                "  \"timeseries\": [\n    {{\"name\": \"kv_serving\", \"window_cycles\": 500, \
-                 \"channels\": [\"steps\", \"write_lines\"], \"windows\": [{}]}}\n  ],\n  \
-                 \"histograms\": [",
-                rows.join(", ")
-            ),
-        )
-    }
-
-    #[test]
-    fn window_granularity_drift_names_the_window_and_channel() {
-        let ok = diff(&ts_snapshot(50, 4), &ts_snapshot(50, 4)).unwrap();
-        assert!(ok.regressions.is_empty(), "{:?}", ok.regressions);
-        // 5 aggregate values + 1 presence + 4 windows x 2 channels.
-        assert_eq!(ok.compared, 5 + 1 + 8);
-        let drift = diff(&ts_snapshot(51, 4), &ts_snapshot(50, 4)).unwrap();
-        assert_eq!(drift.regressions.len(), 4, "{:?}", drift.regressions);
-        assert_eq!(
-            drift.regressions[0],
-            "timeseries kv_serving window@0 write_lines: 51 vs baseline 50"
-        );
-        let shorter = diff(&ts_snapshot(50, 3), &ts_snapshot(50, 4)).unwrap();
-        assert!(shorter.regressions.iter().any(|r| r.contains("3 windows vs baseline 4")));
-        let gone = diff(&snapshot(4096, 128), &ts_snapshot(50, 4)).unwrap();
-        assert!(gone.regressions.iter().any(|r| r.contains("missing")));
     }
 
     #[test]

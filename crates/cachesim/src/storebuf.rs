@@ -10,7 +10,7 @@
 //! The buffer is a FIFO of line-granular entries. *Draining* an entry makes
 //! the store globally visible: the cache must acquire the line in exclusive
 //! mode (directory lookup + line fill — both charged at the latency of the
-//! line's home device by the engine-supplied cost function). Drains are
+//! line's home device by the cost the engine computes per entry). Drains are
 //! **pipelined** with bounded memory-level parallelism: the CPU keeps about
 //! [`DEFAULT_MLP`] ownership requests in flight, so consecutive drains may
 //! start `cost / MLP` cycles apart (cheap L1-owned drains stream back to
@@ -31,10 +31,9 @@ use std::collections::VecDeque;
 pub struct SbEntry {
     /// Line-aligned address.
     pub line: Addr,
-    /// Dense id of the line, when the pusher runs with interned traces
-    /// ([`LineId::INVALID`] otherwise). Carried so that the drain loop
-    /// gets the id back from [`StoreBuffer::next_unstarted`] alongside the
-    /// address and never needs to re-resolve it.
+    /// Dense id of the line, as the pusher interned it. Carried so that
+    /// the drain loop gets the id back from [`StoreBuffer::next_unstarted`]
+    /// alongside the address and never needs to re-resolve it.
     pub id: LineId,
     /// Cycle at which the store issued.
     pub issue: Cycles,
@@ -45,8 +44,7 @@ pub struct SbEntry {
 /// A store did not fit: the buffer was at capacity and the line did not
 /// coalesce into a pending entry.
 ///
-/// Returned by [`StoreBuffer::try_push`]; the panicking [`StoreBuffer::push`]
-/// formats this into its panic message.
+/// Returned by [`StoreBuffer::try_push_id`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreBufferOverflow {
     /// The line that could not be recorded.
@@ -86,24 +84,31 @@ pub const DEFAULT_MLP: Cycles = 10;
 /// Drains always start in FIFO order, so the started entries form a prefix
 /// of the queue.
 ///
-/// Drains are scheduled one entry at a time through a pull API
-/// ([`StoreBuffer::next_unstarted`] / [`StoreBuffer::schedule_next`]), so a
-/// caller whose cost computation needs `&mut` access to state that
-/// *contains* this buffer can drain it in place; the closure forms
-/// ([`StoreBuffer::start_all`], [`StoreBuffer::demote`],
-/// [`StoreBuffer::drain_all`], [`StoreBuffer::drain_head`]) are built on
-/// the same primitives.
+/// Drains are scheduled one entry at a time through a pull API:
+/// [`StoreBuffer::next_unstarted`] hands out the next entry and
+/// [`StoreBuffer::schedule_next`] schedules it at the cost the caller
+/// computed, so a caller whose cost computation needs `&mut` access to
+/// state that *contains* this buffer drains it in place.
+/// [`StoreBuffer::unstarted_through`] says how many entries a demote must
+/// start, [`StoreBuffer::retire_all`] ends a fence and
+/// [`StoreBuffer::drain_head`] pops a scheduled head under capacity
+/// pressure.
 ///
 /// # Examples
 ///
 /// ```
+/// use simcore::LineId;
+///
 /// let mut sb = cachesim::StoreBuffer::new(4);
-/// sb.push(0, 10);
-/// sb.push(64, 11);
+/// sb.try_push_id(0, LineId(0), 10).unwrap();
+/// sb.try_push_id(64, LineId(1), 11).unwrap();
 /// // A fence at cycle 20 with a 100-cycle ownership cost per line and the
 /// // default MLP of 10 (initiation interval 100/10 = 10 cycles):
-/// let done = sb.drain_all(20, |_| 100);
-/// assert_eq!(done, 20 + 10 + 100); // second drain starts at 30
+/// while let Some((_line, _id)) = sb.next_unstarted() {
+///     sb.schedule_next(20, 100);
+/// }
+/// assert_eq!(sb.last_drain_done(), 20 + 10 + 100); // second drain starts at 30
+/// sb.retire_all();
 /// assert!(sb.is_empty());
 /// ```
 #[derive(Debug, Clone)]
@@ -211,34 +216,14 @@ impl StoreBuffer {
         self.filter[bucket(line)] != 0 && self.lines.range(from..).any(|&l| l == line)
     }
 
-    /// Record a store to `line` at cycle `now`.
-    ///
-    /// Returns `true` if the store coalesced into an existing entry whose
-    /// drain has not started yet. The caller must ensure the buffer is not
-    /// full first (see [`StoreBuffer::is_full`] /
-    /// [`StoreBuffer::drain_head`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is full and the store does not coalesce. Use
-    /// [`StoreBuffer::try_push`] to get a typed error instead.
-    pub fn push(&mut self, line: Addr, now: Cycles) -> bool {
-        self.try_push(line, now).expect("push into full store buffer")
-    }
-
-    /// Record a store to `line` at cycle `now`, reporting a full buffer as
-    /// a typed error instead of panicking.
+    /// Record a store to `line` (dense id `id`) at cycle `now`, reporting
+    /// a full buffer as a typed error. The id rides with the entry, so
+    /// [`StoreBuffer::next_unstarted`] hands it back without re-resolving.
     ///
     /// `Ok(true)` means the store coalesced into an existing entry whose
     /// drain has not started yet; `Ok(false)` means a new entry was
-    /// allocated.
-    pub fn try_push(&mut self, line: Addr, now: Cycles) -> Result<bool, StoreBufferOverflow> {
-        self.try_push_id(line, LineId::INVALID, now)
-    }
-
-    /// [`StoreBuffer::try_push`] with the line's dense id attached to the
-    /// entry, so [`StoreBuffer::next_unstarted`] hands it back without
-    /// re-resolving.
+    /// allocated. Make room first under capacity pressure (see
+    /// [`StoreBuffer::is_full`] / [`StoreBuffer::drain_head`]).
     #[inline]
     pub fn try_push_id(
         &mut self,
@@ -316,43 +301,8 @@ impl StoreBuffer {
         self.position_of(line).map(|pos| (pos + 1).saturating_sub(self.started))
     }
 
-    /// Start the drain of every entry that has not started yet. `cost` maps
-    /// a line to its ownership-acquisition cost in cycles.
-    ///
-    /// Returns the completion time of the latest drain (at least `now`).
-    pub fn start_all(&mut self, now: Cycles, mut cost: impl FnMut(Addr) -> Cycles) -> Cycles {
-        while let Some((line, _)) = self.next_unstarted() {
-            let c = cost(line);
-            self.schedule_next(now, c);
-        }
-        self.last_done.max(now)
-    }
-
-    /// Start the drain of the entry covering `line` (a *demote* pre-store).
-    /// Earlier un-started entries must drain first to preserve FIFO
-    /// visibility order, so they are started too.
-    ///
-    /// Returns the completion time of the demoted line's drain, or `now` if
-    /// the line was not in the buffer.
-    pub fn demote(
-        &mut self,
-        line: Addr,
-        now: Cycles,
-        mut cost: impl FnMut(Addr) -> Cycles,
-    ) -> Cycles {
-        let Some(pos) = self.position_of(line) else {
-            return now;
-        };
-        for _ in 0..(pos + 1).saturating_sub(self.started) {
-            let (l, _) = self.next_unstarted().expect("entries up to `pos` exist");
-            let c = cost(l);
-            self.schedule_next(now, c);
-        }
-        self.entries[pos].drain_done.unwrap_or(now)
-    }
-
     /// Empty the buffer once every entry's drain has been scheduled — the
-    /// tail of a fence, after [`StoreBuffer::start_all`] or the pull loop.
+    /// tail of a fence, after the pull loop has scheduled every entry.
     ///
     /// # Panics
     ///
@@ -366,29 +316,18 @@ impl StoreBuffer {
         self.head_done = Cycles::MAX;
     }
 
-    /// Drain everything and empty the buffer (a fence). Returns the cycle
-    /// at which the last drain completes — the fence cannot retire earlier.
-    pub fn drain_all(&mut self, now: Cycles, cost: impl FnMut(Addr) -> Cycles) -> Cycles {
-        let done = self.start_all(now, cost);
-        self.retire_all();
-        done
-    }
-
-    /// Force the head entry out (capacity pressure). Returns the cycle at
-    /// which the head's drain completes; the caller stalls until then.
-    /// `cost` is only consulted when the head's drain has not started yet.
+    /// Force the head entry out (capacity pressure). Its drain must
+    /// already be scheduled; returns the cycle at which it completes, and
+    /// the caller stalls until then.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is empty.
-    pub fn drain_head(&mut self, now: Cycles, mut cost: impl FnMut(Addr) -> Cycles) -> Cycles {
-        assert!(!self.entries.is_empty(), "drain_head on empty buffer");
-        let done = if self.started == 0 {
-            let c = cost(self.entries[0].line);
-            self.schedule_next(now, c)
-        } else {
-            self.entries[0].drain_done.expect("started entries are scheduled")
-        };
+    /// Panics if the buffer is empty, and in debug builds if the head's
+    /// drain is not scheduled.
+    pub fn drain_head(&mut self) -> Cycles {
+        debug_assert!(self.started > 0, "drain_head with an unscheduled head");
+        // `head_done` mirrors the scheduled head's completion time.
+        let done = self.head_done;
         self.pop_head();
         self.refresh_head_done();
         done
@@ -435,14 +374,50 @@ impl StoreBuffer {
 mod tests {
     use super::*;
 
+    /// Push `line` at `now` (its id is its 64-byte line number) into a
+    /// buffer with room; `true` if it coalesced.
+    fn push(sb: &mut StoreBuffer, line: Addr, now: Cycles) -> bool {
+        sb.try_push_id(line, LineId((line / 64) as u32), now).expect("room in the buffer")
+    }
+
+    /// Schedule every unstarted drain at `cost`, collecting the lines in
+    /// the order handed out; returns the latest completion (at least
+    /// `now`).
+    fn schedule_all(sb: &mut StoreBuffer, now: Cycles, cost: Cycles, order: &mut Vec<Addr>) -> Cycles {
+        while let Some((line, _)) = sb.next_unstarted() {
+            order.push(line);
+            sb.schedule_next(now, cost);
+        }
+        sb.last_drain_done().max(now)
+    }
+
+    /// A fence: schedule the rest and retire everything; returns the
+    /// cycle the fence retires at.
+    fn fence(sb: &mut StoreBuffer, now: Cycles, cost: Cycles) -> Cycles {
+        let done = schedule_all(sb, now, cost, &mut Vec::new());
+        sb.retire_all();
+        done
+    }
+
+    /// A demote of `line`: start every entry through it; returns the
+    /// completion of its drain, or `now` if no entry covers it.
+    fn demote(sb: &mut StoreBuffer, line: Addr, now: Cycles, cost: Cycles) -> Cycles {
+        let Some(n) = sb.unstarted_through(line) else { return now };
+        for _ in 0..n {
+            sb.schedule_next(now, cost);
+        }
+        let pos = sb.position_of(line).expect("covered");
+        sb.entries[pos].drain_done.expect("started through the line")
+    }
+
     #[test]
     fn coalesces_same_line() {
         let mut sb = StoreBuffer::new(2);
-        assert!(!sb.push(0, 1));
-        assert!(sb.push(0, 2));
-        assert!(sb.push(0, 3));
+        assert!(!push(&mut sb, 0, 1));
+        assert!(push(&mut sb, 0, 2));
+        assert!(push(&mut sb, 0, 3));
         assert_eq!(sb.len(), 1);
-        assert!(!sb.push(64, 4));
+        assert!(!push(&mut sb, 64, 4));
         assert_eq!(sb.len(), 2);
         assert!(sb.contains(0));
         assert!(sb.contains(64));
@@ -450,81 +425,103 @@ mod tests {
     }
 
     #[test]
-    fn fence_pipelines_drains() {
+    fn fence_pipelines_drains_in_fifo_order() {
         let mut sb = StoreBuffer::with_mlp(8, 10);
-        sb.push(0, 0);
-        sb.push(64, 0);
-        sb.push(128, 0);
+        push(&mut sb, 0, 0);
+        push(&mut sb, 64, 0);
+        push(&mut sb, 128, 0);
         // II = 50/10 = 5: starts at 10, 15, 20; done at 60, 65, 70.
         let mut order = Vec::new();
-        let done = sb.drain_all(10, |l| {
-            order.push(l);
-            50
-        });
-        assert_eq!(done, 70);
-        assert!(sb.is_empty());
+        assert_eq!(schedule_all(&mut sb, 10, 50, &mut order), 70);
         assert_eq!(order, vec![0, 64, 128]);
+        let ids: Vec<LineId> = sb.entries.iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![LineId(0), LineId(1), LineId(2)], "ids ride with their entries");
+        sb.retire_all();
+        assert!(sb.is_empty());
     }
 
     #[test]
     fn single_store_pays_full_latency_at_fence() {
         let mut sb = StoreBuffer::new(8);
-        sb.push(0, 0);
-        let done = sb.drain_all(200, |_| 150);
-        assert_eq!(done, 350);
+        push(&mut sb, 0, 0);
+        assert_eq!(fence(&mut sb, 200, 150), 350);
     }
 
     #[test]
     fn early_demote_overlaps_with_later_fence() {
         // The Listing-2 effect: demote at cycle 0, fence at cycle 200.
         let mut sb = StoreBuffer::new(8);
-        sb.push(0, 0);
-        sb.demote(0, 0, |_| 150);
+        push(&mut sb, 0, 0);
+        assert_eq!(demote(&mut sb, 0, 0, 150), 150);
         // By cycle 200 the drain (done at 150) has completed: the fence is
         // free.
-        let done = sb.drain_all(200, |_| 150);
-        assert_eq!(done, 200);
+        assert_eq!(fence(&mut sb, 200, 150), 200);
     }
 
     #[test]
     fn demote_respects_fifo_order() {
         let mut sb = StoreBuffer::with_mlp(8, 10);
-        sb.push(0, 0);
-        sb.push(64, 0);
+        push(&mut sb, 0, 0);
+        push(&mut sb, 64, 0);
         // Demoting the *second* line must drain the first too.
-        let done = sb.demote(64, 0, |_| 100);
+        assert_eq!(sb.unstarted_through(64), Some(2));
+        let done = demote(&mut sb, 64, 0, 100);
         assert_eq!(done, 110); // starts at 10 (100/10 after the first), +100
+        assert_eq!(sb.unstarted_through(64), Some(0), "already draining");
         // Both drains scheduled; a fence at 250 is free.
-        assert_eq!(sb.drain_all(250, |_| 100), 250);
+        assert_eq!(fence(&mut sb, 250, 100), 250);
     }
 
     #[test]
     fn demote_of_absent_line_is_noop() {
         let mut sb = StoreBuffer::new(2);
-        sb.push(0, 0);
-        assert_eq!(sb.demote(4096, 7, |_| 100), 7);
+        push(&mut sb, 0, 0);
+        assert_eq!(sb.unstarted_through(4096), None);
+        assert_eq!(demote(&mut sb, 4096, 7, 100), 7);
         assert_eq!(sb.len(), 1);
+        assert_eq!(sb.next_unstarted(), Some((0, LineId(0))), "nothing started");
     }
 
     #[test]
     fn capacity_pressure_stalls_on_head() {
         let mut sb = StoreBuffer::new(2);
-        sb.push(0, 0);
-        sb.push(64, 1);
+        push(&mut sb, 0, 0);
+        push(&mut sb, 64, 1);
         assert!(sb.is_full());
-        let done = sb.drain_head(5, |_| 100);
-        assert_eq!(done, 105);
+        // The engine schedules every pending drain before forcing the head.
+        schedule_all(&mut sb, 5, 100, &mut Vec::new());
+        assert_eq!(sb.drain_head(), 105);
         assert!(!sb.is_full());
-        sb.push(128, 5);
+        push(&mut sb, 128, 5);
         assert!(sb.is_full());
+    }
+
+    #[test]
+    fn drain_head_returns_the_scheduled_completion() {
+        let mut sb = StoreBuffer::with_mlp(4, 1);
+        push(&mut sb, 0, 0);
+        push(&mut sb, 64, 0);
+        schedule_all(&mut sb, 0, 100, &mut Vec::new()); // done 100 and 200
+        assert_eq!(sb.drain_head(), 100);
+        assert_eq!(sb.drain_head(), 200);
+        assert!(sb.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "unscheduled head")]
+    #[cfg(debug_assertions)]
+    fn drain_head_of_an_unscheduled_head_is_a_bug() {
+        let mut sb = StoreBuffer::new(2);
+        push(&mut sb, 0, 0);
+        sb.drain_head();
     }
 
     #[test]
     fn collect_completed_pops_only_done() {
         let mut sb = StoreBuffer::with_mlp(8, 1);
-        sb.push(0, 0);
-        sb.push(64, 0);
-        sb.start_all(0, |_| 100); // II = 100: starts 0 and 100; done 100, 200
+        push(&mut sb, 0, 0);
+        push(&mut sb, 64, 0);
+        schedule_all(&mut sb, 0, 100, &mut Vec::new()); // II = 100: starts 0 and 100; done 100, 200
         sb.collect_completed(150);
         assert_eq!(sb.len(), 1);
         assert!(!sb.contains(0) && sb.contains(64));
@@ -535,31 +532,23 @@ mod tests {
     #[test]
     fn store_after_started_drain_gets_new_entry() {
         let mut sb = StoreBuffer::new(4);
-        sb.push(0, 0);
-        sb.start_all(0, |_| 100);
-        assert!(!sb.push(0, 5), "must not coalesce into an in-flight drain");
+        push(&mut sb, 0, 0);
+        schedule_all(&mut sb, 0, 100, &mut Vec::new());
+        assert!(!push(&mut sb, 0, 5), "must not coalesce into an in-flight drain");
         assert_eq!(sb.len(), 2);
     }
 
     #[test]
-    fn try_push_reports_overflow_without_panicking() {
+    fn try_push_id_reports_overflow() {
         let mut sb = StoreBuffer::new(2);
-        assert_eq!(sb.try_push(0, 1), Ok(false));
-        assert_eq!(sb.try_push(0, 2), Ok(true)); // coalesces
-        assert_eq!(sb.try_push(64, 3), Ok(false));
-        let err = sb.try_push(128, 4).unwrap_err();
+        assert_eq!(sb.try_push_id(0, LineId(0), 1), Ok(false));
+        assert_eq!(sb.try_push_id(0, LineId(0), 2), Ok(true)); // coalesces
+        assert_eq!(sb.try_push_id(64, LineId(1), 3), Ok(false));
+        let err = sb.try_push_id(128, LineId(2), 4).unwrap_err();
         assert_eq!(err, StoreBufferOverflow { line: 128, capacity: 2 });
         assert!(err.to_string().contains("0x80"), "{err}");
         // Coalescing still works at capacity.
-        assert_eq!(sb.try_push(64, 5), Ok(true));
-    }
-
-    #[test]
-    #[should_panic(expected = "full store buffer")]
-    fn push_into_full_panics() {
-        let mut sb = StoreBuffer::new(1);
-        sb.push(0, 0);
-        sb.push(64, 0);
+        assert_eq!(sb.try_push_id(64, LineId(1), 5), Ok(true));
     }
 
     #[test]
@@ -567,12 +556,11 @@ mod tests {
         // Under TSO the engine starts drains at issue time; a fence far in
         // the future then costs nothing.
         let mut sb = StoreBuffer::new(8);
-        sb.push(0, 0);
-        sb.start_all(0, |_| 100);
-        sb.push(64, 10);
-        sb.start_all(10, |_| 100);
-        let done = sb.drain_all(500, |_| 100);
-        assert_eq!(done, 500);
+        push(&mut sb, 0, 0);
+        schedule_all(&mut sb, 0, 100, &mut Vec::new());
+        push(&mut sb, 64, 10);
+        schedule_all(&mut sb, 10, 100, &mut Vec::new());
+        assert_eq!(fence(&mut sb, 500, 100), 500);
     }
 
     #[test]
@@ -581,9 +569,9 @@ mod tests {
         // ~400 + 31*40 cycles, not 32*400.
         let mut sb = StoreBuffer::new(32);
         for i in 0..32u64 {
-            sb.push(i * 64, i);
+            push(&mut sb, i * 64, i);
         }
-        let done = sb.drain_all(32, |_| 400);
+        let done = fence(&mut sb, 32, 400);
         assert!(done < 32 + 31 * 41 + 400, "pipelined drains took {done}");
         assert!(done >= 400 + 31 * 40);
     }
@@ -603,82 +591,25 @@ mod tests {
             }
             assert_eq!(sb.filter, filter, "membership filter counts the pending lines");
         };
-        sb.push(0, 0);
-        sb.push(64, 1);
-        sb.push(64, 2); // coalesces, no new mirror entry
+        push(&mut sb, 0, 0);
+        push(&mut sb, 64, 1);
+        push(&mut sb, 64, 2); // coalesces, no new mirror entry
         check(&sb);
-        sb.start_all(2, |_| 100);
-        sb.push(64, 3); // started: new entry despite same line
+        schedule_all(&mut sb, 2, 100, &mut Vec::new());
+        push(&mut sb, 64, 3); // started: new entry despite same line
         check(&sb);
-        sb.demote(64, 3, |_| 100);
+        demote(&mut sb, 64, 3, 100);
         check(&sb);
         sb.collect_completed(1_000);
         check(&sb);
-        sb.push(128, 4);
-        sb.drain_head(5, |_| 50);
+        push(&mut sb, 128, 4);
+        schedule_all(&mut sb, 5, 50, &mut Vec::new());
+        sb.drain_head();
         check(&sb);
-        sb.push(192, 6);
-        sb.drain_all(7, |_| 50);
+        push(&mut sb, 192, 6);
+        fence(&mut sb, 7, 50);
         check(&sb);
         assert!(sb.is_empty());
         assert!(!sb.contains(0));
-    }
-
-    #[test]
-    fn pull_api_drains_in_place_like_the_closure_forms() {
-        // The in-place pull loop a caller runs for a demote must schedule
-        // exactly what `demote` schedules, in the same order and at the
-        // same times.
-        let fill = |sb: &mut StoreBuffer| {
-            for (i, line) in [0u64, 64, 128, 64, 192].into_iter().enumerate() {
-                sb.push(line, i as Cycles);
-            }
-        };
-        let mut closure = StoreBuffer::with_mlp(8, 4);
-        fill(&mut closure);
-        let mut pulled = closure.clone();
-        assert_eq!(pulled.unstarted_through(128), Some(3));
-        assert_eq!(pulled.unstarted_through(4096), None, "absent line");
-        let mut costs = Vec::new();
-        let done = closure.demote(128, 5, |l| {
-            costs.push(l);
-            100 + l
-        });
-        for _ in 0..pulled.unstarted_through(128).expect("buffered") {
-            let (line, id) = pulled.next_unstarted().expect("counted");
-            assert_eq!(id, LineId::INVALID);
-            pulled.schedule_next(5, 100 + line);
-        }
-        assert_eq!(costs, vec![0, 64, 128]);
-        assert_eq!(pulled.entries, closure.entries);
-        assert_eq!(done, pulled.entries[2].drain_done.expect("scheduled"));
-        assert_eq!(pulled.unstarted_through(128), Some(0), "already draining");
-        // A fence: pull the rest, then retire everything.
-        let mut closure_rest = Vec::new();
-        let fence = closure.drain_all(50, |l| {
-            closure_rest.push(l);
-            10
-        });
-        let mut pulled_rest = Vec::new();
-        while let Some((line, _)) = pulled.next_unstarted() {
-            pulled_rest.push(line);
-            pulled.schedule_next(50, 10);
-        }
-        let pulled_fence = pulled.last_drain_done().max(50);
-        pulled.retire_all();
-        assert_eq!(fence, pulled_fence);
-        assert_eq!(closure_rest, vec![192]);
-        assert_eq!(pulled_rest, closure_rest);
-        assert!(pulled.is_empty() && !pulled.contains(64));
-        assert!(closure.is_empty() && !closure.contains(64));
-    }
-
-    #[test]
-    fn drain_head_of_started_entry_reuses_schedule() {
-        let mut sb = StoreBuffer::new(4);
-        sb.push(0, 0);
-        sb.start_all(0, |_| 100);
-        let done = sb.drain_head(0, |_| panic!("already scheduled"));
-        assert_eq!(done, 100);
     }
 }

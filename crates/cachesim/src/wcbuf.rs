@@ -6,14 +6,15 @@
 //! sequential write) or when it is evicted early because the CPU ran out of
 //! WC buffers (the bad case — a partial write that forces the device into a
 //! read-modify-write).
+//!
+//! The buffers publish nothing: they count partial evictions and record
+//! flush sizes in plain fields, which the replay engine reads through
+//! [`WriteCombiningBuffer::partial_evictions`] and
+//! [`WriteCombiningBuffer::flush_bytes`] and publishes once per replay.
 
-use simcore::telemetry::{self, Histogram, Metric};
+use simcore::telemetry::Histogram;
 use simcore::{align_down, Addr};
 use std::collections::VecDeque;
-
-/// Registry total of the buffers' partial evictions, fed by
-/// [`WriteCombiningBuffer::publish`].
-static PARTIAL_EVICTIONS: Metric = Metric::counter("wcbuf.partial_evictions");
 
 /// A flush emitted by the WC buffer towards the memory device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,14 +167,14 @@ impl WriteCombiningBuffer {
         self.open.len()
     }
 
-    /// Publish the partial evictions and flush sizes recorded so far into
-    /// the metrics registry (`wcbuf.partial_evictions`,
-    /// `wcbuf.flush_bytes`). Call once, when the buffer's run ends.
-    pub fn publish(&self) {
-        if self.partial_evictions > 0 {
-            PARTIAL_EVICTIONS.add(self.partial_evictions);
-        }
-        telemetry::publish(&self.flush_bytes);
+    /// Open buffers evicted partially filled to make room so far.
+    pub fn partial_evictions(&self) -> u64 {
+        self.partial_evictions
+    }
+
+    /// The bytes carried by each flush so far (`wcbuf.flush_bytes`).
+    pub fn flush_bytes(&self) -> &Histogram {
+        &self.flush_bytes
     }
 
     /// Append every open buffer's `(line, bytes_filled)` to `out`
@@ -242,21 +243,15 @@ mod tests {
     }
 
     #[test]
-    fn publish_reports_partial_evictions_and_flush_sizes() {
+    fn counts_partial_evictions_and_flush_sizes() {
         let mut wc = WriteCombiningBuffer::new(64, 2);
         wc.nt_write(0, 16);
         wc.nt_write(64, 16);
         wc.nt_write(128, 16); // evicts line 0, partially filled
         wc.nt_write(192, 64); // a full line writes through
-        let before = PARTIAL_EVICTIONS.value();
-        wc.publish();
-        // The only test in this binary that publishes.
-        assert_eq!(PARTIAL_EVICTIONS.value() - before, 1);
-        let h = telemetry::hist_snapshot()
-            .into_iter()
-            .find(|h| h.name == "wcbuf.flush_bytes")
-            .expect("a non-empty publish registers the histogram");
-        assert_eq!((h.count, h.sum, h.max), (2, 16 + 64, 64));
+        assert_eq!(wc.partial_evictions(), 1);
+        let h = wc.flush_bytes();
+        assert_eq!((h.name, h.count, h.sum, h.max), ("wcbuf.flush_bytes", 2, 16 + 64, 64));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use cachesim::{Cache, CacheConfig, ReplacementKind, StoreBuffer};
 use proptest::prelude::*;
+use simcore::LineId;
 use std::collections::HashSet;
 
 fn any_policy() -> impl Strategy<Value = ReplacementKind> {
@@ -101,16 +102,26 @@ proptest! {
         for &l in &lines {
             let line = l * 64;
             if sb.is_full() {
-                now = now.max(sb.drain_head(now, |_| cost));
+                // Capacity pressure, as the engine handles it: start every
+                // pending drain, then wait for the head.
+                while sb.next_unstarted().is_some() {
+                    sb.schedule_next(now, cost);
+                }
+                now = now.max(sb.drain_head());
                 left += 1;
             }
-            if !sb.push(line, now) {
+            if !sb.try_push_id(line, LineId(l as u32), now).expect("room after the head left") {
                 pushed += 1;
             }
             now += 1;
         }
         left += sb.len();
-        let done = sb.drain_all(now, |_| cost);
+        // A fence: schedule the rest and retire everything.
+        while sb.next_unstarted().is_some() {
+            sb.schedule_next(now, cost);
+        }
+        let done = sb.last_drain_done().max(now);
+        sb.retire_all();
         prop_assert!(sb.is_empty());
         prop_assert_eq!(left, pushed, "every pushed entry leaves once");
         // The drain pipeline is bounded: total time <= pushes * (cost + 1).

@@ -37,13 +37,6 @@ use simcore::telemetry::flight::FlightEvent;
 use simcore::{Addr, Cycles, FuncId, FuncRegistry};
 use std::fmt::Write as _;
 
-/// Column index: lost lines attributed to a site.
-pub(crate) const LOST_LINES: usize = 0;
-/// Column index: lost bytes attributed to a site.
-pub(crate) const LOST_BYTES: usize = 1;
-/// Columns of a crash-attribution row.
-pub(crate) const CRASH_COLS: usize = 2;
-
 /// What a crash-armed replay produced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CrashOutcome {

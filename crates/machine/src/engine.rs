@@ -34,10 +34,11 @@
 //! through bounded chunk windows).
 
 use crate::config::{MachineConfig, MemModel};
-use crate::crash::{CrashImage, CrashOutcome, CrashReport, LostSite, CRASH_COLS};
+use crate::crash::{CrashImage, CrashOutcome, CrashReport, LostSite};
 use crate::error::{BlockedAcquire, EngineError};
 use crate::prefetch::StreamTrackers;
-use crate::stats::{site_col, ts_channel, CoreStats, RunStats, SiteCounters, SITE_COLS, TS_CAPACITY, TS_CHANNELS};
+use crate::probes::{Exit, RunProbes};
+use crate::stats::{ts_channel, CoreStats, RunStats, SiteBook, TS_CAPACITY, TS_CHANNELS};
 use crate::tables::{FlatTables, LineTables, MAX_CORES};
 use cachesim::{Cache, StoreBuffer, Victim, WriteCombiningBuffer};
 use cachesim::wcbuf::WcFlush;
@@ -45,7 +46,7 @@ use memdev::{Device, MemDevice};
 use simcore::faultinject::CrashPlan;
 use simcore::telemetry::flight::{FlightEvent, FlightKind, FlightRing, FLIGHT_CAPACITY};
 use simcore::telemetry::timeseries::TimeSeries;
-use simcore::telemetry::{Histogram, SiteTable};
+use simcore::telemetry::Histogram;
 use simcore::stream::{EventSource, StreamFeed};
 use simcore::{
     align_down, blocks_touched, Addr, CoreId, Cycles, Event, EventKind, FuncId, FxHashMap,
@@ -231,6 +232,20 @@ struct ClassifierState {
     req_start: Vec<Cycles>,
 }
 
+/// Which of a core's four stall counters a stall lands in (and the
+/// matching column of its site's row).
+#[derive(Debug, Clone, Copy)]
+enum Stall {
+    /// Waiting in a fence for the store buffer to drain.
+    Fence,
+    /// An atomic's drain, ownership and operation.
+    Atomic,
+    /// Waiting for the head of a full store buffer.
+    SbPressure,
+    /// Waiting for an in-flight writeback or NT store to the line.
+    Writeback,
+}
+
 /// Flight-recorder kind of a retired trace event, or `None` for pure
 /// clock advances (computes carry no memory state worth replaying in a
 /// post-mortem).
@@ -251,8 +266,9 @@ fn flight_kind(kind: EventKind) -> Option<FlightKind> {
 ///
 /// Generic over its per-line state representation: [`FlatTables`] (dense
 /// [`LineId`]-indexed vectors fed by the feed's [`LineInterner`] — the
-/// production path) or [`crate::tables::HashTables`] (the pre-interning
-/// per-line hash maps, kept as the reference twin for equivalence tests).
+/// production path) or, in tests, the tables module's `HashTables` (the
+/// pre-interning per-line hash maps, kept as the reference twin for
+/// equivalence tests).
 /// Both monomorphisations replay bit-identically.
 struct Engine<'a, T: LineTables = FlatTables> {
     cfg: &'a MachineConfig,
@@ -263,23 +279,20 @@ struct Engine<'a, T: LineTables = FlatTables> {
     /// stalls until the data lands and then pays the full device read —
     /// the §5/§7.2.1 penalty of skipping the cache for data that is
     /// re-read), release sequencing for acquire/release replay
-    /// synchronization, and per-function cycle attribution.
+    /// synchronization, and first-dirty site tags.
     tables: T,
     cores: Vec<CoreState>,
     /// Reused buffer for write-combining flushes (cleared per use).
     wc_buf: Vec<WcFlush>,
-    /// This replay's action counts and distributions, published into the
+    /// This replay's drain counts and distributions, published into the
     /// metrics registry when the replay returns (plain fields: the step
     /// loop pays no atomics).
-    probes: crate::probes::RunProbes,
-    /// Per-trace-site attribution rows (device traffic, pre-store actions,
-    /// stalls), drained into [`RunStats::sites`] at end of run. Always on,
-    /// like `func_cycles`: the attribution feeds results, not the metrics
-    /// registry.
-    sites: SiteTable<SITE_COLS>,
-    /// Side row for [`FuncId::UNKNOWN`] traffic — kept out of `sites` so
-    /// the sentinel id (`u16::MAX`) never forces a 64 Ki-row table.
-    unknown_site: [u64; SITE_COLS],
+    probes: RunProbes,
+    /// The per-site book: every count attributed to a trace site (device
+    /// traffic, pre-store actions, stalls, cycles), read off into
+    /// [`RunStats::sites`] and [`RunStats::func_cycles`] at end of run.
+    /// Always on: the attribution feeds results, not the metrics registry.
+    sites: SiteBook,
     /// The scheduler step currently being replayed (for line-lifetime
     /// accounting against the first-dirty step tags).
     cur_step: u64,
@@ -672,6 +685,7 @@ impl<'a> Engine<'a, FlatTables> {
     /// Build the production engine for `lines` interned lines, on fresh
     /// flat tables that drop with the engine when the replay ends.
     fn new_flat(cfg: &'a MachineConfig, lines: usize, cores: usize) -> Self {
+        crate::probes::TABLE_EPOCHS.inc();
         Self::with_tables(cfg, cores, FlatTables::new(lines))
     }
 }
@@ -698,9 +712,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
             tables,
             cores,
             wc_buf: Vec::new(),
-            probes: crate::probes::RunProbes::new(),
-            sites: SiteTable::new(),
-            unknown_site: [0; SITE_COLS],
+            probes: RunProbes::new(),
+            sites: SiteBook::default(),
             cur_step: 0,
             crash: None,
             ts: cfg.timeseries_window.map(|w| TimeSeries::new(w.max(1), TS_CAPACITY)),
@@ -747,18 +760,11 @@ impl<'a, T: LineTables> Engine<'a, T> {
             .collect()
     }
 
-    /// Publish what this replay measured below the replay loop — the
-    /// engine's distributions, each core's WC-buffer flushes and the
-    /// device's traffic — into the metrics registry. Both exits of a
-    /// replay that returns (`finalize` and `freeze_crash`) call it once, so
-    /// the registry aggregates exactly the replays that return a
-    /// [`RunStats`] or a [`CrashReport`].
-    fn publish_run(&self) {
-        self.probes.publish();
-        for c in &self.cores {
-            c.wc.publish();
-        }
-        self.device.publish();
+    /// Publish what this replay measured (see
+    /// [`RunProbes::publish`]). Both exits of a replay that returns,
+    /// `finalize` and `freeze_crash`, call it once.
+    fn publish(&self, exit: Exit<'_>) {
+        self.probes.publish(exit, &self.device, self.cores.iter().map(|c| &c.wc));
     }
 
     /// [`Engine::replay`] inside the `engine.replay` span, so failed and
@@ -860,7 +866,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             self.step(cid, ev, feed.ids(cid, idx))?;
             let spent = self.cores[cid].now - before;
             if spent > 0 {
-                self.tables.func_add(ev.func, spent);
+                self.sites.row(ev.func).cycles += spent;
             }
             self.after_step(cid, &ev);
             // Power-failure injection: the triggering step has retired (pc
@@ -916,7 +922,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             let id = interner.id_of(line).unwrap_or(LineId::INVALID);
             let (site, step) =
                 self.tables.dirt_take(id, line).unwrap_or((FuncId::UNKNOWN, self.cur_step));
-            self.site_add(site, site_col::RESIDUAL_LINES, 1);
+            self.sites.row(site).counters.residual_lines += 1;
             self.probes.line_lifetime.record(self.cur_step.saturating_sub(step));
             self.device_write_attributed(line, line_size, site);
         }
@@ -926,10 +932,9 @@ impl<'a, T: LineTables> Engine<'a, T> {
         let flushed_before = *self.device.stats();
         self.device.flush();
         let dstats_now = *self.device.stats();
-        self.unknown_site[site_col::MEDIA_BYTES] +=
-            dstats_now.media_bytes_written - flushed_before.media_bytes_written;
-        self.unknown_site[site_col::RMW_BYTES] +=
-            dstats_now.media_bytes_rmw_read - flushed_before.media_bytes_rmw_read;
+        let unknown = &mut self.sites.row(FuncId::UNKNOWN).counters;
+        unknown.media_bytes += dstats_now.media_bytes_written - flushed_before.media_bytes_written;
+        unknown.rmw_bytes += dstats_now.media_bytes_rmw_read - flushed_before.media_bytes_rmw_read;
         self.probes.close_burst();
 
         let cpu_cycles = self.cores.iter().map(|c| c.now).max().unwrap_or(0);
@@ -958,19 +963,10 @@ impl<'a, T: LineTables> Engine<'a, T> {
             c.stats.cycles = c.now;
             cores_stats.push(c.stats);
         }
-        // Drain the attribution rows: `drain_sorted` orders by site id, and
-        // UNKNOWN (`u16::MAX`) sorts after every real id, so the appended
-        // catch-all row keeps `sites` sorted for `RunStats::site`'s binary
-        // search.
-        let mut sites: Vec<(FuncId, SiteCounters)> = self
-            .sites
-            .drain_sorted()
-            .into_iter()
-            .map(|(s, row)| (FuncId(s as u16), SiteCounters::from_row(&row)))
-            .collect();
-        if self.unknown_site != [0; SITE_COLS] {
-            sites.push((FuncId::UNKNOWN, SiteCounters::from_row(&self.unknown_site)));
-        }
+        // Read the book off: its rows come out in site-id order with
+        // UNKNOWN (`u16::MAX`) last, so `sites` stays sorted for
+        // `RunStats::site`'s binary search.
+        let (sites, func_cycles) = std::mem::take(&mut self.sites).into_stats();
         // Close the time series through the end of simulated time. The
         // totals are gathered *after* the final drains and the device
         // flush above, so the per-channel window sums match the end-of-run
@@ -992,19 +988,15 @@ impl<'a, T: LineTables> Engine<'a, T> {
             l1,
             llc: *self.llc.stats(),
             device: dstats,
-            func_cycles: self.tables.take_func_cycles().into_iter().collect(),
+            func_cycles,
             sites,
             timeseries,
             timeseries_window_cycles,
             request_latency,
         };
-        // End-of-run sweep: how many flat-table entries still carry state
-        // (`None` on the reference tables).
-        if let Some(live) = self.tables.live_lines() {
-            crate::probes::publish_value(crate::probes::TABLE_LIVE_LINES, live as u64);
-        }
-        crate::probes::publish_completed(&stats, &self.probes, steps);
-        self.publish_run();
+        // The end-of-run live-line sweep counts flat-table entries that
+        // still carry state (`None` on the reference tables).
+        self.publish(Exit::Completed { stats: &stats, steps, live_lines: self.tables.live_lines() });
         // Crash-armed runs that completed: the device flush above closed
         // every buffered block, so the whole received set is durable.
         let durable_digest = self.crash.take().map(|ctx| {
@@ -1063,49 +1055,27 @@ impl<'a, T: LineTables> Engine<'a, T> {
         lost.dedup();
         // Attribute each lost line to the site that first dirtied it; lines
         // that already gave up their tag (e.g. data handed to the device
-        // before the crash) land in the UNKNOWN row.
-        let mut sites: SiteTable<CRASH_COLS> = SiteTable::new();
-        let mut unknown = [0u64; CRASH_COLS];
-        for &line in &lost {
-            let id = interner.id_of(line).unwrap_or(LineId::INVALID);
-            let site =
-                self.tables.dirt_take(id, line).map_or(FuncId::UNKNOWN, |(site, _)| site);
-            if site == FuncId::UNKNOWN {
-                unknown[crate::crash::LOST_LINES] += 1;
-                unknown[crate::crash::LOST_BYTES] += line_size;
-            } else {
-                sites.add(u32::from(site.0), crate::crash::LOST_LINES, 1);
-                sites.add(u32::from(site.0), crate::crash::LOST_BYTES, line_size);
-            }
-        }
-        let mut site_rows: Vec<(FuncId, LostSite)> = sites
-            .drain_sorted()
-            .into_iter()
-            .map(|(s, row)| {
-                (
-                    FuncId(s as u16),
-                    LostSite {
-                        lines: row[crate::crash::LOST_LINES],
-                        bytes: row[crate::crash::LOST_BYTES],
-                    },
-                )
+        // before the crash) land in the UNKNOWN row. Sorted, each site's
+        // lines form one run, UNKNOWN (`u16::MAX`) last.
+        let mut lost_sites: Vec<FuncId> = lost
+            .iter()
+            .map(|&line| {
+                let id = interner.id_of(line).unwrap_or(LineId::INVALID);
+                self.tables.dirt_take(id, line).map_or(FuncId::UNKNOWN, |(site, _)| site)
             })
             .collect();
-        if unknown != [0u64; CRASH_COLS] {
-            site_rows.push((
-                FuncId::UNKNOWN,
-                LostSite {
-                    lines: unknown[crate::crash::LOST_LINES],
-                    bytes: unknown[crate::crash::LOST_BYTES],
-                },
-            ));
-        }
+        lost_sites.sort_unstable();
+        let sites: Vec<(FuncId, LostSite)> = lost_sites
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                let lines = run.len() as u64;
+                (run[0], LostSite { lines, bytes: lines * line_size })
+            })
+            .collect();
         let mut releases: Vec<(Addr, u32)> = ctx.releases.into_iter().collect();
         releases.sort_unstable();
         let lost_bytes = lost.len() as u64 * line_size;
-        crate::probes::CRASHES.inc();
-        crate::probes::publish_value(crate::probes::CRASH_LOST_BYTES, lost_bytes);
-        self.publish_run();
+        self.publish(Exit::Crashed { lost_bytes });
         let at_cycle = self.cores.iter().map(|c| c.now).max().unwrap_or(0);
         // Close the flight dump with the crash itself, so the dump's last
         // event always names the frozen step.
@@ -1122,7 +1092,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             lost_sb_entries,
             lost_wc_bytes,
             lost_device_buffered_bytes,
-            sites: site_rows,
+            sites,
             flight: flight.to_vec(),
             image: CrashImage {
                 durable,
@@ -1175,12 +1145,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
             }
             EventKind::Fence => {
                 let stall = self.fence(cid, ev.func);
-                self.cores[cid].stats.fence_stall_cycles += stall;
+                self.book_stall(cid, ev.func, Stall::Fence, stall);
                 self.cores[cid].stats.fences += 1;
-                self.site_add(ev.func, site_col::FENCE_STALL, stall);
-                if stall > 0 {
-                    self.probes.stall_cycles.record(stall);
-                }
             }
             EventKind::Atomic => {
                 let line = simcore::align_down(ev.addr, line_size);
@@ -1277,17 +1243,27 @@ impl<'a, T: LineTables> Engine<'a, T> {
         t
     }
 
-    /// Add `n` to column `col` of `site`'s attribution row.
+    /// Book a stall of `cycles` that core `cid` paid at `site`: into the
+    /// core's stall counter of that kind, the site's row and the
+    /// `engine.stall_cycles` distribution. The one place a core's stall
+    /// counters grow; the caller moves the core's clock. A zero stall
+    /// books nothing.
     #[inline]
-    fn site_add(&mut self, site: FuncId, col: usize, n: u64) {
-        if n == 0 {
+    fn book_stall(&mut self, cid: CoreId, site: FuncId, kind: Stall, cycles: Cycles) {
+        if cycles == 0 {
             return;
         }
-        if site == FuncId::UNKNOWN {
-            self.unknown_site[col] += n;
-        } else {
-            self.sites.add(site.0 as u32, col, n);
-        }
+        let core = &mut self.cores[cid].stats;
+        let row = &mut self.sites.row(site).counters;
+        let (core_cycles, site_cycles) = match kind {
+            Stall::Fence => (&mut core.fence_stall_cycles, &mut row.fence_stall_cycles),
+            Stall::Atomic => (&mut core.atomic_stall_cycles, &mut row.atomic_stall_cycles),
+            Stall::SbPressure => (&mut core.sb_pressure_stall_cycles, &mut row.sb_stall_cycles),
+            Stall::Writeback => (&mut core.writeback_stall_cycles, &mut row.writeback_stall_cycles),
+        };
+        *core_cycles += cycles;
+        *site_cycles += cycles;
+        self.probes.stall_cycles.record(cycles);
     }
 
     /// Send `bytes` at `line` to the device, attributing the dirty bytes —
@@ -1310,17 +1286,10 @@ impl<'a, T: LineTables> Engine<'a, T> {
         self.device.receive_write(line, bytes);
         let after = *self.device.stats();
         self.ts_device_bytes += bytes;
-        self.site_add(site, site_col::DEVICE_BYTES, bytes);
-        self.site_add(
-            site,
-            site_col::MEDIA_BYTES,
-            after.media_bytes_written - before.media_bytes_written,
-        );
-        self.site_add(
-            site,
-            site_col::RMW_BYTES,
-            after.media_bytes_rmw_read - before.media_bytes_rmw_read,
-        );
+        let row = &mut self.sites.row(site).counters;
+        row.device_bytes += bytes;
+        row.media_bytes += after.media_bytes_written - before.media_bytes_written;
+        row.rmw_bytes += after.media_bytes_rmw_read - before.media_bytes_rmw_read;
         self.probes.device_write(line, bytes, self.cfg.line_size);
     }
 
@@ -1347,7 +1316,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                     .tables
                     .dirt_take(v.id, v.line)
                     .unwrap_or((FuncId::UNKNOWN, self.cur_step));
-                self.site_add(site, site_col::DIRTY_EVICTIONS, 1);
+                self.sites.row(site).counters.dirty_evictions += 1;
                 self.probes.line_lifetime.record(self.cur_step.saturating_sub(step));
                 self.device_write_attributed(v.line, self.cfg.line_size, site);
             }
@@ -1398,10 +1367,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
         if let Some(done) = self.tables.nt_get(id, line) {
             let now = self.cores[cid].now;
             if done > now {
-                self.cores[cid].stats.writeback_stall_cycles += done - now;
                 self.cores[cid].now = done;
-                self.site_add(site, site_col::WRITEBACK_STALL, done - now);
-                self.probes.stall_cycles.record(done - now);
+                self.book_stall(cid, site, Stall::Writeback, done - now);
             }
             self.tables.nt_clear(id, line);
             self.cores[cid].now += self.device.read_latency() + self.device.fault_stall();
@@ -1550,10 +1517,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
         if let Some(done) = self.tables.wb_get(id, line) {
             let now = self.cores[cid].now;
             if done > now {
-                self.cores[cid].stats.writeback_stall_cycles += done - now;
                 self.cores[cid].now = done;
-                self.site_add(site, site_col::WRITEBACK_STALL, done - now);
-                self.probes.stall_cycles.record(done - now);
+                self.book_stall(cid, site, Stall::Writeback, done - now);
             }
             self.tables.wb_clear(id, line);
         }
@@ -1565,18 +1530,13 @@ impl<'a, T: LineTables> Engine<'a, T> {
             self.start_drains(cid);
             if self.cores[cid].sb.is_full() {
                 self.probes.sb_forced_drains += 1;
+                // `start_drains` above scheduled every entry, the head's
+                // drain included.
+                let done = self.cores[cid].sb.drain_head();
                 let now = self.cores[cid].now;
-                // `start_drains` above scheduled every entry, so the head's
-                // drain is already costed and the callback cannot fire.
-                let done = self.cores[cid]
-                    .sb
-                    .drain_head(now, |_| unreachable!("head scheduled by start_drains"));
-                if done > self.cores[cid].now {
-                    let stall = done - self.cores[cid].now;
-                    self.cores[cid].stats.sb_pressure_stall_cycles += stall;
+                if done > now {
                     self.cores[cid].now = done;
-                    self.site_add(site, site_col::SB_STALL, stall);
-                    self.probes.stall_cycles.record(stall);
+                    self.book_stall(cid, site, Stall::SbPressure, done - now);
                 }
             }
         }
@@ -1626,8 +1586,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             lines += 1;
         }
         self.cores[cid].stats.write_lines += lines;
-        self.probes.nt_lines += lines;
-        self.site_add(site, site_col::NT_LINES, lines);
+        self.sites.row(site).counters.nt_lines += lines;
         // Reuse one flush buffer for the whole run instead of allocating a
         // Vec per NT store (`mem::take` of a Vec moves, never allocates).
         let mut buf = std::mem::take(&mut self.wc_buf);
@@ -1654,8 +1613,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
 
     /// A `clean` pre-store: write the dirty line back, keep it cached.
     fn prestore_clean(&mut self, cid: CoreId, line: Addr, id: LineId, site: FuncId) {
-        self.probes.cleans += 1;
-        self.site_add(site, site_col::CLEANS, 1);
+        self.sites.row(site).counters.cleans += 1;
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Order with respect to a pending private store: force its drain
         // (asynchronously) first, like a demote.
@@ -1687,8 +1645,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// line stays dirty (now in the LLC), so its first-dirty tag survives
     /// for the eventual eviction to claim.
     fn prestore_demote(&mut self, cid: CoreId, line: Addr, id: LineId, site: FuncId) {
-        self.probes.demotes += 1;
-        self.site_add(site, site_col::DEMOTES, 1);
+        self.sites.row(site).counters.demotes += 1;
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Start the background drain of the private store, if any.
         if let Some(n) = self.cores[cid].sb.unstarted_through(line) {
@@ -1733,10 +1690,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
         if let Some(done) = self.tables.wb_get(id, line) {
             let now = self.cores[cid].now;
             if done > now {
-                self.cores[cid].stats.writeback_stall_cycles += done - now;
                 self.cores[cid].now = done;
-                self.site_add(site, site_col::WRITEBACK_STALL, done - now);
-                self.probes.stall_cycles.record(done - now);
+                self.book_stall(cid, site, Stall::Writeback, done - now);
             }
             self.tables.wb_clear(id, line);
         }
@@ -1745,12 +1700,8 @@ impl<'a, T: LineTables> Engine<'a, T> {
         self.cores[cid].now = (start + stall.max(rfo)).max(self.cores[cid].now - stall)
             + self.cfg.costs.atomic_op;
         let total = self.cores[cid].now - start;
-        self.cores[cid].stats.atomic_stall_cycles += total;
+        self.book_stall(cid, site, Stall::Atomic, total);
         self.cores[cid].stats.atomics += 1;
-        self.site_add(site, site_col::ATOMIC_STALL, total);
-        if total > 0 {
-            self.probes.stall_cycles.record(total);
-        }
     }
 }
 

@@ -42,7 +42,7 @@ mod prefetch;
 mod probes;
 pub mod report;
 pub mod stats;
-pub mod tables;
+mod tables;
 
 pub use config::{CostModel, MachineConfig, MemModel};
 pub use crash::{render_flight_jsonl, CrashImage, CrashOutcome, CrashReport, LostSite};

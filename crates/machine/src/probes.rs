@@ -1,15 +1,20 @@
-//! The replay engine's telemetry probes.
+//! The replay engine's telemetry probes: the one place simulated
+//! quantities reach the metrics registry.
 //!
 //! No registry probe is touched from the step loop: the loop records into
 //! a plain [`RunProbes`] value on the engine (`u64` adds and non-atomic
-//! [`Histogram`] records), and the engine publishes it once per replay,
-//! at whichever exit the replay takes. `finalize` publishes the
-//! [`RunStats`]-derived totals ([`publish_completed`]) and, like
-//! `freeze_crash`, the distributions ([`RunProbes::publish`]). The only
-//! other registry touches are the `engine.replay` span, taken around each
-//! replay call, and the per-replay table set-up counter.
+//! [`Histogram`] records), the models it drives keep plain counters of
+//! their own, and [`RunProbes::publish`] publishes all of it once per
+//! replay, at whichever exit the replay takes ([`Exit`]). Neither
+//! `cachesim` nor `memdev` writes the registry: their write-combining and
+//! device figures (`wcbuf.*`, `device.*`) are read here through
+//! accessors. The only other registry touches are the `engine.replay`
+//! span, taken around each replay call, and [`TABLE_EPOCHS`], counted
+//! when a replay builds its tables.
 
-use crate::stats::RunStats;
+use crate::stats::{RunStats, SiteCounters};
+use cachesim::WriteCombiningBuffer;
+use memdev::{Device, MemDevice};
 use simcore::telemetry::{self, Histogram, Metric};
 use simcore::Addr;
 
@@ -56,30 +61,45 @@ static DEVICE_MEDIA_WRITTEN: Metric = Metric::counter("engine.device_media_bytes
 /// Bytes read from the device.
 static DEVICE_BYTES_READ: Metric = Metric::counter("engine.device_bytes_read");
 
+/// Bytes handed to the device's `receive_write`
+/// ([`memdev::DeviceStats::bytes_received`]).
+static DEVICE_WRITE_BYTES: Metric = Metric::counter("device.write_bytes");
+/// Bytes handed to the device's `receive_read`
+/// ([`memdev::DeviceStats::bytes_read`]).
+static DEVICE_READ_BYTES: Metric = Metric::counter("device.read_bytes");
+/// End-of-run device flushes: one per completed replay.
+static DEVICE_FLUSHES: Metric = Metric::counter("device.flushes");
+/// Write-combining buffers evicted partially filled (all cores).
+static WC_PARTIAL_FLUSHES: Metric = Metric::counter("wcbuf.partial_evictions");
+
 /// Simulated power failures that fired (crash-armed replays only).
-pub(crate) static CRASHES: Metric = Metric::counter("machine.crashes");
+static CRASHES: Metric = Metric::counter("machine.crashes");
 /// Registry name of the per-crash lost-bytes distribution.
-pub(crate) const CRASH_LOST_BYTES: &str = "crash.lost_bytes";
+const CRASH_LOST_BYTES: &str = "crash.lost_bytes";
 
 /// Flat-table set-ups, one per replay on the flat tables (one per
-/// `FlatTables::new`). The name is from the epoch bump that reset the
+/// `Engine::new_flat`). The name is from the epoch bump that reset the
 /// recycled tables before each replay had its own; the metrics baseline
 /// gates it under that name.
 pub(crate) static TABLE_EPOCHS: Metric = Metric::counter("engine.table_epochs");
 /// Registry name of the end-of-run live flat-table entry distribution:
 /// how many lines still carried state when the replay finished.
-pub(crate) const TABLE_LIVE_LINES: &str = "engine.table_live_lines";
+const TABLE_LIVE_LINES: &str = "engine.table_live_lines";
+
+/// How a replay that returns ended, with what only that exit knows.
+pub(crate) enum Exit<'a> {
+    /// The replay ran to completion: its statistics, its scheduler steps
+    /// and its live table entries at the end (`None` on tables that do
+    /// not count them).
+    Completed { stats: &'a RunStats, steps: u64, live_lines: Option<usize> },
+    /// A crash plan fired, losing `lost_bytes` of line-granular data.
+    Crashed { lost_bytes: u64 },
+}
 
 /// One replay's probe values, kept as plain fields on the engine so the
 /// step loop pays no atomics.
 #[derive(Debug)]
 pub(crate) struct RunProbes {
-    /// `clean` pre-stores executed.
-    pub cleans: u64,
-    /// `demote` pre-stores executed.
-    pub demotes: u64,
-    /// Lines written by non-temporal stores.
-    pub nt_lines: u64,
     /// Store-buffer drain starts.
     pub sb_drains: u64,
     /// Forced head drains under capacity pressure.
@@ -108,9 +128,6 @@ pub(crate) struct RunProbes {
 impl RunProbes {
     pub fn new() -> Self {
         Self {
-            cleans: 0,
-            demotes: 0,
-            nt_lines: 0,
             sb_drains: 0,
             sb_forced_drains: 0,
             line_lifetime: Histogram::new("engine.line_lifetime_steps"),
@@ -151,44 +168,80 @@ impl RunProbes {
         }
     }
 
-    /// Publish the distributions: every replay that returns, completed or
-    /// crashed, calls this once.
-    pub fn publish(&self) {
+    /// Publish what the replay measured: the engine's distributions, the
+    /// device's traffic and block coverage, each core's write-combining
+    /// flushes, and what only `exit` knows. Every replay that returns a
+    /// [`RunStats`] or a `CrashReport` calls this exactly once, so the
+    /// registry aggregates exactly those replays.
+    pub fn publish<'w>(
+        &self,
+        exit: Exit<'_>,
+        device: &Device,
+        wc: impl Iterator<Item = &'w WriteCombiningBuffer>,
+    ) {
         for h in
             [&self.line_lifetime, &self.stall_cycles, &self.eviction_distance, &self.write_burst]
         {
             telemetry::publish(h);
         }
+        let d = device.stats();
+        DEVICE_WRITE_BYTES.add(d.bytes_received);
+        DEVICE_READ_BYTES.add(d.bytes_read);
+        if let Some(h) = device.block_coverage() {
+            telemetry::publish(h);
+        }
+        let mut partial = 0;
+        for buf in wc {
+            partial += buf.partial_evictions();
+            telemetry::publish(buf.flush_bytes());
+        }
+        if partial > 0 {
+            WC_PARTIAL_FLUSHES.add(partial);
+        }
+        match exit {
+            Exit::Completed { stats, steps, live_lines } => {
+                // The pre-store and NT counts are the sites' own: the
+                // engine adds each to a site row where it happens.
+                let site_sum = |f: fn(&SiteCounters) -> u64| {
+                    stats.sites.iter().map(|(_, s)| f(s)).sum::<u64>()
+                };
+                REPLAYS.inc();
+                STEPS.add(steps);
+                CPU_CYCLES.add(stats.cpu_cycles);
+                L1_EVICTIONS.add(stats.l1.evictions);
+                L1_DIRTY_EVICTIONS.add(stats.l1.dirty_evictions);
+                LLC_EVICTIONS.add(stats.llc.evictions);
+                LLC_DIRTY_EVICTIONS.add(stats.llc.dirty_evictions);
+                PRESTORE_CLEANS.add(site_sum(|s| s.cleans));
+                PRESTORE_DEMOTES.add(site_sum(|s| s.demotes));
+                NT_LINES.add(site_sum(|s| s.nt_lines));
+                SB_DRAINS.add(self.sb_drains);
+                SB_FORCED_DRAINS.add(self.sb_forced_drains);
+                FENCE_STALLS.add(stats.total_fence_stalls());
+                ATOMIC_STALLS.add(stats.total_atomic_stalls());
+                SB_PRESSURE_STALLS
+                    .add(stats.cores.iter().map(|c| c.sb_pressure_stall_cycles).sum());
+                WRITEBACK_STALLS.add(stats.cores.iter().map(|c| c.writeback_stall_cycles).sum());
+                DEVICE_MEDIA_WRITTEN.add(stats.device.media_bytes_written);
+                DEVICE_BYTES_READ.add(stats.device.bytes_read);
+                // A completed replay flushes its device exactly once.
+                DEVICE_FLUSHES.inc();
+                if let Some(live) = live_lines {
+                    telemetry::publish(&single(TABLE_LIVE_LINES, live as u64));
+                }
+            }
+            Exit::Crashed { lost_bytes } => {
+                CRASHES.inc();
+                telemetry::publish(&single(CRASH_LOST_BYTES, lost_bytes));
+            }
+        }
     }
 }
 
-/// Publish a completed replay's totals: its action counts and the
-/// [`RunStats`]-derived counters.
-pub(crate) fn publish_completed(stats: &RunStats, probes: &RunProbes, steps: u64) {
-    REPLAYS.inc();
-    STEPS.add(steps);
-    CPU_CYCLES.add(stats.cpu_cycles);
-    L1_EVICTIONS.add(stats.l1.evictions);
-    L1_DIRTY_EVICTIONS.add(stats.l1.dirty_evictions);
-    LLC_EVICTIONS.add(stats.llc.evictions);
-    LLC_DIRTY_EVICTIONS.add(stats.llc.dirty_evictions);
-    PRESTORE_CLEANS.add(probes.cleans);
-    PRESTORE_DEMOTES.add(probes.demotes);
-    NT_LINES.add(probes.nt_lines);
-    SB_DRAINS.add(probes.sb_drains);
-    SB_FORCED_DRAINS.add(probes.sb_forced_drains);
-    FENCE_STALLS.add(stats.total_fence_stalls());
-    ATOMIC_STALLS.add(stats.total_atomic_stalls());
-    SB_PRESSURE_STALLS.add(stats.cores.iter().map(|c| c.sb_pressure_stall_cycles).sum());
-    WRITEBACK_STALLS.add(stats.cores.iter().map(|c| c.writeback_stall_cycles).sum());
-    DEVICE_MEDIA_WRITTEN.add(stats.device.media_bytes_written);
-    DEVICE_BYTES_READ.add(stats.device.bytes_read);
-}
-
-/// Publish the single value `v` into the registry histogram `name` (for
-/// distributions sampled once per replay).
-pub(crate) fn publish_value(name: &'static str, v: u64) {
+/// A histogram named `name` holding the one value `v` (for distributions
+/// sampled once per replay).
+fn single(name: &'static str, v: u64) -> Histogram {
     let mut h = Histogram::new(name);
     h.record(v);
-    telemetry::publish(&h);
+    h
 }

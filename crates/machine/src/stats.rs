@@ -6,10 +6,6 @@ use simcore::telemetry::Histogram;
 use simcore::{Cycles, FuncId};
 use std::collections::HashMap;
 
-/// Column count of the engine's per-site attribution rows (one column per
-/// [`SiteCounters`] field).
-pub(crate) const SITE_COLS: usize = 12;
-
 /// Channel count of the engine's simulated-time series (one per
 /// [`ts_channel`] index).
 pub const TS_CHANNELS: usize = 6;
@@ -45,37 +41,6 @@ pub mod ts_channel {
     /// Stable channel names, indexed by channel (for renderers).
     pub const NAMES: [&str; super::TS_CHANNELS] =
         ["steps", "read_lines", "write_lines", "stall_cycles", "prestores", "device_bytes"];
-}
-
-/// Column indexes into a site attribution row. The engine accumulates
-/// into `SiteTable<SITE_COLS>` rows by these indexes;
-/// [`SiteCounters::from_row`] is the one place that names them.
-pub(crate) mod site_col {
-    /// Bytes of dirty data this site's stores pushed to the device.
-    pub const DEVICE_BYTES: usize = 0;
-    /// Device media bytes actually written on behalf of this site
-    /// (amplified: whole blocks on block-granular devices).
-    pub const MEDIA_BYTES: usize = 1;
-    /// Media bytes read back for read-modify-write block fills.
-    pub const RMW_BYTES: usize = 2;
-    /// Dirty LLC evictions whose line was first dirtied at this site.
-    pub const DIRTY_EVICTIONS: usize = 3;
-    /// Lines still dirty at end of run, flushed as residual writebacks.
-    pub const RESIDUAL_LINES: usize = 4;
-    /// Pre-store clean actions issued at this site.
-    pub const CLEANS: usize = 5;
-    /// Pre-store demote actions issued at this site.
-    pub const DEMOTES: usize = 6;
-    /// Non-temporal store lines issued at this site.
-    pub const NT_LINES: usize = 7;
-    /// Fence stall cycles paid at this site.
-    pub const FENCE_STALL: usize = 8;
-    /// Atomic stall cycles paid at this site.
-    pub const ATOMIC_STALL: usize = 9;
-    /// Store-buffer pressure stall cycles paid at this site.
-    pub const SB_STALL: usize = 10;
-    /// Writeback-wait stall cycles paid at this site.
-    pub const WRITEBACK_STALL: usize = 11;
 }
 
 /// Per-trace-site attribution: where write amplification and stalls come
@@ -128,30 +93,73 @@ pub struct SiteScore {
 }
 
 impl SiteCounters {
-    /// Decode one attribution-table row (see [`site_col`]).
-    pub(crate) fn from_row(row: &[u64; SITE_COLS]) -> Self {
-        Self {
-            device_bytes: row[site_col::DEVICE_BYTES],
-            media_bytes: row[site_col::MEDIA_BYTES],
-            rmw_bytes: row[site_col::RMW_BYTES],
-            dirty_evictions: row[site_col::DIRTY_EVICTIONS],
-            residual_lines: row[site_col::RESIDUAL_LINES],
-            cleans: row[site_col::CLEANS],
-            demotes: row[site_col::DEMOTES],
-            nt_lines: row[site_col::NT_LINES],
-            fence_stall_cycles: row[site_col::FENCE_STALL],
-            atomic_stall_cycles: row[site_col::ATOMIC_STALL],
-            sb_stall_cycles: row[site_col::SB_STALL],
-            writeback_stall_cycles: row[site_col::WRITEBACK_STALL],
-        }
-    }
-
     /// All stall cycles attributed to the site.
     pub fn total_stall_cycles(&self) -> Cycles {
         self.fence_stall_cycles
             + self.atomic_stall_cycles
             + self.sb_stall_cycles
             + self.writeback_stall_cycles
+    }
+}
+
+/// One site's row in the engine's per-site book: its attributed counters
+/// and the cycles its events spent.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SiteRow {
+    /// Device traffic, pre-store actions and stalls attributed to the site.
+    pub counters: SiteCounters,
+    /// Cycles the site's events advanced their core's clock by.
+    pub cycles: Cycles,
+}
+
+/// The engine's per-site book: one dense row per [`FuncId`] up to the
+/// largest one seen, plus a side row for [`FuncId::UNKNOWN`] so the
+/// sentinel id (`u16::MAX`) never forces a 64 Ki-row table. Every count
+/// the engine attributes to a site lands here, and a replay's
+/// [`RunStats::sites`] and [`RunStats::func_cycles`] are read off it.
+#[derive(Debug, Default)]
+pub(crate) struct SiteBook {
+    rows: Vec<SiteRow>,
+    unknown: SiteRow,
+}
+
+impl SiteBook {
+    /// `site`'s row, created zeroed on first use.
+    #[inline]
+    pub fn row(&mut self, site: FuncId) -> &mut SiteRow {
+        if site == FuncId::UNKNOWN {
+            return &mut self.unknown;
+        }
+        let idx = usize::from(site.0);
+        if idx >= self.rows.len() {
+            self.cover(idx);
+        }
+        &mut self.rows[idx]
+    }
+
+    /// Extend the rows through `idx`: once per new largest site id, so
+    /// kept out of line of the per-step [`SiteBook::row`].
+    #[cold]
+    fn cover(&mut self, idx: usize) {
+        self.rows.resize(idx + 1, SiteRow::default());
+    }
+
+    /// The book as [`RunStats::sites`] (every site with a nonzero counter,
+    /// sorted by [`FuncId`]; UNKNOWN sorts last) and
+    /// [`RunStats::func_cycles`] (every site that spent cycles).
+    pub fn into_stats(self) -> (Vec<(FuncId, SiteCounters)>, HashMap<FuncId, Cycles>) {
+        let mut sites = Vec::new();
+        let mut func_cycles = HashMap::new();
+        let ids = (0..self.rows.len()).map(|i| FuncId(i as u16)).chain([FuncId::UNKNOWN]);
+        for (f, row) in ids.zip(self.rows.into_iter().chain([self.unknown])) {
+            if row.counters != SiteCounters::default() {
+                sites.push((f, row.counters));
+            }
+            if row.cycles > 0 {
+                func_cycles.insert(f, row.cycles);
+            }
+        }
+        (sites, func_cycles)
     }
 }
 
@@ -394,15 +402,38 @@ mod tests {
     }
 
     #[test]
-    fn site_rows_decode_and_attribute() {
-        let mut row = [0u64; SITE_COLS];
-        row[site_col::MEDIA_BYTES] = 256;
-        row[site_col::DEVICE_BYTES] = 64;
-        row[site_col::FENCE_STALL] = 10;
-        row[site_col::SB_STALL] = 5;
-        let site = SiteCounters::from_row(&row);
-        assert_eq!(site.media_bytes, 256);
-        assert_eq!(site.device_bytes, 64);
+    fn site_book_reads_off_sites_and_func_cycles() {
+        let mut book = SiteBook::default();
+        book.row(FuncId::UNKNOWN).counters.media_bytes = 9;
+        book.row(FuncId(5)).cycles = 40;
+        let row = &mut book.row(FuncId(2)).counters;
+        row.media_bytes = 256;
+        row.fence_stall_cycles = 10;
+        book.row(FuncId(2)).cycles = 7;
+        book.row(FuncId::UNKNOWN).cycles = 3;
+        let (sites, func_cycles) = book.into_stats();
+        let site = SiteCounters { media_bytes: 256, fence_stall_cycles: 10, ..Default::default() };
+        assert_eq!(
+            sites,
+            vec![
+                (FuncId(2), site),
+                (FuncId::UNKNOWN, SiteCounters { media_bytes: 9, ..Default::default() })
+            ],
+            "a site with cycles only has no counter row; UNKNOWN sorts last"
+        );
+        let want = HashMap::from([(FuncId(2), 7), (FuncId(5), 40), (FuncId::UNKNOWN, 3)]);
+        assert_eq!(func_cycles, want, "untouched ids below the largest have no entry");
+    }
+
+    #[test]
+    fn site_rows_attribute() {
+        let site = SiteCounters {
+            media_bytes: 256,
+            device_bytes: 64,
+            fence_stall_cycles: 10,
+            sb_stall_cycles: 5,
+            ..Default::default()
+        };
         assert_eq!(site.total_stall_cycles(), 15);
 
         let mut r = stats(100);

@@ -1,11 +1,12 @@
 //! Per-line engine state: flat id-indexed tables vs. the hashed reference.
 //!
-//! The replay engine keeps six pieces of per-line bookkeeping (dirty-line
+//! The replay engine keeps five pieces of per-line bookkeeping (dirty-line
 //! ownership, in-flight writebacks, in-flight non-temporal stores,
-//! release sequencing, first-dirty site tags, and per-function cycle
-//! attribution). Historically each was an `FxHashMap` consulted on every
-//! replayed event — the hot loop re-hashed the same line addresses
-//! millions of times.
+//! release sequencing and first-dirty site tags). Historically each was an
+//! `FxHashMap` consulted on every replayed event — the hot loop re-hashed
+//! the same line addresses millions of times. Per-site counts, cycles
+//! included, are not per-line state: they live in the engine's per-site
+//! book.
 //!
 //! [`LineTables`] abstracts that state behind the two implementations this
 //! module provides:
@@ -17,17 +18,19 @@
 //!   when it ends; the write-lifetime rows cover only the lines the replay
 //!   writes.
 //! * [`HashTables`] — the pre-interning reference, byte-for-byte the old
-//!   behaviour. Kept for the equivalence suite
-//!   (`crates/bench/tests/intern_equivalence.rs`), so the flat path is
-//!   always testable against a known-good twin.
+//!   behaviour. Kept as the test oracle of the flat tables' property test
+//!   and of the engine's equivalence tests, so the flat path is always
+//!   testable against a known-good twin.
 //!
 //! The engine is generic over `T: LineTables`, so its one replay loop
 //! compiles once per implementation. Both replay the same interned feed;
 //! the reference tables ignore its ids.
 
-use simcore::{Addr, CoreId, Cycles, FuncId, FxHashMap, LineId};
+use simcore::{Addr, CoreId, Cycles, FuncId, LineId};
+#[cfg(test)]
+use simcore::FxHashMap;
 
-/// The engine's per-line (and per-function) bookkeeping state.
+/// The engine's per-line bookkeeping state.
 ///
 /// Every operation takes both the dense `id` and the `line` address:
 /// [`FlatTables`] keys by id and ignores the address, [`HashTables`] keys
@@ -80,11 +83,6 @@ pub trait LineTables {
     /// chunk-by-chunk, so the dense id space grows while the run's state
     /// must survive; a no-op for address-keyed implementations.
     fn grow(&mut self, _lines: usize) {}
-
-    /// Attribute `spent` cycles to function `f` (`spent > 0`).
-    fn func_add(&mut self, f: FuncId, spent: Cycles);
-    /// Drain the per-function attribution accumulated this run.
-    fn take_func_cycles(&mut self) -> Vec<(FuncId, Cycles)>;
 }
 
 /// The always-touched part of a line's state: a packed flags word and the
@@ -179,11 +177,6 @@ pub struct FlatTables {
     nt: Vec<Cycles>,
     /// Per line id: release count and time.
     rel: Vec<RelEntry>,
-    /// Per function index: cycles attributed this run (0 = none).
-    func: Vec<Cycles>,
-    /// Cycles attributed to [`FuncId::UNKNOWN`] (kept out of `func` so the
-    /// sentinel id does not force a 64 Ki-entry table).
-    unknown: Cycles,
 }
 
 /// Extend `v` to `len` default entries, allocating exactly `len`: callers
@@ -211,7 +204,6 @@ impl FlatTables {
     /// Empty tables for a replay over `lines` interned lines (0 for a
     /// streamed replay, whose tables grow with its interner).
     pub(crate) fn new(lines: usize) -> Self {
-        crate::probes::TABLE_EPOCHS.inc();
         let mut tables = Self::default();
         extend_exact(&mut tables.hot, lines);
         tables
@@ -384,49 +376,22 @@ impl LineTables for FlatTables {
         // tables stay lazily sized by their setters.
         self.cover(lines);
     }
-
-    #[inline]
-    fn func_add(&mut self, f: FuncId, spent: Cycles) {
-        if f == FuncId::UNKNOWN {
-            self.unknown += spent;
-            return;
-        }
-        let idx = f.0 as usize;
-        if idx >= self.func.len() {
-            self.func.resize(idx + 1, 0);
-        }
-        self.func[idx] += spent;
-    }
-
-    fn take_func_cycles(&mut self) -> Vec<(FuncId, Cycles)> {
-        // Every attribution is positive, so a nonzero entry is a touched
-        // function.
-        let mut out: Vec<(FuncId, Cycles)> = self
-            .func
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(f, c)| (FuncId(f as u16), std::mem::take(c)))
-            .collect();
-        if self.unknown > 0 {
-            out.push((FuncId::UNKNOWN, std::mem::take(&mut self.unknown)));
-        }
-        out
-    }
 }
 
 /// The hashed reference tables: the engine's exact pre-interning state
 /// representation, one `FxHashMap` per concern, keyed by line address.
+/// A test oracle only.
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub struct HashTables {
     owner: FxHashMap<Addr, CoreId>,
     wb_inflight: FxHashMap<Addr, Cycles>,
     nt_inflight: FxHashMap<Addr, Cycles>,
     releases: FxHashMap<Addr, (u32, Cycles)>,
-    func_cycles: FxHashMap<FuncId, Cycles>,
     dirt: FxHashMap<Addr, (FuncId, u64)>,
 }
 
+#[cfg(test)]
 impl LineTables for HashTables {
     #[inline]
     fn owner_get(&self, _id: LineId, line: Addr) -> Option<CoreId> {
@@ -499,15 +464,6 @@ impl LineTables for HashTables {
     fn dirt_take(&mut self, _id: LineId, line: Addr) -> Option<(FuncId, u64)> {
         self.dirt.remove(&line)
     }
-
-    #[inline]
-    fn func_add(&mut self, f: FuncId, spent: Cycles) {
-        *self.func_cycles.entry(f).or_insert(0) += spent;
-    }
-
-    fn take_func_cycles(&mut self) -> Vec<(FuncId, Cycles)> {
-        self.func_cycles.drain().collect()
-    }
 }
 
 #[cfg(test)]
@@ -531,9 +487,7 @@ mod tests {
         ReleaseRestore(u32, u32),
         DirtMark(u32, u16, u64),
         DirtTake(u32),
-        FuncAdd(u16, Cycles),
-        /// Drain the per-function cycles, then start a new run on fresh
-        /// tables.
+        /// Start a new run on fresh tables.
         Fresh,
         /// Intern this many more lines mid-run.
         Grow(u32),
@@ -563,7 +517,6 @@ mod tests {
             (line(), 0u32..1000).prop_map(|(l, n)| TableOp::ReleaseRestore(l, n)),
             (line(), any_site(), any::<u64>()).prop_map(|(l, f, s)| TableOp::DirtMark(l, f, s)),
             line().prop_map(TableOp::DirtTake),
-            (any_site(), 1u64..1000).prop_map(|(f, c)| TableOp::FuncAdd(f, c)),
             Just(TableOp::Fresh),
             (1u32..40).prop_map(TableOp::Grow),
         ]
@@ -581,13 +534,6 @@ mod tests {
     fn peek(t: &impl LineTables, l: u32, lines: u32) -> LineState {
         let (id, a) = at(l, lines);
         (t.owner_get(id, a), t.wb_get(id, a), t.nt_get(id, a), t.release_get(id, a))
-    }
-
-    /// One implementation's per-function cycles, drained and sorted.
-    fn drain_funcs(t: &mut impl LineTables) -> Vec<(FuncId, Cycles)> {
-        let mut v = t.take_func_cycles();
-        v.sort_unstable();
-        v
     }
 
     proptest! {
@@ -661,12 +607,7 @@ mod tests {
                         let (id, a) = at(l, lines);
                         prop_assert_eq!(flat.dirt_take(id, a), hash.dirt_take(id, a));
                     }
-                    TableOp::FuncAdd(f, c) => {
-                        flat.func_add(FuncId(f), c);
-                        hash.func_add(FuncId(f), c);
-                    }
                     TableOp::Fresh => {
-                        prop_assert_eq!(drain_funcs(&mut flat), drain_funcs(&mut hash));
                         flat = FlatTables::new(lines as usize);
                         hash = HashTables::default();
                         written.clear();
@@ -684,12 +625,11 @@ mod tests {
                 }
                 prop_assert_eq!(flat.life.len(), written.len(), "rows after {op:?}");
             }
-            // The tags left standing, and the attribution, agree too.
+            // The tags left standing agree too.
             for l in 0..lines {
                 let (id, a) = at(l, lines);
                 prop_assert_eq!(flat.dirt_take(id, a), hash.dirt_take(id, a), "dirt of {l}");
             }
-            prop_assert_eq!(drain_funcs(&mut flat), drain_funcs(&mut hash));
         }
     }
 
@@ -699,7 +639,7 @@ mod tests {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        bytes(&flat.hot) + bytes(&flat.life) + bytes(&flat.nt) + bytes(&flat.rel) + bytes(&flat.func)
+        bytes(&flat.hot) + bytes(&flat.life) + bytes(&flat.nt) + bytes(&flat.rel)
     }
 
     /// Lends a replay the tables under test: the engine drops only the
@@ -752,12 +692,6 @@ mod tests {
         }
         fn grow(&mut self, lines: usize) {
             (**self).grow(lines)
-        }
-        fn func_add(&mut self, f: FuncId, spent: Cycles) {
-            (**self).func_add(f, spent)
-        }
-        fn take_func_cycles(&mut self) -> Vec<(FuncId, Cycles)> {
-            (**self).take_func_cycles()
         }
     }
 
@@ -938,21 +872,5 @@ mod tests {
         assert_eq!(flat.life.len(), 1);
         // The hashed reference opts out.
         assert_eq!(LineTables::live_lines(&HashTables::default()), None);
-    }
-
-    #[test]
-    fn func_cycles_drain() {
-        let mut flat = FlatTables::new(1);
-        flat.func_add(FuncId(3), 10);
-        flat.func_add(FuncId(3), 5);
-        flat.func_add(FuncId(0), 2);
-        flat.func_add(FuncId::UNKNOWN, 99);
-        let mut got = flat.take_func_cycles();
-        got.sort_unstable();
-        assert_eq!(got, vec![(FuncId(0), 2), (FuncId(3), 15), (FuncId::UNKNOWN, 99)]);
-        // Drained: attribution starts again from zero.
-        assert!(flat.take_func_cycles().is_empty());
-        flat.func_add(FuncId(3), 1);
-        assert_eq!(flat.take_func_cycles(), vec![(FuncId(3), 1)]);
     }
 }

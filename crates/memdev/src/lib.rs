@@ -15,6 +15,12 @@
 //!    the Enzian configuration of Machine B).
 //!
 //! All devices implement [`MemDevice`]; [`Device`] provides enum dispatch.
+//!
+//! The models publish nothing to the metrics registry: each keeps plain
+//! [`DeviceStats`] counters (and, on the block-buffered models, a
+//! block-coverage [`Histogram`]) that the replay engine reads through
+//! [`MemDevice::stats`] and [`Device::block_coverage`] and publishes once
+//! per replay.
 
 pub mod cxl_ssd;
 pub mod dram;
@@ -26,6 +32,7 @@ pub use dram::Dram;
 pub use fpga::FpgaMem;
 pub use optane::OptanePmem;
 
+use simcore::telemetry::Histogram;
 use simcore::{Addr, Cycles};
 
 /// Counters every device keeps; mirrors what `ipmctl` exposes on Optane.
@@ -222,21 +229,6 @@ pub trait MemDevice {
     fn buffered_blocks_into(&self, _out: &mut Vec<(Addr, u64)>) {}
 }
 
-/// Registry probes of the [`Device`] dispatch layer (the engine's single
-/// funnel to any device model), fed once per replay.
-mod probes {
-    use simcore::telemetry::Metric;
-
-    /// Bytes handed to [`super::MemDevice::receive_write`]
-    /// ([`super::DeviceStats::bytes_received`]).
-    pub(super) static WRITE_BYTES: Metric = Metric::counter("device.write_bytes");
-    /// Bytes handed to [`super::MemDevice::receive_read`]
-    /// ([`super::DeviceStats::bytes_read`]).
-    pub(super) static READ_BYTES: Metric = Metric::counter("device.read_bytes");
-    /// End-of-run [`super::MemDevice::flush`] calls.
-    pub(super) static FLUSHES: Metric = Metric::counter("device.flushes");
-}
-
 /// Enum dispatch over the concrete device models.
 #[derive(Debug, Clone)]
 pub enum Device {
@@ -275,19 +267,14 @@ impl Device {
         }
     }
 
-    /// Publish this device's run into the metrics registry: the bytes it
-    /// received and served (`device.write_bytes`, `device.read_bytes`,
-    /// from its [`DeviceStats`]) and, on the block-buffered models, the
-    /// coverage of every block it closed (`device.block_covered_bytes`).
-    /// Call once, when the device's run ends.
-    pub fn publish(&self) {
-        let s = self.stats();
-        probes::WRITE_BYTES.add(s.bytes_received);
-        probes::READ_BYTES.add(s.bytes_read);
+    /// The coverage of every internal block the device closed so far
+    /// (`device.block_covered_bytes`), on the block-buffered models;
+    /// `None` on the models that write lines through.
+    pub fn block_coverage(&self) -> Option<&Histogram> {
         match self {
-            Device::Optane(d) => simcore::telemetry::publish(d.block_coverage()),
-            Device::CxlSsd(d) => simcore::telemetry::publish(d.block_coverage()),
-            Device::Dram(_) | Device::Fpga(_) => {}
+            Device::Optane(d) => Some(d.block_coverage()),
+            Device::CxlSsd(d) => Some(d.block_coverage()),
+            Device::Dram(_) | Device::Fpga(_) => None,
         }
     }
 }
@@ -340,7 +327,6 @@ impl MemDevice for Device {
     }
 
     fn flush(&mut self) {
-        probes::FLUSHES.inc();
         dispatch!(self, d => d.flush())
     }
 

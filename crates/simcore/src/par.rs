@@ -212,7 +212,9 @@ impl Default for Supervision {
     }
 }
 
-/// Why a supervised job's result is missing.
+/// Why a supervised job's result is missing. This is the failed job's
+/// whole trail: the attempts it made and its last panic, or the time it
+/// took against its deadline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobFailure {
     /// Every attempt panicked; `message` is the last panic's payload.
@@ -283,11 +285,9 @@ where
     T: Send,
     F: Fn(usize, u32) -> T + Sync,
 {
-    use crate::telemetry::flight;
     map_indexed(n, |i| {
         let mut attempt = 0u32;
         loop {
-            flight::note(flight::FlightKind::JobStart, i as u64, attempt as u64);
             let start = std::time::Instant::now();
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, attempt))) {
                 Ok(v) => {
@@ -295,7 +295,6 @@ where
                         let elapsed = start.elapsed();
                         if elapsed > deadline {
                             probes::JOB_DEADLINE_MISSES.inc();
-                            flight::note(flight::FlightKind::JobFail, i as u64, attempt as u64);
                             return Err(JobFailure::DeadlineExceeded {
                                 elapsed_ms: u64::try_from(elapsed.as_millis())
                                     .unwrap_or(u64::MAX),
@@ -304,20 +303,17 @@ where
                             });
                         }
                     }
-                    flight::note(flight::FlightKind::JobDone, i as u64, attempt as u64);
                     return Ok(v);
                 }
                 Err(payload) => {
                     probes::JOB_PANICS.inc();
                     if attempt >= sup.retries {
-                        flight::note(flight::FlightKind::JobFail, i as u64, attempt as u64);
                         return Err(JobFailure::Panicked {
                             message: panic_message(&*payload),
                             attempts: attempt + 1,
                         });
                     }
                     probes::JOB_RETRIES.inc();
-                    flight::note(flight::FlightKind::JobRetry, i as u64, attempt as u64);
                     attempt += 1;
                 }
             }

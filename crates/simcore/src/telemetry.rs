@@ -6,8 +6,17 @@
 //! times, memo-cache churn — was invisible until an output diverged. This
 //! module is the measurement surface: a process-global registry of
 //! counters, gauges, monotonic spans and log-linear [`Histogram`]s that
-//! every crate in the workspace can feed without new dependencies, plus
-//! the [`SiteTable`] the engine uses for per-site attribution.
+//! every crate in the workspace can feed without new dependencies.
+//!
+//! # Who publishes
+//!
+//! Simulated quantities reach the registry from one place: the replay
+//! engine's `machine::probes`, once per replay exit. The models below it
+//! (`cachesim`, `memdev`) publish nothing: they keep plain counters and
+//! [`Histogram`]s that the engine reads through accessors. Host-time
+//! probes (the sweep runner, the memo cache, [`crate::par`] and the
+//! `engine.replay` span) write the registry themselves, at job or replay
+//! granularity.
 //!
 //! # No atomic below the replay
 //!
@@ -270,71 +279,6 @@ pub struct SpanRecord {
 pub trait SpanObserver: Send + Sync {
     /// One span just closed.
     fn on_span(&self, span: &SpanRecord);
-}
-
-/// A dense keyed-attribution table: per-site counter rows.
-///
-/// `COLS` fixed-meaning `u64` columns per site id (the caller defines the
-/// column schema). Rows are allocated lazily up to the largest site id
-/// touched; a row is present once one of its columns is nonzero, so
-/// adding 0 creates no row. Each replay builds its own table.
-/// Attribution feeds `RunStats`-style results, not the metrics registry.
-///
-/// # Examples
-///
-/// ```
-/// use simcore::telemetry::SiteTable;
-///
-/// let mut t: SiteTable<2> = SiteTable::new();
-/// t.add(3, 0, 10);
-/// t.add(1, 1, 2);
-/// t.add(3, 0, 5);
-/// assert_eq!(t.drain_sorted(), vec![(1, [0, 2]), (3, [15, 0])]);
-/// assert!(t.drain_sorted().is_empty(), "the drain empties the table");
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SiteTable<const COLS: usize> {
-    /// Per site id: its counters (all zero = no row).
-    rows: Vec<[u64; COLS]>,
-}
-
-impl<const COLS: usize> SiteTable<COLS> {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self { rows: Vec::new() }
-    }
-
-    /// Add `n` to column `col` of `site`'s row.
-    ///
-    /// Rows are dense up to the largest `site` seen — keep ids compact
-    /// (e.g. interned `FuncId`s), not sparse sentinels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= COLS`.
-    #[inline]
-    pub fn add(&mut self, site: u32, col: usize, n: u64) {
-        let idx = site as usize;
-        if idx >= self.rows.len() {
-            self.rows.resize(idx + 1, [0; COLS]);
-        }
-        self.rows[idx][col] += n;
-    }
-
-    /// The row for `site`, if present.
-    pub fn get(&self, site: u32) -> Option<&[u64; COLS]> {
-        self.rows.get(site as usize).filter(|row| **row != [0; COLS])
-    }
-
-    /// Take every present row, sorted by site id, leaving the table empty.
-    pub fn drain_sorted(&mut self) -> Vec<(u32, [u64; COLS])> {
-        std::mem::take(&mut self.rows)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, row)| *row != [0; COLS])
-            .map(|(site, row)| (site as u32, row))
-            .collect()
-    }
 }
 
 /// All metrics that have been touched at least once, in first-touch
@@ -714,23 +658,5 @@ mod tests {
         assert_eq!(s.max, 1000);
         assert_eq!(s.sum, 1106);
         assert!((s.mean() - 221.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn site_table_adds_and_drains() {
-        let mut t: SiteTable<3> = SiteTable::new();
-        t.add(5, 0, 7);
-        t.add(2, 2, 1);
-        t.add(5, 0, 3);
-        t.add(7, 1, 0);
-        assert_eq!(t.get(5), Some(&[10, 0, 0]));
-        assert_eq!(t.get(4), None, "a site below the largest one, never touched");
-        assert_eq!(t.get(7), None, "adding 0 creates no row");
-        assert_eq!(t.get(9), None);
-        let drained = t.drain_sorted();
-        assert_eq!(drained, vec![(2, [0, 0, 1]), (5, [10, 0, 0])]);
-        assert_eq!(t.get(5), None, "the drain empties the table");
-        t.add(5, 1, 9);
-        assert_eq!(t.get(5), Some(&[0, 9, 0]), "a drained row restarts from zero");
     }
 }

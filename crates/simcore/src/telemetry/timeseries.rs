@@ -16,8 +16,8 @@
 //! `(cycle, totals)` observation sequence. The engine feeds observations
 //! in retire order, which is itself identical across `--jobs` and
 //! streaming/materialized replay — so the windows are byte-identical
-//! across both axes (like [`super::SiteTable`], it feeds `RunStats`-style
-//! results, not the wall-clock metrics registry).
+//! across both axes (it feeds `RunStats`-style results, not the
+//! wall-clock metrics registry).
 //!
 //! # Attribution convention
 //!

@@ -3,8 +3,8 @@
 //! deterministic, and must respect physical invariants (write
 //! amplification bounds, monotone clocks, conservation of written bytes).
 
-use pre_stores::machine::{simulate, MachineConfig};
-use pre_stores::simcore::{PrestoreOp, ThreadTrace, TraceSet, Tracer};
+use pre_stores::machine::{simulate, MachineConfig, RunStats};
+use pre_stores::simcore::{FuncId, PrestoreOp, ThreadTrace, TraceSet, Tracer};
 use proptest::prelude::*;
 
 /// One operation of a generated workload.
@@ -35,21 +35,83 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Record `op` on `t`.
+fn record(t: &mut Tracer, op: &Op) {
+    match *op {
+        Op::Read(a, s) => t.read(a, s as u32 * 8),
+        Op::Write(a, s) => t.write(a, s as u32 * 8),
+        Op::NtWrite(a, s) => t.nt_write(a, s as u32 * 8),
+        Op::Clean(a) => t.prestore(a, 64, PrestoreOp::Clean),
+        Op::Demote(a) => t.prestore(a, 64, PrestoreOp::Demote),
+        Op::Fence => t.fence(),
+        Op::Atomic(a) => t.atomic(a, 8),
+        Op::Compute(c) => t.compute(c as u64),
+    }
+}
+
 fn trace_of(ops: &[Op]) -> ThreadTrace {
     let mut t = Tracer::new();
     for op in ops {
-        match *op {
-            Op::Read(a, s) => t.read(a, s as u32 * 8),
-            Op::Write(a, s) => t.write(a, s as u32 * 8),
-            Op::NtWrite(a, s) => t.nt_write(a, s as u32 * 8),
-            Op::Clean(a) => t.prestore(a, 64, PrestoreOp::Clean),
-            Op::Demote(a) => t.prestore(a, 64, PrestoreOp::Demote),
-            Op::Fence => t.fence(),
-            Op::Atomic(a) => t.atomic(a, 8),
-            Op::Compute(c) => t.compute(c as u64),
+        record(&mut t, op);
+    }
+    t.finish()
+}
+
+/// An op of a stall-heavy workload: `Op`s over a 16 KiB arena, so cleans,
+/// NT stores and rewrites of the same lines collide, with stores of up to
+/// 2 KiB, so two in a row can fill a store buffer.
+fn stall_op_strategy() -> impl Strategy<Value = Op> {
+    let addr = 0u64..(1 << 14);
+    prop_oneof![
+        (addr.clone(), 1u8..32).prop_map(|(a, s)| Op::Read(a, s)),
+        (addr.clone(), 1u8..255).prop_map(|(a, s)| Op::Write(a, s)),
+        (addr.clone(), 1u8..32).prop_map(|(a, s)| Op::NtWrite(a, s)),
+        addr.clone().prop_map(Op::Clean),
+        addr.clone().prop_map(Op::Demote),
+        Just(Op::Fence),
+        addr.prop_map(Op::Atomic),
+        (1u16..500).prop_map(Op::Compute),
+    ]
+}
+
+/// A thread of `(site, op)` pairs: each op runs under `FuncId(site)`
+/// (three sites), or untraced (the UNKNOWN row) when `site` is 3.
+fn sited_trace_of(ops: &[(u16, Op)]) -> ThreadTrace {
+    let mut t = Tracer::new();
+    for (site, op) in ops {
+        if *site < 3 {
+            t.enter_raw(FuncId(*site));
+        }
+        record(&mut t, op);
+        if *site < 3 {
+            t.leave();
         }
     }
     t.finish()
+}
+
+/// Each stall kind as (name, sum over the per-site rows with UNKNOWN
+/// included, sum over the cores).
+fn stall_books(stats: &RunStats) -> [(&'static str, u64, u64); 4] {
+    let mut books = [("fence", 0, 0), ("atomic", 0, 0), ("sb pressure", 0, 0), ("writeback", 0, 0)];
+    for (_, s) in &stats.sites {
+        let kinds = [s.fence_stall_cycles, s.atomic_stall_cycles, s.sb_stall_cycles, s.writeback_stall_cycles];
+        for (book, cycles) in books.iter_mut().zip(kinds) {
+            book.1 += cycles;
+        }
+    }
+    for c in &stats.cores {
+        let kinds = [
+            c.fence_stall_cycles,
+            c.atomic_stall_cycles,
+            c.sb_pressure_stall_cycles,
+            c.writeback_stall_cycles,
+        ];
+        for (book, cycles) in books.iter_mut().zip(kinds) {
+            book.2 += cycles;
+        }
+    }
+    books
 }
 
 fn machines() -> Vec<MachineConfig> {
@@ -161,6 +223,45 @@ proptest! {
         let stats = simulate(&MachineConfig::machine_a(), &TraceSet::new(vec![t.finish()]));
         prop_assert!(stats.device.bytes_received >= lines * 64,
             "cleaned {} lines but device saw {} bytes", lines, stats.device.bytes_received);
+    }
+
+    /// The stall books reconcile exactly: for each stall kind, the cycles
+    /// booked to the sites (the UNKNOWN row included) equal the cycles
+    /// booked to the cores, on one or two threads of three sites' ops.
+    #[test]
+    fn site_stalls_sum_to_core_stalls(
+        threads in proptest::collection::vec(
+            proptest::collection::vec((0u16..4, stall_op_strategy()), 1..200),
+            1..=2,
+        ),
+    ) {
+        let traces = TraceSet::new(threads.iter().map(|ops| sited_trace_of(ops)).collect());
+        for cfg in [
+            MachineConfig::machine_a(),
+            MachineConfig::machine_b_fast(),
+            MachineConfig::machine_b_slow(),
+        ] {
+            let stats = simulate(&cfg, &traces);
+            for (kind, sites, cores) in stall_books(&stats) {
+                prop_assert_eq!(sites, cores, "{} stalls on {}", kind, cfg.name);
+            }
+        }
+    }
+}
+
+/// The stall-book property's ops reach every stall kind: one fixed trace
+/// of them books nonzero cycles of each kind on Machine B-slow.
+#[test]
+fn stall_ops_reach_every_stall_kind() {
+    let mut ops = vec![(0, Op::Write(0, 8)), (0, Op::Clean(0)), (1, Op::Write(0, 8))];
+    ops.extend((0..64u64).map(|i| (2, Op::Write(4096 + i * 128, 8))));
+    ops.extend([(3, Op::NtWrite(1 << 13, 8)), (3, Op::Read(1 << 13, 8))]);
+    ops.extend([(1, Op::Atomic(64)), (2, Op::Write(1 << 12, 8)), (2, Op::Fence)]);
+    let traces = TraceSet::new(vec![sited_trace_of(&ops)]);
+    let stats = simulate(&MachineConfig::machine_b_slow(), &traces);
+    for (kind, sites, cores) in stall_books(&stats) {
+        assert!(cores > 0, "no {kind} stall");
+        assert_eq!(sites, cores, "{kind} stalls");
     }
 }
 
