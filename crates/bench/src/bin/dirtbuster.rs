@@ -42,15 +42,22 @@
 //! auto-vs-hand-placed comparison are printed to stdout; for a fixed
 //! `--seed` both are byte-identical at any `--jobs` level.
 //!
-//! Exit codes: `0` success, `1` trace I/O or validation error, a crash
-//! replay/recovery error, a recovery digest mismatch, or a failed `--auto`
-//! baseline replay, `2` usage error (unknown workload, missing argument,
-//! unparsable flag value).
+//! [`ps_bench::cli`] reads the arguments: a value is never the workload
+//! (`--save-trace listing3 listing3` saves `listing3` to the file
+//! `listing3`), a value flag given last is a usage error, and `--help`
+//! prints the usage on stdout and exits 0.
+//!
+//! Exit codes: `0` success (or `--help`), `1` trace I/O or validation
+//! error, a crash replay/recovery error, a recovery digest mismatch, or a
+//! failed `--auto` baseline replay, `2` usage error (unknown workload or
+//! flag, missing workload or flag value, unparsable flag value).
 
 use dirtbuster::{analyze, DirtBusterConfig};
 use machine::MachineConfig;
 use prestore::PrestoreMode;
+use ps_bench::cli::{self, Cli};
 use ps_bench::tracefmt::TraceRecorder;
+use std::num::{NonZeroU64, NonZeroUsize};
 use workloads::WorkloadOutput;
 
 fn workload_by_name(name: &str) -> Option<WorkloadOutput> {
@@ -104,26 +111,6 @@ fn workload_by_name(name: &str) -> Option<WorkloadOutput> {
     Some(out)
 }
 
-/// Flags that take a value (the next argument).
-const VALUE_FLAGS: [&str; 12] = [
-    "--sample-interval",
-    "--save-trace",
-    "--from-trace",
-    "--trace-out",
-    "--crash-at-fence",
-    "--crash-at-step",
-    "--crash-report",
-    "--auto-iters",
-    "--auto-budget-secs",
-    "--auto-objective",
-    "--seed",
-    "--jobs",
-];
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
-}
-
 fn usage() -> String {
     format!(
         "usage: dirtbuster <workload> [--sample-interval N] [--verbose] \
@@ -153,121 +140,70 @@ fn usage() -> String {
          --seed N            RNG seed of the search's restarts (default 42)\n\
          --jobs N            parallel candidate evaluations (default 1; the\n\
          \u{20}                  convergence trace is identical at any level)\n\
+         -h, --help          print this text on stdout and exit 0\n\
          \n\
          phase timing is printed to stderr; stdout carries only the report\n\
          \n\
-         exit codes: 0 success; 1 trace I/O or validation error, crash replay\n\
-         \u{20}           error, recovery digest mismatch, or failed --auto\n\
-         \u{20}           baseline replay; 2 usage error\n\
+         exit codes: 0 success or --help; 1 trace I/O or validation error,\n\
+         \u{20}           crash replay error, recovery digest mismatch, or failed\n\
+         \u{20}           --auto baseline replay; 2 usage error (an unknown flag,\n\
+         \u{20}           or a flag shown with a value given none)\n\
          \u{20}           (the exit code never depends on the report's content)",
         workloads::phoronix::names().join(" ")
     )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return;
-    }
-    if let Some(flag) = ps_bench::unknown_flag(&args, &VALUE_FLAGS, &["--verbose", "--auto"]) {
-        eprintln!("unknown flag {flag:?}\n{}", usage());
-        std::process::exit(2);
-    }
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let sample_interval = match flag_value(&args, "--sample-interval") {
-        None => 97,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            Ok(_) => {
-                eprintln!("--sample-interval must be a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("cannot parse --sample-interval value {v:?}: {e}");
-                std::process::exit(2);
-            }
-        },
+    let cli = Cli {
+        value_flags: &[
+            "--sample-interval",
+            "--save-trace",
+            "--from-trace",
+            "--trace-out",
+            "--crash-at-fence",
+            "--crash-at-step",
+            "--crash-report",
+            "--auto-iters",
+            "--auto-budget-secs",
+            "--auto-objective",
+            "--seed",
+            "--jobs",
+        ],
+        switches: &["--verbose", "--auto"],
+        usage: usage(),
+        usage_exit: 2,
     };
-    let save_trace = flag_value(&args, "--save-trace").cloned();
-    let from_trace = flag_value(&args, "--from-trace").cloned();
-    let trace_out = flag_value(&args, "--trace-out").cloned();
-    let parse_crash_point = |flag: &str| -> Option<u64> {
-        flag_value(&args, flag).map(|v| match v.parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("{flag} must be a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        })
-    };
-    let crash_at_fence = parse_crash_point("--crash-at-fence");
-    let crash_at_step = parse_crash_point("--crash-at-step");
+    let args = cli.parse();
+    let verbose = args.switch("--verbose");
+    let sample_interval = args.value("--sample-interval").map_or(97, NonZeroUsize::get);
+    let save_trace: Option<String> = args.value("--save-trace");
+    let from_trace: Option<String> = args.value("--from-trace");
+    let trace_out: Option<String> = args.value("--trace-out");
+    let crash_at_fence = args.value("--crash-at-fence").map(NonZeroU64::get);
+    let crash_at_step = args.value("--crash-at-step").map(NonZeroU64::get);
     if crash_at_fence.is_some() && crash_at_step.is_some() {
-        eprintln!("--crash-at-fence and --crash-at-step are mutually exclusive");
-        std::process::exit(2);
+        cli.fail("--crash-at-fence and --crash-at-step are mutually exclusive");
     }
-    let crash_report_path = flag_value(&args, "--crash-report").cloned();
+    let crash_report_path: Option<String> = args.value("--crash-report");
     if crash_report_path.is_some() && crash_at_fence.is_none() && crash_at_step.is_none() {
-        eprintln!("--crash-report needs --crash-at-fence or --crash-at-step");
-        std::process::exit(2);
+        cli.fail("--crash-report needs --crash-at-fence or --crash-at-step");
     }
-    let auto = args.iter().any(|a| a == "--auto");
-    let auto_iters = match flag_value(&args, "--auto-iters") {
-        None => 16,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--auto-iters must be a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-    };
-    let auto_budget = flag_value(&args, "--auto-budget-secs").map(|v| match v.parse::<f64>() {
-        Ok(s) if s > 0.0 && s.is_finite() => std::time::Duration::from_secs_f64(s),
-        _ => {
-            eprintln!("--auto-budget-secs must be a positive number, got {v:?}");
-            std::process::exit(2);
+    let auto = args.switch("--auto");
+    let auto_iters = args.value("--auto-iters").map_or(16, NonZeroUsize::get);
+    let auto_budget = args.value("--auto-budget-secs").map(|secs: f64| {
+        match std::time::Duration::try_from_secs_f64(secs) {
+            Ok(d) if secs > 0.0 => d,
+            _ => cli.fail(format!("--auto-budget-secs must be a positive number, got {secs}")),
         }
     });
-    let seed = match flag_value(&args, "--seed") {
-        None => 42,
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("cannot parse --seed value {v:?}: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
-    let auto_objective = match flag_value(&args, "--auto-objective") {
+    let seed = args.value("--seed").unwrap_or(42);
+    let auto_objective = match args.value::<String>("--auto-objective") {
         None => dirtbuster::Objective::MediaBytes,
-        Some(v) => match dirtbuster::Objective::parse(v) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
+        Some(v) => dirtbuster::Objective::parse(&v).unwrap_or_else(|e| cli.fail(e)),
     };
-    match flag_value(&args, "--jobs") {
-        None => {}
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => simcore::par::set_parallelism(n),
-            _ => {
-                eprintln!("--jobs must be a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
+    if let Some(jobs) = args.value::<NonZeroUsize>("--jobs") {
+        simcore::par::set_parallelism(jobs.get());
     }
-
-    let flag_values: Vec<&String> = VALUE_FLAGS
-        .iter()
-        .filter_map(|f| flag_value(&args, f))
-        .collect();
-    let positional = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !flag_values.contains(a));
 
     let cfg = DirtBusterConfig { sample_interval, ..Default::default() };
 
@@ -279,37 +215,28 @@ fn main() {
 
     let input_start = std::time::Instant::now();
     let (name, out) = if let Some(path) = from_trace {
-        let (traces, registry) = match simcore::serialize::load_traces(&path) {
-            Ok(loaded) => loaded,
-            Err(e) => {
-                eprintln!("cannot load trace {path:?}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let (traces, registry) =
+            cli::io_or_exit("load trace", &path, simcore::serialize::load_traces(&path));
         if let Err(e) = simcore::trace::validate(&traces, cfg.line_size) {
             eprintln!("trace {path:?} is malformed: {e}");
             std::process::exit(1);
         }
         ("<trace file>".to_owned(), WorkloadOutput { traces, registry, ops: 0 })
     } else {
-        let name = match positional {
-            Some(n) => n.clone(),
-            None => {
-                eprintln!("{}", usage());
-                std::process::exit(2);
-            }
+        let Some(name) = args.positionals().first() else {
+            cli.fail("dirtbuster needs a <workload> or --from-trace FILE");
         };
-        let Some(out) = workload_by_name(&name) else {
-            eprintln!("unknown workload {name:?}");
-            std::process::exit(2);
+        let Some(out) = workload_by_name(name) else {
+            cli.fail(format!("unknown workload {name:?}"));
         };
-        (name, out)
+        (name.clone(), out)
     };
     if let Some(path) = save_trace {
-        if let Err(e) = simcore::serialize::save_traces(&path, &out.traces, &out.registry) {
-            eprintln!("cannot save trace to {path:?}: {e}");
-            std::process::exit(1);
-        }
+        cli::io_or_exit(
+            "save trace to",
+            &path,
+            simcore::serialize::save_traces(&path, &out.traces, &out.registry),
+        );
         println!("trace saved to {path}");
     }
     let input_elapsed = input_start.elapsed();
@@ -476,10 +403,7 @@ fn main() {
                 print!("{}", machine::crash::render_crash_table(&report, &out.registry));
                 if let Some(path) = &crash_report_path {
                     let json = machine::crash::render_crash_json(&report, &out.registry);
-                    if let Err(e) = std::fs::write(path, json) {
-                        eprintln!("cannot write crash report to {path:?}: {e}");
-                        std::process::exit(1);
-                    }
+                    cli::io_or_exit("write crash report to", path, std::fs::write(path, json));
                     // Post-mortem flight dump: the last events the engine
                     // retired before freezing, ending in the crash marker.
                     // A sibling file (not embedded) so the JSON report
@@ -487,10 +411,11 @@ fn main() {
                     // builds like the report itself.
                     let flight_path = format!("{path}.flight.jsonl");
                     let dump = machine::render_flight_jsonl(&report);
-                    if let Err(e) = std::fs::write(&flight_path, dump) {
-                        eprintln!("cannot write flight dump to {flight_path:?}: {e}");
-                        std::process::exit(1);
-                    }
+                    cli::io_or_exit(
+                        "write flight dump to",
+                        &flight_path,
+                        std::fs::write(&flight_path, dump),
+                    );
                     println!(
                         "crash report written to {path} ({} flight event(s) in {flight_path})",
                         report.flight.len()
@@ -534,10 +459,11 @@ fn main() {
 
     if let Some(path) = trace_out {
         simcore::telemetry::set_span_observer(None);
-        if let Err(e) = std::fs::write(&path, recorder.render_chrome_trace()) {
-            eprintln!("cannot write Chrome trace to {path:?}: {e}");
-            std::process::exit(1);
-        }
+        cli::io_or_exit(
+            "write Chrome trace to",
+            &path,
+            std::fs::write(&path, recorder.render_chrome_trace()),
+        );
         println!(
             "\ntrace: {} span event(s) written to {path} (load in https://ui.perfetto.dev)",
             recorder.len()

@@ -42,37 +42,24 @@
 //! while every healthy experiment still prints and writes its files —
 //! partial results instead of a torn-down run.
 //!
-//! Exit codes: `0` success, `1` usage error (an unknown `--` flag among
-//! them), I/O error or no matching experiment, `2` metrics regression vs
-//! `--metrics-baseline`, `3` one or more experiments failed (panicked every
-//! attempt or missed the deadline) and only partial results were written.
+//! [`ps_bench::cli`] reads the arguments: a value is never an id (`--out
+//! table1 table1` runs `table1` into `table1/`), a value flag given last is
+//! a usage error, and `--help` prints the usage on stdout and exits 0.
+//!
+//! Exit codes: `0` success (or `--help`), `1` usage error, I/O error or no
+//! matching experiment, `2` metrics regression vs `--metrics-baseline`,
+//! `3` one or more experiments failed (panicked every attempt or missed
+//! the deadline) and only partial results were written.
 //! The metrics check runs before the final exit-3 decision, so a run that
 //! both regresses and loses an experiment reports the regression.
 
+use ps_bench::cli::{self, Cli};
 use ps_bench::runner::{self, Experiment, TimedFigure};
 use ps_bench::tracefmt::TraceRecorder;
 use ps_bench::{experiments, memo, metricsjson};
+use std::num::{NonZeroU64, NonZeroUsize};
 
-/// Flags that take a value (the next argument).
-const VALUE_FLAGS: [&str; 7] = [
-    "--out",
-    "--jobs",
-    "--job-deadline",
-    "--metrics",
-    "--metrics-baseline",
-    "--trace-out",
-    "--report",
-];
-
-/// Report an I/O failure and exit with code 1 instead of panicking.
-fn exit_io_error(what: &str, path: &str, e: std::io::Error) -> ! {
-    eprintln!("cannot {what} {path:?}: {e}");
-    std::process::exit(1);
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: figures [--quick] [--json] [--chart] [--jobs N] [--out DIR] [id ...]
+const USAGE: &str = "usage: figures [--quick] [--json] [--chart] [--jobs N] [--out DIR] [id ...]
 
   --quick      scaled-down parameters (CI)
   --json       also write <id>.json next to each <id>.csv
@@ -95,74 +82,47 @@ fn usage() -> ! {
                write every regenerated figure as a self-contained HTML
                report (inline SVG, no scripts)
   --out DIR    output directory (default: results/)
+  -h, --help   print this text on stdout and exit 0
 
-exit codes: 0 success; 1 usage error, I/O error or no matching
+exit codes: 0 success or --help; 1 usage error (an unknown flag, or a
+            flag shown with a value given none), I/O error or no matching
             experiment; 2 regression vs --metrics-baseline;
-            3 experiment(s) failed, partial results written"
-    );
-    std::process::exit(1);
-}
+            3 experiment(s) failed, partial results written";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-    }
-    let switches = ["--quick", "--json", "--chart"];
-    if let Some(flag) = ps_bench::unknown_flag(&args, &VALUE_FLAGS, &switches) {
-        eprintln!("unknown flag {flag:?}");
-        usage();
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let chart = args.iter().any(|a| a == "--chart");
-    let flag_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| match args.get(i + 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} needs a value");
-                usage();
-            }
-        })
+    let cli = Cli {
+        value_flags: &[
+            "--out",
+            "--jobs",
+            "--job-deadline",
+            "--metrics",
+            "--metrics-baseline",
+            "--trace-out",
+            "--report",
+        ],
+        switches: &["--quick", "--json", "--chart"],
+        usage: USAGE.to_owned(),
+        usage_exit: 1,
     };
-    let out_dir = flag_value("--out").unwrap_or_else(|| "results".to_owned());
-    let metrics = flag_value("--metrics");
-    let metrics_baseline = flag_value("--metrics-baseline");
-    let trace_out = flag_value("--trace-out");
-    let report_out = flag_value("--report");
-    let jobs = match flag_value("--jobs") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--jobs needs a positive integer, got {v:?}");
-                usage();
-            }
-        },
-        None => runner::default_jobs(),
-    };
+    let args = cli.parse();
+    let quick = args.switch("--quick");
+    let json = args.switch("--json");
+    let chart = args.switch("--chart");
+    let out_dir = args.value("--out").unwrap_or_else(|| "results".to_owned());
+    let metrics: Option<String> = args.value("--metrics");
+    let metrics_baseline: Option<String> = args.value("--metrics-baseline");
+    let trace_out: Option<String> = args.value("--trace-out");
+    let report_out: Option<String> = args.value("--report");
+    let jobs = args.value("--jobs").map_or_else(runner::default_jobs, NonZeroUsize::get);
     let supervision = simcore::par::Supervision {
-        deadline: match flag_value("--job-deadline") {
-            Some(v) => match v.parse::<u64>() {
-                Ok(n) if n >= 1 => Some(std::time::Duration::from_secs(n)),
-                _ => {
-                    eprintln!("--job-deadline needs a positive integer of seconds, got {v:?}");
-                    usage();
-                }
-            },
-            None => None,
-        },
+        deadline: args
+            .value("--job-deadline")
+            .map(|secs: NonZeroU64| std::time::Duration::from_secs(secs.get())),
         retries: 1,
     };
-    // Positional args are experiment ids; a flag's value never is, even
-    // one that equals an id (`--out table1 table1`).
-    let ids: Vec<&str> = ps_bench::without_flag_values(&args, &VALUE_FLAGS)
-        .into_iter()
-        .filter(|a| !a.starts_with("--"))
-        .collect();
+    let ids = args.positionals();
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        exit_io_error("create output directory", &out_dir, e);
-    }
+    cli::io_or_exit("create output directory", &out_dir, std::fs::create_dir_all(&out_dir));
 
     let known: &[Experiment] = &[
         ("table1", |_| experiments::table1()),
@@ -199,7 +159,7 @@ fn main() {
     let selected: Vec<Experiment> = if ids.is_empty() {
         known.to_vec()
     } else {
-        known.iter().filter(|(id, _)| ids.contains(id)).copied().collect()
+        known.iter().filter(|(id, _)| ids.iter().any(|i| i == id)).copied().collect()
     };
     if selected.is_empty() {
         eprintln!("no experiments matched; known ids:");
@@ -233,14 +193,10 @@ fn main() {
         }
         println!("({id} regenerated in {:.2}s)\n", seconds);
         let path = format!("{out_dir}/{id}.csv");
-        if let Err(e) = std::fs::write(&path, fig.render_csv()) {
-            exit_io_error("write CSV", &path, e);
-        }
+        cli::io_or_exit("write CSV", &path, std::fs::write(&path, fig.render_csv()));
         if json {
             let path = format!("{out_dir}/{id}.json");
-            if let Err(e) = std::fs::write(&path, fig.render_json()) {
-                exit_io_error("write JSON", &path, e);
-            }
+            cli::io_or_exit("write JSON", &path, std::fs::write(&path, fig.render_json()));
         }
     }
     if !failures.is_empty() {
@@ -266,34 +222,37 @@ fn main() {
         for f in &failures {
             html.add_note(&format!("FAILED: {f}"));
         }
-        if let Err(e) = std::fs::write(report_path, html.render()) {
-            exit_io_error("write HTML report", report_path, e);
-        }
+        cli::io_or_exit("write HTML report", report_path, std::fs::write(report_path, html.render()));
         println!("report: {} figure(s) written to {report_path}", html.len());
     }
 
     simcore::telemetry::set_span_observer(None);
     let metrics_report = metricsjson::render(&counters, recorder.len() as u64, quick);
     if let Some(metrics_path) = &metrics {
-        if let Err(e) = std::fs::write(metrics_path, &metrics_report) {
-            exit_io_error("write metrics snapshot", metrics_path, e);
-        }
+        cli::io_or_exit(
+            "write metrics snapshot",
+            metrics_path,
+            std::fs::write(metrics_path, &metrics_report),
+        );
         println!("metrics: snapshot written to {metrics_path}");
     }
     if let Some(trace_path) = &trace_out {
-        if let Err(e) = std::fs::write(trace_path, recorder.render_chrome_trace()) {
-            exit_io_error("write Chrome trace", trace_path, e);
-        }
+        cli::io_or_exit(
+            "write Chrome trace",
+            trace_path,
+            std::fs::write(trace_path, recorder.render_chrome_trace()),
+        );
         println!(
             "trace: {} span event(s) written to {trace_path} (load in https://ui.perfetto.dev)",
             recorder.len()
         );
     }
     if let Some(baseline_path) = &metrics_baseline {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => exit_io_error("read metrics baseline", baseline_path, e),
-        };
+        let text = cli::io_or_exit(
+            "read metrics baseline",
+            baseline_path,
+            std::fs::read_to_string(baseline_path),
+        );
         match metricsjson::diff(&metrics_report, &text) {
             Err(e) => {
                 eprintln!("cannot compare metrics baseline {baseline_path:?}: {e}");

@@ -44,13 +44,18 @@
 //! a self-contained HTML report (inline-SVG time-series, the tail-latency
 //! table, and the ranked site-attribution heatmap).
 //!
-//! Exit codes: `0` success, `1` usage or I/O error, `4` a memory bound was
-//! exceeded, `5` streaming-vs-materialized verification failed, `6` an
-//! `--slo` bound was violated.
+//! [`ps_bench::cli`] reads the arguments: a value flag given last is a
+//! usage error, and `--help` prints the usage on stdout and exits 0.
+//!
+//! Exit codes: `0` success (or `--help`), `1` usage or I/O error, `4` a
+//! memory bound was exceeded, `5` streaming-vs-materialized verification
+//! failed, `6` an `--slo` bound was violated.
 
 use machine::{MachineConfig, RunStats, StreamOptions};
 use prestore::PrestoreMode;
+use ps_bench::cli::{self, Cli};
 use simcore::telemetry::Histogram;
+use std::num::{NonZeroU64, NonZeroUsize};
 use workloads::kv::{serving, KvServingSource, ServingParams};
 
 /// Conservative per-event window cost: 24 B event + 4 B id-run offset +
@@ -58,24 +63,8 @@ use workloads::kv::{serving, KvServingSource, ServingParams};
 /// (vectors grow geometrically).
 const BYTES_PER_EVENT: u64 = 64;
 
-/// Flags that take a value (the next argument).
-const VALUE_FLAGS: [&str; 12] = [
-    "--users",
-    "--events",
-    "--threads",
-    "--machine",
-    "--mode",
-    "--mem-budget",
-    "--chunk",
-    "--metrics-out",
-    "--assert-rss-mb",
-    "--timeseries",
-    "--slo",
-    "--report",
-];
-
-fn usage() -> ! {
-    eprintln!(
+fn usage() -> String {
+    format!(
         "usage: kv_serving [--users N] [--events N] [--threads N]
                   [--machine a|b-fast|b-slow] [--mode none|clean|demote|skip]
                   [--mem-budget BYTES] [--chunk EVENTS]
@@ -103,33 +92,12 @@ fn usage() -> ! {
                    tail-latency table, site heatmap) to F
   --verify-materialized
                    also replay the materialized trace and require equal
-                   stats + digest (refused above 8M events)",
+                   stats + digest (refused above 8M events)
+  -h, --help       print this text on stdout and exit 0
+
+usage errors (an unknown flag, a flag shown with a value given none) exit 1",
         max_cores = machine::MAX_CORES
-    );
-    std::process::exit(1);
-}
-
-fn parse_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    match args.iter().position(|a| a == flag) {
-        None => default,
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse().ok()) {
-            Some(n) => n,
-            None => {
-                eprintln!("{flag} needs an unsigned integer");
-                usage();
-            }
-        },
-    }
-}
-
-fn parse_str(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| match args.get(i + 1) {
-        Some(v) => v.clone(),
-        None => {
-            eprintln!("{flag} needs a value");
-            usage();
-        }
-    })
+    )
 }
 
 /// Peak resident set size (`VmHWM`) in bytes, if the kernel exposes it.
@@ -151,7 +119,7 @@ struct SloBound {
 }
 
 /// Parse `--slo` specs: comma-separated `pNN:CYCLES` or `CLASS:pNN:CYCLES`.
-fn parse_slo(specs: &str) -> Vec<SloBound> {
+fn parse_slo(specs: &str) -> Result<Vec<SloBound>, String> {
     specs
         .split(',')
         .filter(|s| !s.is_empty())
@@ -161,19 +129,18 @@ fn parse_slo(specs: &str) -> Vec<SloBound> {
                 [p, v] => (None, *p, *v),
                 [c, p, v] => (Some((*c).to_owned()), *p, *v),
                 _ => {
-                    eprintln!("--slo spec {spec:?} is not pNN:CYCLES or CLASS:pNN:CYCLES");
-                    usage();
+                    return Err(format!(
+                        "--slo spec {spec:?} is not pNN:CYCLES or CLASS:pNN:CYCLES"
+                    ))
                 }
             };
             if !matches!(pct, "p50" | "p90" | "p99" | "p999") {
-                eprintln!("--slo percentile {pct:?} must be p50, p90, p99 or p999");
-                usage();
+                return Err(format!("--slo percentile {pct:?} must be p50, p90, p99 or p999"));
             }
             let Ok(limit) = limit.parse::<u64>() else {
-                eprintln!("--slo bound {limit:?} is not a cycle count");
-                usage();
+                return Err(format!("--slo bound {limit:?} is not a cycle count"));
             };
-            SloBound { class, pct: pct.to_owned(), limit }
+            Ok(SloBound { class, pct: pct.to_owned(), limit })
         })
         .collect()
 }
@@ -211,56 +178,53 @@ fn latency_text(stats: &RunStats) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        usage();
-    }
-    if let Some(flag) = ps_bench::unknown_flag(&args, &VALUE_FLAGS, &["--verify-materialized"]) {
-        eprintln!("unknown flag {flag:?}");
-        usage();
-    }
-    let users = parse_u64(&args, "--users", 1_000_000);
-    let events = parse_u64(&args, "--events", 2_000_000);
-    let threads = parse_u64(&args, "--threads", 2) as usize;
-    let mem_budget = args
-        .iter()
-        .position(|a| a == "--mem-budget")
-        .map(|_| parse_u64(&args, "--mem-budget", 0));
-    let assert_rss_mb = args
-        .iter()
-        .position(|a| a == "--assert-rss-mb")
-        .map(|_| parse_u64(&args, "--assert-rss-mb", 0));
-    let verify = args.iter().any(|a| a == "--verify-materialized");
-    let machine = parse_str(&args, "--machine").unwrap_or_else(|| "a".into());
+    let cli = Cli {
+        value_flags: &[
+            "--users",
+            "--events",
+            "--threads",
+            "--machine",
+            "--mode",
+            "--mem-budget",
+            "--chunk",
+            "--metrics-out",
+            "--assert-rss-mb",
+            "--timeseries",
+            "--slo",
+            "--report",
+        ],
+        switches: &["--verify-materialized"],
+        usage: usage(),
+        usage_exit: 1,
+    };
+    let args = cli.parse();
+    let users = args.value("--users").map_or(1_000_000, NonZeroU64::get);
+    let events = args.value("--events").map_or(2_000_000, NonZeroU64::get);
+    let threads = args.value("--threads").map_or(2, NonZeroUsize::get);
+    let mem_budget: Option<u64> = args.value("--mem-budget");
+    let assert_rss_mb: Option<u64> = args.value("--assert-rss-mb");
+    let verify = args.switch("--verify-materialized");
+    let machine = args.value("--machine").unwrap_or_else(|| "a".to_owned());
     let cfg = match machine.as_str() {
         "a" => MachineConfig::machine_a(),
         "b-fast" => MachineConfig::machine_b_fast(),
         "b-slow" => MachineConfig::machine_b_slow(),
-        other => {
-            eprintln!("unknown machine {other:?}");
-            usage();
-        }
+        other => cli.fail(format!("unknown machine {other:?}")),
     };
-    let mode_str = parse_str(&args, "--mode").unwrap_or_else(|| "none".into());
-    let mode = match PrestoreMode::parse(&mode_str) {
-        Some(m) => m,
-        None => {
-            eprintln!("unknown mode {mode_str:?}");
-            usage();
-        }
+    let mode_str = args.value("--mode").unwrap_or_else(|| "none".to_owned());
+    let Some(mode) = PrestoreMode::parse(&mode_str) else {
+        cli.fail(format!("unknown mode {mode_str:?}"));
     };
-    if users == 0 || events == 0 || threads == 0 {
-        eprintln!("--users, --events and --threads must be positive");
-        usage();
-    }
     if threads > machine::MAX_CORES {
-        eprintln!("--threads {threads} exceeds the {} cores a replay can hold", machine::MAX_CORES);
-        usage();
+        cli.fail(format!(
+            "--threads {threads} exceeds the {} cores a replay can hold",
+            machine::MAX_CORES
+        ));
     }
 
     // Chunk size: explicit, else derived so all windows together fit the
     // budget with headroom, else the library default.
-    let chunk_events = match parse_u64(&args, "--chunk", 0) {
+    let chunk_events = match args.value("--chunk").unwrap_or(0u64) {
         0 => match mem_budget {
             Some(budget) => {
                 ((budget / BYTES_PER_EVENT / threads as u64).max(256) as usize)
@@ -273,11 +237,12 @@ fn main() {
     let opts = StreamOptions { chunk_events };
     let params = ServingParams::new(users, events, threads, mode);
     let mut cfg = cfg;
-    match parse_u64(&args, "--timeseries", 0) {
+    match args.value("--timeseries").unwrap_or(0u64) {
         0 => {}
         w => cfg.timeseries_window = Some(w),
     }
-    let slo_bounds = parse_str(&args, "--slo").map_or_else(Vec::new, |s| parse_slo(&s));
+    let slo_bounds =
+        parse_slo(&args.value::<String>("--slo").unwrap_or_default()).unwrap_or_else(|e| cli.fail(e));
 
     let mut source = KvServingSource::new(params.clone());
     let classifier = Box::new(source.classifier());
@@ -338,7 +303,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = parse_str(&args, "--metrics-out") {
+    if let Some(path) = args.value::<String>("--metrics-out") {
         let mut json = format!(
             "{{\n  \"users\": {users},\n  \"threads\": {threads},\n  \"mode\": \"{mode_str}\",\n  \
              \"machine\": \"{machine}\",\n  \"events\": {},\n  \"chunks\": {},\n  \
@@ -398,14 +363,11 @@ fn main() {
             json.push_str("]}");
         }
         json.push_str("\n  ]\n}\n");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write {path:?}: {e}");
-            std::process::exit(1);
-        }
+        cli::io_or_exit("write metrics", &path, std::fs::write(&path, json));
         println!("  metrics           {path}");
     }
 
-    if let Some(path) = parse_str(&args, "--report") {
+    if let Some(path) = args.value::<String>("--report") {
         let mut html = ps_bench::report::Report::new(format!(
             "KV serving: {users} tenants, {threads} threads, mode {mode_str}, machine {machine}"
         ));
@@ -427,10 +389,7 @@ fn main() {
             report.stats.timeseries_window_cycles,
         );
         html.add_site_heatmap("Site attribution", &report.stats, source.registry(), 12);
-        if let Err(e) = std::fs::write(&path, html.render()) {
-            eprintln!("cannot write {path:?}: {e}");
-            std::process::exit(1);
-        }
+        cli::io_or_exit("write report", &path, std::fs::write(&path, html.render()));
         println!("  report            {path}");
     }
 

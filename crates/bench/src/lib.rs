@@ -10,6 +10,7 @@
 //! time is measured by the separate `benchmark/` crate.
 
 pub mod chart;
+pub mod cli;
 pub mod experiments;
 pub mod jsonv;
 pub mod memo;
@@ -17,36 +18,6 @@ pub mod metricsjson;
 pub mod report;
 pub mod runner;
 pub mod tracefmt;
-
-/// A CLI's `args` without each of its `value_flags` and the argument after
-/// it (the flag's value), in order: the switches and positional arguments,
-/// so a value that happens to equal an id or a flag is never read as one.
-pub fn without_flag_values<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a str> {
-    let mut out = Vec::new();
-    let mut rest = args.iter().map(String::as_str);
-    while let Some(a) = rest.next() {
-        if value_flags.contains(&a) {
-            rest.next();
-        } else {
-            out.push(a);
-        }
-    }
-    out
-}
-
-/// The first `--` argument of a CLI's `args` that is neither one of its
-/// `value_flags` (whose next argument, the value, is skipped) nor one of
-/// its `switches`. The binaries report it as a usage error, so a typo or a
-/// retired flag never runs as if it had been accepted.
-pub fn unknown_flag<'a>(
-    args: &'a [String],
-    value_flags: &[&str],
-    switches: &[&str],
-) -> Option<&'a str> {
-    without_flag_values(args, value_flags)
-        .into_iter()
-        .find(|a| a.starts_with("--") && !switches.contains(a))
-}
 
 /// One line/bar series of a figure.
 #[derive(Debug, Clone)]
@@ -196,20 +167,6 @@ fn serde_json_lite(fig: &FigureResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unknown_flag_skips_values_and_known_switches() {
-        let args: Vec<String> = ["--out", "--odd-dir", "--quick", "fig5", "--qiuck"]
-            .map(String::from)
-            .into();
-        assert_eq!(
-            unknown_flag(&args, &["--out"], &["--quick"]),
-            Some("--qiuck")
-        );
-        assert_eq!(unknown_flag(&args[..4], &["--out"], &["--quick"]), None);
-        assert_eq!(unknown_flag(&args, &[], &["--quick"]), Some("--out"));
-        assert_eq!(without_flag_values(&args, &["--out"]), ["--quick", "fig5", "--qiuck"]);
-    }
 
     #[test]
     fn series_accessors() {

@@ -1,12 +1,86 @@
-//! The CLIs' usage errors: an argument a binary cannot honour — a thread
-//! count the replay engine cannot hold, or a `--` flag it does not know —
-//! exits through the usage path before any trace is built or any file is
-//! written.
+//! The CLIs' one front end (`ps_bench::cli`) at work: an argument a binary
+//! cannot honour — a thread count the replay engine cannot hold, a `--`
+//! flag it does not know, a value flag with nothing after it — exits
+//! through the usage path before any trace is built or any file is
+//! written; a flag's value is never read as a positional; and `--help`
+//! prints the usage on stdout and exits 0, the same in all three binaries.
 
 use std::process::{Command, Output};
 
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe).args(args).output().expect("binary runs")
+}
+
+/// Each binary with its usage errors' exit code.
+const BINARIES: [(&str, &str, i32); 3] = [
+    ("figures", env!("CARGO_BIN_EXE_figures"), 1),
+    ("dirtbuster", env!("CARGO_BIN_EXE_dirtbuster"), 2),
+    ("kv_serving", env!("CARGO_BIN_EXE_kv_serving"), 1),
+];
+
+#[test]
+fn help_prints_the_usage_on_stdout_and_exits_0() {
+    for (name, exe, _) in BINARIES {
+        for help in ["--help", "-h"] {
+            let out = run(exe, &[help]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(0), "{name} {help}");
+            assert!(stdout.starts_with(&format!("usage: {name}")), "{name} {help}: {stdout}");
+            assert!(out.stderr.is_empty(), "{name} {help}: {}", String::from_utf8_lossy(&out.stderr));
+        }
+    }
+}
+
+/// Every usage error exits with the binary's usage code before anything
+/// runs, the message first and then the usage text, all on stderr. A value
+/// flag given last, or a value its flag cannot take, is a usage error in
+/// every binary, never a run with a default or a panic (`1e300` seconds is
+/// more than a `Duration` holds).
+#[test]
+fn usage_errors_print_the_message_and_the_usage_and_run_nothing() {
+    let cases: [(usize, &[&str], &str); 10] = [
+        (0, &["--quick", "--jobs"], "--jobs needs a value"),
+        (0, &["--quick", "--jobs", "0", "table1"], "invalid value \"0\" for --jobs: "),
+        (1, &["listing3", "--verbos"], "unknown flag \"--verbos\""),
+        (1, &["listing3", "--crash-at-step"], "--crash-at-step needs a value"),
+        (1, &["listing3", "--seed"], "--seed needs a value"),
+        (1, &["--sample-interval", "nope", "listing3"], "invalid value \"nope\" for --sample-interval: "),
+        (1, &["listing3", "--auto-budget-secs", "1e300"], "--auto-budget-secs must be a positive number"),
+        (2, &["--users", "100", "--verify-materialised"], "unknown flag \"--verify-materialised\""),
+        (2, &["--users", "100", "--events", "1000", "--chunk"], "--chunk needs a value"),
+        (2, &["--users", "0", "--events", "1000"], "invalid value \"0\" for --users: "),
+    ];
+    for (bin, args, message) in cases {
+        let (name, exe, code) = BINARIES[bin];
+        let out = run(exe, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{name} {args:?}: {stderr}");
+        assert!(stderr.starts_with(message), "{name} {args:?}: {stderr}");
+        assert!(stderr.contains(&format!("\nusage: {name}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{name} {args:?}: nothing runs");
+    }
+}
+
+/// A flag's value is never the workload, even one that names a workload:
+/// `--save-trace listing3 listing3` saves the `listing3` trace to the file
+/// `listing3`.
+#[test]
+fn dirtbuster_takes_its_workload_after_a_flag_value_that_names_one() {
+    let cwd = std::env::temp_dir().join(format!("dirtbuster-save-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("temporary working directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_dirtbuster"))
+        .args(["--save-trace", "listing3", "listing3"])
+        .current_dir(&cwd)
+        .output()
+        .expect("binary runs");
+    let saved = simcore::serialize::load_traces(cwd.join("listing3"));
+    std::fs::remove_dir_all(&cwd).expect("remove the temporary working directory");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("trace saved to listing3"), "{stdout}");
+    assert!(stdout.contains("== DirtBuster: listing3 =="), "{stdout}");
+    let (traces, _) = saved.expect("the trace file loads");
+    assert!(traces.total_events() > 0);
 }
 
 #[test]
@@ -26,28 +100,6 @@ fn threads_above_the_core_limit_are_a_usage_error() {
     assert!(out.stdout.is_empty(), "nothing runs");
 }
 
-#[test]
-fn kv_serving_rejects_an_unknown_flag() {
-    let out = run(
-        env!("CARGO_BIN_EXE_kv_serving"),
-        &[
-            "--users",
-            "100",
-            "--events",
-            "1000",
-            "--verify-materialised",
-        ],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(
-        stderr.contains("unknown flag \"--verify-materialised\""),
-        "{stderr}"
-    );
-    assert!(stderr.contains("usage: kv_serving"), "{stderr}");
-    assert!(out.stdout.is_empty(), "nothing runs");
-}
-
 /// Flags `figures` once accepted, each with the value it took: each must
 /// now fail like any typo.
 const RETIRED_FLAGS: [&[&str]; 3] = [
@@ -57,7 +109,7 @@ const RETIRED_FLAGS: [&[&str]; 3] = [
 ];
 
 #[test]
-fn figures_rejects_an_unknown_flag_and_writes_nothing() {
+fn figures_rejects_a_retired_flag_and_writes_nothing() {
     let out_dir = std::env::temp_dir().join(format!("figures-unknown-flag-{}", std::process::id()));
     for retired in RETIRED_FLAGS {
         let mut args = vec!["--quick"];
@@ -74,16 +126,6 @@ fn figures_rejects_an_unknown_flag_and_writes_nothing() {
         assert!(out.stdout.is_empty(), "nothing runs");
         assert!(!out_dir.exists(), "no output directory is created");
     }
-}
-
-#[test]
-fn dirtbuster_rejects_an_unknown_flag() {
-    let out = run(env!("CARGO_BIN_EXE_dirtbuster"), &["listing3", "--verbos"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("unknown flag \"--verbos\""), "{stderr}");
-    assert!(stderr.contains("usage: dirtbuster"), "{stderr}");
-    assert!(out.stdout.is_empty(), "nothing runs");
 }
 
 /// A value flag's value is never an experiment id, even one that names an

@@ -82,11 +82,6 @@ impl AddressSpace {
         base
     }
 
-    /// Allocate a cache-line-aligned (64 B) region.
-    pub fn alloc_lines(&mut self, name: &str, len: u64) -> Addr {
-        self.alloc(name, len, 64)
-    }
-
     /// The region containing `addr`, if any.
     pub fn region_of(&self, addr: Addr) -> Option<&Region> {
         // Regions are allocated in increasing address order.

@@ -102,15 +102,6 @@ pub struct Event {
 }
 
 impl Event {
-    /// The pre-store operation, if this is a pre-store event.
-    pub fn prestore_op(&self) -> Option<PrestoreOp> {
-        match self.kind {
-            EventKind::PrestoreClean => Some(PrestoreOp::Clean),
-            EventKind::PrestoreDemote => Some(PrestoreOp::Demote),
-            _ => None,
-        }
-    }
-
     /// End address (exclusive) of the accessed range.
     #[inline]
     pub fn end(&self) -> Addr {
@@ -139,14 +130,6 @@ mod tests {
         assert!(EventKind::Atomic.is_access());
         assert!(!EventKind::Fence.is_access());
         assert!(!EventKind::Compute.is_access());
-    }
-
-    #[test]
-    fn prestore_op_mapping() {
-        let mk = |kind| Event { addr: 0, size: 64, kind, func: FuncId::UNKNOWN, caller: FuncId::UNKNOWN };
-        assert_eq!(mk(EventKind::PrestoreClean).prestore_op(), Some(PrestoreOp::Clean));
-        assert_eq!(mk(EventKind::PrestoreDemote).prestore_op(), Some(PrestoreOp::Demote));
-        assert_eq!(mk(EventKind::Write).prestore_op(), None);
     }
 
     #[test]

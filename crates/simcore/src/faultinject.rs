@@ -57,33 +57,6 @@ pub enum CrashPlan {
     EveryKFences(u32),
 }
 
-impl CrashPlan {
-    /// A seeded, uniformly random [`CrashPlan::AtStep`] point in
-    /// `[1, max_steps]` — the sweep primitive behind random crash-point
-    /// experiments. Deterministic in `seed`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use simcore::faultinject::CrashPlan;
-    /// let a = CrashPlan::random_step(7, 1000);
-    /// assert_eq!(a, CrashPlan::random_step(7, 1000));
-    /// ```
-    pub fn random_step(seed: u64, max_steps: u64) -> CrashPlan {
-        let mut rng = SimRng::new(seed);
-        CrashPlan::AtStep(rng.gen_range(max_steps.max(1)) + 1)
-    }
-
-    /// Short kebab-case name of the trigger kind, for reports.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CrashPlan::AtStep(_) => "at-step",
-            CrashPlan::AtCycle(_) => "at-cycle",
-            CrashPlan::EveryKFences(_) => "every-k-fences",
-        }
-    }
-}
-
 /// One kind of trace damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mutation {
@@ -376,30 +349,5 @@ mod tests {
         for m in Mutation::ALL {
             assert!(seen.insert(m.name()), "duplicate name {}", m.name());
         }
-    }
-
-    #[test]
-    fn random_crash_steps_are_deterministic_and_in_range() {
-        for seed in 0..64u64 {
-            let a = CrashPlan::random_step(seed, 100);
-            assert_eq!(a, CrashPlan::random_step(seed, 100));
-            match a {
-                CrashPlan::AtStep(n) => assert!((1..=100).contains(&n), "step {n}"),
-                other => panic!("random_step produced {other:?}"),
-            }
-        }
-        // A zero max still yields a plan that consumes at least one event.
-        assert_eq!(CrashPlan::random_step(3, 0), CrashPlan::AtStep(1));
-    }
-
-    #[test]
-    fn crash_plan_kinds_are_distinct() {
-        let kinds = [
-            CrashPlan::AtStep(1).kind(),
-            CrashPlan::AtCycle(1).kind(),
-            CrashPlan::EveryKFences(1).kind(),
-        ];
-        let unique: std::collections::HashSet<_> = kinds.iter().collect();
-        assert_eq!(unique.len(), kinds.len());
     }
 }

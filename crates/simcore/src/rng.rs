@@ -50,17 +50,6 @@ impl SimRng {
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
-    /// Uniform value in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    #[inline]
-    pub fn gen_range_between(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.gen_range(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)`.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {

@@ -403,14 +403,6 @@ impl Metric {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Raise a gauge to `v` if `v` is above its current level.
-    #[inline]
-    pub fn set_max(&'static self, v: u64) {
-        self.register();
-        self.value.fetch_max(v, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Account `ns` nanoseconds to a span (one entry).
     #[inline]
     pub fn record_ns(&'static self, ns: u64) {
@@ -553,10 +545,11 @@ mod tests {
 
     #[test]
     fn gauges_track_levels() {
-        GAUGE.set(7);
-        GAUGE.set_max(3); // below: stays
-        GAUGE.set_max(11); // above: raises
-        assert_eq!(GAUGE.value(), 11);
+        // Its own gauge: `snapshot_is_sorted_and_reset_zeroes` sets GAUGE.
+        static LEVEL: Metric = Metric::gauge("test.level");
+        LEVEL.set(7);
+        LEVEL.set(3); // a level, not a high-water mark
+        assert_eq!(LEVEL.value(), 3);
     }
 
     #[test]

@@ -23,28 +23,31 @@
 /// Default ring capacity: "the last 10k events".
 pub const FLIGHT_CAPACITY: usize = 10_000;
 
-/// What a [`FlightEvent`] records. Trace-event kinds mirror
-/// `simcore::event::EventKind`; [`FlightKind::Crash`] is the engine's
+/// What a [`FlightEvent`] records. The trace-event kinds mirror every
+/// `simcore::event::EventKind` that touches memory or orders it (a
+/// compute advances a clock only and is not recorded; both pre-store
+/// kinds record as [`FlightKind::Prestore`]). For each of them the engine
+/// records `a` = the event's address field and `b` = the core's clock
+/// after the event retired. [`FlightKind::Crash`] is the engine's
 /// closing marker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
-    /// A retired read; `a` = address, `b` = core clock after retire.
+    /// A retired read.
     Read,
-    /// A retired write; `a` = address, `b` = core clock after retire.
+    /// A retired write.
     Write,
     /// A retired non-temporal write.
     NtWrite,
-    /// A retired fence; `a` = core id, `b` = clock after the drain.
+    /// A retired fence; a fence has no address, so `a` is 0.
     Fence,
-    /// A retired atomic RMW.
+    /// A retired atomic RMW (the release side of an acquire hand-off).
     Atomic,
-    /// A retired acquire.
+    /// A retired acquire: `a` is the line it waited on.
     Acquire,
-    /// A retired release.
-    Release,
-    /// A retired pre-store; `a` = address.
+    /// A retired `clean` or `demote` pre-store.
     Prestore,
-    /// The injected crash fired; `a` = the frozen step.
+    /// The injected crash fired; `a` = the frozen step, `b` = the latest
+    /// core clock at the freeze.
     Crash,
 }
 
@@ -58,7 +61,6 @@ impl FlightKind {
             FlightKind::Fence => "fence",
             FlightKind::Atomic => "atomic",
             FlightKind::Acquire => "acquire",
-            FlightKind::Release => "release",
             FlightKind::Prestore => "prestore",
             FlightKind::Crash => "crash",
         }

@@ -192,30 +192,6 @@ impl<const CH: usize> TimeSeries<CH> {
     }
 }
 
-/// Group `windows` into runs of `k` consecutive windows and sum them
-/// per channel; each group keeps its first window's start, and a final
-/// partial group is kept. `downsample(w, 1)` is the identity, and the
-/// per-channel totals are preserved (pinned by property tests).
-///
-/// # Panics
-///
-/// Panics if `k` is zero.
-pub fn downsample<const CH: usize>(windows: &[Window<CH>], k: usize) -> Vec<Window<CH>> {
-    assert!(k > 0, "downsample factor must be positive");
-    windows
-        .chunks(k)
-        .map(|group| {
-            let mut values = [0u64; CH];
-            for w in group {
-                for (acc, v) in values.iter_mut().zip(w.values.iter()) {
-                    *acc += v;
-                }
-            }
-            Window { start: group[0].start, values }
-        })
-        .collect()
-}
-
 /// Per-channel sums over `windows` — the series' contribution to
 /// end-of-run totals.
 pub fn totals<const CH: usize>(windows: &[Window<CH>]) -> [u64; CH] {
@@ -297,22 +273,6 @@ mod tests {
         let b = dense.finish(95, &[41]);
         assert_eq!(totals(&a), totals(&b));
         assert_eq!(totals(&a), [41]);
-    }
-
-    #[test]
-    fn downsample_preserves_totals_and_identity() {
-        let mut ts: TimeSeries<2> = TimeSeries::new(10, 64);
-        for c in 1..=9u64 {
-            ts.observe(c * 10, &[c * 2, c]);
-        }
-        let ws = ts.finish(95, &[20, 10]);
-        assert_eq!(downsample(&ws, 1), ws);
-        for k in [2usize, 3, 4, 100] {
-            let d = downsample(&ws, k);
-            assert_eq!(totals(&d), totals(&ws), "k={k}");
-            assert_eq!(d.len(), ws.len().div_ceil(k), "k={k}");
-            assert_eq!(d[0].start, ws[0].start);
-        }
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! ([`simcore::telemetry::timeseries`]): for any monotone stream of
 //! observation points the emitted windows tile the simulated-time axis
 //! gap-free and monotone, the per-window deltas sum back to the final
-//! totals (minus whatever the bounded ring provably dropped), and
-//! downsampling preserves totals.
+//! totals (minus whatever the bounded ring provably dropped).
 
 use proptest::prelude::*;
-use simcore::telemetry::timeseries::{downsample, totals, TimeSeries};
+use simcore::telemetry::timeseries::{totals, TimeSeries};
 
 /// Build cumulative totals from per-step increments: the sampler observes
 /// monotone counter snapshots, never deltas.
@@ -79,29 +78,6 @@ proptest! {
         let (last_cycle, last_totals) = *points.last().unwrap();
         let windows = ts.finish(last_cycle, &last_totals);
         prop_assert_eq!(totals(&windows), last_totals);
-    }
-
-    /// Downsampling by any factor preserves totals and tiles at the
-    /// coarser granularity — merging windows is concatenation of deltas.
-    #[test]
-    fn downsample_preserves_totals_and_tiling(
-        window in 1u64..100,
-        k in 1usize..10,
-        steps in proptest::collection::vec((0u64..30, 0u64..50, 0u64..50, 0u64..50), 1..100),
-    ) {
-        let mut ts = TimeSeries::<3>::new(window, 8192);
-        let points = cumulative(&steps);
-        for &(cycle, v) in &points {
-            ts.observe(cycle, &v);
-        }
-        let (last_cycle, last_totals) = *points.last().unwrap();
-        let fine = ts.finish(last_cycle, &last_totals);
-        let coarse = downsample(&fine, k);
-        prop_assert_eq!(totals(&coarse), totals(&fine), "downsample conserves mass");
-        prop_assert_eq!(coarse.len(), fine.len().div_ceil(k));
-        for pair in coarse.windows(2) {
-            prop_assert_eq!(pair[1].start, pair[0].start + window * k as u64);
-        }
     }
 
     /// Observations that do not cross a window boundary are no-ops:
