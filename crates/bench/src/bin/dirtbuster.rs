@@ -50,13 +50,15 @@
 //! Exit codes: `0` success (or `--help`), `1` trace I/O or validation
 //! error, a crash replay/recovery error, a recovery digest mismatch, or a
 //! failed `--auto` baseline replay, `2` usage error (unknown workload or
-//! flag, missing workload or flag value, unparsable flag value).
+//! flag, missing workload or flag value, unparsable flag value, a second
+//! workload, or a workload given with `--from-trace`).
 
 use dirtbuster::{analyze, DirtBusterConfig};
 use machine::MachineConfig;
 use prestore::PrestoreMode;
 use ps_bench::cli::{self, Cli};
 use ps_bench::tracefmt::TraceRecorder;
+use ps_bench::{out, outln};
 use std::num::{NonZeroU64, NonZeroUsize};
 use workloads::WorkloadOutput;
 
@@ -147,7 +149,8 @@ fn usage() -> String {
          exit codes: 0 success or --help; 1 trace I/O or validation error,\n\
          \u{20}           crash replay error, recovery digest mismatch, or failed\n\
          \u{20}           --auto baseline replay; 2 usage error (an unknown flag,\n\
-         \u{20}           or a flag shown with a value given none)\n\
+         \u{20}           a flag shown with a value given none, a second\n\
+         \u{20}           workload, or a workload beside --from-trace)\n\
          \u{20}           (the exit code never depends on the report's content)",
         workloads::phoronix::names().join(" ")
     )
@@ -204,6 +207,8 @@ fn main() {
     if let Some(jobs) = args.value::<NonZeroUsize>("--jobs") {
         simcore::par::set_parallelism(jobs.get());
     }
+    // One workload, or none with --from-trace.
+    args.positionals_up_to(usize::from(from_trace.is_none()));
 
     let cfg = DirtBusterConfig { sample_interval, ..Default::default() };
 
@@ -237,7 +242,7 @@ fn main() {
             &path,
             simcore::serialize::save_traces(&path, &out.traces, &out.registry),
         );
-        println!("trace saved to {path}");
+        outln!("trace saved to {path}");
     }
     let input_elapsed = input_start.elapsed();
 
@@ -245,35 +250,35 @@ fn main() {
     let analysis = analyze(&out.traces, &out.registry, &cfg);
     let elapsed = start.elapsed();
 
-    println!("== DirtBuster: {name} ==");
-    println!(
+    outln!("== DirtBuster: {name} ==");
+    outln!(
         "{} events across {} thread(s)\n",
         out.traces.total_events(),
         out.traces.threads.len()
     );
-    println!(
+    outln!(
         "step 1 (sampling): store fraction {:.1}% -> {}",
         analysis.sampling.app_store_fraction * 100.0,
         if analysis.write_intensive() { "write-intensive" } else { "NOT write-intensive" },
     );
     if verbose {
         for f in &analysis.sampling.funcs {
-            println!(
+            outln!(
                 "  {:<50} {:>5.1}% of stores",
                 out.registry.name(f.func),
                 f.store_share * 100.0
             );
             for &(caller, n) in f.callers.iter().take(2) {
-                println!("    called from {} ({n} samples)", out.registry.name(caller));
+                outln!("    called from {} ({n} samples)", out.registry.name(caller));
             }
         }
     }
     let report_start = std::time::Instant::now();
     if analysis.reports.is_empty() {
-        println!("\nno write-intensive functions to instrument; nothing to patch.");
+        outln!("\nno write-intensive functions to instrument; nothing to patch.");
     } else {
-        println!("\nstep 2+3 (instrumentation + recommendations):\n");
-        print!("{}", analysis.render(&out.registry));
+        outln!("\nstep 2+3 (instrumentation + recommendations):\n");
+        out!("{}", analysis.render(&out.registry));
     }
     let report_elapsed = report_start.elapsed();
 
@@ -284,8 +289,8 @@ fn main() {
     let machine_cfg = MachineConfig::machine_a();
     let base_stats = match machine::try_simulate(&machine_cfg, &out.traces) {
         Ok(stats) => {
-            println!("\nstep 4 (attribution replay on {}):\n", machine_cfg.name);
-            print!("{}", machine::report::render_site_table(&stats, &out.registry, 12));
+            outln!("\nstep 4 (attribution replay on {}):\n", machine_cfg.name);
+            out!("{}", machine::report::render_site_table(&stats, &out.registry, 12));
             Some(stats)
         }
         Err(e) => {
@@ -329,27 +334,27 @@ fn main() {
             eprintln!("policy search failed: the baseline replay did not complete");
             std::process::exit(1);
         };
-        println!("\n== closed-loop policy search ({}) ==\n", machine_cfg.name);
-        print!("{}", render_convergence(&outcome, &scfg, &out.registry));
+        outln!("\n== closed-loop policy search ({}) ==\n", machine_cfg.name);
+        out!("{}", render_convergence(&outcome, &scfg, &out.registry));
 
         let hand = PrestorePlan::from_analysis(&analysis);
         let hand_stats = eval(&hand);
-        println!("\n-- auto vs. hand-placed --");
-        println!(
+        outln!("\n-- auto vs. hand-placed --");
+        outln!(
             "  baseline    : {:>14} attributed media B  {}",
             outcome.baseline.attributed_media_bytes(),
             render_plan(&PrestorePlan::empty(), &out.registry)
         );
         match &hand_stats {
-            Some(h) => println!(
+            Some(h) => outln!(
                 "  hand-placed : {:>14} attributed media B  {}",
                 h.attributed_media_bytes(),
                 render_plan(&hand, &out.registry)
             ),
-            None => println!("  hand-placed : replay failed"),
+            None => outln!("  hand-placed : replay failed"),
         }
         let auto_media = outcome.stats.attributed_media_bytes();
-        println!(
+        outln!(
             "  auto        : {:>14} attributed media B  {}",
             auto_media,
             render_plan(&outcome.plan, &out.registry)
@@ -357,14 +362,14 @@ fn main() {
         if let Some(h) = &hand_stats {
             let hand_media = h.attributed_media_bytes();
             if auto_media < hand_media {
-                println!(
+                outln!(
                     "  verdict: auto beats the hand-placed plan by {:.1}% attributed media bytes",
                     (hand_media - auto_media) as f64 * 100.0 / hand_media.max(1) as f64
                 );
             } else if auto_media == hand_media {
-                println!("  verdict: auto matches the hand-placed plan");
+                outln!("  verdict: auto matches the hand-placed plan");
             } else {
-                println!(
+                outln!(
                     "  verdict: auto trails the hand-placed plan by {:.1}% attributed media bytes",
                     (auto_media - hand_media) as f64 * 100.0 / hand_media.max(1) as f64
                 );
@@ -392,15 +397,15 @@ fn main() {
                 std::process::exit(1);
             }
             Ok(CrashOutcome::Completed { stats, .. }) => {
-                println!(
+                outln!(
                     "\nstep 5 (crash injection): plan never fired — the replay retired \
                      {} fence(s) and completed",
                     stats.total_fences()
                 );
             }
             Ok(CrashOutcome::Crashed(report)) => {
-                println!("\nstep 5 (crash injection on {}):\n", machine_cfg.name);
-                print!("{}", machine::crash::render_crash_table(&report, &out.registry));
+                outln!("\nstep 5 (crash injection on {}):\n", machine_cfg.name);
+                out!("{}", machine::crash::render_crash_table(&report, &out.registry));
                 if let Some(path) = &crash_report_path {
                     let json = machine::crash::render_crash_json(&report, &out.registry);
                     cli::io_or_exit("write crash report to", path, std::fs::write(path, json));
@@ -416,7 +421,7 @@ fn main() {
                         &flight_path,
                         std::fs::write(&flight_path, dump),
                     );
-                    println!(
+                    outln!(
                         "crash report written to {path} ({} flight event(s) in {flight_path})",
                         report.flight.len()
                     );
@@ -436,7 +441,7 @@ fn main() {
                         std::process::exit(1);
                     }
                     Ok(CrashOutcome::Completed { durable_digest: Some(d), .. }) if d == golden => {
-                        println!(
+                        outln!(
                             "recovery: resumed replay reached the uninterrupted durable \
                              digest {golden:#018x} — crash consistent"
                         );
@@ -464,7 +469,7 @@ fn main() {
             &path,
             std::fs::write(&path, recorder.render_chrome_trace()),
         );
-        println!(
+        outln!(
             "\ntrace: {} span event(s) written to {path} (load in https://ui.perfetto.dev)",
             recorder.len()
         );

@@ -46,8 +46,9 @@
 //! table1 table1` runs `table1` into `table1/`), a value flag given last is
 //! a usage error, and `--help` prints the usage on stdout and exits 0.
 //!
-//! Exit codes: `0` success (or `--help`), `1` usage error, I/O error or no
-//! matching experiment, `2` metrics regression vs `--metrics-baseline`,
+//! Exit codes: `0` success (or `--help`), `1` usage error, I/O error or an
+//! unknown experiment id (every unknown id is named before anything runs),
+//! `2` metrics regression vs `--metrics-baseline`,
 //! `3` one or more experiments failed (panicked every attempt or missed
 //! the deadline) and only partial results were written.
 //! The metrics check runs before the final exit-3 decision, so a run that
@@ -56,7 +57,7 @@
 use ps_bench::cli::{self, Cli};
 use ps_bench::runner::{self, Experiment, TimedFigure};
 use ps_bench::tracefmt::TraceRecorder;
-use ps_bench::{experiments, memo, metricsjson};
+use ps_bench::{experiments, memo, metricsjson, outln};
 use std::num::{NonZeroU64, NonZeroUsize};
 
 const USAGE: &str = "usage: figures [--quick] [--json] [--chart] [--jobs N] [--out DIR] [id ...]
@@ -85,8 +86,8 @@ const USAGE: &str = "usage: figures [--quick] [--json] [--chart] [--jobs N] [--o
   -h, --help   print this text on stdout and exit 0
 
 exit codes: 0 success or --help; 1 usage error (an unknown flag, or a
-            flag shown with a value given none), I/O error or no matching
-            experiment; 2 regression vs --metrics-baseline;
+            flag shown with a value given none), I/O error or an unknown
+            experiment id; 2 regression vs --metrics-baseline;
             3 experiment(s) failed, partial results written";
 
 fn main() {
@@ -122,8 +123,6 @@ fn main() {
     };
     let ids = args.positionals();
 
-    cli::io_or_exit("create output directory", &out_dir, std::fs::create_dir_all(&out_dir));
-
     let known: &[Experiment] = &[
         ("table1", |_| experiments::table1()),
         ("table2", experiments::table2),
@@ -156,18 +155,22 @@ fn main() {
         ("autotune", experiments::autotune),
     ];
 
-    let selected: Vec<Experiment> = if ids.is_empty() {
-        known.to_vec()
-    } else {
-        known.iter().filter(|(id, _)| ids.iter().any(|i| i == id)).copied().collect()
-    };
-    if selected.is_empty() {
-        eprintln!("no experiments matched; known ids:");
+    let unknown: Vec<&String> =
+        ids.iter().filter(|i| !known.iter().any(|(id, _)| id == i)).collect();
+    if !unknown.is_empty() {
+        eprintln!("unknown experiment id(s): {unknown:?}; known ids:");
         for (id, _) in known {
             eprintln!("  {id}");
         }
         std::process::exit(1);
     }
+    let selected: Vec<Experiment> = known
+        .iter()
+        .filter(|(id, _)| ids.is_empty() || ids.iter().any(|i| i == id))
+        .copied()
+        .collect();
+
+    cli::io_or_exit("create output directory", &out_dir, std::fs::create_dir_all(&out_dir));
 
     let recorder = TraceRecorder::new();
     if metrics.is_some() || metrics_baseline.is_some() || trace_out.is_some() {
@@ -187,11 +190,11 @@ fn main() {
                 continue;
             }
         };
-        println!("{}", fig.render_text());
+        outln!("{}", fig.render_text());
         if chart {
-            println!("{}", ps_bench::chart::render_chart(fig));
+            outln!("{}", ps_bench::chart::render_chart(fig));
         }
-        println!("({id} regenerated in {:.2}s)\n", seconds);
+        outln!("({id} regenerated in {:.2}s)\n", seconds);
         let path = format!("{out_dir}/{id}.csv");
         cli::io_or_exit("write CSV", &path, std::fs::write(&path, fig.render_csv()));
         if json {
@@ -223,7 +226,7 @@ fn main() {
             html.add_note(&format!("FAILED: {f}"));
         }
         cli::io_or_exit("write HTML report", report_path, std::fs::write(report_path, html.render()));
-        println!("report: {} figure(s) written to {report_path}", html.len());
+        outln!("report: {} figure(s) written to {report_path}", html.len());
     }
 
     simcore::telemetry::set_span_observer(None);
@@ -234,7 +237,7 @@ fn main() {
             metrics_path,
             std::fs::write(metrics_path, &metrics_report),
         );
-        println!("metrics: snapshot written to {metrics_path}");
+        outln!("metrics: snapshot written to {metrics_path}");
     }
     if let Some(trace_path) = &trace_out {
         cli::io_or_exit(
@@ -242,7 +245,7 @@ fn main() {
             trace_path,
             std::fs::write(trace_path, recorder.render_chrome_trace()),
         );
-        println!(
+        outln!(
             "trace: {} span event(s) written to {trace_path} (load in https://ui.perfetto.dev)",
             recorder.len()
         );
@@ -271,7 +274,7 @@ fn main() {
                 std::process::exit(2);
             }
             Ok(report) => {
-                println!(
+                outln!(
                     "metrics baseline: {} gated values equal to {baseline_path}",
                     report.compared
                 );

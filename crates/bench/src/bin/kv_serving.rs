@@ -44,8 +44,9 @@
 //! a self-contained HTML report (inline-SVG time-series, the tail-latency
 //! table, and the ranked site-attribution heatmap).
 //!
-//! [`ps_bench::cli`] reads the arguments: a value flag given last is a
-//! usage error, and `--help` prints the usage on stdout and exits 0.
+//! [`ps_bench::cli`] reads the arguments: a value flag given last, or any
+//! positional argument, is a usage error, and `--help` prints the usage on
+//! stdout and exits 0.
 //!
 //! Exit codes: `0` success (or `--help`), `1` usage or I/O error, `4` a
 //! memory bound was exceeded, `5` streaming-vs-materialized verification
@@ -54,6 +55,7 @@
 use machine::{MachineConfig, RunStats, StreamOptions};
 use prestore::PrestoreMode;
 use ps_bench::cli::{self, Cli};
+use ps_bench::{out, outln};
 use simcore::telemetry::Histogram;
 use std::num::{NonZeroU64, NonZeroUsize};
 use workloads::kv::{serving, KvServingSource, ServingParams};
@@ -95,7 +97,8 @@ fn usage() -> String {
                    stats + digest (refused above 8M events)
   -h, --help       print this text on stdout and exit 0
 
-usage errors (an unknown flag, a flag shown with a value given none) exit 1",
+usage errors (an unknown flag, a flag shown with a value given none, any
+positional argument) exit 1",
         max_cores = machine::MAX_CORES
     )
 }
@@ -198,6 +201,7 @@ fn main() {
         usage_exit: 1,
     };
     let args = cli.parse();
+    args.positionals_up_to(0);
     let users = args.value("--users").map_or(1_000_000, NonZeroU64::get);
     let events = args.value("--events").map_or(2_000_000, NonZeroU64::get);
     let threads = args.value("--threads").map_or(2, NonZeroUsize::get);
@@ -259,26 +263,26 @@ fn main() {
 
     let rss = peak_rss_bytes();
     let events_per_sec = report.events as f64 / wall.as_secs_f64();
-    println!("kv_serving: {users} tenants, {threads} threads, mode {mode_str}, machine {machine}");
-    println!("  events            {:>14}", report.events);
-    println!("  chunks            {:>14}  ({chunk_events} events/chunk)", report.chunks);
-    println!("  digest            {:>14}", format!("{:016x}", report.digest));
-    println!("  peak pipeline     {:>14} bytes", report.peak_pipeline_bytes);
+    outln!("kv_serving: {users} tenants, {threads} threads, mode {mode_str}, machine {machine}");
+    outln!("  events            {:>14}", report.events);
+    outln!("  chunks            {:>14}  ({chunk_events} events/chunk)", report.chunks);
+    outln!("  digest            {:>14}", format!("{:016x}", report.digest));
+    outln!("  peak pipeline     {:>14} bytes", report.peak_pipeline_bytes);
     if let Some(rss) = rss {
-        println!("  peak process RSS  {:>14} bytes", rss);
+        outln!("  peak process RSS  {:>14} bytes", rss);
     }
-    println!("  wall clock        {:>14.2} s  ({:.1}M events/s)", wall.as_secs_f64(), events_per_sec / 1e6);
-    println!("  simulated cycles  {:>14}", report.stats.cycles);
-    println!("  write amp         {:>14.3}", report.stats.write_amplification());
+    outln!("  wall clock        {:>14.2} s  ({:.1}M events/s)", wall.as_secs_f64(), events_per_sec / 1e6);
+    outln!("  simulated cycles  {:>14}", report.stats.cycles);
+    outln!("  write amp         {:>14.3}", report.stats.write_amplification());
     if !report.stats.timeseries.is_empty() {
-        println!(
+        outln!(
             "  timeseries        {:>14} windows of {} cycles",
             report.stats.timeseries.len(),
             report.stats.timeseries_window_cycles
         );
     }
-    println!("  request latency (simulated cycles, retire-to-retire):");
-    print!("{}", latency_text(&report.stats));
+    outln!("  request latency (simulated cycles, retire-to-retire):");
+    out!("{}", latency_text(&report.stats));
 
     let mut failed_bound = false;
     if let Some(budget) = mem_budget {
@@ -289,7 +293,7 @@ fn main() {
             );
             failed_bound = true;
         } else {
-            println!("  budget check      {:>14} <= {budget} ok", report.peak_pipeline_bytes);
+            outln!("  budget check      {:>14} <= {budget} ok", report.peak_pipeline_bytes);
         }
     }
     if let Some(mb) = assert_rss_mb {
@@ -298,7 +302,7 @@ fn main() {
                 eprintln!("FAIL: peak RSS {rss} bytes exceeds --assert-rss-mb {mb}");
                 failed_bound = true;
             }
-            Some(rss) => println!("  rss check         {rss:>14} <= {mb} MB ok"),
+            Some(rss) => outln!("  rss check         {rss:>14} <= {mb} MB ok"),
             None => eprintln!("warning: /proc/self/status unavailable; RSS not checked"),
         }
     }
@@ -364,7 +368,7 @@ fn main() {
         }
         json.push_str("\n  ]\n}\n");
         cli::io_or_exit("write metrics", &path, std::fs::write(&path, json));
-        println!("  metrics           {path}");
+        outln!("  metrics           {path}");
     }
 
     if let Some(path) = args.value::<String>("--report") {
@@ -390,7 +394,7 @@ fn main() {
         );
         html.add_site_heatmap("Site attribution", &report.stats, source.registry(), 12);
         cli::io_or_exit("write report", &path, std::fs::write(&path, html.render()));
-        println!("  report            {path}");
+        outln!("  report            {path}");
     }
 
     if verify {
@@ -422,7 +426,7 @@ fn main() {
             );
             std::process::exit(5);
         }
-        println!("  verify            streaming == materialized (stats + digest) ok");
+        outln!("  verify            streaming == materialized (stats + digest) ok");
     }
 
     let mut slo_failed = false;
@@ -445,7 +449,7 @@ fn main() {
                 );
                 slo_failed = true;
             } else {
-                println!("  slo               {} {} = {measured} <= {} ok", hist.name, b.pct, b.limit);
+                outln!("  slo               {} {} = {measured} <= {} ok", hist.name, b.pct, b.limit);
             }
         }
     }

@@ -16,9 +16,15 @@
 //! error: the message and the usage text go to stderr and the binary exits
 //! with its usage code. `--help` or `-h` anywhere wins over all of them:
 //! the usage text goes to stdout and the binary exits 0.
+//!
+//! The binaries print to stdout only through [`out!`](crate::out) and
+//! [`outln!`](crate::outln) ([`print_out`]): once the reader of stdout has
+//! gone (`| head` exits early), printing stops and the run goes on.
 
 use std::fmt::{self, Display};
+use std::io::Write as _;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One binary's command-line grammar and its usage text.
 #[derive(Debug)]
@@ -95,7 +101,7 @@ impl Cli {
         match self.read(std::env::args().skip(1)) {
             Ok(args) => args,
             Err(CliError::Help) => {
-                println!("{}", self.usage);
+                crate::outln!("{}", self.usage);
                 std::process::exit(0);
             }
             Err(e) => self.fail(e),
@@ -136,6 +142,45 @@ impl Args<'_> {
     pub fn positionals(&self) -> &[String] {
         &self.positionals
     }
+
+    /// The positional arguments, of which the binary takes at most `max`:
+    /// one more is a usage error ([`Cli::fail`]) that names it.
+    pub fn positionals_up_to(&self, max: usize) -> &[String] {
+        if let Some(extra) = self.positionals.get(max) {
+            self.cli.fail(format!("unexpected argument {extra:?}"));
+        }
+        &self.positionals
+    }
+}
+
+/// Whether a write to stdout has failed.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write `args` to stdout: the one printing path of the binaries, through
+/// [`out!`](crate::out) and [`outln!`](crate::outln). A write that fails
+/// (the reader closed the pipe) stops every later print and nothing else:
+/// the run still writes its files and exits with the code it earns, where
+/// `print!` would panic.
+pub fn print_out(args: fmt::Arguments<'_>) {
+    if !STDOUT_CLOSED.load(Ordering::Relaxed) && std::io::stdout().write_fmt(args).is_err() {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+/// `print!` through [`cli::print_out`](crate::cli::print_out).
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::print_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`cli::print_out`](crate::cli::print_out).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::print_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// The result of a file operation on `path`. On an error, report `cannot

@@ -8,7 +8,7 @@
 use crate::{memo, runner, FigureResult, Series};
 use cachesim::{CacheConfig, ReplacementKind};
 use machine::{simulate, MachineConfig};
-use memdev::{Device, FpgaMem};
+use memdev::Device;
 use prestore::PrestoreMode;
 use workloads::kv::ycsb::{YcsbKind, YcsbParams};
 use workloads::microbench::{Listing1Params, Listing2Params};
@@ -30,8 +30,8 @@ pub fn granularity_sweep(quick: bool) -> FigureResult {
     let stats = runner::sweep_grid(modes.len(), blocks.len(), |m, i| {
         let block = blocks[i];
         let mut cfg = MachineConfig::machine_a();
-        // Same latency/bandwidth as the Optane model, varying granularity.
-        cfg.device = Device::Optane(memdev::OptanePmem::new(350, 60, 6.0, block, 64));
+        // The Optane preset's latency and bandwidth, varying granularity.
+        cfg.device = Device::optane(block);
         let mut p = Listing1Params::new(5, 1024);
         if quick {
             p.footprint = 8 * 1024 * 1024;
@@ -111,7 +111,8 @@ pub fn fpga_latency_sweep(quick: bool) -> FigureResult {
     // pairs, variant fastest-varying.
     let stats = runner::sweep_grid(lats.len(), read_counts.len() * 2, |l, c| {
         let mut cfg = MachineConfig::machine_b_fast();
-        cfg.device = Device::Fpga(FpgaMem::new(lats[l], 5.0, 128));
+        // B-Fast's bandwidth, varying latency.
+        cfg.device = Device::fpga(lats[l], cfg.device.media_write_bandwidth());
         let mut p = Listing2Params::new(read_counts[c / 2]);
         p.iters = iters;
         simulate(&cfg, &memo::listing2(&p, c % 2 == 1).traces)

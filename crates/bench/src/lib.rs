@@ -132,9 +132,7 @@ impl FigureResult {
 /// Minimal JSON serializer for [`FigureResult`] (the structure is strings
 /// and f64 pairs only, so no external JSON dependency is needed).
 fn serde_json_lite(fig: &FigureResult) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-    }
+    let esc = simcore::stats::json_escape;
     let mut out = String::new();
     out.push_str(&format!(
         "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"x_label\": \"{}\",\n  \"y_label\": \"{}\",\n  \"series\": [",
@@ -167,6 +165,7 @@ fn serde_json_lite(fig: &FigureResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jsonv::Json;
 
     #[test]
     fn series_accessors() {
@@ -210,5 +209,18 @@ mod tests {
         assert!(json.contains("\\\"quoted\\\""), "{json}");
         assert!(json.contains("base\\nline"), "{json}");
         assert!(json.contains("\"a note\""));
+    }
+
+    #[test]
+    fn json_with_control_characters_parses_back() {
+        let mut f = FigureResult::new("figZ", "T", "x", "y");
+        f.series.push(Series::new("tab\there"));
+        f.notes.push("bell\u{7}".into());
+        let json = f.render_json();
+        let parsed = jsonv::Json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let series = parsed.get("series").and_then(Json::as_arr).expect("series");
+        assert_eq!(series[0].get("label").and_then(Json::as_str), Some("tab\there"));
+        let notes = parsed.get("notes").and_then(Json::as_arr).expect("notes");
+        assert_eq!(notes[0].as_str(), Some("bell\u{7}"));
     }
 }

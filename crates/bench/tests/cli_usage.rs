@@ -2,10 +2,12 @@
 //! cannot honour — a thread count the replay engine cannot hold, a `--`
 //! flag it does not know, a value flag with nothing after it — exits
 //! through the usage path before any trace is built or any file is
-//! written; a flag's value is never read as a positional; and `--help`
-//! prints the usage on stdout and exits 0, the same in all three binaries.
+//! written; a flag's value is never read as a positional, and a positional
+//! a binary does not take is an error; `--help` prints the usage on stdout
+//! and exits 0, the same in all three binaries; and a reader that closes
+//! stdout early stops the printing, not the run.
 
-use std::process::{Command, Output};
+use std::process::{Command, ExitStatus, Output, Stdio};
 
 fn run(exe: &str, args: &[&str]) -> Output {
     Command::new(exe).args(args).output().expect("binary runs")
@@ -147,4 +149,84 @@ fn figures_takes_ids_after_a_flag_value_that_names_one() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert_eq!(written, ["table1.csv"], "only the named experiment runs");
+}
+
+/// Every unknown id is named, and nothing runs or is written: not the
+/// known ids given beside it, not the output directory.
+#[test]
+fn figures_names_every_unknown_id_and_runs_nothing() {
+    let out_dir = std::env::temp_dir().join(format!("figures-unknown-id-{}", std::process::id()));
+    let out_arg = out_dir.to_str().expect("utf-8 path");
+    let out = run(
+        env!("CARGO_BIN_EXE_figures"),
+        &["--quick", "--out", out_arg, "table1", "nosuchid", "fig99"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with(r#"unknown experiment id(s): ["nosuchid", "fig99"]"#), "{stderr}");
+    assert!(stderr.contains("\n  table1\n"), "the known ids are listed: {stderr}");
+    assert!(out.stdout.is_empty(), "table1 does not run");
+    assert!(!out_dir.exists(), "no output directory is created");
+}
+
+/// `dirtbuster` takes one workload, or none with `--from-trace`: a second
+/// workload, or one beside `--from-trace`, is a usage error, and so is
+/// neither.
+#[test]
+fn dirtbuster_takes_one_workload_or_none_with_from_trace() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["listing3", "mg"], "unexpected argument \"mg\""),
+        (&["--from-trace", "no-such.pstrace", "mg"], "unexpected argument \"mg\""),
+        (&["--verbose"], "dirtbuster needs a <workload> or --from-trace FILE"),
+    ];
+    for (args, message) in cases {
+        let out = run(env!("CARGO_BIN_EXE_dirtbuster"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("\nusage: dirtbuster"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+}
+
+#[test]
+fn kv_serving_takes_no_positional() {
+    let out = run(env!("CARGO_BIN_EXE_kv_serving"), &["--users", "100", "--events", "1000", "foo"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("unexpected argument \"foo\""), "{stderr}");
+    assert!(stderr.contains("\nusage: kv_serving"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs");
+}
+
+/// Run `exe` with its stdout a pipe whose read end is closed before the
+/// binary starts, so its first print already finds no reader.
+fn run_with_stdout_closed(exe: &str, args: &[&str]) -> ExitStatus {
+    let mut child = Command::new(exe)
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    child.wait().expect("binary exits")
+}
+
+/// A reader that goes away (`| head -1`) stops the printing, not the run:
+/// each binary finishes, writes its files and exits 0.
+#[test]
+fn a_closed_stdout_stops_the_printing_not_the_run() {
+    let out_dir = std::env::temp_dir().join(format!("figures-closed-{}", std::process::id()));
+    let out_arg = out_dir.to_str().expect("utf-8 path");
+    let runs: [(&str, &[&str]); 3] = [
+        (env!("CARGO_BIN_EXE_dirtbuster"), &["listing3"]),
+        (env!("CARGO_BIN_EXE_figures"), &["--quick", "--out", out_arg, "table1"]),
+        (env!("CARGO_BIN_EXE_kv_serving"), &["--users", "1000", "--events", "20000"]),
+    ];
+    for (exe, args) in runs {
+        assert_eq!(run_with_stdout_closed(exe, args).code(), Some(0), "{exe} {args:?}");
+    }
+    let csv = std::fs::read_to_string(out_dir.join("table1.csv"));
+    std::fs::remove_dir_all(&out_dir).expect("remove the output directory");
+    assert!(csv.expect("figures still writes its CSV").contains("internal granularity,256"));
 }

@@ -2,13 +2,12 @@
 //! replays return. Every replay publishes what it measured once, at
 //! whichever exit it takes, so the registry's `device.*` and `engine.*`
 //! totals are sums over the returned [`RunStats`]: a publish that is
-//! skipped (say, a wrapped device model's histogram) or doubled shows up
+//! skipped (say, one device preset's histogram) or doubled shows up
 //! here as a mismatch, not as a drift inside a tolerance.
 //!
 //! One test in its own process: the registry is process-global.
 
 use machine::{CrashOutcome, CrashPlan, Machine, MachineConfig, RunStats};
-use memdev::MemDevice;
 use simcore::telemetry::{self, Histogram};
 use simcore::{TraceSet, Tracer};
 

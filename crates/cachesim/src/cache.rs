@@ -81,18 +81,6 @@ pub struct CacheStats {
     pub cleans: u64,
 }
 
-impl CacheStats {
-    /// Hit rate in `[0, 1]` (1.0 when there were no accesses).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// One set's state, packed into a single record: which ways hold a line,
 /// which of those are dirty, and the set's replacement word (see
 /// [`ReplacementKind::touch`]). 24 bytes, so a probe touches one record
@@ -192,11 +180,6 @@ impl Cache {
     #[inline]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Reset the event counters (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// Align `addr` to this cache's line size.

@@ -2,7 +2,7 @@
 //! FPGA), as evaluated in §3 and §7 of the paper.
 
 use cachesim::{CacheConfig, ReplacementKind};
-use memdev::{CxlSsd, Device, Dram, FpgaMem, OptanePmem};
+use memdev::Device;
 use simcore::Cycles;
 
 /// The memory ordering model of the CPU.
@@ -113,7 +113,7 @@ impl MachineConfig {
             sb_mlp: 10,
             wc_buffers: 10,
             costs: CostModel::default(),
-            device: Device::Optane(OptanePmem::default()),
+            device: Device::optane(256),
             freq_ghz: 2.1,
             seed: 0xA,
             step_budget: None,
@@ -126,7 +126,7 @@ impl MachineConfig {
     pub fn machine_a_dram() -> Self {
         Self {
             name: "Machine A (Xeon + DRAM)",
-            device: Device::Dram(Dram::default()),
+            device: Device::dram(),
             ..Self::machine_a()
         }
     }
@@ -135,12 +135,12 @@ impl MachineConfig {
     pub fn machine_a_cxl_ssd(block: u64) -> Self {
         Self {
             name: "Machine A (Xeon + CXL SSD)",
-            device: Device::CxlSsd(CxlSsd::new(block)),
+            device: Device::cxl_ssd(block),
             ..Self::machine_a()
         }
     }
 
-    fn machine_b(name: &'static str, fpga: FpgaMem) -> Self {
+    fn machine_b(name: &'static str, device: Device) -> Self {
         Self {
             name,
             line_size: 128,
@@ -153,7 +153,7 @@ impl MachineConfig {
             sb_mlp: 3,
             wc_buffers: 8,
             costs: CostModel { llc_hit: 37, ..CostModel::default() },
-            device: Device::Fpga(fpga),
+            device,
             freq_ghz: 2.0,
             seed: 0xB,
             step_budget: None,
@@ -163,12 +163,12 @@ impl MachineConfig {
 
     /// Machine B-Fast: Enzian with the FPGA at 60 cycles / 10 GB/s (§3).
     pub fn machine_b_fast() -> Self {
-        Self::machine_b("Machine B-Fast (ThunderX + FPGA, low latency)", FpgaMem::fast())
+        Self::machine_b("Machine B-Fast (ThunderX + FPGA, low latency)", Device::fpga_fast())
     }
 
     /// Machine B-Slow: Enzian with the FPGA at 200 cycles / 1.5 GB/s (§3).
     pub fn machine_b_slow() -> Self {
-        Self::machine_b("Machine B-Slow (ThunderX + FPGA, high latency)", FpgaMem::slow())
+        Self::machine_b("Machine B-Slow (ThunderX + FPGA, high latency)", Device::fpga_slow())
     }
 
     /// Convert a cycle count to seconds at this machine's frequency.
@@ -193,7 +193,6 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memdev::MemDevice;
 
     #[test]
     fn machine_a_shape() {

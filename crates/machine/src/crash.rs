@@ -33,6 +33,7 @@
 //! the same final durable line set as an uninterrupted run.
 
 use crate::stats::RunStats;
+use simcore::stats::json_escape;
 use simcore::telemetry::flight::FlightEvent;
 use simcore::{Addr, Cycles, FuncId, FuncRegistry};
 use std::fmt::Write as _;
@@ -191,24 +192,6 @@ pub fn render_crash_table(report: &CrashReport, registry: &FuncRegistry) -> Stri
     out
 }
 
-/// Minimal JSON string escaping for site names.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the crash report as a self-contained JSON object (the artifact
 /// the CI crash-smoke step uploads).
 pub fn render_crash_json(report: &CrashReport, registry: &FuncRegistry) -> String {
@@ -342,11 +325,6 @@ mod tests {
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn json_escapes_hostile_site_names() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -929,12 +929,10 @@ impl<'a, T: LineTables> Engine<'a, T> {
         // The device's final flush closes still-open buffered blocks; no
         // single site caused those media writes, so they land in the
         // UNKNOWN row (bounded by the device's buffer capacity).
-        let flushed_before = *self.device.stats();
-        self.device.flush();
-        let dstats_now = *self.device.stats();
+        let flushed = self.device.flush();
         let unknown = &mut self.sites.row(FuncId::UNKNOWN).counters;
-        unknown.media_bytes += dstats_now.media_bytes_written - flushed_before.media_bytes_written;
-        unknown.rmw_bytes += dstats_now.media_bytes_rmw_read - flushed_before.media_bytes_rmw_read;
+        unknown.media_bytes += flushed.written;
+        unknown.rmw_bytes += flushed.rmw_read;
         self.probes.close_burst();
 
         let cpu_cycles = self.cores.iter().map(|c| c.now).max().unwrap_or(0);
@@ -1282,14 +1280,12 @@ impl<'a, T: LineTables> Engine<'a, T> {
         if let Some(ctx) = self.crash.as_mut() {
             ctx.received.insert(line);
         }
-        let before = *self.device.stats();
-        self.device.receive_write(line, bytes);
-        let after = *self.device.stats();
+        let media = self.device.receive_write(line, bytes);
         self.ts_device_bytes += bytes;
         let row = &mut self.sites.row(site).counters;
         row.device_bytes += bytes;
-        row.media_bytes += after.media_bytes_written - before.media_bytes_written;
-        row.rmw_bytes += after.media_bytes_rmw_read - before.media_bytes_rmw_read;
+        row.media_bytes += media.written;
+        row.rmw_bytes += media.rmw_read;
         self.probes.device_write(line, bytes, self.cfg.line_size);
     }
 
@@ -2250,9 +2246,7 @@ mod tests {
         });
         let clean = single(&MachineConfig::machine_a(), &trace);
         let mut cfg = MachineConfig::machine_a();
-        cfg.device
-            .inject_faults(Some(TransientFaults::new(10, 5_000)))
-            .expect("optane supports fault injection");
+        cfg.device.inject_faults(Some(TransientFaults::new(10, 5_000)));
         let faulty = single(&cfg, &trace);
         assert!(
             faulty.cpu_cycles > clean.cpu_cycles,

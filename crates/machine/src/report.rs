@@ -1,91 +1,9 @@
 //! Human-readable breakdowns of a [`RunStats`] — the simulator's
 //! equivalent of a `perf` profile plus `ipmctl` media counters.
 
-use crate::config::MachineConfig;
 use crate::stats::RunStats;
 use simcore::{FuncId, FuncRegistry};
 use std::fmt::Write as _;
-
-/// Render a multi-line summary of `stats` for `cfg`.
-///
-/// # Examples
-///
-/// ```
-/// use machine::{report::summarize, simulate, MachineConfig};
-/// use simcore::{TraceSet, Tracer};
-///
-/// let mut t = Tracer::new();
-/// t.write(0, 64);
-/// t.fence();
-/// let cfg = MachineConfig::machine_a();
-/// let stats = simulate(&cfg, &TraceSet::new(vec![t.finish()]));
-/// let text = summarize(&stats, &cfg);
-/// assert!(text.contains("write amplification"));
-/// ```
-pub fn summarize(stats: &RunStats, cfg: &MachineConfig) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "machine: {}", cfg.name);
-    let _ = writeln!(
-        out,
-        "run time: {} cycles ({:.3} ms at {:.1} GHz) — {}",
-        stats.cycles,
-        cfg.cycles_to_seconds(stats.cycles) * 1e3,
-        cfg.freq_ghz,
-        if stats.is_media_bound() { "MEDIA-bound" } else { "CPU-bound" },
-    );
-    let _ = writeln!(
-        out,
-        "  cpu critical path {:>12} cycles | media busy {:>12} cycles",
-        stats.cpu_cycles, stats.media_busy_cycles
-    );
-    let _ = writeln!(
-        out,
-        "stalls: fence {} | atomic {} | store-buffer pressure {} | writeback conflicts {}",
-        stats.total_fence_stalls(),
-        stats.total_atomic_stalls(),
-        stats.cores.iter().map(|c| c.sb_pressure_stall_cycles).sum::<u64>(),
-        stats.cores.iter().map(|c| c.writeback_stall_cycles).sum::<u64>(),
-    );
-    let _ = writeln!(
-        out,
-        "caches: L1 hit rate {:.1}% ({} evictions, {} dirty) | LLC hit rate {:.1}% ({} dirty evictions)",
-        stats.l1.hit_rate() * 100.0,
-        stats.l1.evictions,
-        stats.l1.dirty_evictions,
-        llc_hit_rate(stats) * 100.0,
-        stats.llc.dirty_evictions,
-    );
-    let d = &stats.device;
-    let _ = writeln!(
-        out,
-        "device: received {} B, media wrote {} B, read {} B (+{} B RMW) — write amplification {:.2}x",
-        d.bytes_received, d.media_bytes_written, d.bytes_read, d.media_bytes_rmw_read,
-        stats.write_amplification(),
-    );
-    for (i, c) in stats.cores.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  core {i}: {:>12} cycles | {} reads {} writes {} prestores {} fences {} atomics",
-            c.cycles, c.read_lines, c.write_lines, c.prestores, c.fences, c.atomics
-        );
-    }
-    out
-}
-
-/// LLC hit rate in `[0, 1]` (1.0 when nothing reached the LLC).
-///
-/// The engine probes the LLC with a fused hit check that counts no
-/// misses, so `stats.llc.misses` stays 0 on every replay. Every LLC miss
-/// is served by the device instead, so the device's read requests are the
-/// miss count.
-fn llc_hit_rate(stats: &RunStats) -> f64 {
-    let total = stats.llc.hits + stats.device.reads_received;
-    if total == 0 {
-        1.0
-    } else {
-        stats.llc.hits as f64 / total as f64
-    }
-}
 
 /// Render the per-site write-amplification and stall attribution table —
 /// the paper's Table-3 style "which code site causes the device traffic"
@@ -188,35 +106,11 @@ pub fn render_site_table(stats: &RunStats, registry: &FuncRegistry, top: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
     use simcore::{ThreadTrace, TraceSet, Tracer};
 
     fn replay_one(cfg: &MachineConfig, trace: ThreadTrace) -> RunStats {
         crate::simulate(cfg, &TraceSet::new(vec![trace]))
-    }
-
-    #[test]
-    fn summary_contains_all_sections() {
-        let cfg = MachineConfig::machine_a();
-        let mut t = Tracer::new();
-        for i in 0..100u64 {
-            t.write(i * 64, 64);
-            t.read(i * 64, 8);
-        }
-        t.fence();
-        let stats = replay_one(&cfg, t.finish());
-        let text = summarize(&stats, &cfg);
-        for needle in ["machine:", "run time:", "stalls:", "caches:", "device:", "core 0:"] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-    }
-
-    #[test]
-    fn bound_classification_is_printed() {
-        let cfg = MachineConfig::machine_a();
-        let mut t = Tracer::new();
-        t.compute(1_000_000);
-        let stats = replay_one(&cfg, t.finish());
-        assert!(summarize(&stats, &cfg).contains("CPU-bound"));
     }
 
     #[test]
@@ -269,23 +163,6 @@ mod tests {
             "{table}"
         );
         assert!(!table.contains("NaN"), "{table}");
-    }
-
-    #[test]
-    fn cold_reads_report_llc_misses() {
-        // 8 MiB of reads touched once: every line misses the whole
-        // hierarchy and is read from the device, so the LLC hit rate is 0,
-        // not the 100% a miss-free `llc` counter would suggest.
-        let cfg = MachineConfig::machine_a();
-        let mut t = Tracer::new();
-        for i in 0..(8u64 << 20) / 64 {
-            t.read(i * 64, 64);
-        }
-        let stats = replay_one(&cfg, t.finish());
-        assert_eq!(stats.llc.hits, 0);
-        assert_eq!(stats.device.reads_received, 131_072);
-        let text = summarize(&stats, &cfg);
-        assert!(text.contains("LLC hit rate 0.0%"), "{text}");
     }
 
     /// A read-only trace exercises the zero-denominator footer end to end:

@@ -8,30 +8,25 @@
 //!    (Table 1: Intel 64 B vs Optane 256 B vs CXL SSD 256/512 B). A device
 //!    receiving non-sequential line writebacks suffers *write
 //!    amplification*: each 64 B line closes a 256 B internal block. The
-//!    [`OptanePmem`] model reproduces the `ipmctl`-style media-write
-//!    counters the paper measures.
+//!    block-granular presets ([`Device::optane`], [`Device::cxl_ssd`])
+//!    reproduce the `ipmctl`-style media-write counters the paper measures.
 //! 2. **Latency** of the device, including the cost of coherence-directory
-//!    updates when the directory is stored *on* the device ([`FpgaMem`] —
-//!    the Enzian configuration of Machine B).
+//!    updates when the directory is stored *on* the device
+//!    ([`Device::fpga`] — the Enzian configuration of Machine B).
 //!
-//! All devices implement [`MemDevice`]; [`Device`] provides enum dispatch.
+//! One [`Device`] models every memory: a preset fixes its constants and
+//! whether it carries a block-combining buffer. Every preset honours a
+//! [`TransientFaults`] schedule.
 //!
-//! The models publish nothing to the metrics registry: each keeps plain
-//! [`DeviceStats`] counters (and, on the block-buffered models, a
-//! block-coverage [`Histogram`]) that the replay engine reads through
+//! The device publishes nothing to the metrics registry: it keeps plain
+//! [`DeviceStats`] counters (and, when block-buffered, a block-coverage
+//! [`Histogram`]) that the replay engine reads through
 //! [`MemDevice::stats`] and [`Device::block_coverage`] and publishes once
 //! per replay.
 
-pub mod cxl_ssd;
-pub mod dram;
-pub mod fpga;
-pub mod optane;
+mod buffer;
 
-pub use cxl_ssd::CxlSsd;
-pub use dram::Dram;
-pub use fpga::FpgaMem;
-pub use optane::OptanePmem;
-
+use buffer::BlockBuffer;
 use simcore::telemetry::Histogram;
 use simcore::{Addr, Cycles};
 
@@ -67,6 +62,16 @@ impl DeviceStats {
     }
 }
 
+/// The media traffic one [`MemDevice::receive_write`] or
+/// [`MemDevice::flush`] caused.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct MediaBytes {
+    /// Bytes written to the media.
+    pub written: u64,
+    /// Bytes read from the media to fill partially covered blocks.
+    pub rmw_read: u64,
+}
+
 /// Configuration of deterministic transient-fault injection on a device.
 ///
 /// Real link-attached memories occasionally stall a request far beyond
@@ -95,14 +100,10 @@ impl TransientFaults {
         Self { period, extra_latency }
     }
 
-    /// Whether the request after `requests_so_far` requests stalls.
-    fn hits(&self, requests_so_far: u64) -> bool {
-        (requests_so_far + 1).is_multiple_of(self.period)
-    }
-
     /// Stall of the next request given the device's counters so far.
     pub fn stall_for(&self, stats: &DeviceStats) -> Cycles {
-        if self.hits(stats.reads_received + stats.writes_received) {
+        let requests_so_far = stats.reads_received + stats.writes_received;
+        if (requests_so_far + 1).is_multiple_of(self.period) {
             self.extra_latency
         } else {
             0
@@ -110,37 +111,170 @@ impl TransientFaults {
     }
 }
 
-/// A device was asked to inject transient faults but does not model them.
-///
-/// Returned by [`MemDevice::inject_faults`] on devices whose timing the
-/// fault-injection harness cannot degrade ([`Dram`], [`CxlSsd`]). Before
-/// this type existed the default implementation silently swallowed the
-/// configuration, making "faults injected" sweeps on unsupported devices
-/// indistinguishable from clean runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultInjectionUnsupported {
-    /// Name of the device that rejected the schedule.
-    pub device: &'static str,
+/// A cacheable memory device: one of the presets ([`Device::dram`],
+/// [`Device::optane`], [`Device::fpga`], [`Device::cxl_ssd`]) with its
+/// counters and, on the block-granular presets, the buffer that merges
+/// line writes into internal blocks.
+#[derive(Debug, Clone)]
+pub struct Device {
+    name: &'static str,
+    read_latency: Cycles,
+    write_latency: Cycles,
+    directory_latency: Cycles,
+    granularity: u64,
+    /// Sustainable media write bandwidth, bytes per CPU cycle.
+    bandwidth: f64,
+    duplex: bool,
+    durable: bool,
+    stats: DeviceStats,
+    /// Transient-fault injection schedule, if enabled.
+    faults: Option<TransientFaults>,
+    /// The block-combining buffer; `None` on line-granular presets, whose
+    /// writes reach the media whole.
+    buffer: Option<BlockBuffer>,
 }
 
-impl std::fmt::Display for FaultInjectionUnsupported {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "device '{}' does not support transient-fault injection", self.device)
+impl Device {
+    /// A volatile, half-duplex device whose writes reach the media whole;
+    /// the presets change what differs.
+    fn new(
+        name: &'static str,
+        read_latency: Cycles,
+        write_latency: Cycles,
+        directory_latency: Cycles,
+        granularity: u64,
+        bandwidth: f64,
+    ) -> Self {
+        Self {
+            name,
+            read_latency,
+            write_latency,
+            directory_latency,
+            granularity,
+            bandwidth,
+            duplex: false,
+            durable: false,
+            stats: DeviceStats::default(),
+            faults: None,
+            buffer: None,
+        }
     }
-}
 
-impl std::error::Error for FaultInjectionUnsupported {}
+    /// DDR4-class DRAM, the baseline device caches were designed for.
+    ///
+    /// Internal granularity equals the CPU line size, so there is never
+    /// write amplification; latency and bandwidth are high enough that
+    /// eviction order is irrelevant — which is exactly why the paper's
+    /// problems only appear on *other* devices.
+    pub fn dram() -> Self {
+        // ~90 ns read at 2.1 GHz, ~40 GB/s write bandwidth (~19 B/cycle).
+        Self::new("DRAM", 190, 100, 30, 64, 19.0)
+    }
 
-/// Behaviour required of a cacheable memory device.
-pub trait MemDevice {
+    /// Intel Optane persistent memory with `block`-byte internal blocks
+    /// (256 B in Table 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not a power of two.
+    pub fn optane(block: u64) -> Self {
+        // ~170 ns read at 2.1 GHz (~350 cycles), ~150 ns media write;
+        // aggregate media write bandwidth ~12.6 GB/s (6 B/cycle) for the 8
+        // interleaved DIMMs, tuned so that one random writer stays
+        // CPU-bound and two or more saturate the device, as on the paper's
+        // Machine A (§4.1). The XPBuffer is 16 KB = 64 open 256 B blocks.
+        // 3D-XPoint media is persistent: closed blocks survive power loss.
+        Self {
+            durable: true,
+            buffer: Some(BlockBuffer::new(block, 64)),
+            ..Self::new("Optane PMEM", 350, 300, 60, block, 6.0)
+        }
+    }
+
+    /// FPGA-backed cache-coherent memory (Machine B / Enzian) with a
+    /// `latency`-cycle access and `bandwidth` bytes per cycle.
+    ///
+    /// The Enzian prototype attaches a Xilinx FPGA to a ThunderX ARM CPU
+    /// in a cache-coherent fashion; the CPU transparently caches the
+    /// FPGA's memory and — crucially — keeps the *coherence directory on
+    /// the FPGA*, so every cache-line status change pays an FPGA round
+    /// trip (§4.2). The FPGA interleaves requests across several memory
+    /// controllers, so it has no write-amplification behaviour (§7.3: "the
+    /// machine does not benefit from the increase in sequentiality") — its
+    /// granularity equals the ThunderX's 128 B line.
+    pub fn fpga(latency: Cycles, bandwidth: f64) -> Self {
+        // A posted write completes after one device round trip plus a
+        // small controller overhead; the directory update is one round
+        // trip. The coherent link has independent request/response
+        // directions.
+        let fpga = Self::new("FPGA memory", latency, latency + 20, latency, 128, bandwidth);
+        Self { duplex: true, ..fpga }
+    }
+
+    /// The paper's low-latency FPGA (Machine B-Fast, a future high-end
+    /// CXL memory): 60 cycles, 10 GB/s, which is 5 bytes/cycle at 2 GHz.
+    pub fn fpga_fast() -> Self {
+        Self::fpga(60, 5.0)
+    }
+
+    /// The paper's high-latency FPGA (Machine B-Slow, a medium-tier CXL
+    /// memory): 200 cycles, 1.5 GB/s, which is 0.75 bytes/cycle at 2 GHz.
+    pub fn fpga_slow() -> Self {
+        Self::fpga(200, 0.75)
+    }
+
+    /// A CXL SSD exposing byte-addressable, cacheable memory with
+    /// `block`-byte internal blocks (256 or 512 B per Table 1): the
+    /// Optane mechanism with larger blocks and lower bandwidth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not a power of two.
+    pub fn cxl_ssd(block: u64) -> Self {
+        // ~600-cycle reads, 1 GB/s media writes (~0.5 B/cycle at 2.1 GHz),
+        // a 32-block internal buffer. Flash media is persistent.
+        Self {
+            durable: true,
+            buffer: Some(BlockBuffer::new(block, 32)),
+            ..Self::new("CXL SSD", 600, 800, 100, block, 0.5)
+        }
+    }
+
+    /// This device with a block buffer of `slots` open blocks in place of
+    /// its preset's (tests use a few slots to force evictions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has no block buffer, or `slots` is zero or
+    /// does not fit the buffer's 32-bit slot links.
+    pub fn with_buffer_slots(mut self, slots: usize) -> Self {
+        let buffer = self.buffer.as_ref().expect("only a block-buffered device has slots");
+        self.buffer = Some(BlockBuffer::new(buffer.block, slots));
+        self
+    }
+
+    /// A pristine copy of this device: same configuration (including any
+    /// injected fault schedule), empty internal buffers, zeroed counters.
+    /// The replay engine starts every run from one of these instead of
+    /// deep-cloning whatever run state the source device carries.
+    pub fn fresh(&self) -> Device {
+        Device {
+            stats: DeviceStats::default(),
+            buffer: self.buffer.as_ref().map(BlockBuffer::fresh),
+            ..*self
+        }
+    }
+
     /// Short device name for reports.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
 
     /// Latency of a read reaching the device, in CPU cycles.
-    fn read_latency(&self) -> Cycles;
-
-    /// Latency to accept a write into the device's internal buffer.
-    fn write_accept_latency(&self) -> Cycles;
+    #[inline]
+    pub fn read_latency(&self) -> Cycles {
+        self.read_latency
+    }
 
     /// Latency for a write to fully complete at the media.
     ///
@@ -148,215 +282,141 @@ pub trait MemDevice {
     /// long — the mechanism behind the paper's Listing-3 pitfall, where
     /// cleaning a constantly rewritten line costs "the ratio between the
     /// latency of writing to memory vs. writing to the cache" (§5).
-    fn write_latency(&self) -> Cycles;
+    #[inline]
+    pub fn write_latency(&self) -> Cycles {
+        self.write_latency
+    }
 
     /// Latency of a coherence-directory lookup/update.
     ///
     /// Modern implementations store the directory on the cached device
     /// (§4.2: Intel in DRAM/PMEM, the ARM core in the FPGA), so every cache
     /// line status change pays a device round-trip.
-    fn directory_latency(&self) -> Cycles;
+    #[inline]
+    pub fn directory_latency(&self) -> Cycles {
+        self.directory_latency
+    }
 
     /// Internal write granularity in bytes (Table 1).
-    fn internal_granularity(&self) -> u64;
+    pub fn internal_granularity(&self) -> u64 {
+        self.granularity
+    }
 
     /// Sustainable media write bandwidth in bytes per CPU cycle.
-    fn media_write_bandwidth(&self) -> f64;
+    pub fn media_write_bandwidth(&self) -> f64 {
+        self.bandwidth
+    }
 
     /// Whether reads and writes use independent channels (full duplex).
     ///
     /// Link-attached memories (the Enzian FPGA, CXL) have separate
     /// directions; Optane's media contends for the same internal
     /// resources in both directions.
-    fn duplex(&self) -> bool {
-        false
-    }
-
-    /// Deliver a write of `bytes` at `addr` (a line writeback or an NT
-    /// store flush).
-    fn receive_write(&mut self, addr: Addr, bytes: u64);
-
-    /// Deliver a read of `bytes` at `addr`.
-    fn receive_read(&mut self, addr: Addr, bytes: u64);
-
-    /// Close any internally buffered blocks (end of run).
-    fn flush(&mut self);
-
-    /// Counters so far.
-    fn stats(&self) -> &DeviceStats;
-
-    /// Zero the counters.
-    fn reset_stats(&mut self);
-
-    /// Enable (or, with `None`, disable) transient-fault injection.
-    ///
-    /// Devices opt in by storing the configuration and honoring it in
-    /// [`MemDevice::fault_stall`]. [`OptanePmem`] and [`FpgaMem`] — the
-    /// devices whose timing the paper's problem scenarios depend on —
-    /// support injection. The default implementation rejects any actual
-    /// schedule with [`FaultInjectionUnsupported`] (disabling with `None`
-    /// is always accepted: there is nothing to disable).
-    fn inject_faults(
-        &mut self,
-        faults: Option<TransientFaults>,
-    ) -> Result<(), FaultInjectionUnsupported> {
-        match faults {
-            None => Ok(()),
-            Some(_) => Err(FaultInjectionUnsupported { device: self.name() }),
-        }
-    }
-
-    /// Extra cycles the *next* request will stall due to an injected
-    /// transient fault (0 when injection is off or the next request is
-    /// not scheduled to fault). Deterministic in the request counters.
-    fn fault_stall(&self) -> Cycles {
-        0
+    pub fn duplex(&self) -> bool {
+        self.duplex
     }
 
     /// Whether data the device has committed to its media survives power
     /// loss. Persistent media (Optane, CXL SSD) return `true`; DRAM and
     /// the FPGA's DRAM-backed store return `false` — on a crash *nothing*
     /// they hold is durable, however long ago it was written.
-    fn durable_media(&self) -> bool {
-        false
+    pub fn durable_media(&self) -> bool {
+        self.durable
+    }
+
+    /// Deliver a read of `bytes` at `addr`.
+    #[inline]
+    pub fn receive_read(&mut self, _addr: Addr, bytes: u64) {
+        self.stats.reads_received += 1;
+        self.stats.bytes_read += bytes;
+    }
+
+    /// Enable (or, with `None`, disable) transient-fault injection.
+    pub fn inject_faults(&mut self, faults: Option<TransientFaults>) {
+        self.faults = faults;
+    }
+
+    /// Extra cycles the *next* request will stall due to an injected
+    /// transient fault (0 when injection is off or the next request is
+    /// not scheduled to fault). Deterministic in the request counters.
+    #[inline]
+    pub fn fault_stall(&self) -> Cycles {
+        self.faults.map_or(0, |f| f.stall_for(&self.stats))
     }
 
     /// Append the device's internally buffered, **not yet media-committed**
-    /// blocks to `out` as `(block_address, bytes_filled)` pairs (appended,
-    /// not cleared). A power failure loses these even on persistent media:
-    /// only closed blocks have reached the media. Devices without internal
-    /// write buffering append nothing.
-    fn buffered_blocks_into(&self, _out: &mut Vec<(Addr, u64)>) {}
-}
-
-/// Enum dispatch over the concrete device models.
-#[derive(Debug, Clone)]
-pub enum Device {
-    /// Conventional DRAM.
-    Dram(Dram),
-    /// Intel Optane persistent memory.
-    Optane(OptanePmem),
-    /// FPGA-backed cache-coherent memory (Machine B).
-    Fpga(FpgaMem),
-    /// CXL-attached SSD memory.
-    CxlSsd(CxlSsd),
-}
-
-macro_rules! dispatch {
-    ($self:ident, $d:ident => $e:expr) => {
-        match $self {
-            Device::Dram($d) => $e,
-            Device::Optane($d) => $e,
-            Device::Fpga($d) => $e,
-            Device::CxlSsd($d) => $e,
-        }
-    };
-}
-
-impl Device {
-    /// A pristine copy of this device: same configuration (including any
-    /// injected fault schedule), empty internal buffers, zeroed counters.
-    /// The replay engine starts every run from one of these instead of
-    /// deep-cloning whatever run state the source device carries.
-    pub fn fresh(&self) -> Device {
-        match self {
-            Device::Dram(d) => Device::Dram(d.fresh()),
-            Device::Optane(d) => Device::Optane(d.fresh()),
-            Device::Fpga(d) => Device::Fpga(d.fresh()),
-            Device::CxlSsd(d) => Device::CxlSsd(d.fresh()),
+    /// blocks to `out` as `(block_address, bytes_filled)` pairs, oldest
+    /// first (appended, not cleared). A power failure loses these even on
+    /// persistent media: only closed blocks have reached the media.
+    /// Devices without a block buffer append nothing.
+    pub fn buffered_blocks_into(&self, out: &mut Vec<(Addr, u64)>) {
+        if let Some(buffer) = &self.buffer {
+            buffer.open_blocks_into(out);
         }
     }
 
     /// The coverage of every internal block the device closed so far
-    /// (`device.block_covered_bytes`), on the block-buffered models;
-    /// `None` on the models that write lines through.
+    /// (`device.block_covered_bytes`), on the block-buffered presets;
+    /// `None` on the presets that write lines through.
     pub fn block_coverage(&self) -> Option<&Histogram> {
-        match self {
-            Device::Optane(d) => Some(d.block_coverage()),
-            Device::CxlSsd(d) => Some(d.block_coverage()),
-            Device::Dram(_) | Device::Fpga(_) => None,
-        }
+        self.buffer.as_ref().map(|b| &b.block_covered)
     }
 }
 
+/// `Device::default()` is the Optane preset at Table 1's 256 B block.
+impl Default for Device {
+    fn default() -> Self {
+        Self::optane(256)
+    }
+}
+
+/// The Optane preset under its former type name: `OptanePmem::default()`
+/// is `Device::optane(256)`. The host-time benchmark builds its device
+/// probe through it.
+pub type OptanePmem = Device;
+
+/// The device's write path and counters, the calls the host-time
+/// benchmark makes; [`Device`] is its one implementation.
+pub trait MemDevice {
+    /// Deliver a write of `bytes` at `addr` (a line writeback or an NT
+    /// store flush), returning the media traffic it caused: the bytes
+    /// themselves on a line-granular device, the blocks it evicted from
+    /// the block buffer on a block-granular one.
+    fn receive_write(&mut self, addr: Addr, bytes: u64) -> MediaBytes;
+
+    /// Close any internally buffered blocks (end of run), returning their
+    /// media traffic.
+    fn flush(&mut self) -> MediaBytes;
+
+    /// Counters so far.
+    fn stats(&self) -> &DeviceStats;
+}
+
 impl MemDevice for Device {
-    fn name(&self) -> &'static str {
-        dispatch!(self, d => d.name())
-    }
-
     #[inline]
-    fn read_latency(&self) -> Cycles {
-        dispatch!(self, d => d.read_latency())
+    fn receive_write(&mut self, addr: Addr, bytes: u64) -> MediaBytes {
+        self.stats.writes_received += 1;
+        self.stats.bytes_received += bytes;
+        let media = match &mut self.buffer {
+            Some(buffer) => buffer.write(addr, bytes),
+            // A line-granular device writes exactly what it receives.
+            None => MediaBytes { written: bytes, rmw_read: 0 },
+        };
+        self.stats.media_bytes_written += media.written;
+        self.stats.media_bytes_rmw_read += media.rmw_read;
+        media
     }
 
-    #[inline]
-    fn write_accept_latency(&self) -> Cycles {
-        dispatch!(self, d => d.write_accept_latency())
-    }
-
-    #[inline]
-    fn write_latency(&self) -> Cycles {
-        dispatch!(self, d => d.write_latency())
-    }
-
-    #[inline]
-    fn directory_latency(&self) -> Cycles {
-        dispatch!(self, d => d.directory_latency())
-    }
-
-    fn internal_granularity(&self) -> u64 {
-        dispatch!(self, d => d.internal_granularity())
-    }
-
-    fn media_write_bandwidth(&self) -> f64 {
-        dispatch!(self, d => d.media_write_bandwidth())
-    }
-
-    fn duplex(&self) -> bool {
-        dispatch!(self, d => d.duplex())
-    }
-
-    #[inline]
-    fn receive_write(&mut self, addr: Addr, bytes: u64) {
-        dispatch!(self, d => d.receive_write(addr, bytes))
-    }
-
-    #[inline]
-    fn receive_read(&mut self, addr: Addr, bytes: u64) {
-        dispatch!(self, d => d.receive_read(addr, bytes))
-    }
-
-    fn flush(&mut self) {
-        dispatch!(self, d => d.flush())
+    fn flush(&mut self) -> MediaBytes {
+        let media = self.buffer.as_mut().map_or_else(MediaBytes::default, BlockBuffer::flush);
+        self.stats.media_bytes_written += media.written;
+        self.stats.media_bytes_rmw_read += media.rmw_read;
+        media
     }
 
     #[inline]
     fn stats(&self) -> &DeviceStats {
-        dispatch!(self, d => d.stats())
-    }
-
-    fn reset_stats(&mut self) {
-        dispatch!(self, d => d.reset_stats())
-    }
-
-    fn inject_faults(
-        &mut self,
-        faults: Option<TransientFaults>,
-    ) -> Result<(), FaultInjectionUnsupported> {
-        dispatch!(self, d => d.inject_faults(faults))
-    }
-
-    #[inline]
-    fn fault_stall(&self) -> Cycles {
-        dispatch!(self, d => d.fault_stall())
-    }
-
-    fn durable_media(&self) -> bool {
-        dispatch!(self, d => d.durable_media())
-    }
-
-    fn buffered_blocks_into(&self, out: &mut Vec<(Addr, u64)>) {
-        dispatch!(self, d => d.buffered_blocks_into(out))
+        &self.stats
     }
 }
 
@@ -375,6 +435,12 @@ pub fn table1() -> Vec<(&'static str, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Optane preset with 4 open blocks, so eviction pressure is easy
+    /// to trigger.
+    fn tiny() -> Device {
+        Device::optane(256).with_buffer_slots(4)
+    }
 
     #[test]
     fn write_amplification_defaults_to_one() {
@@ -396,20 +462,41 @@ mod tests {
         assert_eq!(t[2], ("Optane PMEM", "256B"));
     }
 
+    /// Every preset's constants: name, read, write and directory latency,
+    /// granularity, bandwidth, duplex and durability.
     #[test]
-    fn enum_dispatch_works() {
-        let mut d = Device::Dram(Dram::default());
-        d.receive_write(0, 64);
-        assert_eq!(d.stats().bytes_received, 64);
-        assert_eq!(d.internal_granularity(), 64);
-        d.reset_stats();
-        assert_eq!(d.stats().bytes_received, 0);
+    fn presets_keep_their_numbers() {
+        type Row = (&'static str, Cycles, Cycles, Cycles, u64, f64, bool, bool);
+        let row = |d: &Device| -> Row {
+            (
+                d.name(),
+                d.read_latency(),
+                d.write_latency(),
+                d.directory_latency(),
+                d.internal_granularity(),
+                d.media_write_bandwidth(),
+                d.duplex(),
+                d.durable_media(),
+            )
+        };
+        let expected: [(Device, Row); 7] = [
+            (Device::dram(), ("DRAM", 190, 100, 30, 64, 19.0, false, false)),
+            (Device::default(), ("Optane PMEM", 350, 300, 60, 256, 6.0, false, true)),
+            (Device::optane(1024), ("Optane PMEM", 350, 300, 60, 1024, 6.0, false, true)),
+            (Device::fpga_fast(), ("FPGA memory", 60, 80, 60, 128, 5.0, true, false)),
+            (Device::fpga_slow(), ("FPGA memory", 200, 220, 200, 128, 0.75, true, false)),
+            (Device::cxl_ssd(256), ("CXL SSD", 600, 800, 100, 256, 0.5, false, true)),
+            (Device::cxl_ssd(512), ("CXL SSD", 600, 800, 100, 512, 0.5, false, true)),
+        ];
+        for (device, want) in &expected {
+            assert_eq!(row(device), *want);
+        }
     }
 
     #[test]
     fn transient_faults_stall_every_periodth_request() {
-        let mut d = Device::Optane(OptanePmem::default());
-        d.inject_faults(Some(TransientFaults::new(3, 500))).expect("optane supports faults");
+        let mut d = Device::optane(256);
+        d.inject_faults(Some(TransientFaults::new(3, 500)));
         let mut stalls = Vec::new();
         for i in 0..9u64 {
             stalls.push(d.fault_stall());
@@ -417,44 +504,26 @@ mod tests {
         }
         // Requests 3, 6 and 9 (1-based) stall.
         assert_eq!(stalls, vec![0, 0, 500, 0, 0, 500, 0, 0, 500]);
-        d.inject_faults(None).expect("disabling is always accepted");
+        d.inject_faults(None);
         assert_eq!(d.fault_stall(), 0);
     }
 
     #[test]
-    fn fault_schedule_counts_reads_and_writes_together() {
-        let mut d = Device::Fpga(FpgaMem::fast());
-        d.inject_faults(Some(TransientFaults::new(2, 100))).expect("fpga supports faults");
-        d.receive_read(0, 128); // request 1
-        assert_eq!(d.fault_stall(), 100); // request 2 will stall
-        d.receive_write(128, 128); // request 2
-        assert_eq!(d.fault_stall(), 0); // request 3 will not
+    fn every_preset_counts_reads_and_writes_together_for_faults() {
+        for mut d in [Device::dram(), Device::fpga_fast(), Device::cxl_ssd(256)] {
+            d.inject_faults(Some(TransientFaults::new(2, 100)));
+            d.receive_read(0, 128); // request 1
+            assert_eq!(d.fault_stall(), 100, "{}: request 2 will stall", d.name());
+            d.receive_write(128, 128); // request 2
+            assert_eq!(d.fault_stall(), 0, "{}: request 3 will not", d.name());
+            assert_eq!(d.fresh().fault_stall(), 0, "a fresh copy keeps the schedule");
+            assert_eq!(d.fresh().faults, d.faults);
+        }
     }
 
     #[test]
-    fn devices_without_support_reject_injection() {
-        let mut d = Device::Dram(Dram::default());
-        let err = d
-            .inject_faults(Some(TransientFaults::new(1, 1_000)))
-            .expect_err("DRAM must reject a fault schedule, not swallow it");
-        assert_eq!(err, FaultInjectionUnsupported { device: "DRAM" });
-        assert!(err.to_string().contains("DRAM"), "{err}");
-        assert_eq!(d.fault_stall(), 0);
-        // Disabling on an unsupported device is harmless.
-        d.inject_faults(None).expect("disabling is always accepted");
-    }
-
-    #[test]
-    fn durable_media_matches_device_class() {
-        assert!(Device::Optane(OptanePmem::default()).durable_media());
-        assert!(Device::CxlSsd(CxlSsd::new(256)).durable_media());
-        assert!(!Device::Dram(Dram::default()).durable_media());
-        assert!(!Device::Fpga(FpgaMem::fast()).durable_media());
-    }
-
-    #[test]
-    fn buffered_blocks_surface_open_optane_blocks() {
-        let mut d = Device::Optane(OptanePmem::default());
+    fn buffered_blocks_surface_open_blocks() {
+        let mut d = Device::optane(256);
         d.receive_write(0, 64); // opens block 0, 64 of 256 bytes filled
         let mut open = Vec::new();
         d.buffered_blocks_into(&mut open);
@@ -464,10 +533,143 @@ mod tests {
         d.buffered_blocks_into(&mut open);
         assert!(open.is_empty(), "flush closes all blocks");
         // DRAM commits immediately: never anything buffered.
-        let mut dram = Device::Dram(Dram::default());
+        let mut dram = Device::dram();
         dram.receive_write(0, 64);
         dram.buffered_blocks_into(&mut open);
         assert!(open.is_empty());
+        assert!(dram.block_coverage().is_none());
+    }
+
+    #[test]
+    fn fresh_forgets_open_blocks_and_counters() {
+        let mut d = tiny();
+        d.receive_write(0, 64);
+        let mut fresh = d.fresh();
+        assert_eq!(*fresh.stats(), DeviceStats::default());
+        assert_eq!(fresh.flush(), MediaBytes::default(), "no open block survives");
+        assert_eq!(fresh.block_coverage().map(|h| h.count), Some(0));
+    }
+
+    #[test]
+    fn sequential_writebacks_have_no_amplification() {
+        let mut d = tiny();
+        // 64 lines written in order: 16 blocks, each fully covered.
+        for i in 0..64u64 {
+            d.receive_write(i * 64, 64);
+        }
+        d.flush();
+        let s = d.stats();
+        assert_eq!(s.bytes_received, 64 * 64);
+        assert_eq!(s.media_bytes_written, 64 * 64);
+        assert_eq!(s.write_amplification(), 1.0);
+        assert_eq!(s.media_bytes_rmw_read, 0, "no partial blocks");
+    }
+
+    #[test]
+    fn strided_writebacks_amplify_4x() {
+        let mut d = tiny();
+        // One 64 B line per 256 B block, far apart: every line closes its
+        // own block once the buffer overflows.
+        for i in 0..64u64 {
+            d.receive_write(i * 4096, 64);
+        }
+        d.flush();
+        let s = d.stats();
+        assert_eq!(s.write_amplification(), 4.0);
+        assert!(s.media_bytes_rmw_read > 0, "partial blocks require RMW");
+        let h = d.block_coverage().expect("Optane buffers blocks");
+        assert_eq!((h.count, h.max), (64, 64), "one single-line block per write");
+        assert_eq!(h.count * 256, s.media_bytes_written);
+    }
+
+    #[test]
+    fn interleaved_streams_amplify_when_buffer_small() {
+        // Two interleaved sequential streams fit in the buffer: no
+        // amplification. Eight streams overflow a 4-block buffer: blocks
+        // close before they fill.
+        let mut ok = tiny();
+        for i in 0..32u64 {
+            for s in 0..2u64 {
+                ok.receive_write(s * 1_048_576 + i * 64, 64);
+            }
+        }
+        ok.flush();
+        assert_eq!(ok.stats().write_amplification(), 1.0);
+
+        let mut bad = tiny();
+        for i in 0..32u64 {
+            for s in 0..8u64 {
+                bad.receive_write(s * 1_048_576 + i * 64, 64);
+            }
+        }
+        bad.flush();
+        assert!(
+            bad.stats().write_amplification() > 2.0,
+            "WA {} with 8 streams over 4 buffers",
+            bad.stats().write_amplification()
+        );
+    }
+
+    #[test]
+    fn rewriting_open_block_does_not_amplify() {
+        let mut d = tiny();
+        for _ in 0..100 {
+            assert_eq!(d.receive_write(0, 64), MediaBytes::default(), "merged, nothing closed");
+        }
+        let full = MediaBytes { written: 256, rmw_read: 0 };
+        assert_eq!(d.flush(), full, "the merged lines cover the block");
+        // 100 x 64 B received, one 256 B media write.
+        let s = d.stats();
+        assert_eq!(s.media_bytes_written, 256);
+        assert!(s.write_amplification() < 0.05);
+    }
+
+    #[test]
+    fn large_write_spans_blocks() {
+        let mut d = tiny();
+        d.receive_write(0, 1024);
+        d.flush();
+        let s = d.stats();
+        assert_eq!(s.bytes_received, 1024);
+        assert_eq!(s.media_bytes_written, 1024);
+        assert_eq!(s.media_bytes_rmw_read, 0);
+    }
+
+    #[test]
+    fn unaligned_write_pays_rmw() {
+        let mut d = tiny();
+        d.receive_write(128, 256); // covers halves of two blocks
+        d.flush();
+        let s = d.stats();
+        assert_eq!(s.media_bytes_written, 512);
+        assert_eq!(s.media_bytes_rmw_read, 512);
+    }
+
+    #[test]
+    fn cxl_ssd_amplification_reaches_8x_with_64b_lines() {
+        let mut d = Device::cxl_ssd(512);
+        // One 64 B line per 512 B block, spread out: 8x amplification.
+        for i in 0..64u64 {
+            d.receive_write(i * 8192, 64);
+        }
+        d.flush();
+        assert_eq!(d.stats().write_amplification(), 8.0);
+    }
+
+    #[test]
+    fn cxl_ssd_sequential_writes_are_clean() {
+        let mut d = Device::cxl_ssd(256);
+        for i in 0..64u64 {
+            d.receive_write(i * 64, 64);
+        }
+        d.flush();
+        assert_eq!(d.stats().write_amplification(), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "only a block-buffered device has slots")]
+    fn line_granular_devices_have_no_buffer_slots() {
+        let _ = Device::dram().with_buffer_slots(4);
     }
 
     #[test]

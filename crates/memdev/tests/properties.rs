@@ -3,18 +3,18 @@
 //! more than one block per distinct block-touch), and exact for the
 //! patterns with known closed forms.
 
-use memdev::{CxlSsd, Device, Dram, FpgaMem, MemDevice, OptanePmem};
+use memdev::{Device, MediaBytes, MemDevice};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 fn devices() -> Vec<Device> {
     vec![
-        Device::Dram(Dram::default()),
-        Device::Optane(OptanePmem::default()),
-        Device::Fpga(FpgaMem::fast()),
-        Device::Fpga(FpgaMem::slow()),
-        Device::CxlSsd(CxlSsd::new(256)),
-        Device::CxlSsd(CxlSsd::new(512)),
+        Device::dram(),
+        Device::optane(256),
+        Device::fpga_fast(),
+        Device::fpga_slow(),
+        Device::cxl_ssd(256),
+        Device::cxl_ssd(512),
     ]
 }
 
@@ -22,7 +22,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// After a flush, the media has written at least every byte received
-    /// and at most one internal block per (block, visit) pair.
+    /// and at most one internal block per (block, visit) pair, and the
+    /// media traffic each write and the flush returned sums to the
+    /// counters.
     #[test]
     fn media_accounting_bounds(
         writes in proptest::collection::vec((0u64..1 << 20, 1u64..512), 1..500),
@@ -32,16 +34,26 @@ proptest! {
             let mut visits = 0u64;
             let mut last_block_of_write: HashSet<u64> = HashSet::new();
             let mut received = 0u64;
+            let mut returned = MediaBytes::default();
+            let mut add = |m: MediaBytes| {
+                returned.written += m.written;
+                returned.rmw_read += m.rmw_read;
+            };
             for &(addr, len) in &writes {
-                dev.receive_write(addr, len);
+                add(dev.receive_write(addr, len));
                 received += len;
                 for b in simcore::blocks_touched(addr, len, block) {
                     visits += 1;
                     last_block_of_write.insert(b);
                 }
             }
-            dev.flush();
+            add(dev.flush());
             let s = *dev.stats();
+            prop_assert_eq!(
+                returned,
+                MediaBytes { written: s.media_bytes_written, rmw_read: s.media_bytes_rmw_read },
+                "{}", dev.name()
+            );
             prop_assert_eq!(s.bytes_received, received, "{}", dev.name());
             prop_assert!(
                 s.media_bytes_written >= received.min(last_block_of_write.len() as u64 * block),
@@ -59,13 +71,13 @@ proptest! {
     /// Flush is idempotent: a second flush adds nothing.
     #[test]
     fn flush_is_idempotent(writes in proptest::collection::vec(0u64..1 << 16, 1..200)) {
-        let mut dev = OptanePmem::default();
+        let mut dev = Device::optane(256);
         for &a in &writes {
             dev.receive_write(a * 64, 64);
         }
         dev.flush();
         let after_first = dev.stats().media_bytes_written;
-        dev.flush();
+        prop_assert_eq!(dev.flush(), MediaBytes::default());
         prop_assert_eq!(dev.stats().media_bytes_written, after_first);
     }
 
@@ -79,6 +91,7 @@ proptest! {
             dev.flush();
             prop_assert_eq!(dev.stats().media_bytes_written, 0, "{}", dev.name());
             prop_assert_eq!(dev.stats().bytes_read, reads.len() as u64 * 64);
+            prop_assert_eq!(dev.stats().reads_received, reads.len() as u64);
         }
     }
 
@@ -87,7 +100,7 @@ proptest! {
     fn line_granular_devices_never_amplify(
         writes in proptest::collection::vec((0u64..1 << 20, 1u64..512), 1..300),
     ) {
-        for mut dev in [Device::Dram(Dram::default()), Device::Fpga(FpgaMem::fast())] {
+        for mut dev in [Device::dram(), Device::fpga_fast()] {
             for &(addr, len) in &writes {
                 dev.receive_write(addr, len);
             }

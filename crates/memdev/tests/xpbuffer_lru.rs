@@ -1,11 +1,12 @@
-//! Differential test of the Optane XPBuffer: the intrusive O(1) LRU in
-//! `OptanePmem` against a straightforward deque model of the same buffer
-//! (open blocks oldest-first, merge moves a block to the newest end,
-//! overflow closes the oldest). Media bytes, read-modify-write bytes and
-//! the oldest-first order of `buffered_blocks_into` — which crash reports
-//! list as lost device-buffered data — must agree after every write.
+//! Differential test of the block buffer (Optane's XPBuffer): the
+//! intrusive O(1) LRU in `Device` against a straightforward deque model of
+//! the same buffer (open blocks oldest-first, merge moves a block to the
+//! newest end, overflow closes the oldest). Media bytes, read-modify-write
+//! bytes and the oldest-first order of `buffered_blocks_into` — which
+//! crash reports list as lost device-buffered data — must agree after
+//! every write.
 
-use memdev::{MemDevice, OptanePmem};
+use memdev::{Device, MemDevice};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -66,7 +67,7 @@ fn writes(blocks: u64) -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
 }
 
 fn check(cap: usize, stream: &[(u64, u64, u64)]) -> Result<(), TestCaseError> {
-    let mut dev = OptanePmem::new(350, 60, 6.0, 256, cap);
+    let mut dev = Device::optane(256).with_buffer_slots(cap);
     let mut model = DequeXpBuffer::new(256, cap);
     let mut open = Vec::new();
     for (i, &(blk, offset, len)) in stream.iter().enumerate() {
@@ -115,11 +116,12 @@ proptest! {
         check(cap, &stream)?;
     }
 
-    /// Reuse after a mid-stream flush or reset starts from an empty buffer.
+    /// Reuse after a mid-stream flush, or a fresh copy, starts from an
+    /// empty buffer.
     #[test]
-    fn flush_and_reset_restart_the_lru(stream in writes(100), cut in 0usize..1500) {
+    fn flush_and_fresh_restart_the_lru(stream in writes(100), cut in 0usize..1500) {
         let cut = cut.min(stream.len());
-        let mut dev = OptanePmem::default();
+        let mut dev = Device::optane(256);
         let mut model = DequeXpBuffer::new(256, 64);
         for &(blk, offset, len) in &stream[..cut] {
             dev.receive_write(blk * 256 + offset, len);
@@ -135,10 +137,10 @@ proptest! {
         dev.buffered_blocks_into(&mut open);
         prop_assert!(open.iter().copied().eq(model.open.iter().copied()));
         prop_assert_eq!(dev.stats().media_bytes_written, model.media_bytes_written);
-        dev.reset_stats();
+        let mut dev = dev.fresh();
         open.clear();
         dev.buffered_blocks_into(&mut open);
-        prop_assert!(open.is_empty(), "reset forgets the open blocks");
+        prop_assert!(open.is_empty(), "a fresh copy forgets the open blocks");
         dev.receive_write(0, 64);
         dev.flush();
         prop_assert_eq!(dev.stats().media_bytes_written, 256);

@@ -23,6 +23,34 @@ pub fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
+/// Escape `s` for the inside of a JSON string literal: the quote, the
+/// backslash and every control character, so any label or site name
+/// renders as valid JSON.
+///
+/// # Examples
+///
+/// ```
+/// let escaped = simcore::stats::json_escape("a\"b\\c\nd\te\u{1}");
+/// assert_eq!(escaped, r#"a\"b\\c\nd\te\u0001"#);
+/// ```
+pub fn json_escape(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Format an instruction distance ("23.8K", "inf" for never).
 pub fn fmt_distance(d: Option<f64>) -> String {
     match d {

@@ -5,7 +5,8 @@
 //!
 //! * [`simcore`] — traces, tracer, address space, deterministic RNG.
 //! * [`cachesim`] — cache models, replacement policies, store buffer.
-//! * [`memdev`] — DRAM / Optane PMEM / FPGA-CXL device models.
+//! * [`memdev`] — the device model, with DRAM / Optane PMEM / FPGA / CXL SSD
+//!   presets.
 //! * [`machine`] — Machine A / Machine B assemblies and the replay engine.
 //! * [`prestore`] — the pre-store API (the paper's core contribution).
 //! * [`dirtbuster`] — the DirtBuster analysis tool.

@@ -141,27 +141,37 @@ fn corrupting_tiny_buffers_is_safe() {
     }
 }
 
-/// Devices that cannot model transient faults refuse with the typed
-/// [`FaultInjectionUnsupported`] signal instead of silently dropping the
-/// schedule (the old default was a no-op `Ok`); disarming with `None` is
-/// always accepted.
+/// Every device preset honours a transient-fault schedule: armed, the
+/// same trace replays strictly slower and deterministically, and disarmed
+/// it replays exactly as before. DRAM and the CXL SSD once refused a
+/// schedule.
 #[test]
-fn unsupported_fault_injection_is_a_typed_refusal_not_a_silent_noop() {
-    use pre_stores::memdev::{
-        CxlSsd, Device, Dram, FaultInjectionUnsupported, MemDevice, TransientFaults,
-    };
-    let mut dram = Device::Dram(Dram::default());
-    let err = dram
-        .inject_faults(Some(TransientFaults::new(4, 1_000)))
-        .expect_err("DRAM cannot model transient media faults");
-    assert_eq!(err, FaultInjectionUnsupported { device: "DRAM" });
-    assert!(err.to_string().contains("DRAM"), "{err}");
-    let mut ssd = CxlSsd::new(256);
-    assert!(
-        ssd.inject_faults(Some(TransientFaults::new(1, 100))).is_err(),
-        "CXL SSD does not override the unsupported default"
-    );
-    assert_eq!(dram.inject_faults(None), Ok(()), "disarming is always accepted");
+fn every_preset_honours_a_fault_schedule() {
+    use pre_stores::memdev::TransientFaults;
+    let (_, traces, _) = &subjects()[1];
+    for clean_cfg in [
+        MachineConfig::machine_a(),
+        MachineConfig::machine_a_dram(),
+        MachineConfig::machine_a_cxl_ssd(256),
+        MachineConfig::machine_b_fast(),
+        MachineConfig::machine_b_slow(),
+    ] {
+        let replay = |cfg: &MachineConfig| try_simulate(cfg, traces).expect("valid trace");
+        let clean = replay(&clean_cfg);
+        let mut cfg = clean_cfg.clone();
+        cfg.device.inject_faults(Some(TransientFaults::new(4, 1_000)));
+        let faulty = replay(&cfg);
+        assert!(
+            faulty.cpu_cycles > clean.cpu_cycles,
+            "{}: faults {} !> clean {}",
+            cfg.name,
+            faulty.cpu_cycles,
+            clean.cpu_cycles
+        );
+        assert_eq!(replay(&cfg), faulty, "{}: fault injection is deterministic", cfg.name);
+        cfg.device.inject_faults(None);
+        assert_eq!(replay(&cfg), clean, "{}: disarming restores the clean run", cfg.name);
+    }
 }
 
 /// Exhaustive sweep: every mutation kind on every subject and machine,
