@@ -58,7 +58,7 @@ use machine::MachineConfig;
 use prestore::PrestoreMode;
 use ps_bench::cli::{self, Cli};
 use ps_bench::tracefmt::TraceRecorder;
-use ps_bench::{out, outln};
+use ps_bench::{errln, out, outln};
 use std::num::{NonZeroU64, NonZeroUsize};
 use workloads::WorkloadOutput;
 
@@ -210,7 +210,7 @@ fn main() {
     // One workload, or none with --from-trace.
     args.positionals_up_to(usize::from(from_trace.is_none()));
 
-    let cfg = DirtBusterConfig { sample_interval, ..Default::default() };
+    let cfg = DirtBusterConfig { sample_interval };
 
     // Record telemetry spans for --trace-out.
     let recorder = TraceRecorder::new();
@@ -222,8 +222,8 @@ fn main() {
     let (name, out) = if let Some(path) = from_trace {
         let (traces, registry) =
             cli::io_or_exit("load trace", &path, simcore::serialize::load_traces(&path));
-        if let Err(e) = simcore::trace::validate(&traces, cfg.line_size) {
-            eprintln!("trace {path:?} is malformed: {e}");
+        if let Err(e) = simcore::trace::validate(&traces, dirtbuster::patterns::LINE_SIZE) {
+            errln!("trace {path:?} is malformed: {e}");
             std::process::exit(1);
         }
         ("<trace file>".to_owned(), WorkloadOutput { traces, registry, ops: 0 })
@@ -294,7 +294,7 @@ fn main() {
             Some(stats)
         }
         Err(e) => {
-            eprintln!("attribution replay failed: {e}");
+            errln!("attribution replay failed: {e}");
             None
         }
     };
@@ -331,7 +331,7 @@ fn main() {
             ..Default::default()
         };
         let Some(outcome) = search(&scfg, &eval) else {
-            eprintln!("policy search failed: the baseline replay did not complete");
+            errln!("policy search failed: the baseline replay did not complete");
             std::process::exit(1);
         };
         outln!("\n== closed-loop policy search ({}) ==\n", machine_cfg.name);
@@ -393,7 +393,7 @@ fn main() {
         let m = Machine::new(machine_cfg.clone());
         match m.try_run_until_crash(&out.traces, plan) {
             Err(e) => {
-                eprintln!("crash replay failed: {e}");
+                errln!("crash replay failed: {e}");
                 std::process::exit(1);
             }
             Ok(CrashOutcome::Completed { stats, .. }) => {
@@ -431,13 +431,13 @@ fn main() {
                     Ok(CrashOutcome::Completed { durable_digest: Some(d), .. }) => d,
                     Ok(_) => unreachable!("an unfired plan always completes with a digest"),
                     Err(e) => {
-                        eprintln!("golden replay failed: {e}");
+                        errln!("golden replay failed: {e}");
                         std::process::exit(1);
                     }
                 };
                 match m.recover_and_resume(&out.traces, &report.image, None) {
                     Err(e) => {
-                        eprintln!("recovery failed: {e}");
+                        errln!("recovery failed: {e}");
                         std::process::exit(1);
                     }
                     Ok(CrashOutcome::Completed { durable_digest: Some(d), .. }) if d == golden => {
@@ -447,7 +447,7 @@ fn main() {
                         );
                     }
                     Ok(CrashOutcome::Completed { durable_digest, .. }) => {
-                        eprintln!(
+                        errln!(
                             "recovery DIVERGED: resumed digest {durable_digest:?}, \
                              uninterrupted {golden:#018x}"
                         );
@@ -475,15 +475,15 @@ fn main() {
         );
     }
 
-    eprintln!("-- phase timing --");
-    eprintln!("  input    {input_elapsed:>10.2?}  (record workload / load trace)");
-    eprintln!("  analyze  {elapsed:>10.2?}");
-    eprintln!("  report   {report_elapsed:>10.2?}");
-    eprintln!("  replay   {replay_elapsed:>10.2?}  (site attribution on Machine A)");
+    errln!("-- phase timing --");
+    errln!("  input    {input_elapsed:>10.2?}  (record workload / load trace)");
+    errln!("  analyze  {elapsed:>10.2?}");
+    errln!("  report   {report_elapsed:>10.2?}");
+    errln!("  replay   {replay_elapsed:>10.2?}  (site attribution on Machine A)");
     if let Some(e) = auto_elapsed {
-        eprintln!("  auto     {e:>10.2?}  (closed-loop policy search)");
+        errln!("  auto     {e:>10.2?}  (closed-loop policy search)");
     }
     if let Some(e) = crash_elapsed {
-        eprintln!("  crash    {e:>10.2?}  (injection + recovery + golden replay)");
+        errln!("  crash    {e:>10.2?}  (injection + recovery + golden replay)");
     }
 }

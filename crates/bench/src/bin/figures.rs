@@ -57,7 +57,7 @@
 use ps_bench::cli::{self, Cli};
 use ps_bench::runner::{self, Experiment, TimedFigure};
 use ps_bench::tracefmt::TraceRecorder;
-use ps_bench::{experiments, memo, metricsjson, outln};
+use ps_bench::{errln, experiments, memo, metricsjson, outln};
 use std::num::{NonZeroU64, NonZeroUsize};
 
 const USAGE: &str = "usage: figures [--quick] [--json] [--chart] [--jobs N] [--out DIR] [id ...]
@@ -158,9 +158,9 @@ fn main() {
     let unknown: Vec<&String> =
         ids.iter().filter(|i| !known.iter().any(|(id, _)| id == i)).collect();
     if !unknown.is_empty() {
-        eprintln!("unknown experiment id(s): {unknown:?}; known ids:");
+        errln!("unknown experiment id(s): {unknown:?}; known ids:");
         for (id, _) in known {
-            eprintln!("  {id}");
+            errln!("  {id}");
         }
         std::process::exit(1);
     }
@@ -203,13 +203,13 @@ fn main() {
         }
     }
     if !failures.is_empty() {
-        eprintln!(
+        errln!(
             "{} of {} experiment(s) failed; partial results written to {out_dir}/:",
             failures.len(),
             results.len()
         );
         for f in &failures {
-            eprintln!("  {f}");
+            errln!("  {f}");
         }
     }
 
@@ -258,18 +258,18 @@ fn main() {
         );
         match metricsjson::diff(&metrics_report, &text) {
             Err(e) => {
-                eprintln!("cannot compare metrics baseline {baseline_path:?}: {e}");
+                errln!("cannot compare metrics baseline {baseline_path:?}: {e}");
                 std::process::exit(1);
             }
             Ok(report) if !report.regressions.is_empty() => {
-                eprintln!(
+                errln!(
                     "metrics regressions vs baseline {baseline_path} ({} issue(s), {} gated \
                      values compared):",
                     report.regressions.len(),
                     report.compared
                 );
                 for r in &report.regressions {
-                    eprintln!("  {r}");
+                    errln!("  {r}");
                 }
                 std::process::exit(2);
             }

@@ -55,7 +55,7 @@
 use machine::{MachineConfig, RunStats, StreamOptions};
 use prestore::PrestoreMode;
 use ps_bench::cli::{self, Cli};
-use ps_bench::{out, outln};
+use ps_bench::{errln, out, outln};
 use simcore::telemetry::Histogram;
 use std::num::{NonZeroU64, NonZeroUsize};
 use workloads::kv::{serving, KvServingSource, ServingParams};
@@ -255,7 +255,7 @@ fn main() {
         match machine::try_simulate_stream_classified(&cfg, &mut source, opts, classifier) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("streaming replay failed: {e}");
+                errln!("streaming replay failed: {e}");
                 std::process::exit(1);
             }
         };
@@ -287,7 +287,7 @@ fn main() {
     let mut failed_bound = false;
     if let Some(budget) = mem_budget {
         if report.peak_pipeline_bytes > budget {
-            eprintln!(
+            errln!(
                 "FAIL: peak pipeline {} bytes exceeds --mem-budget {budget}",
                 report.peak_pipeline_bytes
             );
@@ -299,11 +299,11 @@ fn main() {
     if let Some(mb) = assert_rss_mb {
         match rss {
             Some(rss) if rss > mb * 1024 * 1024 => {
-                eprintln!("FAIL: peak RSS {rss} bytes exceeds --assert-rss-mb {mb}");
+                errln!("FAIL: peak RSS {rss} bytes exceeds --assert-rss-mb {mb}");
                 failed_bound = true;
             }
             Some(rss) => outln!("  rss check         {rss:>14} <= {mb} MB ok"),
-            None => eprintln!("warning: /proc/self/status unavailable; RSS not checked"),
+            None => errln!("warning: /proc/self/status unavailable; RSS not checked"),
         }
     }
 
@@ -399,7 +399,7 @@ fn main() {
 
     if verify {
         if report.events > 8_000_000 {
-            eprintln!("--verify-materialized refused above 8M events (it materializes the trace)");
+            errln!("--verify-materialized refused above 8M events (it materializes the trace)");
             std::process::exit(1);
         }
         let threads_vec = serving::materialize(&mut source, chunk_events);
@@ -410,7 +410,7 @@ fn main() {
         ) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("materialized replay failed: {e}");
+                errln!("materialized replay failed: {e}");
                 std::process::exit(1);
             }
         };
@@ -418,7 +418,7 @@ fn main() {
         let materialized_digest =
             simcore::stream::digest_source(&mut slice_src, chunk_events);
         if golden != report.stats || materialized_digest != report.digest {
-            eprintln!(
+            errln!(
                 "FAIL: streaming vs materialized mismatch (digest {:016x} vs {:016x}, stats {})",
                 report.digest,
                 materialized_digest,
@@ -438,12 +438,12 @@ fn main() {
                 Some(c) => report.stats.request_class(c),
             };
             let Some(hist) = hist else {
-                eprintln!("--slo names unknown class {:?}", b.class.as_deref().unwrap_or(""));
+                errln!("--slo names unknown class {:?}", b.class.as_deref().unwrap_or(""));
                 std::process::exit(1);
             };
             let measured = percentile_of(hist, &b.pct);
             if measured > b.limit {
-                eprintln!(
+                errln!(
                     "SLO VIOLATION: {} {} = {measured} cycles > bound {}",
                     hist.name, b.pct, b.limit
                 );

@@ -18,11 +18,13 @@
 //! the usage text goes to stdout and the binary exits 0.
 //!
 //! The binaries print to stdout only through [`out!`](crate::out) and
-//! [`outln!`](crate::outln) ([`print_out`]): once the reader of stdout has
-//! gone (`| head` exits early), printing stops and the run goes on.
+//! [`outln!`](crate::outln) ([`print_out`]), and to stderr only through
+//! [`errln!`](crate::errln) ([`print_err`]): once the reader of a stream
+//! has gone (`| head` exits early), printing to it stops and the run goes
+//! on to the exit code it earns.
 
 use std::fmt::{self, Display};
-use std::io::Write as _;
+use std::io::Write;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -111,7 +113,7 @@ impl Cli {
     /// Report a usage error: `msg` and the usage text on stderr, then exit
     /// with the usage code.
     pub fn fail(&self, msg: impl Display) -> ! {
-        eprintln!("{msg}\n{}", self.usage);
+        crate::errln!("{msg}\n{}", self.usage);
         std::process::exit(self.usage_exit);
     }
 }
@@ -156,15 +158,29 @@ impl Args<'_> {
 /// Whether a write to stdout has failed.
 static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 
-/// Write `args` to stdout: the one printing path of the binaries, through
-/// [`out!`](crate::out) and [`outln!`](crate::outln). A write that fails
-/// (the reader closed the pipe) stops every later print and nothing else:
-/// the run still writes its files and exits with the code it earns, where
-/// `print!` would panic.
-pub fn print_out(args: fmt::Arguments<'_>) {
-    if !STDOUT_CLOSED.load(Ordering::Relaxed) && std::io::stdout().write_fmt(args).is_err() {
-        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+/// Whether a write to stderr has failed.
+static STDERR_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write `args` to `stream` unless a write to it has failed before. A
+/// write that fails (the reader closed the pipe) stops every later print
+/// to the stream and nothing else: the run still writes its files and
+/// exits with the code it earns, where `print!` and `eprint!` would panic.
+fn print_to(mut stream: impl Write, closed: &AtomicBool, args: fmt::Arguments<'_>) {
+    if !closed.load(Ordering::Relaxed) && stream.write_fmt(args).is_err() {
+        closed.store(true, Ordering::Relaxed);
     }
+}
+
+/// Write `args` to stdout: the one printing path of the binaries' output,
+/// through [`out!`](crate::out) and [`outln!`](crate::outln).
+pub fn print_out(args: fmt::Arguments<'_>) {
+    print_to(std::io::stdout(), &STDOUT_CLOSED, args);
+}
+
+/// Write `args` to stderr: the one path of the binaries' messages
+/// (errors, warnings, timings), through [`errln!`](crate::errln).
+pub fn print_err(args: fmt::Arguments<'_>) {
+    print_to(std::io::stderr(), &STDERR_CLOSED, args);
 }
 
 /// `print!` through [`cli::print_out`](crate::cli::print_out).
@@ -183,12 +199,20 @@ macro_rules! outln {
     };
 }
 
+/// `eprintln!` through [`cli::print_err`](crate::cli::print_err).
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::cli::print_err(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// The result of a file operation on `path`. On an error, report `cannot
 /// {doing} {path:?}: {error}` on stderr and exit 1: an I/O error is never
 /// a usage error.
 pub fn io_or_exit<T, E: Display>(doing: &str, path: &str, result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| {
-        eprintln!("cannot {doing} {path:?}: {e}");
+        crate::errln!("cannot {doing} {path:?}: {e}");
         std::process::exit(1);
     })
 }

@@ -5,7 +5,7 @@
 //! written; a flag's value is never read as a positional, and a positional
 //! a binary does not take is an error; `--help` prints the usage on stdout
 //! and exits 0, the same in all three binaries; and a reader that closes
-//! stdout early stops the printing, not the run.
+//! stdout or stderr early stops the printing, not the run.
 
 use std::process::{Command, ExitStatus, Output, Stdio};
 
@@ -199,17 +199,18 @@ fn kv_serving_takes_no_positional() {
     assert!(out.stdout.is_empty(), "nothing runs");
 }
 
-/// Run `exe` with its stdout a pipe whose read end is closed before the
-/// binary starts, so its first print already finds no reader.
-fn run_with_stdout_closed(exe: &str, args: &[&str]) -> ExitStatus {
-    let mut child = Command::new(exe)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("binary runs");
-    drop(child.stdout.take());
-    child.wait().expect("binary exits")
+/// Run `exe` with its stdout, and its stderr too when `stderr` is set, on
+/// one pipe whose read end is closed before the binary starts, so its
+/// first print to either already finds no reader.
+fn run_with_closed_pipe(exe: &str, args: &[&str], stderr: bool) -> ExitStatus {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let err = if stderr {
+        Stdio::from(writer.try_clone().expect("second pipe handle"))
+    } else {
+        Stdio::null()
+    };
+    Command::new(exe).args(args).stdout(writer).stderr(err).status().expect("binary runs")
 }
 
 /// A reader that goes away (`| head -1`) stops the printing, not the run:
@@ -224,9 +225,28 @@ fn a_closed_stdout_stops_the_printing_not_the_run() {
         (env!("CARGO_BIN_EXE_kv_serving"), &["--users", "1000", "--events", "20000"]),
     ];
     for (exe, args) in runs {
-        assert_eq!(run_with_stdout_closed(exe, args).code(), Some(0), "{exe} {args:?}");
+        assert_eq!(run_with_closed_pipe(exe, args, false).code(), Some(0), "{exe} {args:?}");
     }
     let csv = std::fs::read_to_string(out_dir.join("table1.csv"));
     std::fs::remove_dir_all(&out_dir).expect("remove the output directory");
     assert!(csv.expect("figures still writes its CSV").contains("internal granularity,256"));
+}
+
+/// A reader of both streams that goes away (`2>&1 | head -1`) stops the
+/// printing, not the run: the phase timings, usage errors and failure
+/// messages a binary writes to stderr find no reader, and each command
+/// line still exits with its documented code.
+#[test]
+fn a_closed_stderr_stops_the_printing_not_the_exit_code() {
+    let runs: [(&str, &[&str], i32); 6] = [
+        (env!("CARGO_BIN_EXE_dirtbuster"), &["listing3"], 0),
+        (env!("CARGO_BIN_EXE_dirtbuster"), &["--nope"], 2),
+        (env!("CARGO_BIN_EXE_dirtbuster"), &["--from-trace", "no-such.pstrace"], 1),
+        (env!("CARGO_BIN_EXE_figures"), &["--quick", "nosuchid"], 1),
+        (env!("CARGO_BIN_EXE_figures"), &["--jobs"], 1),
+        (env!("CARGO_BIN_EXE_kv_serving"), &["--users", "0"], 1),
+    ];
+    for (exe, args, code) in runs {
+        assert_eq!(run_with_closed_pipe(exe, args, true).code(), Some(code), "{exe} {args:?}");
+    }
 }

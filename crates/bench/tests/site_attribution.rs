@@ -6,22 +6,9 @@
 //! the `<unattributed>` row (end-of-run device-buffer flushes and traffic
 //! outside any traced function).
 
-use machine::{try_simulate, MachineConfig, RunStats};
+use machine::{try_simulate, MachineConfig};
 use prestore::PrestoreMode;
 use workloads::WorkloadOutput;
-
-fn total_stall_cycles(stats: &RunStats) -> u64 {
-    stats
-        .cores
-        .iter()
-        .map(|c| {
-            c.fence_stall_cycles
-                + c.atomic_stall_cycles
-                + c.sb_pressure_stall_cycles
-                + c.writeback_stall_cycles
-        })
-        .sum()
-}
 
 fn assert_attribution_coverage(name: &str, out: &WorkloadOutput) {
     let cfg = MachineConfig::machine_a();
@@ -37,7 +24,7 @@ fn assert_attribution_coverage(name: &str, out: &WorkloadOutput) {
         attributed as f64 * 100.0 / media as f64
     );
 
-    let stalls = total_stall_cycles(&stats);
+    let stalls: u64 = stats.cores.iter().map(|c| c.total_stall_cycles()).sum();
     let attr_stalls = stats.attributed_stall_cycles();
     if stalls > 0 {
         assert!(

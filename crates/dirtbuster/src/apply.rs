@@ -148,7 +148,8 @@ pub fn apply_plan(traces: &TraceSet, plan: &PrestorePlan) -> TraceSet {
 /// One-call convenience: analyse `traces` and return the auto-patched
 /// version alongside the plan.
 ///
-/// The rewritten trace is validated (at the `cfg.line_size` granularity)
+/// The rewritten trace is validated (at the analysis'
+/// [`LINE_SIZE`](crate::patterns::LINE_SIZE) granularity)
 /// before it is returned, so a malformed input — or a rewrite bug — is
 /// reported as a typed [`simcore::ValidateError`] instead of surfacing
 /// later as a replay failure.
@@ -188,7 +189,7 @@ pub fn auto_patch(
     let analysis = crate::analyze(traces, registry, cfg);
     let plan = PrestorePlan::from_analysis(&analysis);
     let patched = apply_plan(traces, &plan);
-    simcore::trace::validate(&patched, cfg.line_size)?;
+    simcore::trace::validate(&patched, crate::patterns::LINE_SIZE)?;
     Ok((patched, plan))
 }
 

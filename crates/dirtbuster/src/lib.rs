@@ -46,54 +46,23 @@ pub use search::{
 
 use simcore::{FuncRegistry, TraceSet};
 
-/// Tunable thresholds of the analysis.
+/// The analysis' one setting: how sparsely step 1 samples.
+///
+/// Its thresholds are constants beside the code that reads them: step 1's
+/// [`sampling::APP_WRITE_THRESHOLD`] and [`sampling::FUNC_SHARE_THRESHOLD`];
+/// step 2's [`patterns::LINE_SIZE`], [`patterns::CONTEXT_SLACK`] and
+/// [`patterns::FENCE_DISTANCE_THRESHOLD`]; and step 3's
+/// [`recommend::SEQ_THRESHOLD`], [`recommend::FENCE_FRACTION_THRESHOLD`],
+/// [`recommend::REWRITE_SHORT`] and [`recommend::REREAD_SHORT`].
 #[derive(Debug, Clone)]
 pub struct DirtBusterConfig {
-    /// Sampling interval for step 1 (every N-th event).
+    /// Sampling interval for step 1 (every N-th event; 97 by default).
     pub sample_interval: usize,
-    /// An application whose sampled store fraction is below this is not
-    /// write-intensive at all (the paper's "less than 10% of their time
-    /// issuing store instructions", §7.1).
-    pub app_write_threshold: f64,
-    /// A function must account for at least this share of the sampled
-    /// stores to be monitored in step 2.
-    pub func_share_threshold: f64,
-    /// Minimum fraction of a function's writes that must fall in
-    /// sequentiality contexts for the function to count as a sequential
-    /// writer.
-    pub seq_threshold: f64,
-    /// A write followed by a fence within this many instructions counts as
-    /// "written before a fence".
-    pub fence_distance_threshold: u64,
-    /// Fraction of writes that must be fence-covered for the
-    /// writes-before-fence pattern to hold.
-    pub fence_fraction_threshold: f64,
-    /// A mean re-write distance below this means the data is re-written
-    /// (cleaning it would cause redundant memory writes).
-    pub rewrite_short: f64,
-    /// A mean re-read distance below this means the data is re-read
-    /// (skipping the cache would force reads from memory).
-    pub reread_short: f64,
-    /// Adjacency slack when extending a sequentiality context, in bytes.
-    pub context_slack: u64,
-    /// Cache-line size used for distance tracking.
-    pub line_size: u64,
 }
 
 impl Default for DirtBusterConfig {
     fn default() -> Self {
-        Self {
-            sample_interval: 97,
-            app_write_threshold: 0.10,
-            func_share_threshold: 0.05,
-            seq_threshold: 0.3,
-            fence_distance_threshold: 2_000,
-            fence_fraction_threshold: 0.3,
-            rewrite_short: 50_000.0,
-            reread_short: 1_000_000.0,
-            context_slack: 64,
-            line_size: 64,
-        }
+        Self { sample_interval: 97 }
     }
 }
 
@@ -165,12 +134,11 @@ impl Analysis {
 pub fn analyze(traces: &TraceSet, reg: &FuncRegistry, cfg: &DirtBusterConfig) -> Analysis {
     // Step 1: sampling pass.
     let sampling = sampling::profile(traces, cfg);
-    let monitored = sampling.write_intensive_funcs(cfg);
+    let monitored = sampling.write_intensive_funcs();
     // Step 2: instrumentation pass over the monitored functions.
-    let patterns = patterns::analyze(traces, &monitored, cfg);
+    let patterns = patterns::analyze(traces, &monitored);
     // Step 3: recommendations.
-    let mut reports: Vec<Report> =
-        patterns.funcs.iter().map(|fp| recommend::decide(fp, cfg)).collect();
+    let mut reports: Vec<Report> = patterns.funcs.iter().map(recommend::decide).collect();
     let share_of = |f: simcore::FuncId| {
         sampling.funcs.iter().find(|s| s.func == f).map_or(0.0, |s| s.store_share)
     };

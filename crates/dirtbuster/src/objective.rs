@@ -110,7 +110,6 @@ mod tests {
             l1: Default::default(),
             llc: Default::default(),
             device: Default::default(),
-            func_cycles: Default::default(),
             timeseries: Vec::new(),
             timeseries_window_cycles: 0,
             request_latency: Vec::new(),

@@ -19,9 +19,19 @@
 //!   pass only looks lines up and never walks them in order, so it keys
 //!   them in an `FxHashMap` — the container is not part of the method.
 
-use crate::DirtBusterConfig;
 use simcore::{blocks_touched, Addr, EventKind, FuncId, FxHashMap, TraceSet};
 use std::collections::BTreeMap;
+
+/// Cache-line size of the per-line re-read and re-write distance
+/// tracking, in bytes.
+pub const LINE_SIZE: u64 = 64;
+
+/// Adjacency slack when extending a sequentiality context, in bytes.
+pub const CONTEXT_SLACK: u64 = 64;
+
+/// A write followed by a fence within this many instructions counts as
+/// "written before a fence".
+pub const FENCE_DISTANCE_THRESHOLD: u64 = 2_000;
 
 /// Maximum simultaneously active contexts per function.
 const MAX_ACTIVE_CTXS: usize = 128;
@@ -116,7 +126,7 @@ struct LineInfo {
 }
 
 /// Run the instrumentation pass over `traces` for `monitored` functions.
-pub fn analyze(traces: &TraceSet, monitored: &[FuncId], cfg: &DirtBusterConfig) -> PatternAnalysis {
+pub fn analyze(traces: &TraceSet, monitored: &[FuncId]) -> PatternAnalysis {
     // Seeded FxHashMap (same fix as the sampling pass): iteration feeds
     // the pre-sort order below, and std HashMap's per-instance seed made
     // equal-write-count ties nondeterministic.
@@ -146,7 +156,7 @@ pub fn analyze(traces: &TraceSet, monitored: &[FuncId], cfg: &DirtBusterConfig) 
                         // start at (or just past) a context's end.
                         let pos = st.active.iter().rposition(|&ci| {
                             let c = &st.ctxs[ci];
-                            ev.addr >= c.end && ev.addr <= c.end + cfg.context_slack
+                            ev.addr >= c.end && ev.addr <= c.end + CONTEXT_SLACK
                         });
                         match pos {
                             Some(p) => {
@@ -187,7 +197,7 @@ pub fn analyze(traces: &TraceSet, monitored: &[FuncId], cfg: &DirtBusterConfig) 
                     }
                     // Per-line bookkeeping (for every write, so that
                     // re-writes by *other* functions are still observed).
-                    for line in blocks_touched(ev.addr, ev.size as u64, cfg.line_size) {
+                    for line in blocks_touched(ev.addr, ev.size as u64, LINE_SIZE) {
                         if let Some(info) = lines.get(&line) {
                             // A non-sequential write to a previously
                             // written line is a re-write of that line.
@@ -209,7 +219,7 @@ pub fn analyze(traces: &TraceSet, monitored: &[FuncId], cfg: &DirtBusterConfig) 
                     }
                 }
                 EventKind::Read => {
-                    for line in blocks_touched(ev.addr, ev.size as u64, cfg.line_size) {
+                    for line in blocks_touched(ev.addr, ev.size as u64, LINE_SIZE) {
                         if let Some(info) = lines.get(&line) {
                             if info.thread == tid && ctr > info.last_write {
                                 if let Some(st) = fstates.get_mut(&info.func) {
@@ -225,7 +235,7 @@ pub fn analyze(traces: &TraceSet, monitored: &[FuncId], cfg: &DirtBusterConfig) 
                 EventKind::Fence | EventKind::Atomic => {
                     for &(f, wctr) in &pending_fence {
                         let dist = ctr - wctr;
-                        if dist <= cfg.fence_distance_threshold {
+                        if dist <= FENCE_DISTANCE_THRESHOLD {
                             if let Some(st) = fstates.get_mut(&f) {
                                 st.fence_covered += 1;
                                 st.fence_dist_sum += dist;
@@ -317,7 +327,7 @@ mod tests {
     fn run(f: FuncId, build: impl FnOnce(&mut Tracer)) -> PatternAnalysis {
         let mut t = Tracer::new();
         build(&mut t);
-        analyze(&TraceSet::new(vec![t.finish()]), &[f], &DirtBusterConfig::default())
+        analyze(&TraceSet::new(vec![t.finish()]), &[f])
     }
 
     fn func() -> (FuncRegistry, FuncId) {
@@ -455,7 +465,7 @@ mod tests {
                 g.write(i * 64, 64);
             }
         }
-        let a = analyze(&TraceSet::new(vec![t.finish()]), &[f], &DirtBusterConfig::default());
+        let a = analyze(&TraceSet::new(vec![t.finish()]), &[f]);
         assert!(a.funcs.is_empty());
     }
 

@@ -15,9 +15,25 @@
 //!   stores are impractical, as in the paper's Fortran kernels).
 
 use crate::patterns::{BucketStat, FuncPatterns};
-use crate::DirtBusterConfig;
 use simcore::stats::{fmt_bytes, fmt_distance};
 use simcore::{FuncId, FuncRegistry};
+
+/// Minimum fraction of a function's writes that must fall in
+/// sequentiality contexts for the function to count as a sequential
+/// writer.
+pub const SEQ_THRESHOLD: f64 = 0.3;
+
+/// Fraction of writes that must be fence-covered for the
+/// writes-before-fence pattern to hold.
+pub const FENCE_FRACTION_THRESHOLD: f64 = 0.3;
+
+/// A mean re-write distance below this means the data is re-written
+/// (cleaning it would cause redundant memory writes).
+pub const REWRITE_SHORT: f64 = 50_000.0;
+
+/// A mean re-read distance below this means the data is re-read
+/// (skipping the cache would force reads from memory).
+pub const REREAD_SHORT: f64 = 1_000_000.0;
 
 /// DirtBuster's verdict for one write site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +102,9 @@ impl Report {
 }
 
 /// Decide the recommendation for one analysed function.
-pub fn decide(fp: &FuncPatterns, cfg: &DirtBusterConfig) -> Report {
-    let sequential = fp.seq_pct >= cfg.seq_threshold;
-    let before_fence = fp.fence_frac >= cfg.fence_fraction_threshold;
+pub fn decide(fp: &FuncPatterns) -> Report {
+    let sequential = fp.seq_pct >= SEQ_THRESHOLD;
+    let before_fence = fp.fence_frac >= FENCE_FRACTION_THRESHOLD;
 
     let choice = if !sequential && !before_fence {
         Recommendation::NoPrestore
@@ -97,9 +113,8 @@ pub fn decide(fp: &FuncPatterns, cfg: &DirtBusterConfig) -> Report {
         // the TensorFlow evaluator (the 60% bucket with re-read distance 2
         // drives the `clean` choice).
         let primary = fp.buckets.first();
-        let rewritten =
-            primary.and_then(|b| b.rewrite).is_some_and(|d| d < cfg.rewrite_short);
-        let reread = primary.and_then(|b| b.reread).is_some_and(|d| d < cfg.reread_short);
+        let rewritten = primary.and_then(|b| b.rewrite).is_some_and(|d| d < REWRITE_SHORT);
+        let reread = primary.and_then(|b| b.reread).is_some_and(|d| d < REREAD_SHORT);
         if rewritten {
             if before_fence {
                 Recommendation::Demote
@@ -142,7 +157,7 @@ mod tests {
     }
 
     fn choice_of(p: &FuncPatterns) -> Recommendation {
-        decide(p, &DirtBusterConfig::default()).choice
+        decide(p).choice
     }
 
     #[test]
@@ -163,12 +178,11 @@ mod tests {
 
     #[test]
     fn long_distances_treated_as_infinite() {
-        let cfg = DirtBusterConfig::default();
         // A re-read far beyond the threshold behaves like "never re-read".
-        let p = fp(1.0, 0.0, Some(cfg.reread_short * 10.0), None);
+        let p = fp(1.0, 0.0, Some(REREAD_SHORT * 10.0), None);
         assert_eq!(choice_of(&p), Recommendation::Skip);
         // A re-write far beyond the threshold does not block cleaning.
-        let p = fp(1.0, 0.0, Some(100.0), Some(cfg.rewrite_short * 10.0));
+        let p = fp(1.0, 0.0, Some(100.0), Some(REWRITE_SHORT * 10.0));
         assert_eq!(choice_of(&p), Recommendation::Clean);
     }
 
@@ -178,7 +192,7 @@ mod tests {
         let f = reg.register("resid", "mg.f90", 544);
         let mut p = fp(1.0, 0.0, Some(23_800.0), None);
         p.func = f;
-        let r = decide(&p, &DirtBusterConfig::default());
+        let r = decide(&p);
         let text = r.render(&reg);
         assert!(text.contains("Location: mg.f90 line 544"));
         assert!(text.contains("Perc. Seq. Writes: 100%"));

@@ -11,6 +11,15 @@
 use crate::DirtBusterConfig;
 use simcore::{EventKind, FuncId, FxHashMap, TraceSet};
 
+/// An application whose sampled store fraction is below this is not
+/// write-intensive at all (the paper's "less than 10% of their time
+/// issuing store instructions", §7.1).
+pub const APP_WRITE_THRESHOLD: f64 = 0.10;
+
+/// A function must account for at least this share of the sampled stores
+/// to be monitored in step 2.
+pub const FUNC_SHARE_THRESHOLD: f64 = 0.05;
+
 /// Sampled statistics of one function.
 #[derive(Debug, Clone)]
 pub struct FuncSample {
@@ -43,13 +52,13 @@ pub struct SamplingProfile {
 impl SamplingProfile {
     /// The functions worth instrumenting in step 2: enough store share,
     /// in an application that is write-intensive at all.
-    pub fn write_intensive_funcs(&self, cfg: &DirtBusterConfig) -> Vec<FuncId> {
+    pub fn write_intensive_funcs(&self) -> Vec<FuncId> {
         if !self.write_intensive {
             return Vec::new();
         }
         self.funcs
             .iter()
-            .filter(|f| f.store_share >= cfg.func_share_threshold)
+            .filter(|f| f.store_share >= FUNC_SHARE_THRESHOLD)
             .map(|f| f.func)
             .collect()
     }
@@ -121,7 +130,7 @@ pub fn profile(traces: &TraceSet, cfg: &DirtBusterConfig) -> SamplingProfile {
 
     SamplingProfile {
         app_store_fraction,
-        write_intensive: app_store_fraction >= cfg.app_write_threshold,
+        write_intensive: app_store_fraction >= APP_WRITE_THRESHOLD,
         funcs,
         samples,
     }
@@ -133,7 +142,7 @@ mod tests {
     use simcore::{FuncRegistry, Tracer};
 
     fn cfg() -> DirtBusterConfig {
-        DirtBusterConfig { sample_interval: 7, ..Default::default() }
+        DirtBusterConfig { sample_interval: 7 }
     }
 
     #[test]
@@ -178,7 +187,7 @@ mod tests {
         let p = profile(&TraceSet::default(), &cfg());
         assert!(!p.write_intensive);
         assert_eq!(p.samples, 0);
-        assert!(p.write_intensive_funcs(&cfg()).is_empty());
+        assert!(p.write_intensive_funcs().is_empty());
     }
 
     #[test]
@@ -196,7 +205,7 @@ mod tests {
             g.write((1 << 30) + i * 64, 64);
         }
         let p = profile(&TraceSet::new(vec![t.finish()]), &cfg());
-        let monitored = p.write_intensive_funcs(&cfg());
+        let monitored = p.write_intensive_funcs();
         assert!(monitored.contains(&big));
         assert!(!monitored.contains(&tiny));
     }
@@ -222,7 +231,7 @@ mod tests {
         let traces = TraceSet::new(vec![t.finish()]);
         // Dense sampling: every function sees exactly the same weight, so
         // the ranking is one big tie.
-        let dense = DirtBusterConfig { sample_interval: 1, ..Default::default() };
+        let dense = DirtBusterConfig { sample_interval: 1 };
         let a = profile(&traces, &dense);
         let b = profile(&traces, &dense);
         let order_a: Vec<FuncId> = a.funcs.iter().map(|f| f.func).collect();
@@ -249,7 +258,7 @@ mod tests {
         let traces = TraceSet::new(vec![t.finish()]);
         // Dense sampling keeps the six functions tied on store share, so
         // the report order exercises the tie-break end to end.
-        let dcfg = DirtBusterConfig { sample_interval: 1, ..Default::default() };
+        let dcfg = DirtBusterConfig { sample_interval: 1 };
         let one = crate::analyze(&traces, &reg, &dcfg).render(&reg);
         let two = crate::analyze(&traces, &reg, &dcfg).render(&reg);
         assert_eq!(one, two, "same trace must render the same report");
@@ -263,9 +272,9 @@ mod tests {
             t.write(i * 64, 64);
         }
         let traces = TraceSet::new(vec![t.finish()]);
-        let dense = profile(&traces, &DirtBusterConfig { sample_interval: 1, ..Default::default() });
+        let dense = profile(&traces, &DirtBusterConfig { sample_interval: 1 });
         let sparse =
-            profile(&traces, &DirtBusterConfig { sample_interval: 100, ..Default::default() });
+            profile(&traces, &DirtBusterConfig { sample_interval: 100 });
         assert_eq!(dense.samples, 10_000);
         assert_eq!(sparse.samples, 100);
         // Both agree on the verdict.

@@ -31,6 +31,7 @@ use crate::Recommendation;
 use machine::RunStats;
 use simcore::rng::SimRng;
 use simcore::{FuncId, FuncRegistry};
+use std::cmp::Reverse;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -148,19 +149,12 @@ pub struct SearchOutcome {
 /// cycles, then id, descending — sites that currently hurt most are
 /// flipped first.
 fn rank_sites(sites: &[FuncId], stats: &RunStats) -> Vec<FuncId> {
-    let mut ranked: Vec<(u64, u64, FuncId)> = sites
-        .iter()
-        .map(|&f| {
-            let s = stats.site(f);
-            (
-                s.map_or(0, |s| s.media_bytes),
-                s.map_or(0, |s| s.total_stall_cycles()),
-                f,
-            )
-        })
-        .collect();
-    ranked.sort_by(|a, b| (b.0, b.1, a.2).cmp(&(a.0, a.1, b.2)));
-    ranked.into_iter().map(|(_, _, f)| f).collect()
+    let mut ranked = sites.to_vec();
+    ranked.sort_by_key(|&f| {
+        let s = stats.site(f).copied().unwrap_or_default();
+        (Reverse(s.media_bytes), Reverse(s.total_stall_cycles()), f)
+    });
+    ranked
 }
 
 /// Run the hill-climb. Returns `None` only if the baseline (empty-plan)
@@ -414,7 +408,6 @@ mod tests {
             l1: Default::default(),
             llc: Default::default(),
             device: Default::default(),
-            func_cycles: Default::default(),
             timeseries: Vec::new(),
             timeseries_window_cycles: 0,
             request_latency: Vec::new(),
@@ -509,7 +502,6 @@ mod tests {
                 l1: Default::default(),
                 llc: Default::default(),
                 device: Default::default(),
-                func_cycles: Default::default(),
                 timeseries: Vec::new(),
                 timeseries_window_cycles: 0,
                 request_latency: Vec::new(),

@@ -23,7 +23,7 @@ proptest! {
             }
         }
         let traces = TraceSet::new(vec![t.finish()]);
-        let cfg = DirtBusterConfig { sample_interval: interval, ..Default::default() };
+        let cfg = DirtBusterConfig { sample_interval: interval };
         let a = analyze(&traces, &reg, &cfg);
         prop_assert!(a.write_intensive(), "interval {interval}");
         prop_assert_eq!(

@@ -288,10 +288,10 @@ struct Engine<'a, T: LineTables = FlatTables> {
     /// metrics registry when the replay returns (plain fields: the step
     /// loop pays no atomics).
     probes: RunProbes,
-    /// The per-site book: every count attributed to a trace site (device
-    /// traffic, pre-store actions, stalls, cycles), read off into
-    /// [`RunStats::sites`] and [`RunStats::func_cycles`] at end of run.
-    /// Always on: the attribution feeds results, not the metrics registry.
+    /// The per-site book: every count attributed to a trace site (cycles,
+    /// device traffic, pre-store actions, stalls), read off into
+    /// [`RunStats::sites`] at end of run. Always on: the attribution feeds
+    /// results, not the metrics registry.
     sites: SiteBook,
     /// The scheduler step currently being replayed (for line-lifetime
     /// accounting against the first-dirty step tags).
@@ -308,9 +308,6 @@ struct Engine<'a, T: LineTables = FlatTables> {
     /// Cached [`TimeSeries::next_boundary`], `u64::MAX` with sampling off:
     /// the step loop pays exactly one integer compare for the feature.
     ts_next_boundary: Cycles,
-    /// Cumulative bytes of dirty data handed to the device (the
-    /// [`ts_channel::DEVICE_BYTES`] feed; one add per device write).
-    ts_device_bytes: u64,
     /// Per-request latency accounting (`None` on unclassified runs).
     classes: Option<ClassifierState>,
     /// Flight recorder: `Some` only on crash-armed replays, recording one
@@ -718,7 +715,6 @@ impl<'a, T: LineTables> Engine<'a, T> {
             crash: None,
             ts: cfg.timeseries_window.map(|w| TimeSeries::new(w.max(1), TS_CAPACITY)),
             ts_next_boundary: u64::MAX,
-            ts_device_bytes: 0,
             classes: None,
             flight: None,
         };
@@ -825,8 +821,14 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 if let Some((line, id, seq)) = core.blocked {
                     match self.tables.release_get(id, line) {
                         Some((count, when)) if count >= seq => {
-                            // The release happened: wake up at its time.
-                            core.now = core.now.max(when);
+                            // The release happened: wake up at its time,
+                            // booking the wait to the acquire, which is
+                            // still the event at `pc`.
+                            if when > core.now {
+                                self.sites.row(feed.event(cid, core.pc).func).cycles +=
+                                    when - core.now;
+                                core.now = when;
+                            }
                             core.blocked = None;
                         }
                         _ => continue,
@@ -897,10 +899,12 @@ impl<'a, T: LineTables> Engine<'a, T> {
     fn finalize(mut self, interner: &LineInterner, steps: u64) -> CrashOutcome {
         // Programs complete when their stores are globally visible. These
         // final drains happen after the last trace event, so their traffic
-        // is attributed through the lines' first-dirty tags (the stall
-        // itself is not charged to any core's fence counter).
+        // is attributed through the lines' first-dirty tags and the cycles
+        // they move the clock by to the UNKNOWN row (the stall is not
+        // charged to any core's fence counter).
         for cid in 0..self.cores.len() {
-            self.fence(cid, FuncId::UNKNOWN);
+            let stall = self.fence(cid, FuncId::UNKNOWN);
+            self.sites.row(FuncId::UNKNOWN).cycles += stall;
         }
         // Account (but do not time) the dirty data still cached at the end
         // of the run: it will be written to the device eventually, and
@@ -922,7 +926,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             let id = interner.id_of(line).unwrap_or(LineId::INVALID);
             let (site, step) =
                 self.tables.dirt_take(id, line).unwrap_or((FuncId::UNKNOWN, self.cur_step));
-            self.sites.row(site).counters.residual_lines += 1;
+            self.sites.row(site).residual_lines += 1;
             self.probes.line_lifetime.record(self.cur_step.saturating_sub(step));
             self.device_write_attributed(line, line_size, site);
         }
@@ -930,7 +934,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         // single site caused those media writes, so they land in the
         // UNKNOWN row (bounded by the device's buffer capacity).
         let flushed = self.device.flush();
-        let unknown = &mut self.sites.row(FuncId::UNKNOWN).counters;
+        let unknown = self.sites.row(FuncId::UNKNOWN);
         unknown.media_bytes += flushed.written;
         unknown.rmw_bytes += flushed.rmw_read;
         self.probes.close_burst();
@@ -964,7 +968,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         // Read the book off: its rows come out in site-id order with
         // UNKNOWN (`u16::MAX`) last, so `sites` stays sorted for
         // `RunStats::site`'s binary search.
-        let (sites, func_cycles) = std::mem::take(&mut self.sites).into_stats();
+        let sites = std::mem::take(&mut self.sites).into_sites();
         // Close the time series through the end of simulated time. The
         // totals are gathered *after* the final drains and the device
         // flush above, so the per-channel window sums match the end-of-run
@@ -986,7 +990,6 @@ impl<'a, T: LineTables> Engine<'a, T> {
             l1,
             llc: *self.llc.stats(),
             device: dstats,
-            func_cycles,
             sites,
             timeseries,
             timeseries_window_cycles,
@@ -1231,13 +1234,10 @@ impl<'a, T: LineTables> Engine<'a, T> {
         for c in &self.cores {
             t[ts_channel::READ_LINES] += c.stats.read_lines;
             t[ts_channel::WRITE_LINES] += c.stats.write_lines;
-            t[ts_channel::STALL_CYCLES] += c.stats.fence_stall_cycles
-                + c.stats.atomic_stall_cycles
-                + c.stats.sb_pressure_stall_cycles
-                + c.stats.writeback_stall_cycles;
+            t[ts_channel::STALL_CYCLES] += c.stats.total_stall_cycles();
             t[ts_channel::PRESTORES] += c.stats.prestores;
         }
-        t[ts_channel::DEVICE_BYTES] = self.ts_device_bytes;
+        t[ts_channel::DEVICE_BYTES] = self.device.stats().bytes_received;
         t
     }
 
@@ -1252,7 +1252,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             return;
         }
         let core = &mut self.cores[cid].stats;
-        let row = &mut self.sites.row(site).counters;
+        let row = self.sites.row(site);
         let (core_cycles, site_cycles) = match kind {
             Stall::Fence => (&mut core.fence_stall_cycles, &mut row.fence_stall_cycles),
             Stall::Atomic => (&mut core.atomic_stall_cycles, &mut row.atomic_stall_cycles),
@@ -1262,6 +1262,18 @@ impl<'a, T: LineTables> Engine<'a, T> {
         *core_cycles += cycles;
         *site_cycles += cycles;
         self.probes.stall_cycles.record(cycles);
+    }
+
+    /// Hold core `cid` until `done`, an in-flight operation's completion
+    /// time, booking the wait as a `kind` stall at `site`: the one place a
+    /// wait moves a core's clock. A time already past books nothing.
+    #[inline]
+    fn wait_until(&mut self, cid: CoreId, site: FuncId, kind: Stall, done: Cycles) {
+        let now = self.cores[cid].now;
+        if done > now {
+            self.cores[cid].now = done;
+            self.book_stall(cid, site, kind, done - now);
+        }
     }
 
     /// Send `bytes` at `line` to the device, attributing the dirty bytes —
@@ -1281,8 +1293,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             ctx.received.insert(line);
         }
         let media = self.device.receive_write(line, bytes);
-        self.ts_device_bytes += bytes;
-        let row = &mut self.sites.row(site).counters;
+        let row = self.sites.row(site);
         row.device_bytes += bytes;
         row.media_bytes += media.written;
         row.rmw_bytes += media.rmw_read;
@@ -1312,7 +1323,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                     .tables
                     .dirt_take(v.id, v.line)
                     .unwrap_or((FuncId::UNKNOWN, self.cur_step));
-                self.sites.row(site).counters.dirty_evictions += 1;
+                self.sites.row(site).dirty_evictions += 1;
                 self.probes.line_lifetime.record(self.cur_step.saturating_sub(step));
                 self.device_write_attributed(v.line, self.cfg.line_size, site);
             }
@@ -1361,11 +1372,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         // A non-temporal store to this line may still be in flight: wait
         // for it to land, then fetch from the device at full latency.
         if let Some(done) = self.tables.nt_get(id, line) {
-            let now = self.cores[cid].now;
-            if done > now {
-                self.cores[cid].now = done;
-                self.book_stall(cid, site, Stall::Writeback, done - now);
-            }
+            self.wait_until(cid, site, Stall::Writeback, done);
             self.tables.nt_clear(id, line);
             self.cores[cid].now += self.device.read_latency() + self.device.fault_stall();
             self.device.receive_read(line, self.cfg.line_size);
@@ -1511,11 +1518,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         // Rewriting a line whose clean-initiated writeback is in flight
         // stalls until the writeback completes (the Listing-3 pitfall).
         if let Some(done) = self.tables.wb_get(id, line) {
-            let now = self.cores[cid].now;
-            if done > now {
-                self.cores[cid].now = done;
-                self.book_stall(cid, site, Stall::Writeback, done - now);
-            }
+            self.wait_until(cid, site, Stall::Writeback, done);
             self.tables.wb_clear(id, line);
         }
         // Capacity pressure: the hardware drains the whole buffer in the
@@ -1529,11 +1532,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
                 // `start_drains` above scheduled every entry, the head's
                 // drain included.
                 let done = self.cores[cid].sb.drain_head();
-                let now = self.cores[cid].now;
-                if done > now {
-                    self.cores[cid].now = done;
-                    self.book_stall(cid, site, Stall::SbPressure, done - now);
-                }
+                self.wait_until(cid, site, Stall::SbPressure, done);
             }
         }
         let now = self.cores[cid].now;
@@ -1582,7 +1581,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
             lines += 1;
         }
         self.cores[cid].stats.write_lines += lines;
-        self.sites.row(site).counters.nt_lines += lines;
+        self.sites.row(site).nt_lines += lines;
         // Reuse one flush buffer for the whole run instead of allocating a
         // Vec per NT store (`mem::take` of a Vec moves, never allocates).
         let mut buf = std::mem::take(&mut self.wc_buf);
@@ -1609,7 +1608,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
 
     /// A `clean` pre-store: write the dirty line back, keep it cached.
     fn prestore_clean(&mut self, cid: CoreId, line: Addr, id: LineId, site: FuncId) {
-        self.sites.row(site).counters.cleans += 1;
+        self.sites.row(site).cleans += 1;
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Order with respect to a pending private store: force its drain
         // (asynchronously) first, like a demote.
@@ -1641,7 +1640,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
     /// line stays dirty (now in the LLC), so its first-dirty tag survives
     /// for the eventual eviction to claim.
     fn prestore_demote(&mut self, cid: CoreId, line: Addr, id: LineId, site: FuncId) {
-        self.sites.row(site).counters.demotes += 1;
+        self.sites.row(site).demotes += 1;
         self.cores[cid].now += self.cfg.costs.prestore_issue;
         // Start the background drain of the private store, if any.
         if let Some(n) = self.cores[cid].sb.unstarted_through(line) {
@@ -1684,11 +1683,7 @@ impl<'a, T: LineTables> Engine<'a, T> {
         let start = self.cores[cid].now;
         let stall = self.fence(cid, site);
         if let Some(done) = self.tables.wb_get(id, line) {
-            let now = self.cores[cid].now;
-            if done > now {
-                self.cores[cid].now = done;
-                self.book_stall(cid, site, Stall::Writeback, done - now);
-            }
+            self.wait_until(cid, site, Stall::Writeback, done);
             self.tables.wb_clear(id, line);
         }
         let rfo = self.acquire_for_write(cid, line, id);

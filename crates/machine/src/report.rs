@@ -7,10 +7,12 @@ use std::fmt::Write as _;
 
 /// Render the per-site write-amplification and stall attribution table —
 /// the paper's Table-3 style "which code site causes the device traffic"
-/// breakdown. Sites are ranked by attributed media bytes (then total
-/// stalls, then id, so equal runs render identically); at most `top` rows
-/// are shown plus a coverage footer comparing the attributed totals to the
-/// device and core counters.
+/// breakdown. The rows are the sites with device traffic, a pre-store or
+/// NT store, or a stall (a site that only spent cycles is left out),
+/// UNKNOWN included, ranked as [`RunStats::site_scores`] ranks them, so
+/// equal runs render identically; at most `top` rows are shown plus a
+/// coverage footer comparing the attributed totals to the device and
+/// core counters.
 ///
 /// # Examples
 ///
@@ -33,19 +35,12 @@ use std::fmt::Write as _;
 /// ```
 pub fn render_site_table(stats: &RunStats, registry: &FuncRegistry, top: usize) -> String {
     let mut out = String::new();
-    if stats.sites.is_empty() {
+    let ranked = stats.ranked_sites();
+    if ranked.is_empty() {
         let _ = writeln!(out, "per-site attribution: no attributed device traffic or stalls");
         return out;
     }
-    let mut ranked: Vec<&(FuncId, crate::stats::SiteCounters)> = stats.sites.iter().collect();
-    ranked.sort_by(|a, b| {
-        (b.1.media_bytes, b.1.total_stall_cycles(), a.0)
-            .cmp(&(a.1.media_bytes, a.1.total_stall_cycles(), b.0))
-    });
-    let _ = writeln!(
-        out,
-        "per-site attribution (ranked by attributed media bytes):"
-    );
+    let _ = writeln!(out, "per-site attribution (ranked by attributed media bytes):");
     let _ = writeln!(
         out,
         "  {:<28} {:>12} {:>12} {:>10} {:>8} {:>12} {:>8} {:>8} {:>8}",
@@ -76,26 +71,13 @@ pub fn render_site_table(stats: &RunStats, registry: &FuncRegistry, top: usize) 
     }
     let attributed = stats.attributed_media_bytes();
     let media = stats.device.media_bytes_written;
+    let total_stalls: u64 = stats.cores.iter().map(|c| c.total_stall_cycles()).sum();
+    let attr_stalls = stats.attributed_stall_cycles();
     // Zero denominators (an empty or read-only trace wrote no media bytes
     // and stalled nowhere) report 0.0% coverage: there was nothing to
     // attribute, and 0/0 must not render as NaN.
-    let media_cov = if media == 0 { 0.0 } else { attributed as f64 * 100.0 / media as f64 };
-    let total_stalls: u64 = stats
-        .cores
-        .iter()
-        .map(|c| {
-            c.fence_stall_cycles
-                + c.atomic_stall_cycles
-                + c.sb_pressure_stall_cycles
-                + c.writeback_stall_cycles
-        })
-        .sum();
-    let attr_stalls = stats.attributed_stall_cycles();
-    let stall_cov = if total_stalls == 0 {
-        0.0
-    } else {
-        attr_stalls as f64 * 100.0 / total_stalls as f64
-    };
+    let pct = |part: u64, all: u64| if all == 0 { 0.0 } else { part as f64 * 100.0 / all as f64 };
+    let (media_cov, stall_cov) = (pct(attributed, media), pct(attr_stalls, total_stalls));
     let _ = writeln!(
         out,
         "  coverage: media bytes {attributed}/{media} ({media_cov:.1}%) | stall cycles {attr_stalls}/{total_stalls} ({stall_cov:.1}%)"
@@ -114,8 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_run_stats_render_without_site_rows() {
-        // An empty trace attributes nothing; the table must degrade to the
+    fn cycles_only_run_renders_without_site_rows() {
+        // A run that only spent cycles (here at an untraced site)
+        // attributes no traffic or stalls; the table must degrade to the
         // one-line placeholder instead of dividing by zero.
         let stats = RunStats {
             cycles: 0,
@@ -125,8 +108,7 @@ mod tests {
             l1: Default::default(),
             llc: Default::default(),
             device: Default::default(),
-            func_cycles: Default::default(),
-            sites: Vec::new(),
+            sites: vec![(FuncId::UNKNOWN, crate::SiteCounters { cycles: 5, ..Default::default() })],
             timeseries: Vec::new(),
             timeseries_window_cycles: 0,
             request_latency: Vec::new(),
@@ -151,8 +133,7 @@ mod tests {
             l1: Default::default(),
             llc: Default::default(),
             device: Default::default(),
-            func_cycles: Default::default(),
-            sites: vec![(f, crate::stats::SiteCounters { cleans: 3, ..Default::default() })],
+            sites: vec![(f, crate::SiteCounters { cleans: 3, ..Default::default() })],
             timeseries: Vec::new(),
             timeseries_window_cycles: 0,
             request_latency: Vec::new(),

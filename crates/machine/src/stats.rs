@@ -4,7 +4,7 @@ use cachesim::CacheStats;
 use memdev::DeviceStats;
 use simcore::telemetry::Histogram;
 use simcore::{Cycles, FuncId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// Channel count of the engine's simulated-time series (one per
 /// [`ts_channel`] index).
@@ -43,11 +43,12 @@ pub mod ts_channel {
         ["steps", "read_lines", "write_lines", "stall_cycles", "prestores", "device_bytes"];
 }
 
-/// Per-trace-site attribution: where write amplification and stalls come
-/// from. One row per [`FuncId`] that caused device traffic, a pre-store
-/// action, or a stall during the run — the simulator's equivalent of
-/// DirtBuster's Table-3 "which code site dirties the lines that hurt"
-/// breakdown. Lives in [`RunStats::sites`].
+/// Per-trace-site attribution: where a replay's cycles, write
+/// amplification and stalls come from. One row per [`FuncId`] that spent
+/// cycles, caused device traffic, issued a pre-store or NT store, or
+/// stalled during the run — the simulator's `perf` profile and its
+/// equivalent of DirtBuster's Table-3 "which code site dirties the lines
+/// that hurt" breakdown. Lives in [`RunStats::sites`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SiteCounters {
     /// Bytes of dirty data this site's stores pushed to the device
@@ -77,6 +78,10 @@ pub struct SiteCounters {
     pub sb_stall_cycles: Cycles,
     /// Writeback-wait stall cycles paid at this site.
     pub writeback_stall_cycles: Cycles,
+    /// Cycles this site advanced its cores' clocks by: its events' costs
+    /// and stalls, and an acquire's wait for its release. Over all rows,
+    /// UNKNOWN included, these sum to every core's `cycles`.
+    pub cycles: Cycles,
 }
 
 /// A cheap per-site score snapshot: the two quantities a policy search
@@ -100,33 +105,30 @@ impl SiteCounters {
             + self.sb_stall_cycles
             + self.writeback_stall_cycles
     }
-}
 
-/// One site's row in the engine's per-site book: its attributed counters
-/// and the cycles its events spent.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SiteRow {
-    /// Device traffic, pre-store actions and stalls attributed to the site.
-    pub counters: SiteCounters,
-    /// Cycles the site's events advanced their core's clock by.
-    pub cycles: Cycles,
+    /// Whether the row enters a site ranking ([`RunStats::site_scores`],
+    /// the Table-3 view): it holds device traffic, a pre-store or NT
+    /// store, or a stall. A row that only spent cycles does not.
+    pub(crate) fn is_ranked(&self) -> bool {
+        SiteCounters { cycles: 0, ..*self } != SiteCounters::default()
+    }
 }
 
 /// The engine's per-site book: one dense row per [`FuncId`] up to the
 /// largest one seen, plus a side row for [`FuncId::UNKNOWN`] so the
 /// sentinel id (`u16::MAX`) never forces a 64 Ki-row table. Every count
 /// the engine attributes to a site lands here, and a replay's
-/// [`RunStats::sites`] and [`RunStats::func_cycles`] are read off it.
+/// [`RunStats::sites`] is read off it.
 #[derive(Debug, Default)]
 pub(crate) struct SiteBook {
-    rows: Vec<SiteRow>,
-    unknown: SiteRow,
+    rows: Vec<SiteCounters>,
+    unknown: SiteCounters,
 }
 
 impl SiteBook {
     /// `site`'s row, created zeroed on first use.
     #[inline]
-    pub fn row(&mut self, site: FuncId) -> &mut SiteRow {
+    pub fn row(&mut self, site: FuncId) -> &mut SiteCounters {
         if site == FuncId::UNKNOWN {
             return &mut self.unknown;
         }
@@ -141,25 +143,16 @@ impl SiteBook {
     /// kept out of line of the per-step [`SiteBook::row`].
     #[cold]
     fn cover(&mut self, idx: usize) {
-        self.rows.resize(idx + 1, SiteRow::default());
+        self.rows.resize(idx + 1, SiteCounters::default());
     }
 
-    /// The book as [`RunStats::sites`] (every site with a nonzero counter,
-    /// sorted by [`FuncId`]; UNKNOWN sorts last) and
-    /// [`RunStats::func_cycles`] (every site that spent cycles).
-    pub fn into_stats(self) -> (Vec<(FuncId, SiteCounters)>, HashMap<FuncId, Cycles>) {
-        let mut sites = Vec::new();
-        let mut func_cycles = HashMap::new();
+    /// The book as [`RunStats::sites`]: every row with a nonzero field,
+    /// sorted by [`FuncId`] (UNKNOWN sorts last).
+    pub fn into_sites(self) -> Vec<(FuncId, SiteCounters)> {
         let ids = (0..self.rows.len()).map(|i| FuncId(i as u16)).chain([FuncId::UNKNOWN]);
-        for (f, row) in ids.zip(self.rows.into_iter().chain([self.unknown])) {
-            if row.counters != SiteCounters::default() {
-                sites.push((f, row.counters));
-            }
-            if row.cycles > 0 {
-                func_cycles.insert(f, row.cycles);
-            }
-        }
-        (sites, func_cycles)
+        ids.zip(self.rows.into_iter().chain([self.unknown]))
+            .filter(|(_, row)| *row != SiteCounters::default())
+            .collect()
     }
 }
 
@@ -189,6 +182,16 @@ pub struct CoreStats {
     pub atomics: u64,
 }
 
+impl CoreStats {
+    /// All stall cycles of the core, of the four kinds.
+    pub fn total_stall_cycles(&self) -> Cycles {
+        self.fence_stall_cycles
+            + self.atomic_stall_cycles
+            + self.sb_pressure_stall_cycles
+            + self.writeback_stall_cycles
+    }
+}
+
 /// Aggregate result of replaying one workload on one machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
@@ -207,15 +210,14 @@ pub struct RunStats {
     pub llc: CacheStats,
     /// Device counters (write amplification lives here).
     pub device: DeviceStats,
-    /// Cycles attributed to each traced function (the simulator's `perf`
-    /// profile): every event's cost is charged to the function that issued
-    /// it, so claims like "pre-storing reduces the time spent in the
-    /// atomic instructions of the lock" (§7.3.1) can be checked directly.
-    pub func_cycles: HashMap<FuncId, Cycles>,
-    /// Per-trace-site write-amplification and stall attribution, sorted by
-    /// [`FuncId`] (so two runs of the same trace compare equal). A
-    /// [`FuncId::UNKNOWN`] row collects traffic the engine could not tie
-    /// to a site (untraced callers, end-of-run device flush remainders).
+    /// Per-trace-site attribution of cycles, device traffic and stalls,
+    /// sorted by [`FuncId`] (so two runs of the same trace compare equal).
+    /// The `cycles` column is the simulator's `perf` profile: every clock
+    /// advance is charged to the function that caused it, so claims like
+    /// "pre-storing reduces the time spent in the atomic instructions of
+    /// the lock" (§7.3.1) can be checked directly. A [`FuncId::UNKNOWN`]
+    /// row collects what the engine could not tie to a site (untraced
+    /// callers, the end-of-run drains and device flush).
     pub sites: Vec<(FuncId, SiteCounters)>,
     /// Simulated-time delta windows of the run (channel schema in
     /// [`ts_channel`]). Empty unless
@@ -283,11 +285,11 @@ impl RunStats {
 
     /// Cycles attributed to `func` (0 if never seen).
     pub fn cycles_in(&self, func: FuncId) -> Cycles {
-        self.func_cycles.get(&func).copied().unwrap_or(0)
+        self.site(func).map_or(0, |s| s.cycles)
     }
 
-    /// The attribution row for `func`, if it caused any attributed traffic
-    /// or stalls this run.
+    /// The attribution row for `func`, if it spent cycles, caused
+    /// attributed traffic or stalled this run.
     pub fn site(&self, func: FuncId) -> Option<&SiteCounters> {
         self.sites
             .binary_search_by_key(&func, |(f, _)| *f)
@@ -317,25 +319,29 @@ impl RunStats {
             .sum()
     }
 
+    /// The rows [`SiteCounters::is_ranked`] admits, UNKNOWN included, by
+    /// media bytes, then stall cycles, then [`FuncId`]: a total order, so
+    /// equal runs rank identically (the order of the Table-3 view).
+    pub(crate) fn ranked_sites(&self) -> Vec<&(FuncId, SiteCounters)> {
+        let mut ranked: Vec<_> = self.sites.iter().filter(|(_, s)| s.is_ranked()).collect();
+        ranked.sort_by_key(|(f, s)| (Reverse(s.media_bytes), Reverse(s.total_stall_cycles()), *f));
+        ranked
+    }
+
     /// Per-site score snapshot for closed-loop policy search: every
-    /// *known* attributed site (the [`FuncId::UNKNOWN`] catch-all row is
-    /// excluded), ranked by attributed media bytes, then stall cycles,
-    /// then [`FuncId`] — a total order, so equal runs rank identically.
+    /// *known* site with device traffic, a pre-store or a stall (not the
+    /// [`FuncId::UNKNOWN`] row, nor a row that only spent cycles), ranked
+    /// by media bytes, then stall cycles, then [`FuncId`] (a total order).
     pub fn site_scores(&self) -> Vec<SiteScore> {
-        let mut scores: Vec<SiteScore> = self
-            .sites
-            .iter()
+        self.ranked_sites()
+            .into_iter()
             .filter(|(f, _)| *f != FuncId::UNKNOWN)
-            .map(|(f, s)| SiteScore {
-                func: *f,
+            .map(|&(func, s)| SiteScore {
+                func,
                 media_bytes: s.media_bytes,
                 stall_cycles: s.total_stall_cycles(),
             })
-            .collect();
-        scores.sort_by(|a, b| {
-            (b.media_bytes, b.stall_cycles, a.func).cmp(&(a.media_bytes, a.stall_cycles, b.func))
-        });
-        scores
+            .collect()
     }
 
     /// The latency histogram of request class `name`, if the run was
@@ -368,7 +374,6 @@ mod tests {
             l1: CacheStats::default(),
             llc: CacheStats::default(),
             device: DeviceStats::default(),
-            func_cycles: HashMap::new(),
             sites: Vec::new(),
             timeseries: Vec::new(),
             timeseries_window_cycles: 0,
@@ -402,27 +407,30 @@ mod tests {
     }
 
     #[test]
-    fn site_book_reads_off_sites_and_func_cycles() {
+    fn site_book_reads_off_every_nonzero_row() {
         let mut book = SiteBook::default();
-        book.row(FuncId::UNKNOWN).counters.media_bytes = 9;
+        book.row(FuncId::UNKNOWN).media_bytes = 9;
         book.row(FuncId(5)).cycles = 40;
-        let row = &mut book.row(FuncId(2)).counters;
+        let row = book.row(FuncId(2));
         row.media_bytes = 256;
         row.fence_stall_cycles = 10;
-        book.row(FuncId(2)).cycles = 7;
+        row.cycles = 7;
         book.row(FuncId::UNKNOWN).cycles = 3;
-        let (sites, func_cycles) = book.into_stats();
-        let site = SiteCounters { media_bytes: 256, fence_stall_cycles: 10, ..Default::default() };
+        let site = SiteCounters {
+            media_bytes: 256,
+            fence_stall_cycles: 10,
+            cycles: 7,
+            ..Default::default()
+        };
+        let cycles_only = SiteCounters { cycles: 40, ..Default::default() };
+        let unknown = SiteCounters { media_bytes: 9, cycles: 3, ..Default::default() };
         assert_eq!(
-            sites,
-            vec![
-                (FuncId(2), site),
-                (FuncId::UNKNOWN, SiteCounters { media_bytes: 9, ..Default::default() })
-            ],
-            "a site with cycles only has no counter row; UNKNOWN sorts last"
+            book.into_sites(),
+            vec![(FuncId(2), site), (FuncId(5), cycles_only), (FuncId::UNKNOWN, unknown)],
+            "untouched ids below the largest have no row; UNKNOWN sorts last"
         );
-        let want = HashMap::from([(FuncId(2), 7), (FuncId(5), 40), (FuncId::UNKNOWN, 3)]);
-        assert_eq!(func_cycles, want, "untouched ids below the largest have no entry");
+        assert!(site.is_ranked() && unknown.is_ranked());
+        assert!(!cycles_only.is_ranked(), "a row with cycles only ranks nowhere");
     }
 
     #[test]
@@ -439,11 +447,12 @@ mod tests {
         let mut r = stats(100);
         r.sites = vec![
             (FuncId(2), site),
-            (FuncId(7), SiteCounters { media_bytes: 100, ..Default::default() }),
+            (FuncId(7), SiteCounters { media_bytes: 100, cycles: 30, ..Default::default() }),
             (FuncId::UNKNOWN, SiteCounters { media_bytes: 9, ..Default::default() }),
         ];
         assert_eq!(r.site(FuncId(2)), Some(&site));
         assert_eq!(r.site(FuncId(3)), None);
+        assert_eq!((r.cycles_in(FuncId(7)), r.cycles_in(FuncId(3))), (30, 0));
         assert_eq!(r.attributed_media_bytes(), 356, "unknown row excluded");
         assert_eq!(r.attributed_stall_cycles(), 15);
     }
@@ -482,11 +491,13 @@ mod tests {
             ),
             (FuncId(3), SiteCounters { media_bytes: 900, ..Default::default() }),
             (FuncId(4), SiteCounters { media_bytes: 100, ..Default::default() }),
+            (FuncId(5), SiteCounters { cycles: 500, ..Default::default() }),
             (FuncId::UNKNOWN, SiteCounters { media_bytes: 9999, ..Default::default() }),
         ];
         let ranked = r.site_scores();
         let order: Vec<FuncId> = ranked.iter().map(|s| s.func).collect();
-        // Media first, then stalls, then id; UNKNOWN never appears.
+        // Media first, then stalls, then id; neither UNKNOWN nor a row
+        // with cycles only appears.
         assert_eq!(order, vec![FuncId(3), FuncId(2), FuncId(1), FuncId(4)]);
         assert_eq!(ranked[0].media_bytes, 900);
         assert_eq!(ranked[1].stall_cycles, 7);

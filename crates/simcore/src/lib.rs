@@ -50,15 +50,6 @@ pub type Cycles = u64;
 /// Identifier of a simulated hardware thread / core.
 pub type CoreId = usize;
 
-/// The cache line size of an Intel x86 CPU (Machine A), in bytes.
-pub const X86_LINE: u64 = 64;
-
-/// The cache line size of the ThunderX ARM CPU (Machine B), in bytes.
-pub const ARM_LINE: u64 = 128;
-
-/// The internal write granularity of Optane persistent memory, in bytes.
-pub const OPTANE_BLOCK: u64 = 256;
-
 /// Round `addr` down to the start of its naturally-aligned `unit`-byte block.
 ///
 /// `unit` must be a power of two.

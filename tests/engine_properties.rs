@@ -1,11 +1,22 @@
 //! Property-based tests of the replay engine and its substrates: for
 //! arbitrary (valid) traces, the simulator must never panic, must be
 //! deterministic, and must respect physical invariants (write
-//! amplification bounds, monotone clocks, conservation of written bytes).
+//! amplification bounds, monotone clocks, conservation of written bytes,
+//! a per-site book that adds up to every core cycle, and pre-stores that
+//! never change what becomes durable).
 
-use pre_stores::machine::{simulate, MachineConfig, RunStats};
-use pre_stores::simcore::{FuncId, PrestoreOp, ThreadTrace, TraceSet, Tracer};
+use pre_stores::dirtbuster::{apply_plan, PrestorePlan, Recommendation};
+use pre_stores::machine::{
+    simulate, try_simulate_stream_opts, CrashOutcome, CrashPlan, Machine, MachineConfig, RunStats,
+    SiteCounters, StreamOptions,
+};
+use pre_stores::simcore::{
+    Event, EventKind, FuncId, PrestoreOp, SliceSource, ThreadTrace, TraceSet, Tracer,
+};
 use proptest::prelude::*;
+
+/// The line every generated acquire waits on, outside the data arenas.
+const SYNC: u64 = 1 << 30;
 
 /// One operation of a generated workload.
 #[derive(Debug, Clone)]
@@ -18,6 +29,10 @@ enum Op {
     Fence,
     Atomic(u64),
     Compute(u16),
+    /// An atomic on [`SYNC`]: a release the acquires wait for.
+    Release,
+    /// An acquire of release number `n` of [`SYNC`].
+    Acquire(u32),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -46,6 +61,8 @@ fn record(t: &mut Tracer, op: &Op) {
         Op::Fence => t.fence(),
         Op::Atomic(a) => t.atomic(a, 8),
         Op::Compute(c) => t.compute(c as u64),
+        Op::Release => t.atomic(SYNC, 8),
+        Op::Acquire(n) => t.acquire(SYNC, n),
     }
 }
 
@@ -88,6 +105,81 @@ fn sited_trace_of(ops: &[(u16, Op)]) -> ThreadTrace {
         }
     }
     t.finish()
+}
+
+/// A stall-heavy op, or (one in nine) a synchronization op: an acquire on
+/// [`SYNC`] whose raw number [`synced_traces`] maps to a release.
+fn sync_op_strategy() -> impl Strategy<Value = Op> {
+    (0u8..9, stall_op_strategy(), any::<u32>())
+        .prop_map(|(pick, op, n)| if pick == 0 { Op::Acquire(n) } else { op })
+}
+
+/// The trace set of per-thread `(site, op)` lists ([`sited_trace_of`])
+/// with satisfiable hand-offs, as `tests/crash_anywhere.rs` builds them:
+/// thread 0 is the only releaser (its acquires become releases of
+/// [`SYNC`]), and every other thread's acquire waits for one of thread
+/// 0's releases (or computes for a cycle when thread 0 releases nothing).
+fn synced_traces(threads: &[Vec<(u16, Op)>]) -> TraceSet {
+    let releases = threads[0].iter().filter(|(_, op)| matches!(op, Op::Acquire(_))).count();
+    let traces = threads
+        .iter()
+        .enumerate()
+        .map(|(thread, ops)| {
+            let ops: Vec<(u16, Op)> = ops
+                .iter()
+                .map(|(site, op)| {
+                    let op = match *op {
+                        Op::Acquire(_) if thread == 0 => Op::Release,
+                        Op::Acquire(_) if releases == 0 => Op::Compute(1),
+                        Op::Acquire(n) => Op::Acquire(1 + n % releases as u32),
+                        ref op => op.clone(),
+                    };
+                    (*site, op)
+                })
+                .collect();
+            sited_trace_of(&ops)
+        })
+        .collect();
+    TraceSet::new(traces)
+}
+
+/// A replay's book against the machine's own counters: a failed check
+/// names what did not add up.
+fn check_book_closes(stats: &RunStats, run: &str) -> Result<(), TestCaseError> {
+    let site_cycles: u64 = stats.sites.iter().map(|(_, s)| s.cycles).sum();
+    let core_cycles: u64 = stats.cores.iter().map(|c| c.cycles).sum();
+    prop_assert_eq!(site_cycles, core_cycles, "cycles of {}", run);
+    for (kind, sites, cores) in stall_books(stats) {
+        prop_assert_eq!(sites, cores, "{} stalls of {}", kind, run);
+    }
+    let bytes = |f: fn(&SiteCounters) -> u64| -> u64 { stats.sites.iter().map(|(_, s)| f(s)).sum() };
+    let device = &stats.device;
+    prop_assert_eq!(bytes(|s| s.device_bytes), device.bytes_received, "device bytes of {}", run);
+    prop_assert_eq!(bytes(|s| s.media_bytes), device.media_bytes_written, "media bytes of {}", run);
+    prop_assert_eq!(bytes(|s| s.rmw_bytes), device.media_bytes_rmw_read, "RMW bytes of {}", run);
+    Ok(())
+}
+
+/// `events` with pre-stores dropped and non-temporal stores read as
+/// stores: the program a plan must leave unchanged.
+fn program_of(events: &[Event]) -> Vec<Event> {
+    events
+        .iter()
+        .filter(|ev| !matches!(ev.kind, EventKind::PrestoreClean | EventKind::PrestoreDemote))
+        .map(|ev| match ev.kind {
+            EventKind::NtWrite => Event { kind: EventKind::Write, ..*ev },
+            _ => *ev,
+        })
+        .collect()
+}
+
+/// The durable digest of an uninterrupted crash-armed replay.
+fn completed_digest(m: &Machine, traces: &TraceSet) -> u64 {
+    match m.try_run_until_crash(traces, CrashPlan::AtStep(u64::MAX)) {
+        Ok(CrashOutcome::Completed { durable_digest: Some(d), .. }) => d,
+        Ok(other) => panic!("an unfired plan completes with a digest, got {other:?}"),
+        Err(e) => panic!("satisfiable trace failed on {}: {e}", m.config().name),
+    }
 }
 
 /// Each stall kind as (name, sum over the per-site rows with UNKNOWN
@@ -247,6 +339,79 @@ proptest! {
             }
         }
     }
+
+    /// The per-site book closes on every replay path: over the rows, the
+    /// UNKNOWN row included, the cycles sum to every core's cycles (the
+    /// acquire waits and the end-of-run drains too), each stall kind to
+    /// the cores' counter of that kind, and the device, media and RMW
+    /// bytes to the device's own counters — materialized, and streamed
+    /// in windows of 1, 7 and 65,536 events.
+    #[test]
+    fn site_book_closes_on_every_core_cycle(
+        threads in proptest::collection::vec(
+            proptest::collection::vec((0u16..4, sync_op_strategy()), 1..150),
+            1..=3,
+        ),
+    ) {
+        let traces = synced_traces(&threads);
+        for cfg in [
+            MachineConfig::machine_a(),
+            MachineConfig::machine_b_fast(),
+            MachineConfig::machine_b_slow(),
+        ] {
+            check_book_closes(&simulate(&cfg, &traces), &format!("{} materialized", cfg.name))?;
+            for chunk_events in [1, 7, 65_536] {
+                let mut source = SliceSource::new(&traces.threads);
+                let report =
+                    try_simulate_stream_opts(&cfg, &mut source, StreamOptions { chunk_events })
+                        .expect("satisfiable trace");
+                check_book_closes(&report.stats, &format!("{} streamed by {chunk_events}", cfg.name))?;
+            }
+        }
+    }
+
+    /// Pre-stores are hints (ROADMAP item 2(a), first half): any plan
+    /// (none, clean, demote or skip for each site, UNKNOWN included)
+    /// leaves each thread's program unchanged apart from the pre-stores
+    /// it inserts and the stores it makes non-temporal, and an
+    /// uninterrupted replay of the patched trace makes the same lines
+    /// durable on Machines A, B-fast and B-slow.
+    #[test]
+    fn prestore_plans_are_hints(
+        threads in proptest::collection::vec(
+            proptest::collection::vec((0u16..4, sync_op_strategy()), 1..50),
+            1..=3,
+        ),
+        ops in proptest::collection::vec(0usize..4, 4),
+    ) {
+        let traces = synced_traces(&threads);
+        let recs = [
+            Recommendation::NoPrestore,
+            Recommendation::Clean,
+            Recommendation::Demote,
+            Recommendation::Skip,
+        ];
+        let mut plan = PrestorePlan::empty();
+        for (func, op) in [FuncId(0), FuncId(1), FuncId(2), FuncId::UNKNOWN].into_iter().zip(ops) {
+            plan.force(func, recs[op]);
+        }
+        let patched = apply_plan(&traces, &plan);
+        for (base, ours) in traces.threads.iter().zip(&patched.threads) {
+            prop_assert_eq!(program_of(&base.events), program_of(&ours.events));
+        }
+        for cfg in [
+            MachineConfig::machine_a(),
+            MachineConfig::machine_b_fast(),
+            MachineConfig::machine_b_slow(),
+        ] {
+            let m = Machine::new(cfg);
+            prop_assert_eq!(
+                completed_digest(&m, &patched),
+                completed_digest(&m, &traces),
+                "plan {} on {}", plan.signature(), m.config().name
+            );
+        }
+    }
 }
 
 /// The stall-book property's ops reach every stall kind: one fixed trace
@@ -263,6 +428,19 @@ fn stall_ops_reach_every_stall_kind() {
         assert!(cores > 0, "no {kind} stall");
         assert_eq!(sites, cores, "{kind} stalls");
     }
+}
+
+/// An acquire's wait for its release is the acquiring site's time: the
+/// consumer's cycles at its acquiring site cover the producer's 1,000
+/// cycles of work before the release, and the book still closes.
+#[test]
+fn acquire_wait_is_the_acquiring_sites_cycles() {
+    let producer = sited_trace_of(&[(3, Op::Compute(1000)), (3, Op::Release)]);
+    let consumer = sited_trace_of(&[(1, Op::Acquire(1))]);
+    let stats =
+        simulate(&MachineConfig::machine_b_fast(), &TraceSet::new(vec![producer, consumer]));
+    assert!(stats.cycles_in(FuncId(1)) >= 1000, "the wait is unbooked: {:?}", stats.sites);
+    check_book_closes(&stats, "the hand-off").expect("the book closes");
 }
 
 #[test]
